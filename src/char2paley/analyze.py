@@ -18,6 +18,15 @@ sum: with b = x^2 + x + a and psi(z) = (-1)^tr(z),
 
 and a general pair reduces to that case by rotating y to INF along the
 circulant labeling.
+
+The full sweep of K is a convolution: psi is additive, so with b = g^t
+and z = g^s, psi(z + b/z) = psi(g^s) psi(g^(t-s)), and with
+T[s] = tr(g^s),
+
+    K(g^t) = sum_s (1 - 2 T[s]) (1 - 2 T[t-s]) = 4 (T * T)[t] - q - 1,
+
+where * is cyclic convolution mod q-1 (T has q/2 ones).  One big-int
+square computes T * T exactly.
 """
 
 from __future__ import annotations
@@ -82,11 +91,35 @@ def kloosterman(ctx: FieldCtx, b: int) -> KloostermanValue:
     return KloostermanValue(b, _kloosterman_sum(ctx, b))
 
 
+def _cyclic_self_convolution(seq: bytes) -> list[int]:
+    """(seq * seq)[t] = sum_s seq[s] seq[(t - s) mod m] for a 0/1 sequence.
+
+    Packs seq into w-byte slots of one int, squares it and folds the wrap.
+    Every coefficient of the linear square is at most the number of ones,
+    so slots wide enough for that count never carry into each other.
+    """
+    m = len(seq)
+    w = (seq.count(1).bit_length() + 7) // 8
+    packed = bytearray(m * w)
+    packed[::w] = seq
+    x = int.from_bytes(packed, "little")
+    sq = (x * x).to_bytes(2 * m * w, "little")
+    linear = [int.from_bytes(sq[i:i + w], "little") for i in range(0, 2 * m * w, w)]
+    return [linear[t] + linear[t + m] for t in range(m)]
+
+
 def kloosterman_sweep(ctx: FieldCtx) -> list[int]:
-    """K(b) for every nonzero b, as a list indexed by b (index 0 unused)."""
-    out = [0] * ctx.q
-    for b in range(1, ctx.q):
-        out[b] = _kloosterman_sum(ctx, b)
+    """K(b) for every nonzero b, as a list indexed by b (index 0 unused).
+
+    Computed as 4 (T * T)[t] - q - 1 at b = g^t (see the module notes).
+    """
+    ctx._ensure_tables()
+    exp2 = ctx._exp2
+    q = ctx.q
+    conv = _cyclic_self_convolution(bytes(map(ctx._trace.__getitem__, exp2[:q - 1])))
+    out = [0] * q
+    for t, c in enumerate(conv):
+        out[exp2[t]] = 4 * c - q - 1
     return out
 
 
@@ -137,27 +170,68 @@ def codegree_formula(ctx: FieldCtx, a: ParamA, x, y,
 class CodegreeSpectrum:
     counts: dict                 # (epsilon, ell) -> number of pairs
     max_ell: int
+    max_pair: tuple[int, int]    # dense row indices of a pair with codegree max_ell
     bound: int                   # q/4 + sqrt(q)/2, an exact int for even k
     within_bound: bool
     max_conference_deviation: int  # max |ell - (q/4 - eps)|
     pairs: int
 
 
-def spectrum_counts(rows, n: int) -> dict:
-    """(epsilon, ell) -> pair count over all unordered pairs of rows."""
+def _pairwise_spectrum(rows, n: int) -> tuple[dict, tuple[int, int]]:
+    """Spectrum counts over all unordered pairs, and the first pair of top codegree."""
     counts: dict[tuple[int, int], int] = {}
+    best, pair = -1, (0, 1)
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
-            key = (ri >> j & 1, (ri & rows[j]).bit_count())
+            ell = (ri & rows[j]).bit_count()
+            key = (ri >> j & 1, ell)
             counts[key] = counts.get(key, 0) + 1
-    return counts
+            if ell > best:
+                best, pair = ell, (i, j)
+    return counts, pair
 
 
-def codegree_spectrum(g: PaleyLikeGraph) -> CodegreeSpectrum:
-    """Exact histogram of (epsilon, ell) over all unordered pairs."""
+def spectrum_counts(rows, n: int) -> dict:
+    """(epsilon, ell) -> pair count over all unordered pairs of rows."""
+    return _pairwise_spectrum(rows, n)[0]
+
+
+def _circulant_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling) -> tuple[dict, tuple[int, int]]:
+    """Spectrum counts of a certified circulant from its connection set.
+
+    codeg(v_i, v_(i+s)) = popcount(C & rot(C, s)) for the connection mask
+    C, and each shift s = 1 .. (n-1)/2 covers n distinct pairs (n is odd).
+    The pair reported for the top codegree is (v_0, v_s).
+    """
+    n = g.n
+    c = lab.conn_mask
+    counts: dict[tuple[int, int], int] = {}
+    best, best_s = -1, 1
+    for s in range(1, (n - 1) // 2 + 1):
+        ell = (c & lab.neighbour_mask(s)).bit_count()
+        key = (int(s in lab.conn), ell)
+        counts[key] = counts.get(key, 0) + n
+        if ell > best:
+            best, best_s = ell, s
+    return counts, (vertex_index(g.ctx, lab.vertices[0]),
+                    vertex_index(g.ctx, lab.vertices[best_s]))
+
+
+def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -> CodegreeSpectrum:
+    """Exact histogram of (epsilon, ell) over all unordered pairs.
+
+    With a labeling, the counts come from its connection set in O(n)
+    big-int operations; the caller must have certified it against the
+    graph (`verify_circulant`).  Without one, every pair is counted.
+    """
+    if lab is None:
+        counts, max_pair = _pairwise_spectrum(g.rows, g.n)
+    elif lab.a != g.a:
+        raise ValueError("labeling and graph were built from different parameters")
+    else:
+        counts, max_pair = _circulant_spectrum(g, lab)
     q = g.ctx.q
-    counts = spectrum_counts(g.rows, g.n)
     max_ell = max(ell for _, ell in counts)
     bound = q // 4 + isqrt(q) // 2
     ideal = q // 4
@@ -165,6 +239,7 @@ def codegree_spectrum(g: PaleyLikeGraph) -> CodegreeSpectrum:
     return CodegreeSpectrum(
         counts=dict(sorted(counts.items())),
         max_ell=max_ell,
+        max_pair=max_pair,
         bound=bound,
         within_bound=max_ell <= bound,
         max_conference_deviation=dev,

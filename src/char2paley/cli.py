@@ -19,7 +19,7 @@ import time
 from . import __version__
 from .analyze import (
     codegree_direct, codegree_formula, codegree_spectrum, jumbledness_audit,
-    kloosterman_sweep, spectrum_counts, weil_bound_holds, _kloosterman_sum,
+    kloosterman_sweep, weil_bound_holds,
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament,
@@ -42,7 +42,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
-ANALYZE_K_MAX = 16  # above this even table-backed streaming is impractical
+ANALYZE_K_MAX = 16  # field lookup tables, and with them the sweep, stop at q = 2^16
 
 
 def _threads_from_env() -> int:
@@ -213,6 +213,12 @@ def _check_labeling_identities(ctx, a, lab):
     return True, None
 
 
+def _check_circulant(g, lab):
+    conn = sorted(lab.conn)
+    return verify_circulant(g, lab), {
+        "connection_set_size": len(conn), "connection_set_min": conn[0]}
+
+
 def cmd_certify(args) -> int:
     _check_k_range(args.k)
     if args.k % 2:
@@ -225,10 +231,7 @@ def cmd_certify(args) -> int:
     checks.run("no-loops", lambda: _check_no_loops(g))
     if a.is_generator:
         lab = circulant_labeling(ctx, a)
-        conn = sorted(lab.conn)
-        checks.run("circulant", lambda: (
-            verify_circulant(g, lab),
-            {"connection_set_size": len(conn), "connection_set_min": conn[0]}))
+        checks.run("circulant", lambda: _check_circulant(g, lab))
         checks.run("labeling-identities", lambda: _check_labeling_identities(ctx, a, lab))
         checks.run("self-complementary", lambda: (verify_self_complementary(g, lab), None))
     else:
@@ -264,14 +267,6 @@ def cmd_certify(args) -> int:
 # analyze
 
 
-def _find_codegree_witness(g, bound: int):
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if (g.rows[i] & g.rows[j]).bit_count() > bound:
-                return [i, j]
-    return None
-
-
 def cmd_analyze(args) -> int:
     _check_k_range(args.k)
     if args.k % 2:
@@ -281,34 +276,23 @@ def cmd_analyze(args) -> int:
     ctx, a = _make_ctx_and_a(args)
     checks = _Checks()
     extra: dict = {}
-    dense = ctx.q + 1 <= MATRIX_CAP
+    kloo = kloosterman_sweep(ctx)
 
     def weil():
-        if ctx.k <= 12:
-            values = kloosterman_sweep(ctx)
-            ok, b, worst = weil_bound_holds(ctx, values)
-            detail = {"mode": "exhaustive", "max_abs_K": worst,
-                      "argmax_b": f"{b:#x}", "bound": f"2*sqrt({ctx.q})"}
-        else:
-            # each sampled sum costs a full O(q) pass, so cap the draw count
-            count = min(args.samples, 1000, ctx.q - 1)
-            rng = random.Random(args.seed)
-            worst, b = 0, 1
-            for _ in range(count):
-                bb = rng.randrange(1, ctx.q)
-                val = abs(_kloosterman_sum(ctx, bb))
-                if val > worst:
-                    worst, b = val, bb
-            ok = worst * worst <= 4 * ctx.q
-            detail = {"mode": "sampled", "count": count,
-                      "max_abs_K": worst, "argmax_b": f"{b:#x}"}
-        return ok, detail
+        ok, b, worst = weil_bound_holds(ctx, kloo)
+        return ok, {"mode": "exhaustive", "max_abs_K": worst,
+                    "argmax_b": f"{b:#x}", "bound": f"2*sqrt({ctx.q})"}
 
     checks.run("kloosterman-weil", weil)
 
-    if dense:
+    if ctx.q + 1 <= MATRIX_CAP:
         g = build_graph(ctx, a)
-        spec = codegree_spectrum(g)
+        lab = circulant_labeling(ctx, a) if a.is_generator else None
+        if lab is None:
+            checks.skip("circulant", "parameter does not generate a full orbit")
+        certified = lab is not None and checks.run("circulant", lambda: _check_circulant(g, lab))
+        # the spectrum may rest on the connection set only once it is certified
+        spec = codegree_spectrum(g, lab if certified else None)
         extra["codegree_spectrum"] = [
             {"epsilon": eps, "ell": ell, "count": cnt}
             for (eps, ell), cnt in spec.counts.items()]
@@ -317,17 +301,15 @@ def cmd_analyze(args) -> int:
             detail = {"max_ell": spec.max_ell, "bound": spec.bound,
                       "max_conference_deviation": spec.max_conference_deviation}
             if not spec.within_bound:
-                detail["witness"] = {"pair": _find_codegree_witness(g, spec.bound)}
+                detail["witness"] = {"pair": list(spec.max_pair)}
             return spec.within_bound, detail
 
         checks.run("codegree-cap", codegree_cap)
 
         def formula_vs_direct():
-            if not a.is_generator:
+            if lab is None:
                 return True, {"skipped": True,
                               "reason": "no circulant labeling for this parameter"}
-            lab = circulant_labeling(ctx, a)
-            kloo = kloosterman_sweep(ctx)
             pts = [INF, *range(ctx.q)]
             if ctx.k <= 8:
                 pair_iter = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1:])
@@ -337,10 +319,12 @@ def cmd_analyze(args) -> int:
                 rng = random.Random(args.seed)
 
                 def rand_pairs():
-                    for _ in range(args.samples):
+                    done = 0
+                    while done < args.samples:
                         i = rng.randrange(len(pts))
                         j = rng.randrange(len(pts))
                         if i != j:
+                            done += 1
                             yield pts[i], pts[j]
                 pair_iter = rand_pairs()
                 count = args.samples
@@ -372,7 +356,7 @@ def cmd_analyze(args) -> int:
 
         checks.run("jumbledness", jumbled)
     else:
-        for name in ("codegree-cap", "codegree-formula-vs-direct", "jumbledness"):
+        for name in ("circulant", "codegree-cap", "codegree-formula-vs-direct", "jumbledness"):
             checks.skip(name, f"order {ctx.q + 1} exceeds the dense cap {MATRIX_CAP}")
 
     _emit(args, _report(args, ctx, a, "analyze", checks, extra))
@@ -449,6 +433,13 @@ def _hex_int(s: str) -> int:
     return int(s, 16)
 
 
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="char2paley",
@@ -465,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poly", type=_hex_int, default=None, metavar="HEX",
                        help="irreducible reduction polynomial (default: built-in)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=samples_default)
+        p.add_argument("--samples", type=_positive_int, default=samples_default)
         p.add_argument("--output", "-o", default="-", metavar="PATH")
 
     p = sub.add_parser("build", help="write the graph or tournament to a file")

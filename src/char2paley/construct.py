@@ -14,7 +14,9 @@ runs straight off the predicate and the circulant labeling instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .gf2k import FieldCtx
 from .mobius import INF, _alpha_orbit_len, alpha_of, find_generator_a, orbit, vertex_index
@@ -213,6 +215,18 @@ class CirculantLabeling:
     def n(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def conn_mask(self) -> int:
+        """conn as a bitmask over orbit positions: bit d for each d in conn."""
+        return sum(1 << d for d in self.conn)
+
+    def neighbour_mask(self, i: int) -> int:
+        """Orbit positions adjacent to v_i in the circulant: conn_mask rotated by i."""
+        n = self.n
+        c = self.conn_mask
+        i %= n
+        return (c << i | c >> (n - i)) & ((1 << n) - 1)
+
 
 def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     if not a.is_generator:
@@ -228,16 +242,21 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
 
 
 def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
-    """Certify edge(v_i, v_j) <=> (j - i) mod n in conn against the matrix."""
+    """Certify edge(v_i, v_j) <=> (j - i) mod n in conn against the matrix.
+
+    Each dense row is relabeled into orbit order (bit j becomes the edge
+    bit towards v_j) and compared with the connection-set mask rotated by
+    i.  The relabeling runs on the row's binary string, where position
+    n-1-m holds bit m, so one itemgetter permutes a whole row.
+    """
     if lab.a != g.a:
         raise ValueError("labeling and graph were built from different parameters")
-    ctx = g.ctx
     n = g.n
-    idx = [vertex_index(ctx, p) for p in lab.vertices]
+    idx = [vertex_index(g.ctx, p) for p in lab.vertices]
+    relabel = operator.itemgetter(*(n - 1 - idx[n - 1 - m] for m in range(n)))
+    fmt = f"0{n}b"
     for i in range(n):
-        expected = 0
-        for d in lab.conn:
-            expected |= 1 << idx[(i + d) % n]
-        if g.rows[idx[i]] != expected:
+        row = g.rows[idx[i]]
+        if row >> n or int("".join(relabel(format(row, fmt))), 2) != lab.neighbour_mask(i):
             return False
     return True

@@ -4,10 +4,12 @@ from math import comb, isqrt
 import pytest
 
 from char2paley import (
-    INF, OutOfScopeError, all_points, alpha_of, apply, codegree_direct,
-    codegree_formula, codegree_spectrum, jumbledness_audit, kloosterman,
-    kloosterman_sweep, param_a, weil_bound_holds,
+    INF, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, all_points, alpha_of,
+    apply, codegree_direct, codegree_formula, codegree_spectrum,
+    jumbledness_audit, kloosterman, kloosterman_sweep, param_a, vertex_index,
+    verify_circulant, weil_bound_holds,
 )
+from char2paley.analyze import _kloosterman_sum, spectrum_counts
 
 
 def test_codegree_direct_c5(std):
@@ -41,6 +43,25 @@ def test_kloosterman_definition_oracle(field):
     for b in range(1, ctx.q):
         want = sum((-1) ** ctx.trace(z ^ ctx.div(b, z)) for z in range(1, ctx.q))
         assert kloosterman(ctx, b).value == want
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_sweep_matches_per_b_sums(field, k):
+    # the convolution sweep against the definitional O(q) sum at every b
+    ctx = field(k)
+    sweep = kloosterman_sweep(ctx)
+    assert len(sweep) == ctx.q
+    for b in range(1, ctx.q):
+        assert sweep[b] == _kloosterman_sum(ctx, b), f"b = {b:#x}"
+
+
+@pytest.mark.parametrize("k", range(3, 15))
+def test_sweep_value_set_lachaud_wolfmann(field, k):
+    # Lachaud-Wolfmann: K takes exactly the values v = 3 mod 4 with v^2 <= 4q
+    ctx = field(k)
+    values = set(kloosterman_sweep(ctx)[1:])
+    r = isqrt(4 * ctx.q)
+    assert values == {v for v in range(-r, r + 1) if v % 4 == 3}
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -97,6 +118,47 @@ def test_spectrum_c5(std):
     assert spec.counts == {(0, 1): 5, (1, 0): 5}
     assert spec.pairs == 10
     assert spec.max_ell == 1
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
+def test_circulant_spectrum_matches_pairwise(std, k):
+    _, _, g, lab = std(k)
+    spec = codegree_spectrum(g, lab)
+    pairwise = codegree_spectrum(g)
+    assert spec.counts == spectrum_counts(g.rows, g.n) == pairwise.counts
+    assert (spec.max_ell, spec.max_conference_deviation) == (
+        pairwise.max_ell, pairwise.max_conference_deviation)
+    # the circulant path reports (v_0, v_s); both witnesses reach max_ell
+    assert spec.max_pair[0] == vertex_index(g.ctx, lab.vertices[0])
+    for i, j in (spec.max_pair, pairwise.max_pair):
+        assert (g.rows[i] & g.rows[j]).bit_count() == spec.max_ell
+
+
+def test_spectrum_witness_when_cap_fails(std):
+    # the circulant whose connection set is an interval has codegrees near q/2
+    ctx, a, _, lab = std(6)
+    n = lab.n
+    conn = frozenset({*range(1, 17), *range(n - 16, n)})
+    idx = [vertex_index(ctx, v) for v in lab.vertices]
+    rows = [0] * n
+    for i in range(n):
+        for d in conn:
+            rows[idx[i]] |= 1 << idx[(i + d) % n]
+    g = PaleyLikeGraph(ctx, a, n, tuple(rows))
+    interval = CirculantLabeling(a, lab.vertices, conn, lab.pos)
+    assert verify_circulant(g, interval)
+    for spec in (codegree_spectrum(g, interval), codegree_spectrum(g)):
+        assert not spec.within_bound
+        assert spec.counts == spectrum_counts(g.rows, g.n)
+        i, j = spec.max_pair
+        assert (g.rows[i] & g.rows[j]).bit_count() == spec.max_ell > spec.bound
+
+
+def test_spectrum_rejects_foreign_labeling(std):
+    _, _, g4, _ = std(4)
+    _, _, _, lab6 = std(6)
+    with pytest.raises(ValueError):
+        codegree_spectrum(g4, lab6)
 
 
 @pytest.mark.parametrize("k", [4, 6, 8])

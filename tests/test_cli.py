@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from char2paley import build_graph, build_tournament, param_a, FieldCtx
+from char2paley import PaleyLikeGraph, build_graph, build_tournament, param_a, FieldCtx
 from char2paley.cli import main
 from char2paley.formats import parse_edges, write_edges
 
@@ -220,15 +220,74 @@ def test_build_capacity_exit(capsys):
 
 
 def test_analyze_above_dense_cap_streams(capsys):
-    # k=14 has no dense matrix: Weil check samples, the rest is skipped
+    # k=14 has no dense matrix: the Weil check still sweeps every b,
+    # the checks that need the matrix are skipped
     code, out = run(capsys, "analyze", "--k", "14", "--samples", "50")
     assert code == 0
     doc = json.loads(out)
     checks = {c["name"]: c for c in doc["checks"]}
-    assert checks["kloosterman-weil"]["mode"] == "sampled"
-    assert checks["kloosterman-weil"]["count"] == 50
-    assert checks["jumbledness"].get("skipped") is True
-    assert checks["codegree-cap"].get("skipped") is True
+    assert checks["kloosterman-weil"]["mode"] == "exhaustive"
+    assert checks["kloosterman-weil"]["pass"] is True
+    for name in ("circulant", "codegree-cap", "codegree-formula-vs-direct", "jumbledness"):
+        assert checks[name].get("skipped") is True, name
+
+
+def test_analyze_k16_weil_exhaustive(capsys):
+    code, out = run(capsys, "analyze", "--k", "16")
+    assert code == 0
+    doc = json.loads(out)
+    weil = next(c for c in doc["checks"] if c["name"] == "kloosterman-weil")
+    assert weil["pass"] is True and weil["mode"] == "exhaustive"
+    assert weil["max_abs_K"] ** 2 <= 4 * (1 << 16)
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_analyze_rejects_nonpositive_samples(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--k", "8", "--samples", samples])
+    assert exc.value.code == 2
+
+
+def test_analyze_k4_reports_circulant_check(capsys):
+    code, out = run(capsys, "analyze", "--k", "4")
+    assert code == 0
+    circ = next(c for c in json.loads(out)["checks"] if c["name"] == "circulant")
+    assert circ["pass"] is True and circ["connection_set_size"] == 8
+
+
+def test_analyze_non_generator_skips_circulant(capsys):
+    # 0x20 has a short alpha-orbit at k=6: no labeling, the spectrum is counted pairwise
+    code, out = run(capsys, "analyze", "--k", "6", "--a", "0x20", "--samples", "200")
+    assert code == 0
+    doc = json.loads(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["circulant"].get("skipped") is True
+    assert sum(e["count"] for e in doc["codegree_spectrum"]) == 65 * 64 // 2
+
+
+def test_analyze_codegree_cap_witness(capsys, monkeypatch):
+    # a tampered graph: vertices 1 and 2 share every other vertex as a neighbour
+    import char2paley.cli as cli
+    ctx = FieldCtx(4)
+    a = param_a(ctx)
+    g = build_graph(ctx, a)
+    rows = list(g.rows)
+    full = (1 << g.n) - 1
+    rows[1] = full & ~0b10
+    rows[2] = full & ~0b100
+    for v in range(g.n):
+        if v not in (1, 2):
+            rows[v] |= 0b110
+    tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+    code, out = run(capsys, "analyze", "--k", "4")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["circulant"]["pass"] is False
+    cap = checks["codegree-cap"]
+    assert cap["pass"] is False
+    i, j = cap["witness"]["pair"]
+    assert i != j and (rows[i] & rows[j]).bit_count() == cap["max_ell"] > cap["bound"]
 
 
 def test_analyze_k18_out_of_scope(capsys):
@@ -259,3 +318,23 @@ def test_threads_env_invalid(capsys, monkeypatch):
 def test_k_out_of_range(capsys):
     code, _ = run(capsys, "build", "--k", "25")
     assert code == 2
+
+
+def test_analyze_sampled_pair_count_is_exact(capsys, monkeypatch):
+    # draws with i == j are redrawn, so `count` pairs are really compared;
+    # seed 2 draws one i == j among its first 300 draws at n = 1025
+    import char2paley.cli as cli
+    calls = []
+    real = cli.codegree_formula
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "codegree_formula", counting)
+    code, out = run(capsys, "analyze", "--k", "10", "--samples", "300", "--seed", "2")
+    assert code == 0
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "codegree-formula-vs-direct")
+    assert check["mode"] == "sampled" and check["count"] == 300
+    assert len(calls) == 300 and all(x != y for x, y in calls)

@@ -5,7 +5,7 @@ from char2paley import (
     build_graph, build_tournament, circulant_labeling, param_a,
     verify_circulant, vertex_index,
 )
-from char2paley.construct import CirculantLabeling
+from char2paley.construct import CirculantLabeling, PaleyLikeGraph
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
 # enumeration [inf, 0, 1, w, w^2]; edges {inf,0},{inf,1},{0,w},{1,w^2},{w,w^2}
@@ -204,6 +204,44 @@ def test_verify_circulant_negative_control(field):
     tampered = CirculantLabeling(a, tuple(verts), lab.conn,
                                  {p: i for i, p in enumerate(verts)})
     assert not verify_circulant(g, tampered)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_verify_circulant_agrees_with_predicate(field, k):
+    # a matrix filled from the adjacency predicate alone, and every pair of
+    # it checked against the connection set
+    ctx = field(k)
+    a = param_a(ctx)
+    lab = circulant_labeling(ctx, a)
+    n = lab.n
+    v = lab.vertices
+    idx = [vertex_index(ctx, p) for p in v]
+    rows = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and adjacency(ctx, a, v[i], v[j]) == 0:
+                rows[idx[i]] |= 1 << idx[j]
+                assert (j - i) % n in lab.conn
+            elif i != j:
+                assert (j - i) % n not in lab.conn
+    assert verify_circulant(PaleyLikeGraph(ctx, a, n, tuple(rows)), lab)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_verify_circulant_rejects_flipped_edge(field, k):
+    ctx = field(k)
+    a = param_a(ctx)
+    g = build_graph(ctx, a)
+    lab = circulant_labeling(ctx, a)
+    for i, j in ((0, 1), (1, g.n - 1), (3, 5)):
+        rows = list(g.rows)
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        assert not verify_circulant(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+    # a stray bit beyond the last vertex is not an edge of the circulant either
+    rows = list(g.rows)
+    rows[2] |= 1 << g.n
+    assert not verify_circulant(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
 
 
 def test_circulant_labeling_requires_generator(field):
