@@ -18,11 +18,11 @@ from .analyze import (
     kloosterman, kloosterman_sweep, weil_bound_holds,
 )
 from .construct import (
-    MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph,
-    PaleyLikeTournament, ParamA, adjacency, build_graph, build_tournament,
-    circulant_labeling, param_a, verify_circulant,
+    MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA,
+    adjacency, build_graph, build_tournament, circulant_labeling, iter_bits,
+    param_a, relabel, transpose, verify_circulant,
 )
-from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, field_new, is_irreducible
+from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (
     INF, IDENTITY, MobiusMap, QuadExtCtx, all_points, alpha_of, apply, beta_of,
     compose, construct_a_for_order, det, find_generator_a, inverse,

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from .construct import CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, circulant_labeling
+from .construct import (
+    CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, circulant_labeling, iter_bits,
+)
 from .gf2k import FieldCtx
 from .mobius import INF, vertex_index
 
@@ -273,22 +275,6 @@ def _audit_from_worst(g, mode, samples, seed, d, h, mask) -> JumblednessAudit:
     return JumblednessAudit(mode, samples, seed, d, h, mask, ratio4, ratio4 <= 1)
 
 
-def _subset_edges2(rows, mask) -> int:
-    """Twice the edge count of the induced subgraph, by 64-bit chunks."""
-    e2 = 0
-    m = mask
-    off = 0
-    while m:
-        w = m & 0xFFFFFFFFFFFFFFFF
-        while w:
-            low = w & -w
-            e2 += (rows[off + low.bit_length() - 1] & mask).bit_count()
-            w ^= low
-        m >>= 64
-        off += 64
-    return e2
-
-
 def jumbledness_audit(g: PaleyLikeGraph, mode: str = "sampled",
                       samples: int = 100_000, seed: int = 0) -> JumblednessAudit:
     """Audit |e(H) - C(h,2)/2| <= q^(3/4) h over induced subgraphs.
@@ -333,7 +319,8 @@ def jumbledness_audit(g: PaleyLikeGraph, mode: str = "sampled",
         h = mask.bit_count()
         if h == 0:
             continue
-        d = abs(_subset_edges2(rows, mask) - comb(h, 2))
+        e2 = sum((rows[v] & mask).bit_count() for v in iter_bits(mask))
+        d = abs(e2 - comb(h, 2))
         if d * worst_h > worst_d * h:
             worst_d, worst_h, worst_mask = d, h, mask
     return _audit_from_worst(g, "sampled", samples, seed, worst_d, worst_h, worst_mask)

@@ -2,16 +2,15 @@
 
 Reports are JSON documents (schema 1) whose bytes depend only on the
 configuration, seed included, so identical invocations produce
-identical files; wall-clock timings go to stderr only.  Exit codes:
-0 success, 1 a certificate failed, 2 configuration error, 3 capacity or
-out-of-scope request.
+identical files; wall-clock timings of every stage and check go to
+stderr only.  Exit codes: 0 success, 1 a certificate failed, 2
+configuration error, 3 capacity or out-of-scope request, 4 i/o error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -23,7 +22,7 @@ from .analyze import (
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament,
-    circulant_labeling, param_a, verify_circulant,
+    circulant_labeling, param_a, transpose, verify_circulant,
 )
 from .formats import (
     point_label, write_decomposition, write_dimacs, write_edges,
@@ -41,19 +40,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
+EXIT_IO = 4
 
 ANALYZE_K_MAX = 16  # field lookup tables, and with them the sweep, stop at q = 2^16
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("CHAR2_PALEY_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CHAR2_PALEY_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"CHAR2_PALEY_THREADS must be >= 0, got {n}")
-    return n
+CHAPMAN_K_MAX = 8   # the coset build evaluates all C(q+1, 2) pairs in GF(q^2)
 
 
 def _check_k_range(k: int) -> None:
@@ -62,9 +52,11 @@ def _check_k_range(k: int) -> None:
 
 
 def _make_ctx_and_a(args):
-    ctx = FieldCtx(args.k, args.poly)
-    a = param_a(ctx, args.a)
-    return ctx, a
+    def setup():
+        ctx = FieldCtx(args.k, args.poly)
+        return ctx, param_a(ctx, args.a)
+
+    return _stage("setup", setup)
 
 
 def _config_echo(args, ctx, a) -> dict:
@@ -75,16 +67,30 @@ def _config_echo(args, ctx, a) -> dict:
         "poly": f"{ctx.poly:#x}",
         "seed": getattr(args, "seed", 0),
         "samples": getattr(args, "samples", 0),
-        "threads": _threads_from_env(),
     }
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks) -> None:
+    """Write a string, or an iterable of strings as they come, to --output or stdout."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _log_time(t0: float, tag: str, name: str) -> None:
+    print(f"[{time.monotonic() - t0:8.3f}s] {tag} {name}", file=sys.stderr)
+
+
+def _stage(name: str, fn):
+    """fn(), a stage of a command outside the checks, timed like them."""
+    t0 = time.monotonic()
+    out = fn()
+    _log_time(t0, "STEP", name)
+    return out
 
 
 class _Checks:
@@ -96,12 +102,11 @@ class _Checks:
     def run(self, name: str, fn) -> bool:
         t0 = time.monotonic()
         ok, detail = fn()
-        dt = time.monotonic() - t0
+        _log_time(t0, "PASS" if ok else "FAIL", name)
         entry = {"name": name, "pass": bool(ok)}
         if detail:
             entry.update(detail)
         self.items.append(entry)
-        print(f"[{dt:8.3f}s] {'PASS' if ok else 'FAIL'} {name}", file=sys.stderr)
         return bool(ok)
 
     def skip(self, name: str, reason: str) -> None:
@@ -143,14 +148,15 @@ def cmd_build(args) -> int:
         raise OutOfScopeError(
             f"order {(1 << args.k) + 1} exceeds the dense adjacency cap {MATRIX_CAP}")
     ctx, a = _make_ctx_and_a(args)
-    g = build_tournament(ctx, a) if ctx.k % 2 else build_graph(ctx, a)
+    g = _stage("build", lambda: (build_tournament if ctx.k % 2 else build_graph)(ctx, a))
     writer = {
         "edges": write_edges,
         "dimacs": write_dimacs,
         "matrix": write_matrix,
         "json": write_json_graph,
     }[args.format]
-    _emit(args, writer(g))
+    # the output is opened only now, so a rejected request leaves no file
+    _stage("write", lambda: _emit(args, writer(g)))
     return EXIT_OK
 
 
@@ -167,13 +173,7 @@ def _check_regularity(g):
 
 
 def _check_symmetry(g):
-    trans = [0] * g.n
-    for i in range(g.n):
-        row = g.rows[i]
-        while row:
-            low = row & -row
-            trans[low.bit_length() - 1] |= 1 << i
-            row ^= low
+    trans = transpose(g.rows)
     if trans != list(g.rows):
         bad = next(i for i in range(g.n) if trans[i] != g.rows[i])
         j = (trans[bad] ^ g.rows[bad]).bit_length() - 1
@@ -224,13 +224,13 @@ def cmd_certify(args) -> int:
     if args.k % 2:
         raise ValueError("certify works on graphs: k must be even")
     ctx, a = _make_ctx_and_a(args)
-    g = build_graph(ctx, a)
+    g = _stage("build", lambda: build_graph(ctx, a))
     checks = _Checks()
     checks.run("regularity", lambda: _check_regularity(g))
     checks.run("symmetry", lambda: _check_symmetry(g))
     checks.run("no-loops", lambda: _check_no_loops(g))
     if a.is_generator:
-        lab = circulant_labeling(ctx, a)
+        lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
         checks.run("circulant", lambda: _check_circulant(g, lab))
         checks.run("labeling-identities", lambda: _check_labeling_identities(ctx, a, lab))
         checks.run("self-complementary", lambda: (verify_self_complementary(g, lab), None))
@@ -276,7 +276,7 @@ def cmd_analyze(args) -> int:
     ctx, a = _make_ctx_and_a(args)
     checks = _Checks()
     extra: dict = {}
-    kloo = kloosterman_sweep(ctx)
+    kloo = _stage("kloosterman-sweep", lambda: kloosterman_sweep(ctx))
 
     def weil():
         ok, b, worst = weil_bound_holds(ctx, kloo)
@@ -286,13 +286,13 @@ def cmd_analyze(args) -> int:
     checks.run("kloosterman-weil", weil)
 
     if ctx.q + 1 <= MATRIX_CAP:
-        g = build_graph(ctx, a)
-        lab = circulant_labeling(ctx, a) if a.is_generator else None
+        g = _stage("build", lambda: build_graph(ctx, a))
+        lab = _stage("labeling", lambda: circulant_labeling(ctx, a)) if a.is_generator else None
         if lab is None:
             checks.skip("circulant", "parameter does not generate a full orbit")
         certified = lab is not None and checks.run("circulant", lambda: _check_circulant(g, lab))
         # the spectrum may rest on the connection set only once it is certified
-        spec = codegree_spectrum(g, lab if certified else None)
+        spec = _stage("codegree-spectrum", lambda: codegree_spectrum(g, lab if certified else None))
         extra["codegree_spectrum"] = [
             {"epsilon": eps, "ell": ell, "count": cnt}
             for (eps, ell), cnt in spec.counts.items()]
@@ -372,9 +372,9 @@ def cmd_decompose(args) -> int:
     if args.k % 2:
         raise ValueError("decompose works on graphs: k must be even")
     ctx, a = _make_ctx_and_a(args)
-    g = build_graph(ctx, a)
-    lab = circulant_labeling(ctx, a)
-    dec = hamiltonian_decompose(g, lab)
+    g = _stage("build", lambda: build_graph(ctx, a))
+    lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
+    dec = _stage("decompose", lambda: hamiltonian_decompose(g, lab))
     _emit(args, write_decomposition(dec))
     print(f"[decompose] {len(dec.cycles)} Hamiltonian cycles of length {dec.p}",
           file=sys.stderr)
@@ -389,13 +389,13 @@ def cmd_chapman(args) -> int:
     _check_k_range(args.k)
     if args.k % 2:
         raise ValueError("the coset comparison works on graphs: k must be even")
-    if args.k > 4:
-        raise OutOfScopeError("certified coset comparison is limited to k <= 4")
+    if args.k > CHAPMAN_K_MAX:
+        raise OutOfScopeError(f"the coset comparison is limited to k <= {CHAPMAN_K_MAX}")
     ctx, a = _make_ctx_and_a(args)
     ext = QuadExtCtx(ctx)
     lam = lambda_of(ext, a.value)
-    h = chapman_build(ext, lam)
-    g = build_graph(ctx, a)
+    h = _stage("coset-build", lambda: chapman_build(ext, lam))
+    g = _stage("build", lambda: build_graph(ctx, a))
     checks = _Checks()
 
     def no_undefined():
@@ -416,7 +416,7 @@ def cmd_chapman(args) -> int:
             verify_representative_independence(h, min(args.samples, 2000), args.seed),
             {"mode": "sampled", "count": min(args.samples, 2000)}))
     checks.run("coset-graph-circulant", lambda: (h.circulant_certified, None))
-    cmp_result = chapman_compare(h, g)
+    cmp_result = _stage("compare", lambda: chapman_compare(h, g))
     checks.run("isomorphic", lambda: (
         bool(cmp_result),
         {"verdict": cmp_result.verdict,
@@ -488,7 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _threads_from_env()
         return args.fn(args)
     except OutOfScopeError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
@@ -496,6 +495,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, count
 
 from .gf2k import FieldCtx
 from .mobius import INF, _alpha_orbit_len, alpha_of, find_generator_a, orbit, vertex_index
@@ -75,41 +76,35 @@ def adjacency(ctx: FieldCtx, a: ParamA, x, y) -> int:
 
 @dataclass(frozen=True)
 class PaleyLikeGraph:
-    """Order-(q+1) graph over PG(1,q); rows are int bitsets."""
+    """Order-(q+1) graph (even k) or tournament (odd k) over PG(1,q).
+
+    rows[i] is an int bitset: bit j is the edge {i, j}, or for a
+    tournament the arc i -> j.
+    """
 
     ctx: FieldCtx
     a: ParamA
     n: int
     rows: tuple[int, ...]
 
+    @property
+    def directed(self) -> bool:
+        return self.ctx.k % 2 == 1
+
     def has_edge(self, u, v) -> bool:
+        """Edge {u, v}, or arc u -> v when directed."""
         i = vertex_index(self.ctx, u)
         j = vertex_index(self.ctx, v)
         return bool(self.rows[i] >> j & 1)
 
     def degree(self, i: int) -> int:
+        """Degree of vertex i, its out-degree when directed."""
         return self.rows[i].bit_count()
 
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
-
-@dataclass(frozen=True)
-class PaleyLikeTournament:
-    """Order-(q+1) tournament over PG(1,q); rows are out-arc bitsets."""
-
-    ctx: FieldCtx
-    a: ParamA
-    n: int
-    arcs: tuple[int, ...]
-
-    def has_arc(self, u, v) -> bool:
-        i = vertex_index(self.ctx, u)
-        j = vertex_index(self.ctx, v)
-        return bool(self.arcs[i] >> j & 1)
-
-    def out_degree(self, i: int) -> int:
-        return self.arcs[i].bit_count()
+        """Number of edges, or of arcs when directed."""
+        total = sum(r.bit_count() for r in self.rows)
+        return total if self.directed else total // 2
 
 
 def _check_cap(ctx: FieldCtx) -> int:
@@ -151,50 +146,85 @@ def _trace_bits(ctx: FieldCtx, x: int, a: int, out: bytearray, skip: int) -> Non
         out[j >> 3] |= 1 << (j & 7)
 
 
+def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
+    """Dense rows of the trace rule at either parity of k."""
+    n = _check_cap(ctx)
+    nbytes = (n + 7) >> 3
+    rowbufs = [bytearray(nbytes) for _ in range(n)]
+    ctx._ensure_tables()
+    tr = ctx._trace
+    # INF -> w iff tr(w + 1) = 0 and w -> INF iff tr(w) = 0: for even k
+    # tr(1) = 0 and the two agree, for odd k exactly one holds per pair
+    r0 = rowbufs[0]
+    for w in range(ctx.q):
+        j = 1 + w
+        if not tr[w ^ 1]:
+            r0[j >> 3] |= 1 << (j & 7)
+        if not tr[w]:
+            rowbufs[j][0] |= 1
+    for x in range(ctx.q):
+        _trace_bits(ctx, x, a.value, rowbufs[1 + x], x)
+    return PaleyLikeGraph(ctx, a, n, tuple(int.from_bytes(buf, "little") for buf in rowbufs))
+
+
 def build_graph(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     """Dense graph for even k: edge on trace bit 0; q/2-regular, no loops."""
     if ctx.k % 2:
         raise ValueError(f"k = {ctx.k} is odd and defines a tournament, not a graph")
-    n = _check_cap(ctx)
-    nbytes = (n + 7) >> 3
-    rowbufs = [bytearray(nbytes) for _ in range(n)]
-    # row of INF: finite w with tr(w) = 0; symmetric bits on the way
-    ctx._ensure_tables()
-    tr = ctx._trace
-    r0 = rowbufs[0]
-    for w in range(ctx.q):
-        if not tr[w]:
-            j = 1 + w
-            r0[j >> 3] |= 1 << (j & 7)
-            rowbufs[j][0] |= 1
-    for x in range(ctx.q):
-        _trace_bits(ctx, x, a.value, rowbufs[1 + x], x)
-    rows = tuple(int.from_bytes(buf, "little") for buf in rowbufs)
-    return PaleyLikeGraph(ctx, a, n, rows)
+    return _build(ctx, a)
 
 
-def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeTournament:
+def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     """Dense tournament for odd k: arc x -> y on trace bit 0."""
     if ctx.k % 2 == 0:
         raise ValueError(f"k = {ctx.k} is even and defines a graph, not a tournament")
-    n = _check_cap(ctx)
-    nbytes = (n + 7) >> 3
-    rowbufs = [bytearray(nbytes) for _ in range(n)]
-    ctx._ensure_tables()
-    tr = ctx._trace
-    # arcs at INF: w -> INF iff tr(w) = 0, INF -> y iff tr(y+1) = 0
-    # (odd k has tr(1) = 1, so exactly one of the two holds per pair)
-    r0 = rowbufs[0]
-    for w in range(ctx.q):
-        j = 1 + w
-        if tr[w]:
-            r0[j >> 3] |= 1 << (j & 7)
-        else:
-            rowbufs[j][0] |= 1
-    for x in range(ctx.q):
-        _trace_bits(ctx, x, a.value, rowbufs[1 + x], x)
-    arcs = tuple(int.from_bytes(buf, "little") for buf in rowbufs)
-    return PaleyLikeTournament(ctx, a, n, arcs)
+    return _build(ctx, a)
+
+
+# ---------------------------------------------------------------------------
+# Bit and permutation primitives.  Each works on a row's binary string,
+# where position n-1-m holds bit m, so a whole row is one C-level pass.
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def iter_bits(x: int):
+    """Positions of the set bits of x >= 0, ascending."""
+    return compress(count(), bin(x)[:1:-1].encode().translate(_BIT_BYTES))
+
+
+def _check_width(rows) -> None:
+    n = len(rows)
+    if any(r >> n for r in rows):
+        raise ValueError(f"a row has bits at or above n = {n}")
+
+
+def _relabeled_rows(rows, perm):
+    """Rows after renaming vertex i to perm[i], yielded in their new order."""
+    _check_width(rows)
+    n = len(rows)
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    # bit m of a renamed row is bit inv[m] of the original
+    move = operator.itemgetter(*(n - 1 - inv[n - 1 - s] for s in range(n)))
+    fmt = f"0{n}b"
+    for i in inv:
+        yield int("".join(move(format(rows[i], fmt))), 2)
+
+
+def relabel(rows, perm) -> list[int]:
+    """Rows after renaming vertex i to perm[i], for a permutation perm of range(n)."""
+    return list(_relabeled_rows(rows, perm))
+
+
+def transpose(rows) -> list[int]:
+    """Rows of the transposed matrix: bit i of row j is bit j of row i."""
+    _check_width(rows)
+    fmt = f"0{len(rows)}b"
+    # column s of the reversed rows' strings, read as binary, is row n-1-s
+    cols = zip(*[format(r, fmt) for r in reversed(rows)])
+    return [int("".join(col), 2) for col in cols][::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,19 +274,17 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
 def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
     """Certify edge(v_i, v_j) <=> (j - i) mod n in conn against the matrix.
 
-    Each dense row is relabeled into orbit order (bit j becomes the edge
-    bit towards v_j) and compared with the connection-set mask rotated by
-    i.  The relabeling runs on the row's binary string, where position
-    n-1-m holds bit m, so one itemgetter permutes a whole row.
+    The rows are relabeled into orbit order (vertex v_i becomes i) and
+    each is compared with the connection-set mask rotated by i; a row
+    with bits at or above n fails.
     """
     if lab.a != g.a:
         raise ValueError("labeling and graph were built from different parameters")
     n = g.n
-    idx = [vertex_index(g.ctx, p) for p in lab.vertices]
-    relabel = operator.itemgetter(*(n - 1 - idx[n - 1 - m] for m in range(n)))
-    fmt = f"0{n}b"
-    for i in range(n):
-        row = g.rows[idx[i]]
-        if row >> n or int("".join(relabel(format(row, fmt))), 2) != lab.neighbour_mask(i):
-            return False
-    return True
+    if any(r >> n for r in g.rows):
+        return False
+    perm = [0] * n
+    for i, p in enumerate(lab.vertices):
+        perm[vertex_index(g.ctx, p)] = i
+    # one relabeled row at a time: the graph is never held twice
+    return all(r == lab.neighbour_mask(i) for i, r in enumerate(_relabeled_rows(g.rows, perm)))

@@ -4,13 +4,18 @@ Vertex labels are `inf` for the point at infinity and 0x-prefixed
 lowercase hex for field elements.  The edge-list format starts with a
 `# k=.. a=.. poly=.. n=..` header and has one `u v` line per edge
 (`u > v` per arc for tournaments); it round-trips through parse_edges.
+
+The edge-list, DIMACS and matrix writers return an iterator of text
+chunks, one per adjacency row, so a caller can write them out as they
+come; the JSON and decomposition writers return one string.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
-from .construct import PaleyLikeGraph, PaleyLikeTournament
+from .construct import PaleyLikeGraph, iter_bits
 from .gf2k import FieldCtx
 from .mobius import INF, point_of_index, vertex_index
 from .structure import HamiltonianDecomposition
@@ -26,92 +31,100 @@ def parse_point_label(s: str):
     return int(s, 16)
 
 
-def _header(g) -> str:
+def _header(g: PaleyLikeGraph) -> str:
     return f"# k={g.ctx.k} a={g.a.value:#x} poly={g.ctx.poly:#x} n={g.n}"
 
 
-def write_edges(g: PaleyLikeGraph | PaleyLikeTournament) -> str:
+def _point_labels(g: PaleyLikeGraph) -> list[str]:
+    """Label of each vertex index, looked up once per write."""
+    return [point_label(point_of_index(g.ctx, i)) for i in range(g.n)]
+
+
+def _pair_lines(g: PaleyLikeGraph, labels: list[str], prefix: str, sep: str):
+    """Per row i, one `prefix u sep v` line per edge {u, v} with v > u,
+    or per arc u -> v when directed."""
+    for i, row in enumerate(g.rows):
+        if not g.directed:
+            row = row >> (i + 1) << (i + 1)
+        nbrs = list(map(labels.__getitem__, iter_bits(row)))
+        if nbrs:
+            u = prefix + labels[i] + sep
+            yield u + ("\n" + u).join(nbrs) + "\n"
+
+
+def write_edges(g: PaleyLikeGraph):
     """Edge (or arc) list with header, one pair per line."""
-    ctx = g.ctx
-    lines = [_header(g)]
-    directed = isinstance(g, PaleyLikeTournament)
-    rows = g.arcs if directed else g.rows
-    sep = " > " if directed else " "
-    for i in range(g.n):
-        row = rows[i]
-        u = point_label(point_of_index(ctx, i))
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            row ^= low
-            if directed or j > i:
-                lines.append(f"{u}{sep}{point_label(point_of_index(ctx, j))}")
-    return "\n".join(lines) + "\n"
+    sep = " > " if g.directed else " "
+    return chain([_header(g) + "\n"], _pair_lines(g, _point_labels(g), "", sep))
 
 
 def parse_edges(text: str):
-    """Inverse of write_edges: (meta dict, directed flag, index-pair list)."""
+    """Inverse of write_edges: (meta dict, directed flag, index-pair list).
+
+    Raises ValueError unless the text is a header for a valid field
+    with n = 2^k + 1, followed by lines that name distinct pairs of
+    distinct vertices and are either all `u v` (a graph) or all `u > v`
+    (a tournament).
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0]
-    if not head.startswith("# "):
+    if not lines or not lines[0].startswith("# "):
         raise ValueError("missing edge-list header")
     meta = {}
-    for part in head[2:].split():
-        key, _, val = part.partition("=")
+    for part in lines[0][2:].split():
+        key, sep, val = part.partition("=")
+        if not sep:
+            raise ValueError(f"malformed header field {part!r}")
         meta[key] = int(val, 0)
+    if not {"k", "a", "poly", "n"} <= meta.keys():
+        raise ValueError("header needs k, a, poly and n")
     ctx = FieldCtx(meta["k"], meta["poly"])
-    directed = any(">" in ln for ln in lines[1:])
+    if meta["n"] != ctx.q + 1:
+        raise ValueError(f"header n={meta['n']} but k={ctx.k} gives n={ctx.q + 1}")
+    directed = len(lines) > 1 and ">" in lines[1]
     pairs = []
+    seen = set()
     for ln in lines[1:]:
-        toks = ln.replace(">", " ").split()
-        u, v = (parse_point_label(t) for t in toks)
-        pairs.append((vertex_index(ctx, u), vertex_index(ctx, v)))
+        if (">" in ln) != directed:
+            raise ValueError(f"line {ln!r} mixes edges and arcs")
+        toks = ln.replace(">", " ", 1).split() if directed else ln.split()
+        if len(toks) != 2:
+            raise ValueError(f"line {ln!r} is not a vertex pair")
+        i, j = (vertex_index(ctx, parse_point_label(t)) for t in toks)
+        if i == j:
+            raise ValueError(f"line {ln!r} is a loop")
+        key = (i, j) if i < j else (j, i)
+        if key in seen:
+            raise ValueError(f"line {ln!r} repeats a pair")
+        seen.add(key)
+        pairs.append((i, j))
     return meta, directed, pairs
 
 
-def write_dimacs(g: PaleyLikeGraph) -> str:
+def write_dimacs(g: PaleyLikeGraph):
     """Standard DIMACS: `p edge n m` then `e u v` with 1-based indices."""
-    if isinstance(g, PaleyLikeTournament):
+    if g.directed:
         raise ValueError("DIMACS output is for undirected graphs only")
-    lines = [f"p edge {g.n} {g.edge_count()}"]
-    for i in range(g.n):
-        row = g.rows[i] >> (i + 1) << (i + 1)  # keep j > i
-        while row:
-            low = row & -row
-            lines.append(f"e {i + 1} {low.bit_length()}")
-            row ^= low
-    return "\n".join(lines) + "\n"
+    one_based = [str(i) for i in range(1, g.n + 1)]
+    return chain([f"p edge {g.n} {g.edge_count()}\n"], _pair_lines(g, one_based, "e ", " "))
 
 
-def write_matrix(g) -> str:
+def write_matrix(g: PaleyLikeGraph):
     """Row-major bit dump: one fixed-width hex line per adjacency row."""
-    rows = g.arcs if isinstance(g, PaleyLikeTournament) else g.rows
     width = (g.n + 3) // 4
-    return "\n".join(f"{r:0{width}x}" for r in rows) + "\n"
+    return (f"{r:0{width}x}\n" for r in g.rows)
 
 
-def write_json_graph(g) -> str:
+def write_json_graph(g: PaleyLikeGraph) -> str:
     ctx = g.ctx
-    directed = isinstance(g, PaleyLikeTournament)
-    rows = g.arcs if directed else g.rows
-    adj = []
-    for i in range(g.n):
-        row = rows[i]
-        nbrs = []
-        while row:
-            low = row & -row
-            nbrs.append(low.bit_length() - 1)
-            row ^= low
-        adj.append(nbrs)
     doc = {
         "schema": 1,
         "k": ctx.k,
         "a": f"{g.a.value:#x}",
         "poly": f"{ctx.poly:#x}",
         "n": g.n,
-        "directed": directed,
-        "vertices": [point_label(point_of_index(ctx, i)) for i in range(g.n)],
-        "adjacency": adj,
+        "directed": g.directed,
+        "vertices": _point_labels(g),
+        "adjacency": [list(iter_bits(r)) for r in g.rows],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -102,6 +102,8 @@ class FieldCtx:
             raise ValueError(f"k must be between 2 and {K_MAX}, got {k}")
         if poly is None:
             poly = DEFAULT_POLYS[k]
+        if poly < 0:
+            raise ValueError(f"reduction polynomial {poly:#x} is negative")
         if poly_degree(poly) != k:
             raise ValueError(
                 f"reduction polynomial {poly:#x} has degree {poly_degree(poly)}, want {k}")
@@ -315,8 +317,3 @@ class FieldCtx:
         for x in range(1, self.q):
             inv[x] = exp2[q1 - log[x]]
         self._exp2, self._log, self._trace, self._inv = exp2, log, tr, inv
-
-
-def field_new(k: int, poly: int | None = None) -> FieldCtx:
-    """Construct GF(2^k), with the default reduction polynomial if none given."""
-    return FieldCtx(k, poly)

@@ -31,8 +31,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-ProjPoint = "int | _Infinity"
-
 
 def all_points(ctx: FieldCtx) -> list:
     """The q+1 points in the fixed enumeration: INF first, then by encoding."""

@@ -8,20 +8,21 @@ distance classes of the connection set decompose the edge set into
 Hamiltonian cycles whenever the order q+1 is prime.
 
 The coset construction over GF(q^2) gives an independent build of the
-same isomorphism class; comparing the two is done by a connection-set
-multiplier search (sound for prime orders), always followed by an
-explicit edge-by-edge verification of the found map.
+same isomorphism class; comparing the two is done by a search over the
+connection-set multipliers m in Z_(q+1)^*, each candidate followed by
+an explicit edge-by-edge verification of the map it gives.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from .analyze import spectrum_counts
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph,
-    build_graph, build_tournament, circulant_labeling,
+    build_graph, build_tournament, circulant_labeling, relabel, transpose,
 )
 from .gf2k import FieldCtx
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
@@ -59,20 +60,6 @@ def shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA) -> ShiftIso:
     return ShiftIso(b, kind)
 
 
-def _relabeled(rows, n: int, perm: list[int]) -> list[int]:
-    """Adjacency rows after renaming vertex i to perm[i]."""
-    out = [0] * n
-    for i in range(n):
-        row = rows[i]
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= 1 << perm[low.bit_length() - 1]
-            row ^= low
-        out[perm[i]] = acc
-    return out
-
-
 def _complement_rows(rows, n: int) -> list[int]:
     full = (1 << n) - 1
     return [full ^ r ^ (1 << i) for i, r in enumerate(rows)]
@@ -90,40 +77,21 @@ def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA,
     """
     if iso is None:
         iso = shift_isomorphism(ctx, a, a_prime)
-    flip = iso.kind == "complement-iso"
-    n = ctx.q + 1
+    build = build_tournament if ctx.k % 2 else build_graph
+    src = build(ctx, a_prime)
+    tgt = target if target is not None else build(ctx, a)
+    # a tournament's complement is its reversal, so one rule serves both parities
+    want = _complement_rows(tgt.rows, tgt.n) if iso.kind == "complement-iso" else list(tgt.rows)
     perm = [0, *(1 + (x ^ iso.b) for x in range(ctx.q))]
-    if ctx.k % 2 == 0:
-        src = build_graph(ctx, a_prime)
-        tgt = target if target is not None else build_graph(ctx, a)
-        moved = _relabeled(src.rows, n, perm)
-        want = _complement_rows(tgt.rows, n) if flip else list(tgt.rows)
-        return moved == want
-    src = build_tournament(ctx, a_prime)
-    tgt = target if target is not None else build_tournament(ctx, a)
-    moved = _relabeled(src.arcs, n, perm)
-    # a complement-iso on arcs is a reversal: compare against the transpose
-    want = _transposed(tgt.arcs, n) if flip else list(tgt.arcs)
-    return moved == want
-
-
-def _transposed(rows, n: int) -> list[int]:
-    out = [0] * n
-    for i in range(n):
-        row = rows[i]
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return out
+    return relabel(src.rows, perm) == want
 
 
 def permutation_is_automorphism(g: PaleyLikeGraph, perm: list[int]) -> bool:
-    return _relabeled(g.rows, g.n, perm) == list(g.rows)
+    return relabel(g.rows, perm) == list(g.rows)
 
 
 def permutation_exchanges_complement(g: PaleyLikeGraph, perm: list[int]) -> bool:
-    return _relabeled(g.rows, g.n, perm) == _complement_rows(g.rows, g.n)
+    return relabel(g.rows, perm) == _complement_rows(g.rows, g.n)
 
 
 def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
@@ -155,17 +123,8 @@ def verify_arc_reversal(t, b: int = 1) -> bool:
     ctx = t.ctx
     if ctx.trace(b) != 1:
         raise ValueError(f"arc reversal needs tr(b) = 1, got b = {b:#x}")
-    n = t.n
     perm = [0, *(1 + (x ^ b) for x in range(ctx.q))]
-    rev = [0] * n
-    for i in range(n):
-        row = t.arcs[i]
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            rev[perm[j]] |= 1 << perm[i]
-            row ^= low
-    return rev == list(t.arcs)
+    return relabel(t.rows, perm) == transpose(t.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +297,8 @@ def verify_representative_independence(h: ChapmanGraph, samples: int = 0,
     """Re-evaluate the coset predicate on non-canonical representatives.
 
     samples = 0 checks every pair against every pair of unit multipliers
-    (exhaustive); otherwise draws that many (pair, c, c') probes from a
-    seeded RNG.
+    (exhaustive); otherwise draws that many (pair, c, c') probes of
+    distinct cosets from a seeded RNG.
     """
     ext = h.ext
     q = ext.base.q
@@ -361,11 +320,13 @@ def verify_representative_independence(h: ChapmanGraph, samples: int = 0,
                             return False
         return True
     rng = random.Random(seed)
-    for _ in range(samples):
+    done = 0
+    while done < samples:
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
-            continue
+            continue  # redrawn, so `samples` pairs are really probed
+        done += 1
         if not probe(i, j, rng.randrange(1, q), rng.randrange(1, q)):
             return False
     return True
@@ -384,9 +345,9 @@ class ChapmanComparison:
 def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph) -> ChapmanComparison:
     """Search for an explicit isomorphism between the two constructions.
 
-    Both are circulants of order q+1; for prime order a multiplier m
-    with m * conn(G) = conn(H) gives the map v_i -> w_(m i), which is
-    then verified edge by edge.  For composite order only the invariant
+    Both are circulants of order n = q+1; a unit m of Z_n with
+    m * conn(G) = conn(H) gives the map v_i -> w_(m i), which is then
+    verified edge by edge.  When no unit passes, only the invariant
     comparison (codegree spectra) is reported.
     """
     if h.ext.base != g.ctx:
@@ -395,22 +356,21 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph) -> ChapmanComparison:
     if not spectra_match:
         return ChapmanComparison("not-isomorphic", None, False)
     n = g.n
-    if not _is_prime(n) or not g.a.is_generator:
+    if not g.a.is_generator:
         return ChapmanComparison("consistent-uncertified", None, True)
     lab = circulant_labeling(g.ctx, g.a)
-    s_g = lab.conn
-    s_h = h.conn
+    # G in orbit order: v_i becomes i
+    g_perm = [0] * n
+    for i, v in enumerate(lab.vertices):
+        g_perm[vertex_index(g.ctx, v)] = i
+    g_orbit = relabel(g.rows, g_perm)
     for m in range(1, n):
-        if {m * d % n for d in s_g} == s_h:
-            # explicit check of v_i -> w_(m i) on every pair
-            gidx = [vertex_index(g.ctx, v) for v in lab.vertices]
-            for i in range(n):
-                gi = g.rows[gidx[i]]
-                hi = h.rows[h.labeling_order[m * i % n]]
-                for j in range(n):
-                    if i == j:
-                        continue
-                    if (gi >> gidx[j] & 1) != (hi >> h.labeling_order[m * j % n] & 1):
-                        return ChapmanComparison("consistent-uncertified", None, True)
+        if gcd(m, n) != 1 or {m * d % n for d in lab.conn} != h.conn:
+            continue
+        # explicit check of v_i -> w_(m i) on every pair: H with w_(m i) renamed i
+        h_perm = [0] * n
+        for i in range(n):
+            h_perm[h.labeling_order[m * i % n]] = i
+        if relabel(h.rows, h_perm) == g_orbit:
             return ChapmanComparison("isomorphic-certified", m, True)
     return ChapmanComparison("consistent-uncertified", None, True)

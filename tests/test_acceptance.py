@@ -61,9 +61,9 @@ def test_criterion_02_well_definedness(field):
             ctx = field(k)
             t = build_tournament(ctx, param_a(ctx))
             for i in range(t.n):
-                assert t.arcs[i] >> i & 1 == 0
+                assert t.rows[i] >> i & 1 == 0
                 for j in range(i + 1, t.n):
-                    assert (t.arcs[i] >> j & 1) + (t.arcs[j] >> i & 1) == 1
+                    assert (t.rows[i] >> j & 1) + (t.rows[j] >> i & 1) == 1
 
 
 def test_criterion_03_g2_is_c5(std):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from char2paley import PaleyLikeGraph, build_graph, build_tournament, param_a, FieldCtx
+from char2paley import PaleyLikeGraph, build_graph, build_tournament, iter_bits, param_a, FieldCtx
 from char2paley.cli import main
 from char2paley.formats import parse_edges, write_edges
 
@@ -62,12 +62,12 @@ def test_edges_round_trip(capsys):
 def test_arcs_round_trip():
     ctx = FieldCtx(3)
     t = build_tournament(ctx, param_a(ctx))
-    meta, directed, pairs = parse_edges(write_edges(t))
+    meta, directed, pairs = parse_edges("".join(write_edges(t)))
     assert directed
     rows = [0] * t.n
     for i, j in pairs:
         rows[i] |= 1 << j
-    assert tuple(rows) == t.arcs
+    assert tuple(rows) == t.rows
 
 
 def test_build_matrix_format(capsys):
@@ -209,9 +209,21 @@ def test_chapman_rejects_odd_k(capsys):
     assert code == 2
 
 
-def test_chapman_k6_out_of_scope(capsys):
-    code, _ = run(capsys, "chapman", "--k", "6")
+def test_chapman_k10_out_of_scope(capsys):
+    code, _ = run(capsys, "chapman", "--k", "10")
     assert code == 3
+
+
+@pytest.mark.parametrize("k, multiplier", [(6, 22), (8, 3)])
+def test_chapman_composite_order_certified(capsys, k, multiplier):
+    # the multiplier search runs over all units of Z_(q+1), composite 65 = 5 * 13 too
+    code, out = run(capsys, "chapman", "--k", str(k))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    iso = next(c for c in doc["checks"] if c["name"] == "isomorphic")
+    assert iso["verdict"] == "isomorphic-certified"
+    assert iso["multiplier"] == multiplier
 
 
 def test_build_capacity_exit(capsys):
@@ -302,19 +314,6 @@ def test_build_poly_override(capsys):
     assert doc["poly"] == "0x19" and doc["n"] == 17
 
 
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("CHAR2_PALEY_THREADS", "4")
-    code, out = run(capsys, "analyze", "--k", "2")
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 4
-
-
-def test_threads_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("CHAR2_PALEY_THREADS", "lots")
-    code, _ = run(capsys, "analyze", "--k", "2")
-    assert code == 2
-
-
 def test_k_out_of_range(capsys):
     code, _ = run(capsys, "build", "--k", "25")
     assert code == 2
@@ -338,3 +337,52 @@ def test_analyze_sampled_pair_count_is_exact(capsys, monkeypatch):
                  if c["name"] == "codegree-formula-vs-direct")
     assert check["mode"] == "sampled" and check["count"] == 300
     assert len(calls) == 300 and all(x != y for x, y in calls)
+
+
+def test_certify_symmetry_witness(capsys, monkeypatch):
+    # one edge kept in one row only: the symmetry check names that pair
+    import char2paley.cli as cli
+    ctx = FieldCtx(4)
+    a = param_a(ctx)
+    g = build_graph(ctx, a)
+    rows = list(g.rows)
+    j = next(iter_bits(rows[0]))  # lowest neighbour of vertex 0
+    rows[0] ^= 1 << j
+    tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+    code, out = run(capsys, "certify", "--k", "4")
+    assert code == 1
+    sym = next(c for c in json.loads(out)["checks"] if c["name"] == "symmetry")
+    assert sym["pass"] is False
+    assert sym["witness"] == {"pair": [0, j]}
+
+
+def test_output_in_missing_directory_is_io_error(capsys, tmp_path):
+    from char2paley.cli import EXIT_IO
+    code = main(["certify", "--k", "4", "-o", str(tmp_path / "missing" / "y.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO == 4
+    assert "i/o error:" in err and "Traceback" not in err
+
+
+def test_build_streams_to_file(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    _, out = run(capsys, "build", "--k", "5", "--tournament")
+    assert main(["build", "--k", "5", "--tournament", "-o", str(path)]) == 0
+    assert path.read_text() == out
+
+
+def test_rejected_build_leaves_no_file(capsys, tmp_path):
+    path = tmp_path / "g.dimacs"
+    code, _ = run(capsys, "build", "--k", "3", "--tournament", "--format", "dimacs",
+                  "-o", str(path))
+    assert code == 2
+    assert not path.exists()
+
+
+def test_stages_timed_on_stderr(capsys):
+    assert main(["analyze", "--k", "4"]) == 0
+    err = capsys.readouterr().err
+    for stage in ("setup", "kloosterman-sweep", "build", "labeling", "codegree-spectrum"):
+        assert f"] STEP {stage}\n" in err
+    assert "] PASS circulant\n" in err

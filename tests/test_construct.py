@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, adjacency, all_points, apply, beta_of,
-    build_graph, build_tournament, circulant_labeling, param_a,
-    verify_circulant, vertex_index,
+    build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
+    relabel, transpose, verify_circulant, vertex_index,
 )
 from char2paley.construct import CirculantLabeling, PaleyLikeGraph
 
@@ -100,12 +101,12 @@ def test_tournament_out_degrees(field, k):
     ctx = field(k)
     t = build_tournament(ctx, param_a(ctx))
     assert t.n == ctx.q + 1
-    assert {t.out_degree(i) for i in range(t.n)} == {ctx.q // 2}
+    assert {t.degree(i) for i in range(t.n)} == {ctx.q // 2}
     # exactly one arc per unordered pair, no self-arcs
     for i in range(t.n):
-        assert t.arcs[i] >> i & 1 == 0
+        assert t.rows[i] >> i & 1 == 0
         for j in range(i + 1, t.n):
-            assert (t.arcs[i] >> j & 1) + (t.arcs[j] >> i & 1) == 1
+            assert (t.rows[i] >> j & 1) + (t.rows[j] >> i & 1) == 1
 
 
 def test_tournament_k3_arcs_at_infinity(field):
@@ -113,9 +114,9 @@ def test_tournament_k3_arcs_at_infinity(field):
     t = build_tournament(ctx, param_a(ctx))
     for w in range(ctx.q):
         if ctx.trace(w) == 0:
-            assert t.has_arc(w, INF)
+            assert t.has_edge(w, INF)
         else:
-            assert t.has_arc(INF, w)
+            assert t.has_edge(INF, w)
 
 
 def test_neighborhood_of_infinity_is_t0(field):
@@ -295,4 +296,46 @@ def test_tournament_circulant_relation(field):
             if i == j:
                 continue
             want = (i - j) % n in lab.conn
-            assert bool(t.arcs[idx[i]] >> idx[j] & 1) == want
+            assert bool(t.rows[idx[i]] >> idx[j] & 1) == want
+
+
+# -- bit and permutation primitives against their per-bit definitions -------
+
+
+@st.composite
+def square_rows(draw):
+    """n <= 200 rows of n bits, so set bits cross 64-bit word boundaries."""
+    n = draw(st.integers(1, 200))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    return n, rows, perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_rows())
+def test_primitives_match_per_bit_definitions(case):
+    n, rows, perm = case
+    for r in rows:
+        assert list(iter_bits(r)) == [j for j in range(n) if r >> j & 1]
+    moved = [0] * n
+    flipped = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
+                moved[perm[i]] |= 1 << perm[j]
+                flipped[j] |= 1 << i
+    assert relabel(rows, perm) == moved
+    assert transpose(rows) == flipped
+
+
+@given(st.integers(0, 1 << 300))
+def test_iter_bits_any_width(x):
+    assert sum(1 << j for j in iter_bits(x)) == x
+
+
+def test_primitives_reject_bits_beyond_n():
+    rows = [0b1, 0b100]  # bit 2 is no vertex of a 2-vertex matrix
+    with pytest.raises(ValueError):
+        relabel(rows, [1, 0])
+    with pytest.raises(ValueError):
+        transpose(rows)

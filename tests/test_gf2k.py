@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from char2paley import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, field_new, is_irreducible
+from char2paley import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from char2paley.gf2k import poly_degree, poly_mod
 
 
@@ -61,16 +61,22 @@ def test_default_polys_are_smallest_irreducible(k):
 
 
 def test_field_new_defaults_and_rejects():
-    assert field_new(2).poly == 0b111
-    assert field_new(4).poly == 0b10011
+    assert FieldCtx(2).poly == 0b111
+    assert FieldCtx(4).poly == 0b10011
     with pytest.raises(ValueError):
-        field_new(2, 0b101)  # z^2 + 1 = (z+1)^2
+        FieldCtx(2, 0b101)  # z^2 + 1 = (z+1)^2
     with pytest.raises(ValueError):
-        field_new(1)
+        FieldCtx(1)
     with pytest.raises(ValueError):
-        field_new(K_MAX + 1)
+        FieldCtx(K_MAX + 1)
     with pytest.raises(ValueError):
-        field_new(4, 0b111)  # degree 2, not 4
+        FieldCtx(4, 0b111)  # degree 2, not 4
+
+
+def test_negative_poly_rejected():
+    # -0x13 has the bit length of a degree-4 polynomial but is no polynomial
+    with pytest.raises(ValueError):
+        FieldCtx(4, -0x13)
 
 
 def test_add_examples(field):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from char2paley import (
-    INF, OutOfScopeError, QuadExtCtx, build_graph, build_tournament,
+    INF, OutOfScopeError, QuadExtCtx, ShiftIso, build_graph, build_tournament,
     chapman_build, chapman_compare, circulant_labeling, hamiltonian_decompose,
     lambda_of, param_a, permutation_exchanges_complement,
     permutation_is_automorphism, shift_isomorphism, verify_arc_reversal,
@@ -11,6 +11,7 @@ from char2paley import (
     verify_self_complementary, verify_shift_isomorphism,
 )
 from char2paley.analyze import spectrum_counts
+from char2paley.construct import PaleyLikeGraph, iter_bits
 from char2paley.structure import ChapmanGraph, _is_prime
 
 
@@ -135,6 +136,22 @@ def test_tournament_reversal(field, k):
     assert verify_arc_reversal(t)
     with pytest.raises(ValueError):
         verify_arc_reversal(t, b=0)  # tr(0) = 0 is not orientation-reversing
+    # the same reversal seen as a complement-iso of the tournament onto itself
+    a = param_a(ctx)
+    assert verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "complement-iso"))
+    assert not verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "iso"))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_tournament_reversal_negative_control(field, k):
+    # turning one arc around breaks the reversal x -> x+1
+    ctx = field(k)
+    t = build_tournament(ctx, param_a(ctx))
+    rows = list(t.rows)
+    j = next(iter_bits(rows[0]))
+    rows[0] ^= 1 << j
+    rows[j] ^= 1
+    assert not verify_arc_reversal(PaleyLikeGraph(t.ctx, t.a, t.n, tuple(rows)))
 
 
 # -- Hamiltonian decomposition ----------------------------------------------
@@ -215,6 +232,24 @@ def test_chapman_representative_independence_sampled_k4(field):
     a = param_a(field(4))
     h = chapman_build(ext, lambda_of(ext, a.value))
     assert verify_representative_independence(h, samples=500, seed=3)
+
+
+def test_representative_independence_probes_exact_count(field, monkeypatch):
+    # draws with i == j are redrawn: 2000 samples are 2000 probes of two
+    # predicate calls each (seed 0 draws 135 such pairs at k = 4)
+    import char2paley.structure as structure
+    ext = QuadExtCtx(field(4))
+    h = chapman_build(ext, lambda_of(ext, param_a(field(4)).value))
+    calls = []
+    real = structure._coset_predicate
+
+    def counting(ext, lam, u, v):
+        calls.append((u, v))
+        return real(ext, lam, u, v)
+
+    monkeypatch.setattr(structure, "_coset_predicate", counting)
+    assert verify_representative_independence(h, samples=2000, seed=0)
+    assert len(calls) == 2 * 2000
 
 
 @pytest.mark.parametrize("k", [2, 4])
