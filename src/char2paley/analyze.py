@@ -216,8 +216,7 @@ def _circulant_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling) -> tuple[dict
         counts[key] = counts.get(key, 0) + n
         if ell > best:
             best, best_s = ell, s
-    return counts, (vertex_index(g.ctx, lab.vertices[0]),
-                    vertex_index(g.ctx, lab.vertices[best_s]))
+    return counts, (lab.index[0], lab.index[best_s])
 
 
 def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -> CodegreeSpectrum:
@@ -229,9 +228,8 @@ def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -
     """
     if lab is None:
         counts, max_pair = _pairwise_spectrum(g.rows, g.n)
-    elif lab.a != g.a:
-        raise ValueError("labeling and graph were built from different parameters")
     else:
+        lab.check_graph(g)
         counts, max_pair = _circulant_spectrum(g, lab)
     q = g.ctx.q
     max_ell = max(ell for _, ell in counts)

@@ -1,10 +1,12 @@
 """Command-line front-end: build, certify, analyze, decompose, chapman.
 
-Reports are JSON documents (schema 1) whose bytes depend only on the
+Reports are JSON documents (schema 2) whose bytes depend only on the
 configuration, seed included, so identical invocations produce
 identical files; wall-clock timings of every stage and check go to
-stderr only.  Exit codes: 0 success, 1 a certificate failed, 2
-configuration error, 3 capacity or out-of-scope request, 4 i/o error.
+stderr only.  A skipped check is written with "pass": true and
+"skipped": true, and makes the report's "complete" false.  Exit codes:
+0 success, 1 a certificate failed, 2 configuration error, 3 capacity or
+out-of-scope request, 4 i/o error.
 """
 
 from __future__ import annotations
@@ -116,16 +118,20 @@ class _Checks:
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.items)
 
+    def complete(self) -> bool:
+        return not any(c.get("skipped") for c in self.items)
+
 
 def _report(args, ctx, a, command: str, checks: _Checks, extra: dict | None = None) -> str:
     doc = {
-        "schema": 1,
+        "schema": 2,
         "tool": "char2paley",
         "version": __version__,
         "command": command,
         "config": _config_echo(args, ctx, a),
         "checks": checks.items,
         "pass": checks.all_pass(),
+        "complete": checks.complete(),
     }
     if extra:
         doc.update(extra)
@@ -307,9 +313,6 @@ def cmd_analyze(args) -> int:
         checks.run("codegree-cap", codegree_cap)
 
         def formula_vs_direct():
-            if lab is None:
-                return True, {"skipped": True,
-                              "reason": "no circulant labeling for this parameter"}
             pts = [INF, *range(ctx.q)]
             if ctx.k <= 8:
                 pair_iter = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1:])
@@ -338,7 +341,10 @@ def cmd_analyze(args) -> int:
                         "direct": want, "formula": got}}
             return True, {"mode": mode, "count": count}
 
-        checks.run("codegree-formula-vs-direct", formula_vs_direct)
+        if lab is None:
+            checks.skip("codegree-formula-vs-direct", "no circulant labeling for this parameter")
+        else:
+            checks.run("codegree-formula-vs-direct", formula_vs_direct)
 
         def jumbled():
             if g.n <= 17:

@@ -199,23 +199,23 @@ def _check_width(rows) -> None:
         raise ValueError(f"a row has bits at or above n = {n}")
 
 
-def _relabeled_rows(rows, perm):
-    """Rows after renaming vertex i to perm[i], yielded in their new order."""
+def _rows_from(rows, src):
+    """Rows renamed so that new vertex i is old vertex src[i], yielded in the new order."""
     _check_width(rows)
     n = len(rows)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    # bit m of a renamed row is bit inv[m] of the original
-    move = operator.itemgetter(*(n - 1 - inv[n - 1 - s] for s in range(n)))
+    # bit m of a renamed row is bit src[m] of the original
+    move = operator.itemgetter(*(n - 1 - src[n - 1 - s] for s in range(n)))
     fmt = f"0{n}b"
-    for i in inv:
+    for i in src:
         yield int("".join(move(format(rows[i], fmt))), 2)
 
 
 def relabel(rows, perm) -> list[int]:
     """Rows after renaming vertex i to perm[i], for a permutation perm of range(n)."""
-    return list(_relabeled_rows(rows, perm))
+    src = [0] * len(perm)
+    for i, p in enumerate(perm):
+        src[p] = i
+    return list(_rows_from(rows, src))
 
 
 def transpose(rows) -> list[int]:
@@ -225,6 +225,17 @@ def transpose(rows) -> list[int]:
     # column s of the reversed rows' strings, read as binary, is row n-1-s
     cols = zip(*[format(r, fmt) for r in reversed(rows)])
     return [int("".join(col), 2) for col in cols][::-1]
+
+
+def rotate(mask: int, i: int, n: int) -> int:
+    """mask as an n-bit word rotated by i: bit d moves to (d + i) mod n."""
+    i %= n
+    return (mask << i | mask >> (n - i)) & ((1 << n) - 1)
+
+
+def is_circulant(rows, conn_mask: int, n: int) -> bool:
+    """Whether row i is conn_mask rotated by i, for rows in circulant order."""
+    return all(r == rotate(conn_mask, i, n) for i, r in enumerate(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,12 +261,23 @@ class CirculantLabeling:
         """conn as a bitmask over orbit positions: bit d for each d in conn."""
         return sum(1 << d for d in self.conn)
 
+    @cached_property
+    def index(self) -> tuple[int, ...]:
+        """index[i] is the dense row of v_i (INF -> 0, x -> 1+x, as vertex_index)."""
+        return tuple(0 if p is INF else 1 + p for p in self.vertices)
+
+    def check_graph(self, g: PaleyLikeGraph) -> None:
+        """Raise ValueError unless g was built at this labeling's parameter and order."""
+        if self.a != g.a or self.n != g.n:
+            raise ValueError("labeling and graph were built from different parameters")
+
     def neighbour_mask(self, i: int) -> int:
         """Orbit positions adjacent to v_i in the circulant: conn_mask rotated by i."""
-        n = self.n
-        c = self.conn_mask
-        i %= n
-        return (c << i | c >> (n - i)) & ((1 << n) - 1)
+        return rotate(self.conn_mask, i, self.n)
+
+    def orbit_rows(self, rows):
+        """Dense rows relabeled into orbit order (v_i becomes i), one at a time."""
+        return _rows_from(rows, self.index)
 
 
 def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
@@ -278,13 +300,9 @@ def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
     each is compared with the connection-set mask rotated by i; a row
     with bits at or above n fails.
     """
-    if lab.a != g.a:
-        raise ValueError("labeling and graph were built from different parameters")
+    lab.check_graph(g)
     n = g.n
     if any(r >> n for r in g.rows):
         return False
-    perm = [0] * n
-    for i, p in enumerate(lab.vertices):
-        perm[vertex_index(g.ctx, p)] = i
     # one relabeled row at a time: the graph is never held twice
-    return all(r == lab.neighbour_mask(i) for i, r in enumerate(_relabeled_rows(g.rows, perm)))
+    return is_circulant(lab.orbit_rows(g.rows), lab.conn_mask, n)

@@ -22,7 +22,8 @@ from math import gcd
 from .analyze import spectrum_counts
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph,
-    build_graph, build_tournament, circulant_labeling, relabel, transpose,
+    build_graph, build_tournament, circulant_labeling, is_circulant, iter_bits, relabel,
+    transpose, verify_circulant,
 )
 from .gf2k import FieldCtx
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
@@ -96,11 +97,9 @@ def permutation_exchanges_complement(g: PaleyLikeGraph, perm: list[int]) -> bool
 
 def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
     """Certify that v_i -> v_2i maps every edge to a non-edge and back."""
-    if lab.a != g.a:
-        raise ValueError("labeling and graph were built from different parameters")
-    ctx = g.ctx
+    lab.check_graph(g)
     n = g.n
-    idx = [vertex_index(ctx, p) for p in lab.vertices]
+    idx = lab.index
     perm = [0] * n
     for i in range(n):
         perm[idx[i]] = idx[2 * i % n]
@@ -152,46 +151,25 @@ class HamiltonianDecomposition:
 def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> HamiltonianDecomposition:
     """Split the edges into Hamiltonian cycles by circulant distance class.
 
-    Only for prime order p = q+1: stepping i -> i+d then walks all of
-    Z_p, so each class {d, p-d} of the connection set is one spanning
-    cycle.  Every cycle is certified against the adjacency rows and the
-    union is checked to cover each edge exactly once.
+    Only for prime order p = q+1.  The rows are certified to be the
+    circulant of the connection set (`verify_circulant`), and the set to
+    be closed under negation, so the classes {d, p-d} partition the
+    edges; stepping i -> i+d walks all of Z_p, so each class is one
+    spanning cycle.
     """
-    if lab.a != g.a:
-        raise ValueError("labeling and graph were built from different parameters")
+    lab.check_graph(g)
     p = g.n
     if not _is_prime(p):
         raise OutOfScopeError(
             f"order {p} is composite: only prime-order circulants are decomposed "
             "by distance classes (the general case has no practical algorithm here)")
-    ctx = g.ctx
-    dists = sorted(d for d in lab.conn if d < p - d)
-    if len(dists) != ctx.q // 4:
+    if not verify_circulant(g, lab):
+        raise AssertionError("the rows are not the circulant of the connection set")
+    if 0 in lab.conn or any(p - d not in lab.conn for d in lab.conn):
         raise AssertionError("connection set is not closed under negation")
-    idx = [vertex_index(ctx, v) for v in lab.vertices]
-    seen = 0  # edge bitset, bit i*p + j for i < j
-    cycles = []
-    classes = []
-    for d in dists:
-        order = [d * t % p for t in range(p)]
-        cyc = tuple(lab.vertices[i] for i in order)
-        if len(set(order)) != p:
-            raise AssertionError(f"distance {d} does not generate Z_{p}")
-        for t in range(p):
-            u = idx[order[t]]
-            v = idx[order[(t + 1) % p]]
-            if not g.rows[u] >> v & 1:
-                raise AssertionError(f"cycle step {u}->{v} is not an edge")
-            i, j = (u, v) if u < v else (v, u)
-            bit = 1 << (i * p + j)
-            if seen & bit:
-                raise AssertionError("edge covered twice across distance classes")
-            seen |= bit
-        cycles.append(cyc)
-        classes.append((d, p - d))
-    if seen.bit_count() != g.edge_count():
-        raise AssertionError("cycles do not cover the whole edge set")
-    return HamiltonianDecomposition(p, tuple(classes), tuple(cycles))
+    dists = sorted(d for d in lab.conn if d < p - d)
+    cycles = tuple(tuple(lab.vertices[d * t % p] for t in range(p)) for d in dists)
+    return HamiltonianDecomposition(p, tuple((d, p - d) for d in dists), cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +180,16 @@ def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> Hamilton
 class ChapmanGraph:
     """Graph on the q+1 cosets of the base multiplicative group in GF(q^2)*.
 
-    reps are canonical coset representatives (smallest encoding),
-    ascending; rows index them.  labeling_order[i] is the rep index of
-    the coset [g^i] for the fixed primitive root g, and conn the
-    resulting circulant connection set.  Pairs where the predicate
-    denominator T(u^q v) vanishes are never guessed at: they are
-    collected in undefined_pairs (expected empty off the diagonal).
+    reps[i] is g^i for the fixed primitive root g, so the rows are in
+    circulant order and conn is read from row 0.  Pairs where the
+    predicate denominator T(u^q v) vanishes are never guessed at: they
+    are collected in undefined_pairs (expected empty off the diagonal).
     """
 
     ext: QuadExtCtx
     lam: tuple[int, int]
     reps: tuple
     rows: tuple[int, ...]
-    labeling_order: tuple[int, ...]
     conn: frozenset[int]
     undefined_pairs: tuple
     circulant_certified: bool
@@ -245,25 +220,17 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
     if ext.trace_to_base(lam) == 0:
         raise ValueError("lambda lies in the base field: T(lambda) = 0 degenerates "
                          "the predicate everywhere")
-    q = base.q
-    # canonical representative of each coset = smallest encoding
-    coset_of: dict[int, int] = {}  # encoded element -> rep index
-    reps = []
-    for e in range(1, q * q):
-        if e in coset_of:
-            continue
-        u = ext.decode(e)
-        members = []
-        for c in range(1, q):
-            m = ext.encode(ext.mul(u, (c, 0)))
-            members.append(m)
-        rep_idx = len(reps)
-        reps.append(u)
-        for m in members:
-            coset_of[m] = rep_idx
-    if len(reps) != q + 1:
-        raise AssertionError("coset count != q+1")
-    n = q + 1
+    n = base.q + 1
+    # rep i = g^i.  GF(q)* = <g^(q+1)>, and the cosets [g^i], 0 <= i <= q,
+    # are distinct (so all q+1 of them) exactly when no g^i with
+    # 0 < i <= q lies in GF(q), i.e. has relative trace 0
+    g = ext.primitive_root()
+    powers = [ext.ONE]
+    for _ in range(n):
+        powers.append(ext.mul(powers[-1], g))
+    if ext.trace_to_base(powers[n]) or not all(map(ext.trace_to_base, powers[1:n])):
+        raise AssertionError("powers of the primitive root do not enumerate the cosets")
+    reps = powers[:n]
     rows = [0] * n
     undefined = []
     for i in range(n):
@@ -275,26 +242,14 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
             if bit == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    # circulant labeling along powers of the primitive root
-    g = ext.primitive_root()
-    order = []
-    acc = (1, 0)
-    for _ in range(n):
-        order.append(coset_of[ext.encode(acc)])
-        acc = ext.mul(acc, g)
-    if sorted(order) != list(range(n)):
-        raise AssertionError("powers of the primitive root do not enumerate the cosets")
-    conn = frozenset(d for d in range(1, n) if rows[order[0]] >> order[d] & 1)
-    certified = not undefined and all(
-        (rows[order[i]] >> order[j] & 1) == ((j - i) % n in conn)
-        for i in range(n) for j in range(n) if i != j)
-    return ChapmanGraph(ext, lam, tuple(reps), tuple(rows), tuple(order),
-                        conn, tuple(undefined), certified)
+    certified = not undefined and is_circulant(rows, rows[0], n)
+    return ChapmanGraph(ext, lam, tuple(reps), tuple(rows), frozenset(iter_bits(rows[0])),
+                        tuple(undefined), certified)
 
 
 def verify_representative_independence(h: ChapmanGraph, samples: int = 0,
                                        seed: int = 0) -> bool:
-    """Re-evaluate the coset predicate on non-canonical representatives.
+    """Re-evaluate the coset predicate on other representatives c u of each coset.
 
     samples = 0 checks every pair against every pair of unit multipliers
     (exhaustive); otherwise draws that many (pair, c, c') probes of
@@ -359,18 +314,14 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph) -> ChapmanComparison:
     if not g.a.is_generator:
         return ChapmanComparison("consistent-uncertified", None, True)
     lab = circulant_labeling(g.ctx, g.a)
-    # G in orbit order: v_i becomes i
-    g_perm = [0] * n
-    for i, v in enumerate(lab.vertices):
-        g_perm[vertex_index(g.ctx, v)] = i
-    g_orbit = relabel(g.rows, g_perm)
+    g_orbit = list(lab.orbit_rows(g.rows))
     for m in range(1, n):
         if gcd(m, n) != 1 or {m * d % n for d in lab.conn} != h.conn:
             continue
         # explicit check of v_i -> w_(m i) on every pair: H with w_(m i) renamed i
         h_perm = [0] * n
         for i in range(n):
-            h_perm[h.labeling_order[m * i % n]] = i
+            h_perm[m * i % n] = i
         if relabel(h.rows, h_perm) == g_orbit:
             return ChapmanComparison("isomorphic-certified", m, True)
     return ChapmanComparison("consistent-uncertified", None, True)

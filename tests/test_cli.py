@@ -107,7 +107,7 @@ def test_certify_k4(capsys, tmp_path):
     code, _ = run(capsys, "certify", "--k", "4", "--output", str(rpt))
     assert code == 0
     doc = json.loads(rpt.read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["pass"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"regularity", "symmetry", "circulant", "self-complementary",
@@ -275,6 +275,35 @@ def test_analyze_non_generator_skips_circulant(capsys):
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["circulant"].get("skipped") is True
     assert sum(e["count"] for e in doc["codegree_spectrum"]) == 65 * 64 // 2
+
+
+def test_non_generator_formula_check_skipped_on_stderr(capsys):
+    # the formula needs the circulant labeling: a skip line, never a PASS line
+    assert main(["analyze", "--k", "6", "--a", "0x20", "--samples", "200"]) == 0
+    captured = capsys.readouterr()
+    entry = next(c for c in json.loads(captured.out)["checks"]
+                 if c["name"] == "codegree-formula-vs-direct")
+    assert entry == {"name": "codegree-formula-vs-direct", "pass": True, "skipped": True,
+                     "reason": "no circulant labeling for this parameter"}
+    lines = [ln for ln in captured.err.splitlines() if "codegree-formula-vs-direct" in ln]
+    assert len(lines) == 1 and "skip" in lines[0] and "PASS" not in lines[0]
+
+
+@pytest.mark.parametrize("argv, complete", [
+    (("analyze", "--k", "14", "--samples", "50"), False),
+    (("analyze", "--k", "6", "--a", "0x20", "--samples", "200"), False),
+    (("certify", "--k", "4"), True),
+])
+def test_report_complete_flag(capsys, argv, complete):
+    # skipped checks still read "pass": true, but the report is not complete
+    code, out = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 2 and doc["pass"] is True
+    assert doc["complete"] is complete
+    assert complete == (not any(c.get("skipped") for c in doc["checks"]))
+    keys = list(doc)
+    assert keys[keys.index("pass") + 1] == "complete"
 
 
 def test_analyze_codegree_cap_witness(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from char2paley import (
     build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
     relabel, transpose, verify_circulant, vertex_index,
 )
-from char2paley.construct import CirculantLabeling, PaleyLikeGraph
+from char2paley.construct import CirculantLabeling, PaleyLikeGraph, is_circulant, rotate
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
 # enumeration [inf, 0, 1, w, w^2]; edges {inf,0},{inf,1},{0,w},{1,w^2},{w,w^2}
@@ -339,3 +339,33 @@ def test_primitives_reject_bits_beyond_n():
         relabel(rows, [1, 0])
     with pytest.raises(ValueError):
         transpose(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(-400, 400))))
+def test_rotate_and_circulance_match_per_bit_definitions(case):
+    n, mask, i = case
+    want = sum(1 << (d + i) % n for d in range(n) if mask >> d & 1)
+    assert rotate(mask, i, n) == want
+    rows = [sum(1 << (j + d) % n for d in range(n) if mask >> d & 1) for j in range(n)]
+    assert is_circulant(rows, mask, n)
+    rows[i % n] ^= 1 << (i * 7 % n)  # one bit of one row
+    assert not is_circulant(rows, mask, n)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_labeling_index_and_orbit_rows(field, k):
+    ctx = field(k)
+    a = param_a(ctx)
+    g = build_graph(ctx, a)
+    lab = circulant_labeling(ctx, a)
+    assert lab.index == tuple(vertex_index(ctx, p) for p in lab.vertices)
+    perm = [0] * lab.n
+    for i, r in enumerate(lab.index):
+        perm[r] = i
+    assert list(lab.orbit_rows(g.rows)) == relabel(g.rows, perm)
+    # the positional constructor still works, and the index follows the vertices
+    swapped = (lab.vertices[1], lab.vertices[0], *lab.vertices[2:])
+    moved = CirculantLabeling(a, swapped, lab.conn, lab.pos)
+    assert moved.index == (lab.index[1], lab.index[0], *lab.index[2:])

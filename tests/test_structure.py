@@ -10,8 +10,10 @@ from char2paley import (
     verify_automorphisms, verify_representative_independence,
     verify_self_complementary, verify_shift_isomorphism,
 )
-from char2paley.analyze import spectrum_counts
-from char2paley.construct import PaleyLikeGraph, iter_bits
+from char2paley.analyze import codegree_spectrum, spectrum_counts
+from char2paley.construct import (
+    CirculantLabeling, PaleyLikeGraph, is_circulant, iter_bits, verify_circulant,
+)
 from char2paley.structure import ChapmanGraph, _is_prime
 
 
@@ -199,6 +201,69 @@ def test_decompose_composite_out_of_scope(std):
         hamiltonian_decompose(g, lab)
 
 
+@pytest.mark.parametrize("k", [4, 8])
+def test_decompose_covers_every_edge_once(std, k):
+    # an oracle that reads only the rows: every cycle step is an edge,
+    # no edge is walked twice, and every edge is walked
+    ctx, _, g, lab = std(k)
+    p = ctx.q + 1
+    dec = hamiltonian_decompose(g, lab)
+    assert len(dec.cycles) == ctx.q // 4
+
+    def row(v):
+        return 0 if v is INF else 1 + v
+
+    walked = set()
+    for cyc in dec.cycles:
+        assert len(cyc) == p and len({row(v) for v in cyc}) == p
+        for t in range(p):
+            u, v = row(cyc[t]), row(cyc[(t + 1) % p])
+            assert g.rows[u] >> v & 1
+            e = (min(u, v), max(u, v))
+            assert e not in walked
+            walked.add(e)
+    edges = {(i, j) for i in range(p) for j in range(i + 1, p) if g.rows[i] >> j & 1}
+    assert walked == edges
+    assert len(edges) == p * ctx.q // 4
+
+
+def test_labeling_from_another_field_rejected(field):
+    # 0x21 has trace 1 and a full orbit at both k = 6 and k = 8, so the
+    # parameters compare equal; the orders do not
+    g = build_graph(field(6), param_a(field(6), 0x21))
+    lab = circulant_labeling(field(8), param_a(field(8), 0x21))
+    assert g.a == lab.a
+    for certificate in (verify_circulant, verify_self_complementary,
+                        hamiltonian_decompose, codegree_spectrum):
+        with pytest.raises(ValueError, match="different parameters"):
+            certificate(g, lab)
+
+
+def test_decompose_rejects_flipped_edge(std):
+    ctx, a, g, lab = std(4)
+    rows = list(g.rows)
+    rows[1] ^= 1 << 5
+    rows[5] ^= 1 << 1
+    with pytest.raises(AssertionError):
+        hamiltonian_decompose(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+
+
+def test_decompose_rejects_connection_set_not_closed_under_negation(std):
+    # rows that are exactly the circulant of {1, 2, 16}: 2 is in it, -2 = 15 is not
+    ctx, a, _, lab = std(4)
+    n = lab.n
+    conn = frozenset({1, 2, n - 1})
+    rows = [0] * n
+    for i in range(n):
+        for d in conn:
+            rows[lab.index[i]] |= 1 << lab.index[(i + d) % n]
+    g = PaleyLikeGraph(ctx, a, n, tuple(rows))
+    skew = CirculantLabeling(a, lab.vertices, conn, lab.pos)
+    assert verify_circulant(g, skew)
+    with pytest.raises(AssertionError, match="negation"):
+        hamiltonian_decompose(g, skew)
+
+
 # -- the coset-quotient oracle ----------------------------------------------
 
 
@@ -211,6 +276,46 @@ def test_chapman_k2_shape(field):
     assert all(r.bit_count() == 2 for r in h.rows)
     assert not h.undefined_pairs
     assert h.circulant_certified
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_chapman_reps_are_powers_in_distinct_cosets(field, k):
+    # x0 + x1 zeta lies in GF(q) exactly when x1 = 0
+    ctx = field(k)
+    ext = QuadExtCtx(ctx)
+    h = chapman_build(ext, lambda_of(ext, param_a(ctx).value))
+    g = ext.primitive_root()
+    assert h.reps == tuple(ext.pow(g, i) for i in range(ctx.q + 1))
+    for i, u in enumerate(h.reps):
+        for j, v in enumerate(h.reps):
+            if i != j:
+                assert ext.div(u, v)[1] != 0, (i, j)
+
+
+def test_chapman_tampered_row_not_certified(field, monkeypatch):
+    import char2paley.structure as structure
+    ctx = field(4)
+    ext = QuadExtCtx(ctx)
+    lam = lambda_of(ext, param_a(ctx).value)
+    h = chapman_build(ext, lam)
+    assert h.circulant_certified and is_circulant(h.rows, h.rows[0], h.n)
+    # one row of the built graph with one bit flipped
+    rows = list(h.rows)
+    rows[3] ^= 1 << 7
+    assert not is_circulant(rows, rows[0], h.n)
+    # the build itself, with the predicate flipped on the pair (reps[1], reps[3])
+    real = structure._coset_predicate
+    flip = (h.reps[1], h.reps[3])
+
+    def tampered(ext, lam, u, v):
+        bit = real(ext, lam, u, v)
+        return 1 - bit if (u, v) == flip else bit
+
+    monkeypatch.setattr(structure, "_coset_predicate", tampered)
+    bad = chapman_build(ext, lam)
+    assert bad.rows[0] == h.rows[0] and bad.rows != h.rows
+    assert not bad.undefined_pairs
+    assert not bad.circulant_certified
 
 
 def test_chapman_rejects_degenerate_lambda(field):
@@ -280,8 +385,7 @@ def test_chapman_compare_negative_control(std):
     comp = [full ^ r ^ (1 << i) for i, r in enumerate(g.rows)]
     comp[0] ^= 1 << 1
     comp[1] ^= 1  # drop edge {0, 1}
-    fake = ChapmanGraph(ext, h.lam, h.reps, tuple(comp), h.labeling_order,
-                        h.conn, (), False)
+    fake = ChapmanGraph(ext, h.lam, h.reps, tuple(comp), h.conn, (), False)
     cmp_result = chapman_compare(fake, g)
     assert not cmp_result
     assert cmp_result.verdict == "not-isomorphic"
