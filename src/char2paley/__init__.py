@@ -15,12 +15,12 @@ __version__ = "0.1.0"
 from .analyze import (
     CodegreePair, CodegreeSpectrum, JumblednessAudit, KloostermanValue,
     codegree_direct, codegree_formula, codegree_spectrum, jumbledness_audit,
-    kloosterman, kloosterman_sweep, weil_bound_holds,
+    kloosterman, kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
     MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA,
     adjacency, build_graph, build_tournament, circulant_labeling, iter_bits,
-    param_a, relabel, transpose, verify_circulant,
+    param_a, relabel, translate, translate_rows, transpose, verify_circulant,
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (

@@ -139,6 +139,22 @@ def weil_bound_holds(ctx: FieldCtx, values: list[int] | None = None) -> tuple[bo
     return worst * worst <= 4 * ctx.q, worst_b, worst
 
 
+def kloosterman_value_set(ctx: FieldCtx,
+                          values: list[int] | None = None) -> tuple[bool, int | None, int | None]:
+    """Check {K(b) : b != 0} is exactly {v = 3 mod 4 : v^2 <= 4q} (Lachaud-Wolfmann).
+
+    Returns (ok, the first b whose value lies outside that set, the
+    smallest value of it that no b takes), None where there is none.
+    """
+    if values is None:
+        values = kloosterman_sweep(ctx)
+    r = isqrt(4 * ctx.q)
+    want = {v for v in range(-r, r + 1) if v % 4 == 3}
+    stray = next((b for b in range(1, ctx.q) if values[b] not in want), None)
+    missing = min(want.difference(values[1:]), default=None)
+    return stray is None and missing is None, stray, missing
+
+
 def codegree_formula(ctx: FieldCtx, a: ParamA, x, y,
                      labeling: CirculantLabeling | None = None,
                      kloo: list[int] | None = None) -> int:

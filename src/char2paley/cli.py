@@ -20,7 +20,7 @@ import time
 from . import __version__
 from .analyze import (
     codegree_direct, codegree_formula, codegree_spectrum, jumbledness_audit,
-    kloosterman_sweep, weil_bound_holds,
+    kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament,
@@ -290,6 +290,17 @@ def cmd_analyze(args) -> int:
                     "argmax_b": f"{b:#x}", "bound": f"2*sqrt({ctx.q})"}
 
     checks.run("kloosterman-weil", weil)
+
+    def value_set():
+        ok, stray, missing = kloosterman_value_set(ctx, kloo)
+        detail = {"mode": "exhaustive", "count": ctx.q - 1}
+        if stray is not None:
+            detail["witness"] = {"b": f"{stray:#x}", "K": kloo[stray]}
+        elif missing is not None:
+            detail["witness"] = {"missing": missing}
+        return ok, detail
+
+    checks.run("kloosterman-value-set", value_set)
 
     if ctx.q + 1 <= MATRIX_CAP:
         g = _stage("build", lambda: build_graph(ctx, a))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, count
 
 from .gf2k import FieldCtx
@@ -116,55 +116,57 @@ def _check_cap(ctx: FieldCtx) -> int:
     return n
 
 
-def _trace_bits(ctx: FieldCtx, x: int, a: int, out: bytearray, skip: int) -> None:
-    """Set bits 1+y in `out` for every finite y != x with trace bit 0.
+# chars after a row's log-order slice, by tr(x): the loop bit (u = 0) and the INF bit
+_TAILS = ("01", "00")
 
-    Table-backed inner loop; `skip` is x itself (loops never enter).
-    """
+
+@dataclass(frozen=True)
+class _RowTables:
+    """Per-field strings behind the rotation build (see _build)."""
+
+    doubled: tuple[str, str]      # [t]: twice the string whose char i is tr(g^-i) == t
+    to_row: operator.itemgetter   # log-order chars + tail -> row string, bit n-1 first
+    inf_row: int                  # row of INF: bit 1+w for tr(w + 1) = 0
+
+
+@lru_cache(maxsize=4)
+def _row_tables(ctx: FieldCtx) -> _RowTables:
     ctx._ensure_tables()
-    exp2 = ctx._exp2
-    log = ctx._log
-    tr = ctx._trace
-    q1 = ctx.q - 1
-    c = x ^ a
-    if x == 0:
-        la = log[a] + q1
-        for y in range(1, ctx.q):
-            # bit = tr(a/y)
-            if not tr[exp2[la - log[y]]]:
-                j = 1 + y
-                out[j >> 3] |= 1 << (j & 7)
-        return
-    lx = log[x]
-    for y in range(ctx.q):
-        if y == skip:
-            continue
-        num = (exp2[lx + log[y]] if y else 0) ^ c
-        if num and tr[exp2[log[num] - log[x ^ y] + q1]]:
-            continue
-        j = 1 + y
-        out[j >> 3] |= 1 << (j & 7)
+    m = ctx.q - 1
+    exp2, log, tr = ctx._exp2, ctx._log, ctx._trace
+    ones = "".join("01"[tr[exp2[-i % m]]] for i in range(m))
+    zeros = ones.translate(str.maketrans("01", "10"))
+    # string position p holds bit n-1-p: bit 1+u reads log-order char log[u],
+    # bits 1 and 0 read the tail
+    to_row = operator.itemgetter(*(log[u] for u in range(m, 0, -1)), m, m + 1)
+    inf_row = int("".join("10"[tr[w ^ 1]] for w in range(m, -1, -1)), 2) << 1
+    return _RowTables((zeros * 2, ones * 2), to_row, inf_row)
 
 
 def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
-    """Dense rows of the trace rule at either parity of k."""
+    """Dense rows of the trace rule at either parity of k.
+
+    With u = x + y the rule reads tr(c/u) + tr(x), c = x^2 + x + a, and
+    tr(c) = tr(a) = 1 keeps c nonzero.  So row x is the set
+    {u : tr(c/u) = tr(x)} translated by x, with the INF bit set iff
+    tr(x) = 0.  In log coordinates u = g^j, division of c = g^L by u is
+    the rotation j -> L - j: a slice of the doubled, reversed trace
+    string.  x and x + 1 share c, and tr(x + 1) = tr(x) + tr(1), so they
+    share the rotated row, complemented when tr(1) = 1 (odd k).
+    """
     n = _check_cap(ctx)
-    nbytes = (n + 7) >> 3
-    rowbufs = [bytearray(nbytes) for _ in range(n)]
-    ctx._ensure_tables()
-    tr = ctx._trace
-    # INF -> w iff tr(w + 1) = 0 and w -> INF iff tr(w) = 0: for even k
-    # tr(1) = 0 and the two agree, for odd k exactly one holds per pair
-    r0 = rowbufs[0]
-    for w in range(ctx.q):
-        j = 1 + w
-        if not tr[w ^ 1]:
-            r0[j >> 3] |= 1 << (j & 7)
-        if not tr[w]:
-            rowbufs[j][0] |= 1
-    for x in range(ctx.q):
-        _trace_bits(ctx, x, a.value, rowbufs[1 + x], x)
-    return PaleyLikeGraph(ctx, a, n, tuple(int.from_bytes(buf, "little") for buf in rowbufs))
+    tabs = _row_tables(ctx)
+    log, tr = ctx._log, ctx._trace
+    m = ctx.q - 1
+    flip = (1 << n) - 1 ^ 0b10 if ctx.trace(1) else 0  # all but the loop bit
+    rows = [tabs.inf_row]
+    for x in range(0, ctx.q, 2):
+        lc = log[ctx.mul(x, x) ^ x ^ a.value]
+        tx = tr[x]
+        pre = int("".join(tabs.to_row(tabs.doubled[tx][m - lc:2 * m - lc] + _TAILS[tx])), 2)
+        rows.append(translate(pre, x, ctx))
+        rows.append(translate(pre ^ flip, x ^ 1, ctx))
+    return PaleyLikeGraph(ctx, a, n, tuple(rows))
 
 
 def build_graph(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
@@ -183,7 +185,8 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 
 # ---------------------------------------------------------------------------
 # Bit and permutation primitives.  Each works on a row's binary string,
-# where position n-1-m holds bit m, so a whole row is one C-level pass.
+# where position n-1-m holds bit m, so a whole row is one C-level pass;
+# translations x -> x + b are a few masked swaps of the row int instead.
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
@@ -216,6 +219,38 @@ def relabel(rows, perm) -> list[int]:
     for i, p in enumerate(perm):
         src[p] = i
     return list(_rows_from(rows, src))
+
+
+@lru_cache(maxsize=None)
+def _swap_masks(k: int) -> tuple[int, ...]:
+    """masks[h] has bit u set, for u < 2^k, exactly when bit h of u is clear."""
+    q = 1 << k
+    return tuple(((1 << s) - 1) * (((1 << q) - 1) // ((1 << 2 * s) - 1))
+                 for s in (1 << h for h in range(k)))
+
+
+def translate(mask: int, b: int, ctx: FieldCtx) -> int:
+    """A row under the vertex map x -> x + b (INF fixed): bit 1+x moves to 1+(x+b).
+
+    Adding bit h of b exchanges the blocks of 2^h positions that differ
+    in that bit, one masked swap per set bit.  mask has n = q+1 bits.
+    """
+    ctx.check_elem(b)
+    f = mask >> 1
+    for h, low in enumerate(_swap_masks(ctx.k)):
+        if b >> h & 1:
+            s = 1 << h
+            f = (f & low) << s | (f >> s) & low
+    return f << 1 | mask & 1
+
+
+def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
+    """Rows after the vertex map x -> x + b (INF fixed): relabel's translation case."""
+    if len(rows) != ctx.q + 1:
+        raise ValueError(f"{len(rows)} rows, want q + 1 = {ctx.q + 1}")
+    _check_width(rows)
+    return [translate(rows[0], b, ctx),
+            *(translate(rows[1 + (y ^ b)], b, ctx) for y in range(ctx.q))]
 
 
 def transpose(rows) -> list[int]:

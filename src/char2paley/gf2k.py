@@ -18,8 +18,10 @@ factor search in the test suite):
     ...
 
 For q <= 2^16 a FieldCtx lazily builds exp/log, trace, and inverse
-tables; multiplication, division, and trace then cost one or two list
-lookups, which is what the graph-construction inner loops run on.
+tables (the trace table as the parity of x masked by the traces of the
+basis elements); multiplication, division, and trace then cost one or
+two list lookups, which is what the graph-construction inner loops run
+on.
 Above that, operations fall back to shift-and-xor / extended-gcd code
 paths that need no tables.
 
@@ -305,14 +307,18 @@ class FieldCtx:
             v = self._mul_raw(v, g)
         if v != 1:
             raise AssertionError("generator order check failed")
-        tr = [0] * self.q
-        for x in range(self.q):
-            t = x
-            s = x
+        # the trace is F_2-linear, so tr(x) is the parity of x & tmask, where
+        # bit i of tmask is the Frobenius sum of the basis element z^i
+        tmask = 0
+        for i in range(self.k):
+            t = s = 1 << i
             for _ in range(self.k - 1):
-                s = exp2[2 * log[s]] if s else 0
+                s = exp2[2 * log[s]]
                 t ^= s
-            tr[x] = t
+            if t > 1:
+                raise AssertionError(f"trace of z^{i} is {t:#x}, not in F_2")
+            tmask |= t << i
+        tr = [(x & tmask).bit_count() & 1 for x in range(self.q)]
         inv = [0] * self.q
         for x in range(1, self.q):
             inv[x] = exp2[q1 - log[x]]

@@ -23,7 +23,7 @@ from .analyze import spectrum_counts
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph,
     build_graph, build_tournament, circulant_labeling, is_circulant, iter_bits, relabel,
-    transpose, verify_circulant,
+    translate_rows, transpose, verify_circulant,
 )
 from .gf2k import FieldCtx
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
@@ -83,8 +83,7 @@ def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA,
     tgt = target if target is not None else build(ctx, a)
     # a tournament's complement is its reversal, so one rule serves both parities
     want = _complement_rows(tgt.rows, tgt.n) if iso.kind == "complement-iso" else list(tgt.rows)
-    perm = [0, *(1 + (x ^ iso.b) for x in range(ctx.q))]
-    return relabel(src.rows, perm) == want
+    return translate_rows(src.rows, iso.b, ctx) == want
 
 
 def permutation_is_automorphism(g: PaleyLikeGraph, perm: list[int]) -> bool:
@@ -112,9 +111,8 @@ def verify_automorphisms(g: PaleyLikeGraph, a: ParamA) -> bool:
     al = alpha_of(ctx, a.value)
     perm_alpha = [vertex_index(ctx, apply(ctx, al, p))
                   for p in [INF, *range(ctx.q)]]
-    perm_shift = [0, *(1 + (x ^ 1) for x in range(ctx.q))]
     return (permutation_is_automorphism(g, perm_alpha)
-            and permutation_is_automorphism(g, perm_shift))
+            and translate_rows(g.rows, 1, ctx) == list(g.rows))
 
 
 def verify_arc_reversal(t, b: int = 1) -> bool:
@@ -122,8 +120,7 @@ def verify_arc_reversal(t, b: int = 1) -> bool:
     ctx = t.ctx
     if ctx.trace(b) != 1:
         raise ValueError(f"arc reversal needs tr(b) = 1, got b = {b:#x}")
-    perm = [0, *(1 + (x ^ b) for x in range(ctx.q))]
-    return relabel(t.rows, perm) == transpose(t.rows)
+    return translate_rows(t.rows, b, ctx) == transpose(t.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 from char2paley import (
     INF, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, all_points, alpha_of,
     apply, codegree_direct, codegree_formula, codegree_spectrum,
-    jumbledness_audit, kloosterman, kloosterman_sweep, param_a, vertex_index,
-    verify_circulant, weil_bound_holds,
+    jumbledness_audit, kloosterman, kloosterman_sweep, kloosterman_value_set, param_a,
+    vertex_index, verify_circulant, weil_bound_holds,
 )
 from char2paley.analyze import _kloosterman_sum, spectrum_counts
 
@@ -55,13 +55,27 @@ def test_sweep_matches_per_b_sums(field, k):
         assert sweep[b] == _kloosterman_sum(ctx, b), f"b = {b:#x}"
 
 
-@pytest.mark.parametrize("k", range(3, 15))
+@pytest.mark.parametrize("k", range(2, 17))
 def test_sweep_value_set_lachaud_wolfmann(field, k):
     # Lachaud-Wolfmann: K takes exactly the values v = 3 mod 4 with v^2 <= 4q
     ctx = field(k)
-    values = set(kloosterman_sweep(ctx)[1:])
+    sweep = kloosterman_sweep(ctx)
     r = isqrt(4 * ctx.q)
-    assert values == {v for v in range(-r, r + 1) if v % 4 == 3}
+    assert set(sweep[1:]) == {v for v in range(-r, r + 1) if v % 4 == 3}
+    assert kloosterman_value_set(ctx, sweep) == (True, None, None)
+
+
+def test_value_set_check_witnesses(field):
+    ctx = field(6)
+    values = kloosterman_sweep(ctx)
+    assert kloosterman_value_set(ctx, values) == (True, None, None)
+    stray = list(values)
+    stray[5] = 1  # 1 = 1 mod 4 is no Kloosterman value
+    ok, b, _ = kloosterman_value_set(ctx, stray)
+    assert not ok and b == 5
+    top = max(values[1:])
+    short = [v - 4 if v == top else v for v in values]  # every b still in the set
+    assert kloosterman_value_set(ctx, short) == (False, None, top)
 
 
 @pytest.mark.parametrize("k", range(2, 11))

@@ -253,6 +253,32 @@ def test_analyze_k16_weil_exhaustive(capsys):
     assert weil["max_abs_K"] ** 2 <= 4 * (1 << 16)
 
 
+def test_analyze_value_set_entry(capsys):
+    code, out = run(capsys, "analyze", "--k", "6")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names[:2] == ["kloosterman-weil", "kloosterman-value-set"]
+    entry = json.loads(out)["checks"][1]
+    assert entry == {"name": "kloosterman-value-set", "pass": True,
+                     "mode": "exhaustive", "count": 63}
+
+
+@pytest.mark.parametrize("tamper, witness", [
+    (lambda v: v[:3] + [1] + v[4:], {"b": "0x3", "K": 1}),
+    (lambda v: [x - 4 if x == max(v[1:]) else x for x in v], {"missing": 7}),
+])
+def test_analyze_value_set_tampered_sweep(capsys, monkeypatch, tamper, witness):
+    # at k=4 the values are {-5, -1, 3, 7}; a stray value or a missing one fails
+    import char2paley.cli as cli
+    real = cli.kloosterman_sweep
+    monkeypatch.setattr(cli, "kloosterman_sweep", lambda ctx: tamper(real(ctx)))
+    code, out = run(capsys, "analyze", "--k", "4")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["kloosterman-value-set"]["pass"] is False
+    assert checks["kloosterman-value-set"]["witness"] == witness
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_analyze_rejects_nonpositive_samples(capsys, samples):
     with pytest.raises(SystemExit) as exc:

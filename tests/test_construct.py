@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, adjacency, all_points, apply, beta_of,
-    build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
-    relabel, transpose, verify_circulant, vertex_index,
+    FieldCtx, build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
+    relabel, translate, translate_rows, transpose, verify_circulant, vertex_index,
 )
 from char2paley.construct import CirculantLabeling, PaleyLikeGraph, is_circulant, rotate
 
@@ -136,6 +136,42 @@ def test_neighborhood_of_zero(field, k):
     want = {y for y in range(1, ctx.q) if ctx.trace(ctx.div(a.value, y)) == 0}
     assert finite_nbrs == want
     assert g.has_edge(0, INF)  # tr(0) = 0
+
+
+def _predicate_rows(ctx, a):
+    """Dense rows filled pair by pair from the adjacency predicate alone."""
+    pts = [INF, *range(ctx.q)]
+    return tuple(sum(1 << j for j, y in enumerate(pts) if j != i and adjacency(ctx, a, x, y) == 0)
+                 for i, x in enumerate(pts))
+
+
+def _dense(ctx, a):
+    return (build_tournament if ctx.k % 2 else build_graph)(ctx, a)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_build_matches_predicate_every_parameter(field, k):
+    ctx = field(k)
+    for a_val in range(ctx.q):
+        if ctx.trace(a_val) == 1:
+            a = param_a(ctx, a_val)
+            assert _dense(ctx, a).rows == _predicate_rows(ctx, a), f"a = {a_val:#x}"
+
+
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_build_matches_predicate_default_parameter(field, k):
+    ctx = field(k)
+    a = param_a(ctx)
+    assert _dense(ctx, a).rows == _predicate_rows(ctx, a)
+
+
+@pytest.mark.parametrize("k, poly", [(4, 0x19), (6, 0x49)])
+def test_build_matches_predicate_other_poly(k, poly):
+    ctx = FieldCtx(k, poly)
+    for a_val in range(ctx.q):
+        if ctx.trace(a_val) == 1:
+            a = param_a(ctx, a_val)
+            assert build_graph(ctx, a).rows == _predicate_rows(ctx, a), f"a = {a_val:#x}"
 
 
 def test_parity_mismatch_errors(field):
@@ -326,6 +362,36 @@ def test_primitives_match_per_bit_definitions(case):
                 flipped[j] |= 1 << i
     assert relabel(rows, perm) == moved
     assert transpose(rows) == flipped
+
+
+@st.composite
+def field_rows(draw):
+    """k <= 6, q+1 rows of q+1 bits, and a field element b."""
+    k = draw(st.integers(2, 6))
+    n = (1 << k) + 1
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return k, rows, draw(st.integers(0, (1 << k) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_rows())
+def test_translate_matches_per_bit_definition_and_relabel(case):
+    k, rows, b = case
+    ctx = FieldCtx(k)
+    for r in rows:
+        want = r & 1 | sum(1 << 1 + (x ^ b) for x in range(ctx.q) if r >> 1 + x & 1)
+        assert translate(r, b, ctx) == want
+    assert translate_rows(rows, b, ctx) == relabel(rows, [0, *(1 + (x ^ b) for x in range(ctx.q))])
+
+
+def test_translate_rejects_bad_input(field):
+    ctx = field(3)
+    with pytest.raises(ValueError):
+        translate(0b11, ctx.q, ctx)  # b is no field element
+    with pytest.raises(ValueError):
+        translate_rows([0] * ctx.q, 1, ctx)  # q rows, not q+1
+    with pytest.raises(ValueError):
+        translate_rows([0] * ctx.q + [1 << ctx.q + 1], 1, ctx)  # a bit beyond n
 
 
 @given(st.integers(0, 1 << 300))

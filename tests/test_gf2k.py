@@ -168,6 +168,22 @@ def test_trace_examples(field):
         assert field(k).trace(1) == want
 
 
+def _frobenius_trace(ctx, x):
+    # x + x^2 + ... + x^(q/2), squaring with the table-free multiply
+    t = s = x
+    for _ in range(ctx.k - 1):
+        s = ctx._mul_raw(s, s)
+        t ^= s
+    return t
+
+
+@pytest.mark.parametrize("k, poly", [*((k, None) for k in range(2, 15)),
+                                     (4, 0x19), (4, 0x1F), (6, 0x49), (8, 0x11D), (11, 0xFFB)])
+def test_trace_table_matches_frobenius_sum(field, k, poly):
+    ctx = field(k, poly)
+    assert [ctx.trace(x) for x in range(ctx.q)] == [_frobenius_trace(ctx, x) for x in range(ctx.q)]
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_trace_linear(field, k):
     ctx = field(k)

@@ -78,6 +78,37 @@ def test_shift_iso_class_even_k(field, k):
     assert kinds == {"iso", "complement-iso"} if k == 4 else kinds
 
 
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_shift_isomorphism_rejects_flipped_bit(field, k):
+    ctx = field(k)
+    a = param_a(ctx)
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    kinds = set()
+    for ap_val in [x for x in range(ctx.q) if ctx.trace(x) == 1][:6]:
+        ap = param_a(ctx, ap_val)
+        iso = shift_isomorphism(ctx, a, ap)
+        kinds.add(iso.kind)
+        assert verify_shift_isomorphism(ctx, a, ap, iso, target=g)
+        for i, j in ((0, 1), (3, g.n - 1), (g.n - 1, 2)):
+            rows = list(g.rows)
+            rows[i] ^= 1 << j
+            tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+            assert not verify_shift_isomorphism(ctx, a, ap, iso, target=tampered)
+    assert kinds == ({"iso"} if k % 2 else {"iso", "complement-iso"})
+
+
+def test_automorphisms_shift_half_rejects_flipped_edge(std, monkeypatch):
+    # with the alpha half forced to pass, z -> z+1 alone must catch the flip
+    import char2paley.structure as structure
+    ctx, a, g, _ = std(4)
+    monkeypatch.setattr(structure, "permutation_is_automorphism", lambda g, perm: True)
+    assert verify_automorphisms(g, a)
+    rows = list(g.rows)
+    rows[0] ^= 0b10  # the pair {INF, 0}; z -> z+1 sends it to {INF, 1}
+    rows[1] ^= 0b1
+    assert not verify_automorphisms(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), a)
+
+
 def test_shift_iso_rejects_bad_trace(field):
     ctx = field(4)
     with pytest.raises(ValueError):
