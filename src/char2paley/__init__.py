@@ -26,8 +26,8 @@ from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (
     INF, IDENTITY, MobiusMap, QuadExtCtx, all_points, alpha_of, apply, beta_of,
     compose, construct_a_for_order, det, find_generator_a, inverse,
-    lambda_of, lambda_ratio_order, mobius_map, orbit, point_of_index,
-    vertex_index,
+    is_full_orbit, lambda_of, lambda_ratio_order, mobius_map, orbit,
+    point_of_index, vertex_index,
 )
 from .structure import (
     ChapmanComparison, ChapmanGraph, HamiltonianDecomposition, ShiftIso,

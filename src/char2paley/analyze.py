@@ -74,13 +74,13 @@ def _kloosterman_sum(ctx: FieldCtx, b: int) -> int:
     ctx._ensure_tables()
     exp2 = ctx._exp2
     log = ctx._log
-    tr = ctx._trace
+    tr = ctx.trace
     q1 = ctx.q - 1
     lb = log[b] + q1
     # psi(z + b/z) = 1 - 2 tr(z ^ b/z)
     s = 0
     for z in range(1, ctx.q):
-        s += tr[z ^ exp2[lb - log[z]]]
+        s += tr(z ^ exp2[lb - log[z]])
     return q1 - 2 * s
 
 
@@ -118,7 +118,7 @@ def kloosterman_sweep(ctx: FieldCtx) -> list[int]:
     ctx._ensure_tables()
     exp2 = ctx._exp2
     q = ctx.q
-    conv = _cyclic_self_convolution(bytes(map(ctx._trace.__getitem__, exp2[:q - 1])))
+    conv = _cyclic_self_convolution(bytes(map(ctx.trace, exp2[:q - 1])))
     out = [0] * q
     for t, c in enumerate(conv):
         out[exp2[t]] = 4 * c - q - 1

@@ -23,7 +23,7 @@ from .analyze import (
     kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
-    MATRIX_CAP, OutOfScopeError, build_graph, build_tournament,
+    MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap,
     circulant_labeling, param_a, transpose, verify_circulant,
 )
 from .formats import (
@@ -150,9 +150,7 @@ def cmd_build(args) -> int:
             "to acknowledge directed output")
     if args.k % 2 == 0 and args.tournament:
         raise ValueError(f"k = {args.k} is even and defines a graph, not a tournament")
-    if (1 << args.k) + 1 > MATRIX_CAP:
-        raise OutOfScopeError(
-            f"order {(1 << args.k) + 1} exceeds the dense adjacency cap {MATRIX_CAP}")
+    check_cap(args.k)
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: (build_tournament if ctx.k % 2 else build_graph)(ctx, a))
     writer = {
@@ -229,6 +227,7 @@ def cmd_certify(args) -> int:
     _check_k_range(args.k)
     if args.k % 2:
         raise ValueError("certify works on graphs: k must be even")
+    check_cap(args.k)
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
     checks = _Checks()
@@ -388,6 +387,7 @@ def cmd_decompose(args) -> int:
     _check_k_range(args.k)
     if args.k % 2:
         raise ValueError("decompose works on graphs: k must be even")
+    check_cap(args.k)
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
@@ -465,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"char2paley {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=100_000):
+    def common(p):
         p.add_argument("--k", type=int, required=True, metavar="K",
                        help=f"extension degree, 2..{K_MAX}")
         p.add_argument("--a", type=_hex_int, default=None, metavar="HEX",
@@ -473,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poly", type=_hex_int, default=None, metavar="HEX",
                        help="irreducible reduction polynomial (default: built-in)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_positive_int, default=samples_default)
         p.add_argument("--output", "-o", default="-", metavar="PATH")
 
     p = sub.add_parser("build", help="write the graph or tournament to a file")
@@ -490,6 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="codegrees, Kloosterman sums, jumbledness")
     common(p)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("decompose", help="Hamiltonian decomposition (prime q+1)")
@@ -498,6 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chapman", help="independent coset construction cross-check")
     common(p)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.set_defaults(fn=cmd_chapman)
     return ap
 

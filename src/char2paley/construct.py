@@ -20,7 +20,9 @@ from functools import cached_property, lru_cache
 from itertools import compress, count
 
 from .gf2k import FieldCtx
-from .mobius import INF, _alpha_orbit_len, alpha_of, find_generator_a, orbit, vertex_index
+from .mobius import (
+    INF, QuadExtCtx, alpha_of, find_generator_a, is_full_orbit, orbit, vertex_index,
+)
 
 MATRIX_CAP = 4097  # largest q+1 for which dense adjacency rows are built
 
@@ -49,7 +51,7 @@ def param_a(ctx: FieldCtx, a: int | None = None) -> ParamA:
     ctx.check_elem(a)
     if ctx.trace(a) != 1:
         raise ValueError(f"parameter must have trace 1, tr({a:#x}) = 0")
-    return ParamA(a, _alpha_orbit_len(ctx, a) == ctx.q + 1)
+    return ParamA(a, is_full_orbit(QuadExtCtx(ctx), a))
 
 
 def adjacency(ctx: FieldCtx, a: ParamA, x, y) -> int:
@@ -107,8 +109,9 @@ class PaleyLikeGraph:
         return total if self.directed else total // 2
 
 
-def _check_cap(ctx: FieldCtx) -> int:
-    n = ctx.q + 1
+def check_cap(k: int) -> int:
+    """The order q+1 = 2^k + 1, or OutOfScopeError above the dense cap."""
+    n = (1 << k) + 1
     if n > MATRIX_CAP:
         raise OutOfScopeError(
             f"order {n} exceeds the dense adjacency cap {MATRIX_CAP};"
@@ -133,13 +136,13 @@ class _RowTables:
 def _row_tables(ctx: FieldCtx) -> _RowTables:
     ctx._ensure_tables()
     m = ctx.q - 1
-    exp2, log, tr = ctx._exp2, ctx._log, ctx._trace
-    ones = "".join("01"[tr[exp2[-i % m]]] for i in range(m))
+    exp2, log, tr = ctx._exp2, ctx._log, ctx.trace
+    ones = "".join("01"[tr(exp2[-i % m])] for i in range(m))
     zeros = ones.translate(str.maketrans("01", "10"))
     # string position p holds bit n-1-p: bit 1+u reads log-order char log[u],
     # bits 1 and 0 read the tail
     to_row = operator.itemgetter(*(log[u] for u in range(m, 0, -1)), m, m + 1)
-    inf_row = int("".join("10"[tr[w ^ 1]] for w in range(m, -1, -1)), 2) << 1
+    inf_row = int("".join("10"[tr(w ^ 1)] for w in range(m, -1, -1)), 2) << 1
     return _RowTables((zeros * 2, ones * 2), to_row, inf_row)
 
 
@@ -154,15 +157,15 @@ def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     string.  x and x + 1 share c, and tr(x + 1) = tr(x) + tr(1), so they
     share the rotated row, complemented when tr(1) = 1 (odd k).
     """
-    n = _check_cap(ctx)
+    n = check_cap(ctx.k)
     tabs = _row_tables(ctx)
-    log, tr = ctx._log, ctx._trace
+    log = ctx._log
     m = ctx.q - 1
     flip = (1 << n) - 1 ^ 0b10 if ctx.trace(1) else 0  # all but the loop bit
     rows = [tabs.inf_row]
     for x in range(0, ctx.q, 2):
         lc = log[ctx.mul(x, x) ^ x ^ a.value]
-        tx = tr[x]
+        tx = ctx.trace(x)
         pre = int("".join(tabs.to_row(tabs.doubled[tx][m - lc:2 * m - lc] + _TAILS[tx])), 2)
         rows.append(translate(pre, x, ctx))
         rows.append(translate(pre ^ flip, x ^ 1, ctx))
@@ -253,13 +256,22 @@ def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
             *(translate(rows[1 + (y ^ b)], b, ctx) for y in range(ctx.q))]
 
 
+_TRANSPOSE_BLOCK = 256  # columns per pass of transpose
+
+
 def transpose(rows) -> list[int]:
     """Rows of the transposed matrix: bit i of row j is bit j of row i."""
     _check_width(rows)
-    fmt = f"0{len(rows)}b"
-    # column s of the reversed rows' strings, read as binary, is row n-1-s
-    cols = zip(*[format(r, fmt) for r in reversed(rows)])
-    return [int("".join(col), 2) for col in cols][::-1]
+    n = len(rows)
+    out = []
+    # one block of columns at a time, so only n short strings are ever held:
+    # column s of the block [lo, hi) of the reversed rows, read as binary, is row hi-1-s
+    for hi in range(n, 0, -_TRANSPOSE_BLOCK):
+        lo = max(hi - _TRANSPOSE_BLOCK, 0)
+        fmt, low = f"0{hi - lo}b", (1 << hi - lo) - 1
+        cols = zip(*[format(r >> lo & low, fmt) for r in reversed(rows)])
+        out.extend(int("".join(col), 2) for col in cols)
+    return out[::-1]
 
 
 def rotate(mask: int, i: int, n: int) -> int:
@@ -322,7 +334,7 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
             " no circulant labeling")
     verts = orbit(ctx, alpha_of(ctx, a.value), INF)
     if len(verts) != ctx.q + 1:
-        raise AssertionError("generator flag disagrees with the actual orbit")
+        raise AssertionError("the alpha-orbit length disagrees with the lambda-ratio order")
     conn = frozenset(i for i in range(1, ctx.q + 1) if ctx.trace(verts[i]) == 0)
     pos = {p: i for i, p in enumerate(verts)}
     return CirculantLabeling(a, tuple(verts), conn, pos)

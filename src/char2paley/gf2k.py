@@ -17,13 +17,13 @@ factor search in the test suite):
     k=12 : z^12+z^3+1         0x1009
     ...
 
-For q <= 2^16 a FieldCtx lazily builds exp/log, trace, and inverse
-tables (the trace table as the parity of x masked by the traces of the
-basis elements); multiplication, division, and trace then cost one or
-two list lookups, which is what the graph-construction inner loops run
-on.
-Above that, operations fall back to shift-and-xor / extended-gcd code
-paths that need no tables.
+The trace is F_2-linear, so at every k it is the parity of x masked by
+tmask, whose bit i is the trace of the basis element z^i; a FieldCtx
+computes tmask once, without tables.  For q <= 2^16 it lazily builds
+exp/log and inverse tables, and multiplication and division then cost
+one or two list lookups, which is what the graph-construction inner
+loops run on.  Above that, they fall back to shift-and-xor /
+extended-gcd code paths that need no tables.
 
 Elements are printed in lowercase hex (e.g. 0x13 is z^4+z+1) everywhere
 the package does I/O.
@@ -116,10 +116,20 @@ class FieldCtx:
         self.poly = poly
         self._exp2: list[int] | None = None   # doubled exp table, length 2(q-1)
         self._log: list[int] | None = None
-        self._trace: list[int] | None = None
         self._inv: list[int] | None = None
         self._as_rows: list[tuple[int, int, int]] | None = None
         self._generator: int | None = None
+        # bit i of tmask is tr(z^i), the Frobenius sum of the basis element z^i
+        tmask = 0
+        for i in range(k):
+            t = s = 1 << i
+            for _ in range(k - 1):
+                s = self._mul_raw(s, s)
+                t ^= s
+            if t > 1:
+                raise AssertionError(f"trace of z^{i} is {t:#x}, not in F_2")
+            tmask |= t << i
+        self.tmask = tmask
 
     def __repr__(self) -> str:
         return f"FieldCtx(k={self.k}, poly={self.poly:#x})"
@@ -212,15 +222,7 @@ class FieldCtx:
 
     def trace(self, x: int) -> int:
         """tr(x) = x + x^2 + x^4 + ... + x^(q/2), an element of F_2."""
-        if self.q <= _TABLE_LIMIT:
-            self._ensure_tables()
-            return self._trace[x]
-        t = x
-        s = x
-        for _ in range(self.k - 1):
-            s = self._mul_raw(s, s)
-            t ^= s
-        return t
+        return (x & self.tmask).bit_count() & 1
 
     def trace_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(T0, T1): the trace-0 and trace-1 halves of the field, ascending."""
@@ -307,19 +309,7 @@ class FieldCtx:
             v = self._mul_raw(v, g)
         if v != 1:
             raise AssertionError("generator order check failed")
-        # the trace is F_2-linear, so tr(x) is the parity of x & tmask, where
-        # bit i of tmask is the Frobenius sum of the basis element z^i
-        tmask = 0
-        for i in range(self.k):
-            t = s = 1 << i
-            for _ in range(self.k - 1):
-                s = exp2[2 * log[s]]
-                t ^= s
-            if t > 1:
-                raise AssertionError(f"trace of z^{i} is {t:#x}, not in F_2")
-            tmask |= t << i
-        tr = [(x & tmask).bit_count() & 1 for x in range(self.q)]
         inv = [0] * self.q
         for x in range(1, self.q):
             inv[x] = exp2[q1 - log[x]]
-        self._exp2, self._log, self._trace, self._inv = exp2, log, tr, inv
+        self._exp2, self._log, self._inv = exp2, log, inv

@@ -138,33 +138,6 @@ def orbit(ctx: FieldCtx, m: MobiusMap, start) -> list:
     return out
 
 
-def _alpha_orbit_len(ctx: FieldCtx, a: int) -> int:
-    """Length of the alpha_a-orbit of INF, without building the point list."""
-    inv = ctx.inv
-    mul = ctx.mul
-    n = 0
-    p = INF
-    while True:
-        # alpha(p) = a/(p+1), alpha(INF) = 0, alpha(1) = INF
-        if p is INF:
-            p = 0
-        else:
-            d = p ^ 1
-            p = INF if d == 0 else mul(a, inv(d))
-        n += 1
-        if p is INF:
-            return n
-
-
-def find_generator_a(ctx: FieldCtx) -> int:
-    """Smallest trace-1 element whose alpha-orbit of INF has full length q+1."""
-    full = ctx.q + 1
-    for a in range(ctx.q):
-        if ctx.trace(a) == 1 and _alpha_orbit_len(ctx, a) == full:
-            return a
-    raise AssertionError(f"no full-orbit parameter found in GF(2^{ctx.k})")
-
-
 # ---------------------------------------------------------------------------
 # GF(q^2) as pairs over the base field
 
@@ -291,6 +264,27 @@ def lambda_ratio_order(ext: QuadExtCtx, a: int) -> int:
     lam = lambda_of(ext, a)
     ratio = ext.mul(ext.conj(lam), ext.inv(lam))
     return ext.mult_order(ratio)
+
+
+def is_full_orbit(ext: QuadExtCtx, a: int) -> bool:
+    """Whether the alpha_a-orbit of INF has full length q+1, for tr(a) = 1.
+
+    alpha's matrix ((0, a), (1, 1)) has the roots lambda, lambda^q of
+    z^2 + z + a as eigenvalues.  alpha^m is the identity map exactly
+    when (lambda^q / lambda)^m = 1; otherwise its eigenvalues are
+    distinct conjugates outside GF(q) and it fixes no point.  So the
+    orbit length of INF is the order of that ratio.
+    """
+    return lambda_ratio_order(ext, a) == ext.base.q + 1
+
+
+def find_generator_a(ctx: FieldCtx) -> int:
+    """Smallest trace-1 element whose alpha-orbit of INF has full length q+1."""
+    ext = QuadExtCtx(ctx)
+    for a in range(ctx.q):
+        if ctx.trace(a) == 1 and is_full_orbit(ext, a):
+            return a
+    raise AssertionError(f"no full-orbit parameter found in GF(2^{ctx.k})")
 
 
 def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:

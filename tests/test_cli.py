@@ -231,6 +231,26 @@ def test_build_capacity_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [("certify", "--k", "14"), ("certify", "--k", "20"),
+                                  ("decompose", "--k", "16")])
+def test_dense_cap_checked_before_setup(capsys, monkeypatch, argv):
+    # the cap rejects the order before any field or parameter setup runs
+    import char2paley.cli as cli
+
+    def no_setup(*args):
+        raise AssertionError("setup ran before the cap check")
+
+    monkeypatch.setattr(cli, "param_a", no_setup)
+    assert main(list(argv)) == 3
+    assert "exceeds the dense adjacency cap" in capsys.readouterr().err
+
+
+def test_samples_only_on_sampling_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--k", "4", "--samples", "5"])
+    assert exc.value.code == 2
+
+
 def test_analyze_above_dense_cap_streams(capsys):
     # k=14 has no dense matrix: the Weil check still sweeps every b,
     # the checks that need the matrix are skipped

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -397,6 +399,15 @@ def test_translate_rejects_bad_input(field):
 @given(st.integers(0, 1 << 300))
 def test_iter_bits_any_width(x):
     assert sum(1 << j for j in iter_bits(x)) == x
+
+
+def test_transpose_across_column_blocks():
+    # n = 600 spans three column blocks, the last one short
+    rng = random.Random(5)
+    n = 600
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    want = [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+    assert transpose(rows) == want
 
 
 def test_primitives_reject_bits_beyond_n():

@@ -5,7 +5,7 @@ import pytest
 from char2paley import (
     IDENTITY, INF, QuadExtCtx, all_points, alpha_of, apply, beta_of, compose,
     construct_a_for_order, det, factorize, find_generator_a, inverse,
-    lambda_of, lambda_ratio_order, mobius_map, orbit, point_of_index,
+    lambda_of, lambda_ratio_order, mobius_map, orbit, param_a, point_of_index,
     vertex_index,
 )
 
@@ -100,7 +100,9 @@ def test_orbit_length_equals_ratio_order(field, k):
     ctx = field(k)
     ext = QuadExtCtx(ctx)
     for a in trace1_elements(ctx):
-        assert len(orbit(ctx, alpha_of(ctx, a), INF)) == lambda_ratio_order(ext, a)
+        length = len(orbit(ctx, alpha_of(ctx, a), INF))
+        assert length == lambda_ratio_order(ext, a)
+        assert param_a(ctx, a).is_generator == (length == ctx.q + 1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 10])
@@ -118,6 +120,16 @@ def test_orbit_endpoint_identities(field, k):
 
 def test_find_generator_a_k2(field):
     assert find_generator_a(field(2)) == 2
+
+
+# the defaults at k = 2..16 are the ones a search by whole alpha-orbit walks finds
+GENERATOR_A = [0x2, 0x3, 0x8, 0x3, 0x21, 0xB, 0x20, 0x3, 0x80, 0x9, 0x202, 0x7, 0x200,
+               0x3, 0x800, 0x3, 0x8002, 0xB, 0x20000]
+
+
+@pytest.mark.parametrize("k, want", zip(range(2, 21), GENERATOR_A))
+def test_find_generator_a_pinned(field, k, want):
+    assert find_generator_a(field(k)) == want
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
