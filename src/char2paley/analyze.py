@@ -160,10 +160,10 @@ def codegree_formula(ctx: FieldCtx, a: ParamA, x, y,
                      kloo: list[int] | None = None) -> int:
     """Codegree of (x, y) via the Kloosterman identity, no matrix needed.
 
-    Rotates y to INF along the circulant labeling (so `a` must generate a
-    full orbit), then evaluates q/4 - eps + (K(x'^2 + x' + a) + 1)/4 at
-    the rotated x'.  Optional precomputed labeling and K table make the
-    per-pair cost O(1).
+    Rotates y to INF along the circulant labeling, an automorphism at
+    every trace-1 `a`, then evaluates q/4 - eps + (K(x'^2 + x' + a) + 1)/4
+    at the rotated x'.  Optional precomputed labeling and K table make
+    the per-pair cost O(1).
     """
     if ctx.k % 2:
         raise ValueError("the codegree formula is for graphs (even k)")

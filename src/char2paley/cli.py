@@ -1,6 +1,6 @@
 """Command-line front-end: build, certify, analyze, decompose, chapman.
 
-Reports are JSON documents (schema 2) whose bytes depend only on the
+Reports are JSON documents (schema 3) whose bytes depend only on the
 configuration, seed included, so identical invocations produce
 identical files; wall-clock timings of every stage and check go to
 stderr only.  A skipped check is written with "pass": true and
@@ -62,14 +62,10 @@ def _make_ctx_and_a(args):
 
 
 def _config_echo(args, ctx, a) -> dict:
-    return {
-        "k": args.k,
-        "a": f"{a.value:#x}",
-        "a_is_generator": a.is_generator,
-        "poly": f"{ctx.poly:#x}",
-        "seed": getattr(args, "seed", 0),
-        "samples": getattr(args, "samples", 0),
-    }
+    echo = {"k": args.k, "a": f"{a.value:#x}", "poly": f"{ctx.poly:#x}", "seed": args.seed}
+    if "samples" in args:
+        echo["samples"] = args.samples
+    return echo
 
 
 def _emit(args, chunks) -> None:
@@ -124,7 +120,7 @@ class _Checks:
 
 def _report(args, ctx, a, command: str, checks: _Checks, extra: dict | None = None) -> str:
     doc = {
-        "schema": 2,
+        "schema": 3,
         "tool": "char2paley",
         "version": __version__,
         "command": command,
@@ -193,17 +189,12 @@ def _check_no_loops(g):
 
 
 def _check_labeling_identities(ctx, a, lab):
+    # v_2 = b^2 + a, v_q = 1 + b and v_(q-1) = 1 + b^2 + a follow from these
     n = ctx.q + 1
     v = lab.vertices
     fails = []
-    if v[1] != 0:
-        fails.append("v_1 != 0")
-    if v[2] != a.value:
-        fails.append("v_2 != a")
-    if v[ctx.q] != 1:
-        fails.append("v_q != 1")
-    if v[ctx.q - 1] != 1 ^ a.value:
-        fails.append("v_(q-1) != 1+a")
+    if v[1] != lab.b:
+        fails.append(f"v_1 != {lab.b}")
     for i in range(1, n):
         if v[n - i] != 1 ^ v[i]:
             fails.append(f"v_(-{i}) != 1 + v_{i}")
@@ -217,10 +208,21 @@ def _check_labeling_identities(ctx, a, lab):
     return True, None
 
 
+def _circulant_witness(g, lab) -> dict:
+    """The first v_i whose dense row is not the connection set shifted by i."""
+    idx, n = lab.index, lab.n
+    i = next(i for i in range(n)
+             if g.rows[idx[i]] != sum(1 << idx[(i + d) % n] for d in lab.conn))
+    return {"vertex": point_label(lab.vertices[i]), "orbit_position": i}
+
+
 def _check_circulant(g, lab):
     conn = sorted(lab.conn)
-    return verify_circulant(g, lab), {
-        "connection_set_size": len(conn), "connection_set_min": conn[0]}
+    detail = {"connection_set_size": len(conn), "connection_set_min": conn[0]}
+    ok = verify_circulant(g, lab)
+    if not ok:
+        detail["witness"] = _circulant_witness(g, lab)
+    return ok, detail
 
 
 def cmd_certify(args) -> int:
@@ -234,19 +236,15 @@ def cmd_certify(args) -> int:
     checks.run("regularity", lambda: _check_regularity(g))
     checks.run("symmetry", lambda: _check_symmetry(g))
     checks.run("no-loops", lambda: _check_no_loops(g))
-    if a.is_generator:
-        lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-        checks.run("circulant", lambda: _check_circulant(g, lab))
-        checks.run("labeling-identities", lambda: _check_labeling_identities(ctx, a, lab))
-        checks.run("self-complementary", lambda: (verify_self_complementary(g, lab), None))
-    else:
-        for name in ("circulant", "labeling-identities", "self-complementary"):
-            checks.skip(name, "parameter does not generate a full orbit")
-    auto_ok = checks.run("automorphisms", lambda: (verify_automorphisms(g, a), None))
-    checks.run("vertex-transitive", lambda: (
-        a.is_generator and auto_ok,
-        {"certificate": "cyclic automorphism of order q+1"} if a.is_generator else
-        {"witness": {"reason": "no full alpha-orbit for this parameter"}}))
+    lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
+    circ_ok = checks.run("circulant", lambda: _check_circulant(g, lab))
+    checks.run("labeling-identities", lambda: _check_labeling_identities(ctx, a, lab))
+    checks.run("self-complementary", lambda: (verify_self_complementary(g, lab), None))
+    checks.run("automorphisms", lambda: (verify_automorphisms(g, a), None))
+    # the certified circulant makes v_i -> v_(i+1) an automorphism of order q+1
+    checks.run("vertex-transitive", lambda: (circ_ok, (
+        {"certificate": "cyclic automorphism of order q+1"} if circ_ok else
+        {"witness": _circulant_witness(g, lab)})))
 
     def shift_class():
         t1 = [x for x in range(ctx.q) if ctx.trace(x) == 1]
@@ -303,10 +301,8 @@ def cmd_analyze(args) -> int:
 
     if ctx.q + 1 <= MATRIX_CAP:
         g = _stage("build", lambda: build_graph(ctx, a))
-        lab = _stage("labeling", lambda: circulant_labeling(ctx, a)) if a.is_generator else None
-        if lab is None:
-            checks.skip("circulant", "parameter does not generate a full orbit")
-        certified = lab is not None and checks.run("circulant", lambda: _check_circulant(g, lab))
+        lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
+        certified = checks.run("circulant", lambda: _check_circulant(g, lab))
         # the spectrum may rest on the connection set only once it is certified
         spec = _stage("codegree-spectrum", lambda: codegree_spectrum(g, lab if certified else None))
         extra["codegree_spectrum"] = [
@@ -351,10 +347,7 @@ def cmd_analyze(args) -> int:
                         "direct": want, "formula": got}}
             return True, {"mode": mode, "count": count}
 
-        if lab is None:
-            checks.skip("codegree-formula-vs-direct", "no circulant labeling for this parameter")
-        else:
-            checks.run("codegree-formula-vs-direct", formula_vs_direct)
+        checks.run("codegree-formula-vs-direct", formula_vs_direct)
 
         def jumbled():
             if g.n <= 17:
@@ -430,8 +423,8 @@ def cmd_chapman(args) -> int:
             verify_representative_independence(h, 0), {"mode": "exhaustive"}))
     else:
         checks.run("representative-independence", lambda: (
-            verify_representative_independence(h, min(args.samples, 2000), args.seed),
-            {"mode": "sampled", "count": min(args.samples, 2000)}))
+            verify_representative_independence(h, args.samples, args.seed),
+            {"mode": "sampled", "count": args.samples}))
     checks.run("coset-graph-circulant", lambda: (h.circulant_certified, None))
     cmp_result = _stage("compare", lambda: chapman_compare(h, g))
     checks.run("isomorphic", lambda: (
@@ -498,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chapman", help="independent coset construction cross-check")
     common(p)
-    p.add_argument("--samples", type=_positive_int, default=100_000)
+    p.add_argument("--samples", type=_positive_int, default=2000)
     p.set_defaults(fn=cmd_chapman)
     return ap
 

@@ -21,7 +21,7 @@ from itertools import compress, count
 
 from .gf2k import FieldCtx
 from .mobius import (
-    INF, QuadExtCtx, alpha_of, find_generator_a, is_full_orbit, orbit, vertex_index,
+    INF, MobiusMap, QuadExtCtx, find_generator_a, is_full_orbit, orbit, vertex_index,
 )
 
 MATRIX_CAP = 4097  # largest q+1 for which dense adjacency rows are built
@@ -33,25 +33,23 @@ class OutOfScopeError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParamA:
-    """A trace-1 graph parameter, with its full-orbit flag precomputed."""
+    """A trace-1 graph parameter."""
 
     value: int
-    is_generator: bool
 
 
 def param_a(ctx: FieldCtx, a: int | None = None) -> ParamA:
     """Wrap (or choose) a graph parameter.
 
     With no explicit value, picks the smallest trace-1 element whose
-    alpha-orbit is full, so the circulant certificates are available.
+    alpha-orbit is full, so its circulant labeling is the alpha-orbit.
     """
     if a is None:
-        a = find_generator_a(ctx)
-        return ParamA(a, True)
+        return ParamA(find_generator_a(ctx))
     ctx.check_elem(a)
     if ctx.trace(a) != 1:
         raise ValueError(f"parameter must have trace 1, tr({a:#x}) = 0")
-    return ParamA(a, is_full_orbit(QuadExtCtx(ctx), a))
+    return ParamA(a)
 
 
 def adjacency(ctx: FieldCtx, a: ParamA, x, y) -> int:
@@ -159,6 +157,7 @@ def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     """
     n = check_cap(ctx.k)
     tabs = _row_tables(ctx)
+    ctx._ensure_tables()  # tabs are shared by equal contexts; this one may have no tables yet
     log = ctx._log
     m = ctx.q - 1
     flip = (1 << n) - 1 ^ 0b10 if ctx.trace(1) else 0  # all but the loop bit
@@ -287,14 +286,17 @@ def is_circulant(rows, conn_mask: int, n: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CirculantLabeling:
-    """The alpha-orbit labeling v_i of PG(1,q) and its connection set.
+    """A cyclic-automorphism labeling v_i of PG(1,q) and its connection set.
 
-    vertices[i] is v_i = alpha^i(INF); conn is the set of circulant
-    distances d with tr(v_d) = 0, i.e. the neighbours of v_0 = INF.
-    For even k: v_i ~ v_j exactly when (j - i) mod (q+1) is in conn.
+    vertices[i] is v_i = sigma^i(INF) for sigma(z) = (b z + a)/(z + b + 1)
+    (see circulant_labeling), so v_1 = b; b = 0 gives alpha's orbit.
+    conn is the set of circulant distances d with tr(v_d + 1) = 0, the
+    neighbours of v_0 = INF (out-neighbours when directed): v_i ~ v_j,
+    or v_i -> v_j, exactly when (j - i) mod (q+1) is in conn.
     """
 
     a: ParamA
+    b: int
     vertices: tuple
     conn: frozenset[int]
     pos: dict = field(repr=False)
@@ -328,16 +330,21 @@ class CirculantLabeling:
 
 
 def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
-    if not a.is_generator:
-        raise ValueError(
-            f"alpha-orbit of INF under a = {a.value:#x} is shorter than q+1;"
-            " no circulant labeling")
-    verts = orbit(ctx, alpha_of(ctx, a.value), INF)
+    """The orbit of INF under sigma(z) = (b z + a)/(z + b + 1), an automorphism.
+
+    sigma is alpha at a' = a + b^2 + b conjugated by x -> x + b, which
+    carries the graph at a' onto the one at a or its complement.  b is the
+    smallest even element giving a' a full alpha-orbit: b^2 + b runs over
+    every trace-0 element, so one exists, and b = 0 when a's orbit is full.
+    """
+    ext = QuadExtCtx(ctx)
+    b = next(b for b in range(0, ctx.q, 2) if is_full_orbit(ext, a.value ^ ctx.sqr(b) ^ b))
+    verts = orbit(ctx, MobiusMap(b, a.value, 1, b ^ 1), INF)
     if len(verts) != ctx.q + 1:
-        raise AssertionError("the alpha-orbit length disagrees with the lambda-ratio order")
-    conn = frozenset(i for i in range(1, ctx.q + 1) if ctx.trace(verts[i]) == 0)
+        raise AssertionError("the orbit length disagrees with the lambda-ratio order")
+    conn = frozenset(d for d in range(1, ctx.q + 1) if ctx.trace(verts[d] ^ 1) == 0)
     pos = {p: i for i, p in enumerate(verts)}
-    return CirculantLabeling(a, tuple(verts), conn, pos)
+    return CirculantLabeling(a, b, tuple(verts), conn, pos)
 
 
 def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:

@@ -308,8 +308,6 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph) -> ChapmanComparison:
     if not spectra_match:
         return ChapmanComparison("not-isomorphic", None, False)
     n = g.n
-    if not g.a.is_generator:
-        return ChapmanComparison("consistent-uncertified", None, True)
     lab = circulant_labeling(g.ctx, g.a)
     g_orbit = list(lab.orbit_rows(g.rows))
     for m in range(1, n):

@@ -159,7 +159,7 @@ def test_spectrum_witness_when_cap_fails(std):
         for d in conn:
             rows[idx[i]] |= 1 << idx[(i + d) % n]
     g = PaleyLikeGraph(ctx, a, n, tuple(rows))
-    interval = CirculantLabeling(a, lab.vertices, conn, lab.pos)
+    interval = CirculantLabeling(a, lab.b, lab.vertices, conn, lab.pos)
     assert verify_circulant(g, interval)
     for spec in (codegree_spectrum(g, interval), codegree_spectrum(g)):
         assert not spec.within_bound

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from char2paley import PaleyLikeGraph, build_graph, build_tournament, iter_bits, param_a, FieldCtx
+from char2paley import (
+    FieldCtx, PaleyLikeGraph, build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
+)
 from char2paley.cli import main
 from char2paley.formats import parse_edges, write_edges
 
@@ -107,28 +109,49 @@ def test_certify_k4(capsys, tmp_path):
     code, _ = run(capsys, "certify", "--k", "4", "--output", str(rpt))
     assert code == 0
     doc = json.loads(rpt.read_text())
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["pass"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"regularity", "symmetry", "circulant", "self-complementary",
             "automorphisms", "shift-isomorphism-class"} <= names
-    assert doc["config"]["a"] == "0x8"
-    assert doc["config"]["poly"] == "0x13"
+    # certify samples nothing, so its config echoes no sample count
+    assert doc["config"] == {"k": 4, "a": "0x8", "poly": "0x13", "seed": 0}
 
 
-def test_certify_non_generator_parameter_fails_transitivity(capsys, tmp_path):
+def test_certify_short_orbit_parameter_is_complete(capsys, tmp_path):
     # 0x20 has trace 1 at k=6 but its alpha-orbit has length 13, not 65:
-    # the graph still builds, but the transitivity certificate must fail
+    # the labeling conjugates a full-orbit alpha instead, and every check runs
     rpt = tmp_path / "cert.json"
     code, _ = run(capsys, "certify", "--k", "6", "--a", "0x20", "--output", str(rpt))
-    assert code == 1
+    assert code == 0
     doc = json.loads(rpt.read_text())
-    assert doc["pass"] is False
+    assert doc["pass"] is True and doc["complete"] is True
     checks = {c["name"]: c for c in doc["checks"]}
-    assert checks["regularity"]["pass"] and checks["symmetry"]["pass"]
-    assert checks["circulant"].get("skipped") is True
-    vt = checks["vertex-transitive"]
-    assert vt["pass"] is False and "witness" in vt
+    assert all(c["pass"] and "skipped" not in c for c in checks.values())
+    assert checks["vertex-transitive"]["certificate"] == "cyclic automorphism of order q+1"
+
+
+def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
+    # one row bit flipped at a short-orbit parameter: the circulant check and
+    # the vertex-transitivity resting on it fail, naming the first bad row
+    import char2paley.cli as cli
+    ctx = FieldCtx(6)
+    a = param_a(ctx, 0x20)
+    g = build_graph(ctx, a)
+    rows = list(g.rows)
+    rows[5] ^= 1 << 9
+    tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+    code, out = run(capsys, "certify", "--k", "6", "--a", "0x20")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    lab = circulant_labeling(ctx, a)
+    i = lab.pos[4]  # dense row 5 is the point 0x4
+    witness = {"vertex": "0x4", "orbit_position": i}
+    assert checks["circulant"]["pass"] is False
+    assert checks["circulant"]["witness"] == witness
+    assert checks["vertex-transitive"] == {
+        "name": "vertex-transitive", "pass": False, "witness": witness}
 
 
 def test_certify_rejects_trace0_a(capsys):
@@ -202,6 +225,24 @@ def test_chapman_k2(capsys):
     assert iso["pass"] and iso["verdict"] == "isomorphic-certified"
     undef = next(c for c in doc["checks"] if c["name"] == "no-undefined-pairs")
     assert undef["undefined_pair_count"] == 0
+
+
+@pytest.mark.parametrize("argv, count", [((), 2000), (("--samples", "2500"), 2500)])
+def test_chapman_samples_default_and_uncapped(capsys, argv, count):
+    code, out = run(capsys, "chapman", "--k", "4", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["samples"] == count
+    rep = next(c for c in doc["checks"] if c["name"] == "representative-independence")
+    assert rep == {"name": "representative-independence", "pass": True,
+                   "mode": "sampled", "count": count}
+
+
+def test_chapman_short_orbit_parameter_certified(capsys):
+    code, out = run(capsys, "chapman", "--k", "6", "--a", "0x20")
+    assert code == 0
+    iso = next(c for c in json.loads(out)["checks"] if c["name"] == "isomorphic")
+    assert iso["verdict"] == "isomorphic-certified"
 
 
 def test_chapman_rejects_odd_k(capsys):
@@ -313,31 +354,56 @@ def test_analyze_k4_reports_circulant_check(capsys):
     assert circ["pass"] is True and circ["connection_set_size"] == 8
 
 
-def test_analyze_non_generator_skips_circulant(capsys):
-    # 0x20 has a short alpha-orbit at k=6: no labeling, the spectrum is counted pairwise
+def test_certify_labeling_identities_pin_b(capsys, monkeypatch):
+    # a labeling claiming another shift b fails the v_1 = b pin, and only that
+    import char2paley.cli as cli
+    from char2paley.construct import CirculantLabeling
+    real = cli.circulant_labeling
+
+    def wrong_b(ctx, a):
+        lab = real(ctx, a)
+        return CirculantLabeling(lab.a, 2, lab.vertices, lab.conn, lab.pos)
+
+    monkeypatch.setattr(cli, "circulant_labeling", wrong_b)
+    code, out = run(capsys, "certify", "--k", "4")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == [{"name": "labeling-identities", "pass": False,
+                       "witness": {"identities": ["v_1 != 2"]}}]
+
+
+def test_analyze_short_orbit_parameter_is_circulant(capsys):
+    # 0x20 has a short alpha-orbit at k=6: the spectrum still rests on a certified circulant
     code, out = run(capsys, "analyze", "--k", "6", "--a", "0x20", "--samples", "200")
     assert code == 0
     doc = json.loads(out)
     checks = {c["name"]: c for c in doc["checks"]}
-    assert checks["circulant"].get("skipped") is True
+    assert checks["circulant"] == {"name": "circulant", "pass": True,
+                                   "connection_set_size": 32, "connection_set_min": 1}
     assert sum(e["count"] for e in doc["codegree_spectrum"]) == 65 * 64 // 2
 
 
-def test_non_generator_formula_check_skipped_on_stderr(capsys):
-    # the formula needs the circulant labeling: a skip line, never a PASS line
-    assert main(["analyze", "--k", "6", "--a", "0x20", "--samples", "200"]) == 0
-    captured = capsys.readouterr()
-    entry = next(c for c in json.loads(captured.out)["checks"]
-                 if c["name"] == "codegree-formula-vs-direct")
-    assert entry == {"name": "codegree-formula-vs-direct", "pass": True, "skipped": True,
-                     "reason": "no circulant labeling for this parameter"}
-    lines = [ln for ln in captured.err.splitlines() if "codegree-formula-vs-direct" in ln]
-    assert len(lines) == 1 and "skip" in lines[0] and "PASS" not in lines[0]
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_formula_check_exhaustive_every_parameter(capsys, k):
+    # the formula rotates pairs along the labeling, which exists at every trace-1 a
+    q = 1 << k
+    ctx = FieldCtx(k)
+    for a_val in range(q):
+        if ctx.trace(a_val) != 1:
+            continue
+        assert main(["analyze", "--k", str(k), "--a", hex(a_val), "--samples", "1"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        entry = next(c for c in doc["checks"] if c["name"] == "codegree-formula-vs-direct")
+        assert entry == {"name": "codegree-formula-vs-direct", "pass": True,
+                         "mode": "exhaustive", "count": q * (q + 1) // 2}, hex(a_val)
+        assert doc["complete"] is True
+        assert "PASS codegree-formula-vs-direct" in captured.err
 
 
 @pytest.mark.parametrize("argv, complete", [
     (("analyze", "--k", "14", "--samples", "50"), False),
-    (("analyze", "--k", "6", "--a", "0x20", "--samples", "200"), False),
+    (("analyze", "--k", "6", "--a", "0x20", "--samples", "200"), True),
     (("certify", "--k", "4"), True),
 ])
 def test_report_complete_flag(capsys, argv, complete):
@@ -345,7 +411,7 @@ def test_report_complete_flag(capsys, argv, complete):
     code, out = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 2 and doc["pass"] is True
+    assert doc["schema"] == 3 and doc["pass"] is True
     assert doc["complete"] is complete
     assert complete == (not any(c.get("skipped") for c in doc["checks"]))
     keys = list(doc)

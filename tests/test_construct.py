@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    INF, MATRIX_CAP, OutOfScopeError, adjacency, all_points, apply, beta_of,
-    FieldCtx, build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
-    relabel, translate, translate_rows, transpose, verify_circulant, vertex_index,
+    INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, all_points, apply, beta_of,
+    FieldCtx, build_graph, build_tournament, circulant_labeling, is_full_orbit, iter_bits,
+    param_a, relabel, translate, translate_rows, transpose, verify_circulant, vertex_index,
 )
 from char2paley.construct import CirculantLabeling, PaleyLikeGraph, is_circulant, rotate
 
@@ -18,11 +18,10 @@ C5_EDGES = {(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)}
 def test_param_a_default_and_validation(field):
     ctx = field(2)
     a = param_a(ctx)
-    assert a.value == 2 and a.is_generator
+    assert a.value == 2
     with pytest.raises(ValueError):
         param_a(ctx, 1)  # tr(1) = 0 for even k
-    explicit = param_a(ctx, 3)
-    assert explicit.value == 3 and explicit.is_generator
+    assert param_a(ctx, 3).value == 3
 
 
 def test_adjacency_examples(field):
@@ -176,6 +175,13 @@ def test_build_matches_predicate_other_poly(k, poly):
             assert build_graph(ctx, a).rows == _predicate_rows(ctx, a), f"a = {a_val:#x}"
 
 
+def test_build_on_fresh_equal_context(field):
+    # the row tables are cached per equal context: a fresh one, whose own
+    # lookup tables were never built, must still build
+    want = build_graph(field(4), param_a(field(4), 0x8)).rows
+    assert build_graph(FieldCtx(4), param_a(FieldCtx(4), 0x8)).rows == want
+
+
 def test_parity_mismatch_errors(field):
     with pytest.raises(ValueError):
         build_graph(field(3), param_a(field(3)))
@@ -240,7 +246,7 @@ def test_verify_circulant_negative_control(field):
     lab = circulant_labeling(ctx, a)
     verts = list(lab.vertices)
     verts[1], verts[2] = verts[2], verts[1]  # shuffle two labels
-    tampered = CirculantLabeling(a, tuple(verts), lab.conn,
+    tampered = CirculantLabeling(a, lab.b, tuple(verts), lab.conn,
                                  {p: i for i, p in enumerate(verts)})
     assert not verify_circulant(g, tampered)
 
@@ -283,17 +289,38 @@ def test_verify_circulant_rejects_flipped_edge(field, k):
     assert not verify_circulant(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
 
 
-def test_circulant_labeling_requires_generator(field):
-    ctx = field(6)
-    # find some trace-1 a with a short orbit (order 5 or 13 exists at k=6)
-    from char2paley import QuadExtCtx, lambda_ratio_order
+@pytest.mark.parametrize("k", range(2, 9))
+def test_circulant_labeling_every_parameter(field, k):
+    # sigma = alpha at a + b^2 + b, conjugated by x -> x + b, is an automorphism
+    # at every trace-1 a; b = 0 exactly when alpha's own orbit is full
+    ctx = field(k)
     ext = QuadExtCtx(ctx)
-    short = next(x for x in range(ctx.q)
-                 if ctx.trace(x) == 1 and lambda_ratio_order(ext, x) < ctx.q + 1)
-    a = param_a(ctx, short)
-    assert not a.is_generator
-    with pytest.raises(ValueError):
-        circulant_labeling(ctx, a)
+    short = 0
+    for a_val in range(ctx.q):
+        if ctx.trace(a_val) != 1:
+            continue
+        a = param_a(ctx, a_val)
+        lab = circulant_labeling(ctx, a)
+        b = lab.b
+        assert (b == 0) == is_full_orbit(ext, a_val), f"a = {a_val:#x}"
+        assert [c for c in range(0, b + 1, 2)
+                if is_full_orbit(ext, a_val ^ ctx.sqr(c) ^ c)] == [b]
+        v, n = lab.vertices, lab.n
+        assert v[1] == b
+        assert all(v[2 * i % n] == ctx.sqr(v[i]) ^ a_val for i in range(1, n))
+        assert all(v[n - i] == 1 ^ v[i] for i in range(1, n))
+        assert verify_circulant(_dense(ctx, a), lab), f"a = {a_val:#x}"
+        short += b != 0
+    # the short-orbit parameters (8 of 32 at k = 6) are covered too
+    assert short == {2: 0, 3: 1, 4: 0, 5: 6, 6: 8, 7: 22, 8: 0}[k]
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9, 11])
+def test_verify_circulant_tournament(field, k):
+    # conn holds INF's out-neighbours, as the rows do: alpha is an automorphism
+    ctx = field(k)
+    a = param_a(ctx)
+    assert verify_circulant(build_tournament(ctx, a), circulant_labeling(ctx, a))
 
 
 @pytest.mark.parametrize("poly", [0x19, 0x1F])
@@ -322,7 +349,7 @@ def test_poly_choice_k6_spectra_agree(field):
 
 
 def test_tournament_circulant_relation(field):
-    # arcs along the labeling: v_i -> v_j exactly when (i-j) mod n is in conn
+    # arcs along the labeling: v_i -> v_j exactly when (j-i) mod n is in conn
     ctx = field(3)
     a = param_a(ctx)
     t = build_tournament(ctx, a)
@@ -333,7 +360,7 @@ def test_tournament_circulant_relation(field):
         for j in range(n):
             if i == j:
                 continue
-            want = (i - j) % n in lab.conn
+            want = (j - i) % n in lab.conn
             assert bool(t.rows[idx[i]] >> idx[j] & 1) == want
 
 
@@ -444,5 +471,5 @@ def test_labeling_index_and_orbit_rows(field, k):
     assert list(lab.orbit_rows(g.rows)) == relabel(g.rows, perm)
     # the positional constructor still works, and the index follows the vertices
     swapped = (lab.vertices[1], lab.vertices[0], *lab.vertices[2:])
-    moved = CirculantLabeling(a, swapped, lab.conn, lab.pos)
+    moved = CirculantLabeling(a, lab.b, swapped, lab.conn, lab.pos)
     assert moved.index == (lab.index[1], lab.index[0], *lab.index[2:])

@@ -4,8 +4,8 @@ import pytest
 
 from char2paley import (
     IDENTITY, INF, QuadExtCtx, all_points, alpha_of, apply, beta_of, compose,
-    construct_a_for_order, det, factorize, find_generator_a, inverse,
-    lambda_of, lambda_ratio_order, mobius_map, orbit, param_a, point_of_index,
+    construct_a_for_order, det, factorize, find_generator_a, inverse, is_full_orbit,
+    lambda_of, lambda_ratio_order, mobius_map, orbit, point_of_index,
     vertex_index,
 )
 
@@ -102,7 +102,7 @@ def test_orbit_length_equals_ratio_order(field, k):
     for a in trace1_elements(ctx):
         length = len(orbit(ctx, alpha_of(ctx, a), INF))
         assert length == lambda_ratio_order(ext, a)
-        assert param_a(ctx, a).is_generator == (length == ctx.q + 1)
+        assert is_full_orbit(ext, a) == (length == ctx.q + 1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 10])

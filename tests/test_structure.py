@@ -121,6 +121,16 @@ def test_self_complementary(std, k):
     assert verify_self_complementary(g, lab)
 
 
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_self_complementary_every_parameter(field, k):
+    # v_i -> v_2i along the labeling at every trace-1 a, short alpha-orbits included
+    ctx = field(k)
+    for a_val in range(ctx.q):
+        if ctx.trace(a_val) == 1:
+            a = param_a(ctx, a_val)
+            assert verify_self_complementary(build_graph(ctx, a), circulant_labeling(ctx, a))
+
+
 def test_self_complementary_negative_control(std):
     # the identity permutation cannot exchange a graph with its complement
     _, _, g, _ = std(4)
@@ -289,7 +299,7 @@ def test_decompose_rejects_connection_set_not_closed_under_negation(std):
         for d in conn:
             rows[lab.index[i]] |= 1 << lab.index[(i + d) % n]
     g = PaleyLikeGraph(ctx, a, n, tuple(rows))
-    skew = CirculantLabeling(a, lab.vertices, conn, lab.pos)
+    skew = CirculantLabeling(a, lab.b, lab.vertices, conn, lab.pos)
     assert verify_circulant(g, skew)
     with pytest.raises(AssertionError, match="negation"):
         hamiltonian_decompose(g, skew)
