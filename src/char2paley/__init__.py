@@ -5,7 +5,7 @@ tr(a) = 1) defines a q/2-regular, vertex-transitive, self-complementary
 graph on the q+1 points of the projective line; for odd k it defines a
 tournament.  This package builds those objects exactly, certifies their
 structure (circulant labeling, automorphisms, shift isomorphisms,
-Hamiltonian decompositions for prime order), and audits their
+Hamiltonian decompositions for prime order), and certifies their
 pseudo-randomness (Kloosterman codegree law, jumbledness) with integer
 arithmetic throughout.
 """
@@ -13,9 +13,10 @@ arithmetic throughout.
 __version__ = "0.1.0"
 
 from .analyze import (
-    CodegreePair, CodegreeSpectrum, JumblednessAudit, KloostermanValue,
-    codegree_direct, codegree_formula, codegree_spectrum, jumbledness_audit,
-    kloosterman, kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
+    CodegreePair, CodegreeSpectrum, JumblednessAudit, JumblednessCertificate,
+    KloostermanValue, circulant_spectrum, codegree_direct, codegree_formula,
+    codegree_spectrum, jumbledness_audit, jumbledness_certificate, kloosterman,
+    kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
     MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA,

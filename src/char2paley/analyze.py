@@ -1,14 +1,33 @@
-"""Codegrees, Kloosterman sums, and the jumbledness audit.
+"""Codegrees, Kloosterman sums, and the jumbledness certificate and audit.
 
 Everything here is exact: counts are ints, character sums are ints, and
 the jumbledness inequality |e(H) - C(h,2)/2| <= q^(3/4) h is decided by
 comparing fourth powers, since q^(3/4) is irrational when k = 2 mod 4.
-Writing d = |2 e(H) - C(h,2)| (twice the deviation), the test is
+Writing d = |2 e(H) - C(h,2)| (twice the deviation), the audit's test
+on one subset is
 
     d^4 <= 16 q^3 h^4
 
-and the reported worst ratio is the exact rational d^4 / (16 q^3 h^4),
+and its reported worst ratio is the exact rational d^4 / (16 q^3 h^4),
 the fourth power of deviation/bound.
+
+The certificate covers every subset at once, from the fourth moment of
+the spectrum.  With A the adjacency matrix and deg = q/2,
+
+    tr(A^4) = n deg^2 + 2 * (sum over pairs v < w of codeg(v, w)^2),
+
+a sum over the codegree spectrum, and tr(A^4) - deg^4 is the sum of
+lambda^4 over the nontrivial eigenvalues.  On a circulant of odd order
+n = q+1 with C = -C these come in equal pairs, lambda_j = lambda_(n-j),
+so every one obeys 2 lambda^4 <= tr(A^4) - deg^4.  Let L be the least
+integer with 2 L^4 >= tr(A^4) - deg^4.  The expander mixing lemma
+(Alon-Chung), with deg/n = 1/2 - 1/(2n), gives |2 e(H) - C(h,2)| <=
+(L + 1/2) h for every H, so
+
+    (2L + 1)^4 <= 256 q^3
+
+certifies |e(H) - C(h,2)/2| <= q^(3/4) h over all 2^n subsets; when it
+fails, L is the witness.
 
 The codegree of a pair against y = INF closes in terms of a Kloosterman
 sum: with b = x^2 + x + a and psi(z) = (-1)^tr(z),
@@ -215,39 +234,7 @@ def spectrum_counts(rows, n: int) -> dict:
     return _pairwise_spectrum(rows, n)[0]
 
 
-def _circulant_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling) -> tuple[dict, tuple[int, int]]:
-    """Spectrum counts of a certified circulant from its connection set.
-
-    codeg(v_i, v_(i+s)) = popcount(C & rot(C, s)) for the connection mask
-    C, and each shift s = 1 .. (n-1)/2 covers n distinct pairs (n is odd).
-    The pair reported for the top codegree is (v_0, v_s).
-    """
-    n = g.n
-    c = lab.conn_mask
-    counts: dict[tuple[int, int], int] = {}
-    best, best_s = -1, 1
-    for s in range(1, (n - 1) // 2 + 1):
-        ell = (c & lab.neighbour_mask(s)).bit_count()
-        key = (int(s in lab.conn), ell)
-        counts[key] = counts.get(key, 0) + n
-        if ell > best:
-            best, best_s = ell, s
-    return counts, (lab.index[0], lab.index[best_s])
-
-
-def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -> CodegreeSpectrum:
-    """Exact histogram of (epsilon, ell) over all unordered pairs.
-
-    With a labeling, the counts come from its connection set in O(n)
-    big-int operations; the caller must have certified it against the
-    graph (`verify_circulant`).  Without one, every pair is counted.
-    """
-    if lab is None:
-        counts, max_pair = _pairwise_spectrum(g.rows, g.n)
-    else:
-        lab.check_graph(g)
-        counts, max_pair = _circulant_spectrum(g, lab)
-    q = g.ctx.q
+def _spectrum(q: int, counts: dict, max_pair: tuple[int, int]) -> CodegreeSpectrum:
     max_ell = max(ell for _, ell in counts)
     bound = q // 4 + isqrt(q) // 2
     ideal = q // 4
@@ -259,8 +246,72 @@ def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -
         bound=bound,
         within_bound=max_ell <= bound,
         max_conference_deviation=dev,
-        pairs=comb(g.n, 2),
+        pairs=comb(q + 1, 2),
     )
+
+
+def circulant_spectrum(lab: CirculantLabeling) -> CodegreeSpectrum:
+    """Exact histogram of (epsilon, ell) of the circulant on lab's connection set.
+
+    codeg(v_i, v_(i+s)) = popcount(C & rot(C, s)) for the connection mask
+    C, and each shift s = 1 .. (n-1)/2 covers n distinct pairs (n is odd),
+    so no dense graph is needed.  The pair reported for the top codegree
+    is (v_0, v_s), as dense row indices.  This is a graph's spectrum once
+    the graph is certified to be that circulant (`verify_circulant`).
+    """
+    n = lab.n
+    c = lab.conn_mask
+    counts: dict[tuple[int, int], int] = {}
+    best, best_s = -1, 1
+    for s in range(1, (n - 1) // 2 + 1):
+        ell = (c & lab.neighbour_mask(s)).bit_count()
+        key = (int(s in lab.conn), ell)
+        counts[key] = counts.get(key, 0) + n
+        if ell > best:
+            best, best_s = ell, s
+    return _spectrum(n - 1, counts, (lab.index[0], lab.index[best_s]))
+
+
+def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -> CodegreeSpectrum:
+    """Exact histogram of (epsilon, ell) over all unordered pairs.
+
+    With a labeling, the counts come from its connection set in O(n)
+    big-int operations; the caller must have certified it against the
+    graph (`verify_circulant`).  Without one, every pair is counted.
+    """
+    if lab is not None:
+        lab.check_graph(g)
+        return circulant_spectrum(lab)
+    counts, max_pair = _pairwise_spectrum(g.rows, g.n)
+    return _spectrum(g.ctx.q, counts, max_pair)
+
+
+@dataclass(frozen=True)
+class JumblednessCertificate:
+    trace_a4: int      # tr(A^4) = n deg^2 + 2 * (sum over pairs of codeg^2)
+    lambda_bound: int  # least L with 2 L^4 >= tr(A^4) - deg^4; every nontrivial |lambda| <= L
+    lambda_limit: int  # largest L with (2L + 1)^4 <= 256 q^3
+
+    @property
+    def passed(self) -> bool:
+        return self.lambda_bound <= self.lambda_limit
+
+
+def jumbledness_certificate(q: int, counts: dict) -> JumblednessCertificate:
+    """The fourth-moment jumbledness certificate over every subset (see the module notes).
+
+    counts is the (epsilon, ell) -> pairs spectrum of a q/2-regular
+    circulant of order q+1 whose connection set is closed under negation;
+    certifying that the graph is one is the caller's part.
+    """
+    n, deg = q + 1, q // 2
+    trace_a4 = n * deg * deg + 2 * sum(cnt * ell * ell for (_, ell), cnt in counts.items())
+    rest = trace_a4 - deg ** 4
+    lam = isqrt(isqrt(rest // 2))  # the floor of a fourth root, then up to the least L
+    while 2 * lam ** 4 < rest:
+        lam += 1
+    # 2L + 1 <= floor((256 q^3)^(1/4)) exactly when (2L + 1)^4 <= 256 q^3
+    return JumblednessCertificate(trace_a4, lam, (isqrt(isqrt(256 * q ** 3)) - 1) // 2)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Command-line front-end: build, certify, analyze, decompose, chapman.
 
-Reports are JSON documents (schema 3) whose bytes depend only on the
+Reports are JSON documents (schema 4) whose bytes depend only on the
 configuration, seed included, so identical invocations produce
 identical files; wall-clock timings of every stage and check go to
-stderr only.  A skipped check is written with "pass": true and
+stderr only.  Every check records its `evidence`, the weakest of its
+inputs: "exhaustive" (every case checked in this run, or an exact
+deduction from such checks), "sampled", "algebraic" (resting on a
+theorem no check in this run verified) or "skipped"; the report counts
+each kind.  A skipped check is written with "pass": true and
 "skipped": true, and makes the report's "complete" false.  Exit codes:
 0 success, 1 a certificate failed, 2 configuration error, 3 capacity or
 out-of-scope request, 4 i/o error.
@@ -19,8 +23,8 @@ import time
 
 from . import __version__
 from .analyze import (
-    codegree_direct, codegree_formula, codegree_spectrum, jumbledness_audit,
-    kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
+    circulant_spectrum, codegree_direct, codegree_formula, codegree_spectrum,
+    jumbledness_certificate, kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap,
@@ -46,6 +50,7 @@ EXIT_IO = 4
 
 ANALYZE_K_MAX = 16  # field lookup tables, and with them the sweep, stop at q = 2^16
 CHAPMAN_K_MAX = 8   # the coset build evaluates all C(q+1, 2) pairs in GF(q^2)
+EVIDENCE = ("exhaustive", "sampled", "algebraic", "skipped")
 
 
 def _check_k_range(k: int) -> None:
@@ -92,24 +97,28 @@ def _stage(name: str, fn):
 
 
 class _Checks:
-    """Accumulates named pass/fail verdicts with witnesses, timing to stderr."""
+    """Accumulates named pass/fail verdicts with evidence and witnesses, timing to stderr."""
 
     def __init__(self):
         self.items = []
 
-    def run(self, name: str, fn) -> bool:
+    def run(self, name: str, evidence: str, fn) -> bool:
         t0 = time.monotonic()
         ok, detail = fn()
         _log_time(t0, "PASS" if ok else "FAIL", name)
-        entry = {"name": name, "pass": bool(ok)}
+        entry = {"name": name, "pass": bool(ok), "evidence": evidence}
         if detail:
             entry.update(detail)
         self.items.append(entry)
         return bool(ok)
 
     def skip(self, name: str, reason: str) -> None:
-        self.items.append({"name": name, "pass": True, "skipped": True, "reason": reason})
+        self.items.append({"name": name, "pass": True, "evidence": "skipped",
+                           "skipped": True, "reason": reason})
         print(f"[   skip ] ---- {name}: {reason}", file=sys.stderr)
+
+    def evidence_counts(self) -> dict:
+        return {kind: sum(c["evidence"] == kind for c in self.items) for kind in EVIDENCE}
 
     def all_pass(self) -> bool:
         return all(c["pass"] for c in self.items)
@@ -120,7 +129,7 @@ class _Checks:
 
 def _report(args, ctx, a, command: str, checks: _Checks, extra: dict | None = None) -> str:
     doc = {
-        "schema": 3,
+        "schema": 4,
         "tool": "char2paley",
         "version": __version__,
         "command": command,
@@ -128,6 +137,7 @@ def _report(args, ctx, a, command: str, checks: _Checks, extra: dict | None = No
         "checks": checks.items,
         "pass": checks.all_pass(),
         "complete": checks.complete(),
+        "evidence": checks.evidence_counts(),
     }
     if extra:
         doc.update(extra)
@@ -233,35 +243,36 @@ def cmd_certify(args) -> int:
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
     checks = _Checks()
-    checks.run("regularity", lambda: _check_regularity(g))
-    checks.run("symmetry", lambda: _check_symmetry(g))
-    checks.run("no-loops", lambda: _check_no_loops(g))
+    checks.run("regularity", "exhaustive", lambda: _check_regularity(g))
+    checks.run("symmetry", "exhaustive", lambda: _check_symmetry(g))
+    checks.run("no-loops", "exhaustive", lambda: _check_no_loops(g))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-    circ_ok = checks.run("circulant", lambda: _check_circulant(g, lab))
-    checks.run("labeling-identities", lambda: _check_labeling_identities(ctx, a, lab))
-    checks.run("self-complementary", lambda: (verify_self_complementary(g, lab), None))
-    checks.run("automorphisms", lambda: (verify_automorphisms(g, a), None))
+    circ_ok = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
+    checks.run("labeling-identities", "exhaustive",
+               lambda: _check_labeling_identities(ctx, a, lab))
+    checks.run("self-complementary", "exhaustive",
+               lambda: (verify_self_complementary(g, lab), None))
+    checks.run("automorphisms", "exhaustive", lambda: (verify_automorphisms(g, a), None))
     # the certified circulant makes v_i -> v_(i+1) an automorphism of order q+1
-    checks.run("vertex-transitive", lambda: (circ_ok, (
+    checks.run("vertex-transitive", "exhaustive", lambda: (circ_ok, (
         {"certificate": "cyclic automorphism of order q+1"} if circ_ok else
         {"witness": _circulant_witness(g, lab)})))
 
+    # the trace-1 parameters number q/2: all of them through k = 8, 128 drawn above
+    mode = "sampled" if ctx.q // 2 > 128 else "exhaustive"
+
     def shift_class():
         t1 = [x for x in range(ctx.q) if ctx.trace(x) == 1]
-        if len(t1) > 128:
-            rng = random.Random(args.seed)
-            t1 = sorted(rng.sample(t1, 128))
-            mode = {"mode": "sampled", "count": 128}
-        else:
-            mode = {"mode": "exhaustive", "count": len(t1)}
+        if mode == "sampled":
+            t1 = sorted(random.Random(args.seed).sample(t1, 128))
         for ap_val in t1:
             ap = param_a(ctx, ap_val)
             iso = shift_isomorphism(ctx, a, ap)
             if not verify_shift_isomorphism(ctx, a, ap, iso, target=g):
                 return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}"}}
-        return True, mode
+        return True, {"mode": mode, "count": len(t1)}
 
-    checks.run("shift-isomorphism-class", shift_class)
+    checks.run("shift-isomorphism-class", mode, shift_class)
     _emit(args, _report(args, ctx, a, "certify", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 
@@ -278,7 +289,6 @@ def cmd_analyze(args) -> int:
         raise OutOfScopeError(f"analyze is capped at k = {ANALYZE_K_MAX}")
     ctx, a = _make_ctx_and_a(args)
     checks = _Checks()
-    extra: dict = {}
     kloo = _stage("kloosterman-sweep", lambda: kloosterman_sweep(ctx))
 
     def weil():
@@ -286,7 +296,7 @@ def cmd_analyze(args) -> int:
         return ok, {"mode": "exhaustive", "max_abs_K": worst,
                     "argmax_b": f"{b:#x}", "bound": f"2*sqrt({ctx.q})"}
 
-    checks.run("kloosterman-weil", weil)
+    checks.run("kloosterman-weil", "exhaustive", weil)
 
     def value_set():
         ok, stray, missing = kloosterman_value_set(ctx, kloo)
@@ -297,33 +307,44 @@ def cmd_analyze(args) -> int:
             detail["witness"] = {"missing": missing}
         return ok, detail
 
-    checks.run("kloosterman-value-set", value_set)
+    checks.run("kloosterman-value-set", "exhaustive", value_set)
 
-    if ctx.q + 1 <= MATRIX_CAP:
+    dense = ctx.q + 1 <= MATRIX_CAP
+    too_big = f"order {ctx.q + 1} exceeds the dense cap {MATRIX_CAP}"
+    lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
+    if dense:
         g = _stage("build", lambda: build_graph(ctx, a))
-        lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-        certified = checks.run("circulant", lambda: _check_circulant(g, lab))
+        certified = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
         # the spectrum may rest on the connection set only once it is certified
         spec = _stage("codegree-spectrum", lambda: codegree_spectrum(g, lab if certified else None))
-        extra["codegree_spectrum"] = [
-            {"epsilon": eps, "ell": ell, "count": cnt}
-            for (eps, ell), cnt in spec.counts.items()]
+        basis = "exhaustive"
+    else:
+        checks.skip("circulant", too_big)
+        # the labeling walks an automorphism, so the graph is this circulant by
+        # the theorem, which no check here verifies
+        certified = True
+        spec = _stage("codegree-spectrum", lambda: circulant_spectrum(lab))
+        basis = "algebraic"
+    extra = {"codegree_spectrum": [
+        {"epsilon": eps, "ell": ell, "count": cnt} for (eps, ell), cnt in spec.counts.items()]}
 
-        def codegree_cap():
-            detail = {"max_ell": spec.max_ell, "bound": spec.bound,
-                      "max_conference_deviation": spec.max_conference_deviation}
-            if not spec.within_bound:
-                detail["witness"] = {"pair": list(spec.max_pair)}
-            return spec.within_bound, detail
+    def codegree_cap():
+        detail = {"max_ell": spec.max_ell, "bound": spec.bound,
+                  "max_conference_deviation": spec.max_conference_deviation}
+        if not spec.within_bound:
+            detail["witness"] = {"pair": list(spec.max_pair)}
+        return spec.within_bound, detail
 
-        checks.run("codegree-cap", codegree_cap)
+    checks.run("codegree-cap", basis, codegree_cap)
+
+    if dense:
+        mode = "exhaustive" if ctx.k <= 8 else "sampled"
 
         def formula_vs_direct():
             pts = [INF, *range(ctx.q)]
-            if ctx.k <= 8:
+            if mode == "exhaustive":
                 pair_iter = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1:])
                 count = ctx.q * (ctx.q + 1) // 2
-                mode = "exhaustive"
             else:
                 rng = random.Random(args.seed)
 
@@ -337,7 +358,6 @@ def cmd_analyze(args) -> int:
                             yield pts[i], pts[j]
                 pair_iter = rand_pairs()
                 count = args.samples
-                mode = "sampled"
             for x, y in pair_iter:
                 want = codegree_direct(g, x, y).ell
                 got = codegree_formula(ctx, a, x, y, lab, kloo)
@@ -347,26 +367,22 @@ def cmd_analyze(args) -> int:
                         "direct": want, "formula": got}}
             return True, {"mode": mode, "count": count}
 
-        checks.run("codegree-formula-vs-direct", formula_vs_direct)
-
-        def jumbled():
-            if g.n <= 17:
-                audit = jumbledness_audit(g, "exhaustive")
-            else:
-                audit = jumbledness_audit(g, "sampled", args.samples, args.seed)
-            r4 = audit.worst_ratio_pow4
-            return audit.passed, {
-                "mode": audit.mode, "subsets": audit.samples,
-                "worst_subset_size": audit.worst_size,
-                "worst_deviation_doubled": audit.worst_dev2,
-                "worst_subset_mask": f"{audit.worst_mask:#x}",
-                "worst_ratio_pow4": f"{r4.numerator}/{r4.denominator}",
-            }
-
-        checks.run("jumbledness", jumbled)
+        checks.run("codegree-formula-vs-direct", mode, formula_vs_direct)
     else:
-        for name in ("circulant", "codegree-cap", "codegree-formula-vs-direct", "jumbledness"):
-            checks.skip(name, f"order {ctx.q + 1} exceeds the dense cap {MATRIX_CAP}")
+        checks.skip("codegree-formula-vs-direct", too_big)
+
+    def jumbled():
+        cert = jumbledness_certificate(ctx.q, spec.counts)
+        detail = {"moment": 4, "trace_A4": cert.trace_a4,
+                  "lambda_bound": cert.lambda_bound, "lambda_limit": cert.lambda_limit}
+        if not cert.passed:
+            detail["witness"] = {"lambda_bound": cert.lambda_bound}
+        return cert.passed, detail
+
+    if certified:
+        checks.run("jumbledness", basis, jumbled)
+    else:
+        checks.skip("jumbledness", "the certificate rests on the circulant check, which failed")
 
     _emit(args, _report(args, ctx, a, "analyze", checks, extra))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
@@ -417,17 +433,17 @@ def cmd_chapman(args) -> int:
                 for u, v in h.undefined_pairs[:3]]}
         return not h.undefined_pairs, detail
 
-    checks.run("no-undefined-pairs", no_undefined)
+    checks.run("no-undefined-pairs", "exhaustive", no_undefined)
     if ctx.k == 2:
-        checks.run("representative-independence", lambda: (
+        checks.run("representative-independence", "exhaustive", lambda: (
             verify_representative_independence(h, 0), {"mode": "exhaustive"}))
     else:
-        checks.run("representative-independence", lambda: (
+        checks.run("representative-independence", "sampled", lambda: (
             verify_representative_independence(h, args.samples, args.seed),
             {"mode": "sampled", "count": args.samples}))
-    checks.run("coset-graph-circulant", lambda: (h.circulant_certified, None))
+    checks.run("coset-graph-circulant", "exhaustive", lambda: (h.circulant_certified, None))
     cmp_result = _stage("compare", lambda: chapman_compare(h, g))
-    checks.run("isomorphic", lambda: (
+    checks.run("isomorphic", "exhaustive", lambda: (
         bool(cmp_result),
         {"verdict": cmp_result.verdict,
          "multiplier": cmp_result.multiplier,

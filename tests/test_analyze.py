@@ -5,11 +5,13 @@ import pytest
 
 from char2paley import (
     INF, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, all_points, alpha_of,
-    apply, codegree_direct, codegree_formula, codegree_spectrum,
-    jumbledness_audit, kloosterman, kloosterman_sweep, kloosterman_value_set, param_a,
-    vertex_index, verify_circulant, weil_bound_holds,
+    apply, circulant_labeling, circulant_spectrum, codegree_direct, codegree_formula,
+    codegree_spectrum, jumbledness_audit, jumbledness_certificate, kloosterman,
+    kloosterman_sweep, kloosterman_value_set, param_a, vertex_index, verify_circulant,
+    weil_bound_holds,
 )
 from char2paley.analyze import _kloosterman_sum, spectrum_counts
+from char2paley.construct import rotate
 
 
 def test_codegree_direct_c5(std):
@@ -250,6 +252,81 @@ def test_jumbledness_rejects_unknown_mode(std):
     _, _, g, _ = std(2)
     with pytest.raises(ValueError):
         jumbledness_audit(g, "approximate")
+
+
+def dense_trace_a4(g):
+    """Independent oracle: tr(A^4) from integer matrix products, no codegree counting."""
+    n = g.n
+    a = [[g.rows[i] >> j & 1 for j in range(n)] for i in range(n)]
+    cols = list(zip(*a))
+    a2 = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return sum(a2[i][j] * a2[j][i] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_certificate_trace_a4(std, k):
+    # tr(A^4) read off the circulant spectrum equals n d^2 + 2 sum codeg^2 over
+    # the pairwise spectrum, and the trace of a dense A^4 where that is cheap
+    ctx, _, g, lab = std(k)
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(lab).counts)
+    pairwise = spectrum_counts(g.rows, g.n)
+    deg = ctx.q // 2
+    assert cert.trace_a4 == g.n * deg ** 2 + 2 * sum(
+        cnt * ell ** 2 for (_, ell), cnt in pairwise.items())
+    if k <= 6:
+        assert cert.trace_a4 == dense_trace_a4(g)
+
+
+@pytest.mark.parametrize("k, lam", [(2, 2), (4, 5), (6, 12), (8, 32), (10, 92),
+                                    (12, 256), (14, 724), (16, 2050)])
+def test_certificate_bound_and_limit_are_tight(field, k, lam):
+    # lambda_bound is the least L with 2 L^4 >= tr(A^4) - d^4, lambda_limit the
+    # largest L with (2L + 1)^4 <= 256 q^3; the default graph passes at every k
+    ctx = field(k)
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(
+        circulant_labeling(ctx, param_a(ctx))).counts)
+    rest = cert.trace_a4 - (ctx.q // 2) ** 4
+    assert 2 * (cert.lambda_bound - 1) ** 4 < rest <= 2 * cert.lambda_bound ** 4
+    lim = cert.lambda_limit
+    assert (2 * lim + 1) ** 4 <= 256 * ctx.q ** 3 < (2 * lim + 3) ** 4
+    assert cert.lambda_bound == lam and cert.passed
+
+
+@pytest.mark.parametrize("k, samples", [(2, None), (4, None), (6, 3000), (8, 3000),
+                                        (10, 3000)])
+def test_certificate_dominates_audit(std, k, samples):
+    # |2 e(H) - C(h,2)| <= (L + 1/2) h holds at the audit's worst subset: the
+    # Gray-code sweep over every subset at k = 2, 4, seeded samples above
+    ctx, _, g, lab = std(k)
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(lab).counts)
+    if samples is None:
+        audit = jumbledness_audit(g, "exhaustive")
+    else:
+        audit = jumbledness_audit(g, "sampled", samples=samples, seed=k)
+    assert audit.worst_dev2 > 0
+    assert 2 * audit.worst_dev2 <= (2 * cert.lambda_bound + 1) * audit.worst_size
+    assert cert.passed and audit.passed
+
+
+def test_certificate_fails_on_interval_circulant(field):
+    # negative control: C = +-{1 .. q/4} is q/2-regular and closed under negation,
+    # but its top eigenvalue is about n/pi, past the limit 2 q^(3/4) - 1/2 at k = 12
+    ctx = field(12)
+    a = param_a(ctx)
+    lab = circulant_labeling(ctx, a)
+    n, quarter = lab.n, ctx.q // 4
+    conn = frozenset({*range(1, quarter + 1), *range(n - quarter, n)})
+    interval = CirculantLabeling(a, lab.b, lab.vertices, conn, lab.pos)
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(interval).counts)
+    assert not cert.passed
+    # the witness is sound: the Rayleigh quotient of 1_S - (h/n) 1 on the orbit
+    # interval S = {v_0 .. v_(h-1)} already exceeds the limit, so every nontrivial
+    # eigenvalue bound would fail
+    h = n // 2
+    s = (1 << h) - 1
+    e2 = sum((s & rotate(s, d, n)).bit_count() for d in conn)
+    rayleigh = Fraction(e2 * n - len(conn) * h * h, h * (n - h))
+    assert cert.lambda_limit < rayleigh <= cert.lambda_bound
 
 
 def test_formula_requires_even_k(field):

@@ -109,7 +109,7 @@ def test_certify_k4(capsys, tmp_path):
     code, _ = run(capsys, "certify", "--k", "4", "--output", str(rpt))
     assert code == 0
     doc = json.loads(rpt.read_text())
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["pass"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"regularity", "symmetry", "circulant", "self-complementary",
@@ -151,7 +151,7 @@ def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
     assert checks["circulant"]["pass"] is False
     assert checks["circulant"]["witness"] == witness
     assert checks["vertex-transitive"] == {
-        "name": "vertex-transitive", "pass": False, "witness": witness}
+        "name": "vertex-transitive", "pass": False, "evidence": "exhaustive", "witness": witness}
 
 
 def test_certify_rejects_trace0_a(capsys):
@@ -185,7 +185,7 @@ def test_analyze_k4_bounds(capsys):
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["codegree-cap"]["max_ell"] <= 6
     assert checks["kloosterman-weil"]["max_abs_K"] <= 8
-    assert checks["jumbledness"]["mode"] == "exhaustive"
+    assert checks["jumbledness"]["evidence"] == "exhaustive"
     assert code == 0
 
 
@@ -235,7 +235,7 @@ def test_chapman_samples_default_and_uncapped(capsys, argv, count):
     assert doc["config"]["samples"] == count
     rep = next(c for c in doc["checks"] if c["name"] == "representative-independence")
     assert rep == {"name": "representative-independence", "pass": True,
-                   "mode": "sampled", "count": count}
+                   "evidence": "sampled", "mode": "sampled", "count": count}
 
 
 def test_chapman_short_orbit_parameter_certified(capsys):
@@ -293,16 +293,25 @@ def test_samples_only_on_sampling_commands(capsys):
 
 
 def test_analyze_above_dense_cap_streams(capsys):
-    # k=14 has no dense matrix: the Weil check still sweeps every b,
-    # the checks that need the matrix are skipped
+    # k=14 has no dense matrix: the Weil check still sweeps every b, the
+    # codegree cap and jumbledness run off the connection set and rest on the
+    # labeling's automorphism, and the checks that need the matrix are skipped
     code, out = run(capsys, "analyze", "--k", "14", "--samples", "50")
     assert code == 0
     doc = json.loads(out)
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["kloosterman-weil"]["mode"] == "exhaustive"
     assert checks["kloosterman-weil"]["pass"] is True
-    for name in ("circulant", "codegree-cap", "codegree-formula-vs-direct", "jumbledness"):
+    for name in ("codegree-cap", "jumbledness"):
+        assert checks[name]["pass"] is True and "skipped" not in checks[name], name
+        assert checks[name]["evidence"] == "algebraic", name
+    assert checks["jumbledness"]["lambda_bound"] == 724
+    assert checks["codegree-cap"]["max_ell"] <= checks["codegree-cap"]["bound"]
+    assert sum(e["count"] for e in doc["codegree_spectrum"]) == 16385 * 16384 // 2
+    for name in ("circulant", "codegree-formula-vs-direct"):
         assert checks[name].get("skipped") is True, name
+        assert checks[name]["evidence"] == "skipped", name
+    assert doc["evidence"] == {"exhaustive": 2, "sampled": 0, "algebraic": 2, "skipped": 2}
 
 
 def test_analyze_k16_weil_exhaustive(capsys):
@@ -321,7 +330,7 @@ def test_analyze_value_set_entry(capsys):
     assert names[:2] == ["kloosterman-weil", "kloosterman-value-set"]
     entry = json.loads(out)["checks"][1]
     assert entry == {"name": "kloosterman-value-set", "pass": True,
-                     "mode": "exhaustive", "count": 63}
+                     "evidence": "exhaustive", "mode": "exhaustive", "count": 63}
 
 
 @pytest.mark.parametrize("tamper, witness", [
@@ -369,7 +378,7 @@ def test_certify_labeling_identities_pin_b(capsys, monkeypatch):
     assert code == 1
     failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
     assert failed == [{"name": "labeling-identities", "pass": False,
-                       "witness": {"identities": ["v_1 != 2"]}}]
+                       "evidence": "exhaustive", "witness": {"identities": ["v_1 != 2"]}}]
 
 
 def test_analyze_short_orbit_parameter_is_circulant(capsys):
@@ -379,6 +388,7 @@ def test_analyze_short_orbit_parameter_is_circulant(capsys):
     doc = json.loads(out)
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["circulant"] == {"name": "circulant", "pass": True,
+                                   "evidence": "exhaustive",
                                    "connection_set_size": 32, "connection_set_min": 1}
     assert sum(e["count"] for e in doc["codegree_spectrum"]) == 65 * 64 // 2
 
@@ -396,7 +406,8 @@ def test_formula_check_exhaustive_every_parameter(capsys, k):
         doc = json.loads(captured.out)
         entry = next(c for c in doc["checks"] if c["name"] == "codegree-formula-vs-direct")
         assert entry == {"name": "codegree-formula-vs-direct", "pass": True,
-                         "mode": "exhaustive", "count": q * (q + 1) // 2}, hex(a_val)
+                         "evidence": "exhaustive", "mode": "exhaustive",
+                         "count": q * (q + 1) // 2}, hex(a_val)
         assert doc["complete"] is True
         assert "PASS codegree-formula-vs-direct" in captured.err
 
@@ -411,11 +422,16 @@ def test_report_complete_flag(capsys, argv, complete):
     code, out = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 3 and doc["pass"] is True
+    assert doc["schema"] == 4 and doc["pass"] is True
     assert doc["complete"] is complete
     assert complete == (not any(c.get("skipped") for c in doc["checks"]))
     keys = list(doc)
     assert keys[keys.index("pass") + 1] == "complete"
+    # every check names its evidence, and the report counts each kind
+    kinds = [c["evidence"] for c in doc["checks"]]
+    assert doc["evidence"] == {kind: kinds.count(kind)
+                               for kind in ("exhaustive", "sampled", "algebraic", "skipped")}
+    assert complete == (doc["evidence"]["skipped"] == 0)
 
 
 def test_analyze_codegree_cap_witness(capsys, monkeypatch):
@@ -441,6 +457,49 @@ def test_analyze_codegree_cap_witness(capsys, monkeypatch):
     assert cap["pass"] is False
     i, j = cap["witness"]["pair"]
     assert i != j and (rows[i] & rows[j]).bit_count() == cap["max_ell"] > cap["bound"]
+    # the spectral certificate needs the circulant, so it is not issued
+    assert checks["jumbledness"]["evidence"] == "skipped"
+
+
+def test_analyze_interval_connection_set_fails_jumbledness(capsys, monkeypatch):
+    # negative control above the dense cap: the circulant of C = +-{1 .. q/4}
+    # has a top eigenvalue near n/pi, so the fourth-moment bound exceeds the limit
+    import char2paley.cli as cli
+    from char2paley import CirculantLabeling
+    real = cli.circulant_labeling
+
+    def interval(ctx, a):
+        lab = real(ctx, a)
+        n, quarter = lab.n, ctx.q // 4
+        conn = frozenset({*range(1, quarter + 1), *range(n - quarter, n)})
+        return CirculantLabeling(lab.a, lab.b, lab.vertices, conn, lab.pos)
+
+    monkeypatch.setattr(cli, "circulant_labeling", interval)
+    code, out = run(capsys, "analyze", "--k", "14")
+    assert code == 1
+    jumbled = next(c for c in json.loads(out)["checks"] if c["name"] == "jumbledness")
+    assert jumbled["pass"] is False and jumbled["evidence"] == "algebraic"
+    assert jumbled["witness"] == {"lambda_bound": jumbled["lambda_bound"]}
+    assert (2 * jumbled["lambda_bound"] + 1) ** 4 > 256 * (1 << 14) ** 3
+    assert jumbled["lambda_limit"] == 2895 < jumbled["lambda_bound"]
+
+
+@pytest.mark.parametrize("argv, sampled", [
+    (("analyze", "--k", "4"), set()),
+    (("analyze", "--k", "10", "--samples", "50"), {"codegree-formula-vs-direct"}),
+    (("certify", "--k", "4"), set()),
+    (("chapman", "--k", "2"), set()),
+    (("chapman", "--k", "4", "--samples", "50"), {"representative-independence"}),
+])
+def test_evidence_below_dense_cap(capsys, argv, sampled):
+    # every check that ran is exhaustive, or sampled where it draws samples;
+    # a check that reports a mode has it as its evidence
+    code, out = run(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert {c["name"] for c in checks if c["evidence"] == "sampled"} == sampled
+    assert all(c["evidence"] in ("exhaustive", "sampled") for c in checks)
+    assert all(c["evidence"] == c.get("mode", c["evidence"]) for c in checks)
 
 
 def test_analyze_k18_out_of_scope(capsys):
