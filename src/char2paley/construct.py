@@ -190,15 +190,18 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 # where position n-1-m holds bit m, so a whole row is one C-level pass;
 # translations x -> x + b are a few masked swaps of the row int instead.
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+# bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
+# of x is set: the selectors for itertools.compress
+BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def iter_bits(x: int):
     """Positions of the set bits of x >= 0, ascending."""
-    return compress(count(), bin(x)[:1:-1].encode().translate(_BIT_BYTES))
+    return compress(count(), bin(x)[:1:-1].encode().translate(BIT_FLAGS))
 
 
-def _check_width(rows) -> None:
+def check_width(rows) -> None:
+    """Raise ValueError if a row of these n rows has a bit at or above n."""
     n = len(rows)
     if any(r >> n for r in rows):
         raise ValueError(f"a row has bits at or above n = {n}")
@@ -206,7 +209,7 @@ def _check_width(rows) -> None:
 
 def _rows_from(rows, src):
     """Rows renamed so that new vertex i is old vertex src[i], yielded in the new order."""
-    _check_width(rows)
+    check_width(rows)
     n = len(rows)
     # bit m of a renamed row is bit src[m] of the original
     move = operator.itemgetter(*(n - 1 - src[n - 1 - s] for s in range(n)))
@@ -231,28 +234,37 @@ def _swap_masks(k: int) -> tuple[int, ...]:
                  for s in (1 << h for h in range(k)))
 
 
+def _swaps(b: int, ctx: FieldCtx) -> list[tuple[int, int]]:
+    """(shift 2^h, mask) for each set bit h of the field element b."""
+    ctx.check_elem(b)
+    return [(1 << h, low) for h, low in enumerate(_swap_masks(ctx.k)) if b >> h & 1]
+
+
+def _swapped(mask: int, swaps) -> int:
+    """mask with the swaps applied to its field bits; bit 0 (INF) stays."""
+    f = mask >> 1
+    for s, low in swaps:
+        f = (f & low) << s | (f >> s) & low
+    return f << 1 | mask & 1
+
+
 def translate(mask: int, b: int, ctx: FieldCtx) -> int:
     """A row under the vertex map x -> x + b (INF fixed): bit 1+x moves to 1+(x+b).
 
     Adding bit h of b exchanges the blocks of 2^h positions that differ
     in that bit, one masked swap per set bit.  mask has n = q+1 bits.
     """
-    ctx.check_elem(b)
-    f = mask >> 1
-    for h, low in enumerate(_swap_masks(ctx.k)):
-        if b >> h & 1:
-            s = 1 << h
-            f = (f & low) << s | (f >> s) & low
-    return f << 1 | mask & 1
+    return _swapped(mask, _swaps(b, ctx))
 
 
 def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
     """Rows after the vertex map x -> x + b (INF fixed): relabel's translation case."""
     if len(rows) != ctx.q + 1:
         raise ValueError(f"{len(rows)} rows, want q + 1 = {ctx.q + 1}")
-    _check_width(rows)
-    return [translate(rows[0], b, ctx),
-            *(translate(rows[1 + (y ^ b)], b, ctx) for y in range(ctx.q))]
+    check_width(rows)
+    swaps = _swaps(b, ctx)
+    return [_swapped(rows[0], swaps),
+            *(_swapped(rows[1 + (y ^ b)], swaps) for y in range(ctx.q))]
 
 
 _TRANSPOSE_BLOCK = 256  # columns per pass of transpose
@@ -260,7 +272,7 @@ _TRANSPOSE_BLOCK = 256  # columns per pass of transpose
 
 def transpose(rows) -> list[int]:
     """Rows of the transposed matrix: bit i of row j is bit j of row i."""
-    _check_width(rows)
+    check_width(rows)
     n = len(rows)
     out = []
     # one block of columns at a time, so only n short strings are ever held:

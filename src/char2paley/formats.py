@@ -7,15 +7,17 @@ lowercase hex for field elements.  The edge-list format starts with a
 
 The edge-list, DIMACS and matrix writers return an iterator of text
 chunks, one per adjacency row, so a caller can write them out as they
-come; the JSON and decomposition writers return one string.
+come; the JSON and decomposition writers return one string.  Every
+graph writer raises ValueError, before its first chunk, on a row with
+a bit at or above n.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 
-from .construct import PaleyLikeGraph, iter_bits
+from .construct import BIT_FLAGS, PaleyLikeGraph, check_width, iter_bits
 from .gf2k import FieldCtx
 from .mobius import INF, point_of_index, vertex_index
 from .structure import HamiltonianDecomposition
@@ -42,18 +44,24 @@ def _point_labels(g: PaleyLikeGraph) -> list[str]:
 
 def _pair_lines(g: PaleyLikeGraph, labels: list[str], prefix: str, sep: str):
     """Per row i, one `prefix u sep v` line per edge {u, v} with v > u,
-    or per arc u -> v when directed."""
+    or per arc u -> v when directed.
+
+    Each row picks its labels in one C-level pass: its binary string,
+    as compress flags, selects from the label table (from i+1 on when
+    undirected, with the row shifted to match).  Rows must fit in n bits.
+    """
     for i, row in enumerate(g.rows):
-        if not g.directed:
-            row = row >> (i + 1) << (i + 1)
-        nbrs = list(map(labels.__getitem__, iter_bits(row)))
+        lo = 0 if g.directed else i + 1
+        flags = bin(row >> lo)[:1:-1].encode().translate(BIT_FLAGS)
+        u = prefix + labels[i] + sep
+        nbrs = ("\n" + u).join(compress(labels[lo:] if lo else labels, flags))
         if nbrs:
-            u = prefix + labels[i] + sep
-            yield u + ("\n" + u).join(nbrs) + "\n"
+            yield u + nbrs + "\n"
 
 
 def write_edges(g: PaleyLikeGraph):
     """Edge (or arc) list with header, one pair per line."""
+    check_width(g.rows)
     sep = " > " if g.directed else " "
     return chain([_header(g) + "\n"], _pair_lines(g, _point_labels(g), "", sep))
 
@@ -104,17 +112,20 @@ def write_dimacs(g: PaleyLikeGraph):
     """Standard DIMACS: `p edge n m` then `e u v` with 1-based indices."""
     if g.directed:
         raise ValueError("DIMACS output is for undirected graphs only")
+    check_width(g.rows)
     one_based = [str(i) for i in range(1, g.n + 1)]
     return chain([f"p edge {g.n} {g.edge_count()}\n"], _pair_lines(g, one_based, "e ", " "))
 
 
 def write_matrix(g: PaleyLikeGraph):
     """Row-major bit dump: one fixed-width hex line per adjacency row."""
+    check_width(g.rows)
     width = (g.n + 3) // 4
     return (f"{r:0{width}x}\n" for r in g.rows)
 
 
 def write_json_graph(g: PaleyLikeGraph) -> str:
+    check_width(g.rows)
     ctx = g.ctx
     doc = {
         "schema": 1,

@@ -421,6 +421,8 @@ def test_translate_rejects_bad_input(field):
         translate_rows([0] * ctx.q, 1, ctx)  # q rows, not q+1
     with pytest.raises(ValueError):
         translate_rows([0] * ctx.q + [1 << ctx.q + 1], 1, ctx)  # a bit beyond n
+    with pytest.raises(ValueError):
+        translate_rows([0] * (ctx.q + 1), ctx.q, ctx)  # b is no field element
 
 
 @given(st.integers(0, 1 << 300))

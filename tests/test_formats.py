@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from char2paley import FieldCtx, build_graph, build_tournament, param_a
+from char2paley import (
+    FieldCtx, build_graph, build_tournament, iter_bits, param_a, point_of_index,
+)
 from char2paley.formats import (
-    parse_edges, write_dimacs, write_edges, write_json_graph, write_matrix,
+    parse_edges, point_label, write_dimacs, write_edges, write_json_graph, write_matrix,
 )
 
 
@@ -27,6 +31,47 @@ def test_edges_round_trip_recovers_every_row(data):
         if not directed:
             rows[j] |= 1 << i
     assert tuple(rows) == g.rows
+
+
+def _reference_pair_text(g, labels, prefix, sep):
+    """The pair lines by a per-bit walk and a label lookup per edge."""
+    out = []
+    for i, row in enumerate(g.rows):
+        if not g.directed:
+            row = row >> (i + 1) << (i + 1)
+        nbrs = list(map(labels.__getitem__, iter_bits(row)))
+        if nbrs:
+            u = prefix + labels[i] + sep
+            out.append(u + ("\n" + u).join(nbrs) + "\n")
+    return "".join(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pair_writers_match_reference_walk(data):
+    k = data.draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8]), label="k")
+    ctx = FieldCtx(k)
+    a = param_a(ctx, data.draw(st.sampled_from(_trace1(ctx)), label="a"))
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    labels = [point_label(point_of_index(ctx, i)) for i in range(g.n)]
+    sep = " > " if g.directed else " "
+    header = f"# k={k} a={a.value:#x} poly={ctx.poly:#x} n={g.n}\n"
+    assert "".join(write_edges(g)) == header + _reference_pair_text(g, labels, "", sep)
+    if not g.directed:
+        one_based = [str(i) for i in range(1, g.n + 1)]
+        want = f"p edge {g.n} {g.edge_count()}\n" + _reference_pair_text(g, one_based, "e ", " ")
+        assert "".join(write_dimacs(g)) == want
+
+
+@pytest.mark.parametrize("writer", [write_edges, write_dimacs, write_matrix, write_json_graph])
+def test_writers_reject_rows_wider_than_n(writer):
+    ctx = FieldCtx(4)
+    g = build_graph(ctx, param_a(ctx))
+    rows = list(g.rows)
+    rows[3] |= 1 << g.n
+    wide = dataclasses.replace(g, rows=tuple(rows))
+    with pytest.raises(ValueError, match="at or above n"):
+        writer(wide)  # raised at the call, before any chunk is taken
 
 
 _EDGE_TEXT = st.one_of(
