@@ -10,11 +10,19 @@ the edge/arc indicator, in the fixed vertex enumeration (INF first,
 field elements ascending).  Dense builds are capped at order 4097
 (k <= 12, about 2 MB of rows); everything the analysis needs above that
 runs straight off the predicate and the circulant labeling instead.
+
+The dense build rests on the diagonal identity.  With u = x + y != 0,
+tr(x^2/u) = tr(x/sqrt(u)), so the edge bit of {x, x + u} is
+
+    D_u[x] = 1 + tr(a/u) + tr(x w_u),   w_u = u^(-1/2) + u^(-1) + 1,
+
+an affine Walsh word in x: a constant plus the parity of x masked by the
+trace dual of w_u.  One bit-matrix transpose turns these translation
+diagonals into rows over u, and row x is that row translated by x.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, count
@@ -117,57 +125,69 @@ def check_cap(k: int) -> int:
     return n
 
 
-# chars after a row's log-order slice, by tr(x): the loop bit (u = 0) and the INF bit
-_TAILS = ("01", "00")
+@lru_cache(maxsize=1)
+def _walsh_pieces() -> tuple[tuple[bytes, bytes], ...]:
+    """[m][f]: the 256-bit word whose bit t is f + parity(t & m), as 32 little-endian bytes."""
+    full = (1 << _TILE) - 1
+    words = [0] * _TILE
+    for m in range(1, _TILE):
+        low = m & -m
+        words[m] = words[m ^ low] ^ _bit_set_masks()[low.bit_length() - 1]
+    return tuple((w.to_bytes(_PIECE, "little"), (w ^ full).to_bytes(_PIECE, "little"))
+                 for w in words)
 
 
-@dataclass(frozen=True)
-class _RowTables:
-    """Per-field strings behind the rotation build (see _build)."""
+def _diagonals(ctx: FieldCtx, a: ParamA) -> list[tuple[int, int]]:
+    """(m_u, c_u) for each u, with D_u[x] = c_u + parity(x & m_u) (see the module docstring).
 
-    doubled: tuple[str, str]      # [t]: twice the string whose char i is tr(g^-i) == t
-    to_row: operator.itemgetter   # log-order chars + tail -> row string, bit n-1 first
-    inf_row: int                  # row of INF: bit 1+w for tr(w + 1) = 0
-
-
-@lru_cache(maxsize=4)
-def _row_tables(ctx: FieldCtx) -> _RowTables:
+    m_u is the trace dual of w_u (bit i is tr(z^i w_u)) and c_u = 1 + tr(a/u);
+    u = 0 gets (0, 0), the empty loop diagonal.
+    """
     ctx._ensure_tables()
-    m = ctx.q - 1
-    exp2, log, tr = ctx._exp2, ctx._log, ctx.trace
-    ones = "".join("01"[tr(exp2[-i % m])] for i in range(m))
-    zeros = ones.translate(str.maketrans("01", "10"))
-    # string position p holds bit n-1-p: bit 1+u reads log-order char log[u],
-    # bits 1 and 0 read the tail
-    to_row = operator.itemgetter(*(log[u] for u in range(m, 0, -1)), m, m + 1)
-    inf_row = int("".join("10"[tr(w ^ 1)] for w in range(m, -1, -1)), 2) << 1
-    return _RowTables((zeros * 2, ones * 2), to_row, inf_row)
+    exp2, log = ctx._exp2, ctx._log
+    m, half = ctx.q - 1, ctx.q // 2  # u^(-1/2) = g^(-j q/2) for u = g^j, as 2 (q/2) = 1 mod q-1
+    # dual[w] has bit i = tr(z^i w), filled one lowest set bit of w at a time
+    basis = [sum(ctx.trace(ctx.mul(1 << i, 1 << j)) << i for i in range(ctx.k))
+             for j in range(ctx.k)]
+    dual = [0] * ctx.q
+    for w in range(1, ctx.q):
+        low = w & -w
+        dual[w] = dual[w ^ low] ^ basis[low.bit_length() - 1]
+    la = log[a.value]
+    diag = [(0, 0)] * ctx.q
+    for j in range(m):
+        w = exp2[-j * half % m] ^ exp2[-j % m] ^ 1
+        diag[exp2[j]] = (dual[w], 1 ^ ctx.trace(exp2[(la - j) % m]))
+    return diag
+
+
+def _diagonal_blocks(diag: list[tuple[int, int]], q: int):
+    """Per 256-column block of x, the pieces of every diagonal D_u, as _transpose_tiles reads them.
+
+    For lo <= x < lo + 256, parity(x & m) = parity(lo & m) + parity((x - lo) & m),
+    so a piece is a table word for m mod 256, complemented by that constant.
+    Bits at or above q (for q < 256) are ignored by the transpose.
+    """
+    words = _walsh_pieces()
+    for lo in range(0, q, _TILE):
+        yield [b"".join([words[mu & _TILE - 1][cu ^ (lo & mu).bit_count() & 1]
+                         for mu, cu in diag[t:t + _TILE]])
+               for t in range(0, q, _TILE)]
 
 
 def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     """Dense rows of the trace rule at either parity of k.
 
-    With u = x + y the rule reads tr(c/u) + tr(x), c = x^2 + x + a, and
-    tr(c) = tr(a) = 1 keeps c nonzero.  So row x is the set
-    {u : tr(c/u) = tr(x)} translated by x, with the INF bit set iff
-    tr(x) = 0.  In log coordinates u = g^j, division of c = g^L by u is
-    the rotation j -> L - j: a slice of the doubled, reversed trace
-    string.  x and x + 1 share c, and tr(x + 1) = tr(x) + tr(1), so they
-    share the rotated row, complemented when tr(1) = 1 (odd k).
+    The diagonals D_u, transposed, give for each x the row
+    {u : x ~ x + u}; translated by x, with the INF bit 1 + tr(x), that
+    is row x.  INF's row has bit 1+w for tr(w + 1) = 0.
     """
     n = check_cap(ctx.k)
-    tabs = _row_tables(ctx)
-    ctx._ensure_tables()  # tabs are shared by equal contexts; this one may have no tables yet
-    log = ctx._log
-    m = ctx.q - 1
-    flip = (1 << n) - 1 ^ 0b10 if ctx.trace(1) else 0  # all but the loop bit
-    rows = [tabs.inf_row]
-    for x in range(0, ctx.q, 2):
-        lc = log[ctx.mul(x, x) ^ x ^ a.value]
-        tx = ctx.trace(x)
-        pre = int("".join(tabs.to_row(tabs.doubled[tx][m - lc:2 * m - lc] + _TAILS[tx])), 2)
-        rows.append(translate(pre, x, ctx))
-        rows.append(translate(pre ^ flip, x ^ 1, ctx))
+    q, tr = ctx.q, ctx.trace
+    rows = [int("".join("10"[tr(w ^ 1)] for w in range(q - 1, -1, -1)), 2) << 1]
+    diagonals_by_x = _transpose_tiles(_diagonal_blocks(_diagonals(ctx, a), q), q)
+    for x, row in enumerate(diagonals_by_x):
+        rows.append(translate(row << 1 | (1 ^ tr(x)), x, ctx))
     return PaleyLikeGraph(ctx, a, n, tuple(rows))
 
 
@@ -186,8 +206,8 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Bit and permutation primitives.  Each works on a row's binary string,
-# where position n-1-m holds bit m, so a whole row is one C-level pass;
+# Bit and permutation primitives.  Permutations and transposes of a whole
+# matrix go through one big-int tile transpose (_transpose_tiles);
 # translations x -> x + b are a few masked swaps of the row int instead.
 
 # bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
@@ -207,15 +227,87 @@ def check_width(rows) -> None:
         raise ValueError(f"a row has bits at or above n = {n}")
 
 
-def _rows_from(rows, src):
-    """Rows renamed so that new vertex i is old vertex src[i], yielded in the new order."""
-    check_width(rows)
+_TILE_K = 8
+_TILE = 1 << _TILE_K  # side of the square bit tiles of the transpose kernel
+_PIECE = _TILE // 8   # bytes per tile row
+
+
+@lru_cache(maxsize=1)
+def _bit_set_masks() -> tuple[int, ...]:
+    """masks[h] has bit t set, for t < 256, exactly when bit h of t is set."""
+    return tuple(low << (1 << h) for h, low in enumerate(_swap_masks(_TILE_K)))
+
+
+@lru_cache(maxsize=1)
+def _tile_swaps() -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of the eight delta swaps that transpose one 256 x 256 tile.
+
+    Bit 256 r + c of a tile is its entry (r, c).  For s = 128, 64, ..., 1
+    the entries with bit s of r clear and bit s of c set trade places with
+    (r + s, c - s), 255 s positions up: the recursive block transpose
+    (Warren, Hacker's Delight, section 7-3).
+    """
+    zero = bytes(_PIECE)
+    out = []
+    for h in reversed(range(_TILE_K)):
+        s = 1 << h
+        cols = _bit_set_masks()[h].to_bytes(_PIECE, "little")
+        out.append(((_TILE - 1) * s,
+                    int.from_bytes(b"".join(zero if r & s else cols for r in range(_TILE)), "little")))
+    return tuple(out)
+
+
+def _transpose_tiles(blocks, n: int):
+    """Rows of the transpose of an n x n bit matrix, in order, one at a time.
+
+    blocks yields, for each column block lo = 0, 256, ... below n, the
+    pieces (row >> lo) mod 2^256 of the matrix's n rows as a list of
+    tiles: bytes strings of 32 little-endian bytes per piece, for rows
+    0-255, 256-511, ...  Bits of a piece at or above column n are
+    ignored.  Each tile is read as one int and transposed in place by
+    eight masked delta swaps; row lo + c of the result is then row c of
+    each tile in turn.
+    """
+    swaps = _tile_swaps()
+    size = _TILE * _PIECE  # bytes per tile
+    for lo, block in zip(range(0, n, _TILE), blocks):
+        tiles = []
+        for tile in block:
+            x = int.from_bytes(tile, "little")
+            for d, mask in swaps:
+                t = (x >> d ^ x) & mask
+                x ^= t ^ t << d
+            tiles.append(x.to_bytes(size, "little"))
+        for c in range(0, min(_TILE, n - lo) * _PIECE, _PIECE):
+            yield int.from_bytes(b"".join([t[c:c + _PIECE] for t in tiles]), "little")
+
+
+def _transposed(rows):
+    """Rows of the transpose of n rows of n bits, one at a time; rows must fit in n bits."""
     n = len(rows)
-    # bit m of a renamed row is bit src[m] of the original
-    move = operator.itemgetter(*(n - 1 - src[n - 1 - s] for s in range(n)))
-    fmt = f"0{n}b"
-    for i in src:
-        yield int("".join(move(format(rows[i], fmt))), 2)
+    low = (1 << _TILE) - 1
+    return _transpose_tiles(
+        ([b"".join([(r >> lo & low).to_bytes(_PIECE, "little") for r in rows[t:t + _TILE]])
+          for t in range(0, n, _TILE)]
+         for lo in range(0, n, _TILE)),
+        n)
+
+
+def transpose(rows) -> list[int]:
+    """Rows of the transposed matrix: bit i of row j is bit j of row i."""
+    check_width(rows)
+    return list(_transposed(rows))
+
+
+def _renamed(rows, src):
+    """Rows renamed so that new vertex i is old vertex src[i], yielded in the new order.
+
+    Reorder, transpose, reorder, transpose: bit j of new row i is bit
+    src[j] of old row src[i].
+    """
+    check_width(rows)
+    cols = list(_transposed([rows[i] for i in src]))
+    return _transposed([cols[i] for i in src])
 
 
 def relabel(rows, perm) -> list[int]:
@@ -223,7 +315,7 @@ def relabel(rows, perm) -> list[int]:
     src = [0] * len(perm)
     for i, p in enumerate(perm):
         src[p] = i
-    return list(_rows_from(rows, src))
+    return list(_renamed(rows, src))
 
 
 @lru_cache(maxsize=None)
@@ -265,24 +357,6 @@ def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
     swaps = _swaps(b, ctx)
     return [_swapped(rows[0], swaps),
             *(_swapped(rows[1 + (y ^ b)], swaps) for y in range(ctx.q))]
-
-
-_TRANSPOSE_BLOCK = 256  # columns per pass of transpose
-
-
-def transpose(rows) -> list[int]:
-    """Rows of the transposed matrix: bit i of row j is bit j of row i."""
-    check_width(rows)
-    n = len(rows)
-    out = []
-    # one block of columns at a time, so only n short strings are ever held:
-    # column s of the block [lo, hi) of the reversed rows, read as binary, is row hi-1-s
-    for hi in range(n, 0, -_TRANSPOSE_BLOCK):
-        lo = max(hi - _TRANSPOSE_BLOCK, 0)
-        fmt, low = f"0{hi - lo}b", (1 << hi - lo) - 1
-        cols = zip(*[format(r >> lo & low, fmt) for r in reversed(rows)])
-        out.extend(int("".join(col), 2) for col in cols)
-    return out[::-1]
 
 
 def rotate(mask: int, i: int, n: int) -> int:
@@ -338,7 +412,7 @@ class CirculantLabeling:
 
     def orbit_rows(self, rows):
         """Dense rows relabeled into orbit order (v_i becomes i), one at a time."""
-        return _rows_from(rows, self.index)
+        return _renamed(rows, self.index)
 
 
 def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
@@ -362,13 +436,18 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
 def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
     """Certify edge(v_i, v_j) <=> (j - i) mod n in conn against the matrix.
 
-    The rows are relabeled into orbit order (vertex v_i becomes i) and
-    each is compared with the connection-set mask rotated by i; a row
-    with bits at or above n fails.
+    The rows, put into orbit order, are transposed, so the column of
+    vertex v_j becomes a row whose bit i is the entry (v_i, v_j): the
+    mask of -conn rotated by j.  Every entry is compared once, with no
+    symmetry assumed; a row with bits at or above n fails.
     """
     lab.check_graph(g)
     n = g.n
     if any(r >> n for r in g.rows):
         return False
-    # one relabeled row at a time: the graph is never held twice
-    return is_circulant(lab.orbit_rows(g.rows), lab.conn_mask, n)
+    where = [0] * n  # where[c]: the orbit position of dense vertex c
+    for i, c in enumerate(lab.index):
+        where[c] = i
+    neg_mask = sum(1 << -d % n for d in lab.conn)
+    cols = _transposed([g.rows[c] for c in lab.index])
+    return all(col == rotate(neg_mask, where[c], n) for c, col in enumerate(cols))

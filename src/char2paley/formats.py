@@ -5,11 +5,11 @@ lowercase hex for field elements.  The edge-list format starts with a
 `# k=.. a=.. poly=.. n=..` header and has one `u v` line per edge
 (`u > v` per arc for tournaments); it round-trips through parse_edges.
 
-The edge-list, DIMACS and matrix writers return an iterator of text
-chunks, one per adjacency row, so a caller can write them out as they
-come; the JSON and decomposition writers return one string.  Every
-graph writer raises ValueError, before its first chunk, on a row with
-a bit at or above n.
+The graph writers return an iterator of text chunks, one per adjacency
+row (after a header chunk where the format has one), so a caller can
+write them out as they come; the decomposition writer returns one
+string.  Every graph writer raises ValueError, before its first chunk,
+on a row with a bit at or above n.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from itertools import chain, compress
 
-from .construct import BIT_FLAGS, PaleyLikeGraph, check_width, iter_bits
+from .construct import BIT_FLAGS, PaleyLikeGraph, check_width
 from .gf2k import FieldCtx
 from .mobius import INF, point_of_index, vertex_index
 from .structure import HamiltonianDecomposition
@@ -42,19 +42,23 @@ def _point_labels(g: PaleyLikeGraph) -> list[str]:
     return [point_label(point_of_index(g.ctx, i)) for i in range(g.n)]
 
 
+def _picks(table: list[str], row: int):
+    """The entries table[m] at the set bits m of row, in one C-level pass:
+    the row's binary string, as compress flags, selects from the table."""
+    return compress(table, bin(row)[:1:-1].encode().translate(BIT_FLAGS))
+
+
 def _pair_lines(g: PaleyLikeGraph, labels: list[str], prefix: str, sep: str):
     """Per row i, one `prefix u sep v` line per edge {u, v} with v > u,
     or per arc u -> v when directed.
 
-    Each row picks its labels in one C-level pass: its binary string,
-    as compress flags, selects from the label table (from i+1 on when
-    undirected, with the row shifted to match).  Rows must fit in n bits.
+    Each row picks its labels with _picks (from i+1 on when undirected,
+    with the row shifted to match).  Rows must fit in n bits.
     """
     for i, row in enumerate(g.rows):
         lo = 0 if g.directed else i + 1
-        flags = bin(row >> lo)[:1:-1].encode().translate(BIT_FLAGS)
         u = prefix + labels[i] + sep
-        nbrs = ("\n" + u).join(compress(labels[lo:] if lo else labels, flags))
+        nbrs = ("\n" + u).join(_picks(labels[lo:] if lo else labels, row >> lo))
         if nbrs:
             yield u + nbrs + "\n"
 
@@ -124,20 +128,29 @@ def write_matrix(g: PaleyLikeGraph):
     return (f"{r:0{width}x}\n" for r in g.rows)
 
 
-def write_json_graph(g: PaleyLikeGraph) -> str:
+def write_json_graph(g: PaleyLikeGraph):
+    """The text of json.dumps(doc, indent=2) + "\n", one chunk per adjacency row.
+
+    doc holds schema (1), k, a, poly, n, directed, the vertex labels and,
+    per row, the ascending neighbour (or out-neighbour) indices.  With
+    indent=2 every list item is on its own line, and an empty list is [].
+    """
     check_width(g.rows)
     ctx = g.ctx
-    doc = {
-        "schema": 1,
-        "k": ctx.k,
-        "a": f"{g.a.value:#x}",
-        "poly": f"{ctx.poly:#x}",
-        "n": g.n,
-        "directed": g.directed,
-        "vertices": _point_labels(g),
-        "adjacency": [list(iter_bits(r)) for r in g.rows],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    head = {"schema": 1, "k": ctx.k, "a": f"{g.a.value:#x}", "poly": f"{ctx.poly:#x}",
+            "n": g.n, "directed": g.directed}
+    fields = "".join(f"  {json.dumps(key)}: {json.dumps(val)},\n" for key, val in head.items())
+    vertices = ",\n    ".join(map(json.dumps, _point_labels(g)))
+    indices = [str(i) for i in range(g.n)]
+
+    def rows():
+        for i, row in enumerate(g.rows):
+            nbrs = ",\n      ".join(_picks(indices, row))
+            item = "    [\n      " + nbrs + "\n    ]" if nbrs else "    []"
+            yield item + (",\n" if i < g.n - 1 else "\n")
+
+    return chain([f'{{\n{fields}  "vertices": [\n    {vertices}\n  ],\n  "adjacency": [\n'],
+                 rows(), ["  ]\n}\n"])
 
 
 def write_decomposition(dec: HamiltonianDecomposition) -> str:

@@ -8,7 +8,10 @@ from char2paley import (
     FieldCtx, build_graph, build_tournament, circulant_labeling, is_full_orbit, iter_bits,
     param_a, relabel, translate, translate_rows, transpose, verify_circulant, vertex_index,
 )
-from char2paley.construct import CirculantLabeling, PaleyLikeGraph, is_circulant, rotate
+from char2paley.construct import (
+    CirculantLabeling, PaleyLikeGraph, _diagonal_blocks, _diagonals, _transpose_tiles,
+    is_circulant, rotate,
+)
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
 # enumeration [inf, 0, 1, w, w^2]; edges {inf,0},{inf,1},{0,w},{1,w^2},{w,w^2}
@@ -437,6 +440,108 @@ def test_transpose_across_column_blocks():
     rows = [rng.getrandbits(n) for _ in range(n)]
     want = [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
     assert transpose(rows) == want
+
+
+def _per_bit_transpose(rows):
+    n = len(rows)
+    return [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
+
+
+@st.composite
+def tiled_rows(draw):
+    """n rows of n bits at the tile edges or any width up to 600, dense or sparse."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 255, 256, 257, 511, 513]), st.integers(1, 600)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sparse = draw(st.booleans())
+    rows = [rng.getrandbits(n) & (rng.getrandbits(n) if sparse else -1) for _ in range(n)]
+    return n, rows, rng
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiled_rows())
+def test_transpose_kernel_matches_per_bit_transpose(case):
+    n, rows, rng = case
+    want = _per_bit_transpose(rows)
+    assert transpose(rows) == want
+    # pieces may carry bits at or above column n: the kernel ignores them
+    blocks = []
+    for lo in range(0, n, 256):
+        junk = (rng.getrandbits(256) >> (n - lo) << (n - lo)) if n - lo < 256 else 0
+        pieces = [(r >> lo & (1 << 256) - 1 | junk).to_bytes(32, "little") for r in rows]
+        blocks.append([b"".join(pieces[t:t + 256]) for t in range(0, n, 256)])
+    assert list(_transpose_tiles(iter(blocks), n)) == want
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [0] * n
+    for i in range(n):
+        moved[perm[i]] = sum(1 << perm[j] for j in range(n) if rows[i] >> j & 1)
+    assert relabel(rows, perm) == moved
+
+
+@pytest.mark.parametrize("n", [256, 257, 513])
+def test_transpose_rejects_bits_beyond_n_in_any_block(n):
+    for i in (0, n - 1):
+        rows = [0] * n
+        rows[i] = 1 << n
+        with pytest.raises(ValueError, match="at or above n"):
+            transpose(rows)
+        with pytest.raises(ValueError, match="at or above n"):
+            relabel(rows, list(range(n)))
+
+
+@pytest.mark.parametrize("k, poly", [(2, None), (3, None), (4, None), (5, None), (6, None),
+                                     (4, 0x19), (6, 0x49)])
+def test_diagonal_identity(field, k, poly):
+    # D_u[x] = 1 + tr(a/u) + tr(x w_u) is the edge bit of {x, x + u}, for every a
+    ctx = field(k, poly)
+    for a_val in range(ctx.q):
+        if ctx.trace(a_val) != 1:
+            continue
+        a = param_a(ctx, a_val)
+        diag = _diagonals(ctx, a)
+        assert diag[0] == (0, 0)
+        ((block,),) = _diagonal_blocks(diag, ctx.q)
+        for u in range(1, ctx.q):
+            m_u, c_u = diag[u]
+            piece = int.from_bytes(block[32 * u:32 * u + 32], "little")
+            for x in range(ctx.q):
+                want = 1 ^ adjacency(ctx, a, x, x ^ u)
+                assert c_u ^ (x & m_u).bit_count() & 1 == want, (a_val, u, x)
+                assert piece >> x & 1 == want, (a_val, u, x)
+
+
+def test_diagonal_blocks_across_column_blocks(field):
+    # at k = 9 the diagonals span two 256-column blocks
+    ctx = field(9)
+    a = param_a(ctx)
+    diag = _diagonals(ctx, a)
+    blocks = list(_diagonal_blocks(diag, ctx.q))
+    assert len(blocks) == 2
+    rng = random.Random(9)
+    for u in rng.sample(range(1, ctx.q), 40):
+        t, r = divmod(u, 256)
+        word = sum(int.from_bytes(blk[t][32 * r:32 * r + 32], "little") << 256 * b
+                   for b, blk in enumerate(blocks))
+        assert word == sum((1 ^ adjacency(ctx, a, x, x ^ u)) << x for x in range(ctx.q))
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_verify_circulant_rejects_one_flipped_bit(field, k):
+    # n = 257 and 513: the last column block and the last tile are partial
+    ctx = field(k)
+    a = param_a(ctx)
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    lab = circulant_labeling(ctx, a)
+    n = g.n
+    assert verify_circulant(g, lab)
+    for i, j in ((5, 7),          # first block
+                 (5, n - 1),      # last, partial column block
+                 (n - 1, 3),      # last, partial tile of rows
+                 (0, 9),          # INF row
+                 (9, 0)):         # INF column
+        rows = list(g.rows)
+        rows[i] ^= 1 << j
+        assert not verify_circulant(PaleyLikeGraph(ctx, a, n, tuple(rows)), lab), (i, j)
 
 
 def test_primitives_reject_bits_beyond_n():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,4 +129,27 @@ def test_writers_yield_one_chunk_per_row():
     # header, then one chunk per row with a neighbour above it (all but the last)
     assert len(list(write_edges(g))) == 1 + g.n - 1
     assert len(list(write_dimacs(g))) == 1 + g.n - 1
-    assert isinstance(write_json_graph(g), str)
+    # header, one chunk per row, closing brackets
+    assert len(list(write_json_graph(g))) == 1 + g.n + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_json_writer_matches_json_dumps(data):
+    # the streamed text is json.dumps(doc, indent=2) of the whole document,
+    # an emptied row (written []) included
+    k = data.draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8]), label="k")
+    ctx = FieldCtx(k)
+    a = param_a(ctx, data.draw(st.sampled_from(_trace1(ctx)), label="a"))
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    rows = list(g.rows)
+    for i in data.draw(st.lists(st.integers(0, g.n - 1), max_size=2), label="emptied"):
+        rows[i] = 0
+    g = dataclasses.replace(g, rows=tuple(rows))
+    doc = {
+        "schema": 1, "k": k, "a": f"{a.value:#x}", "poly": f"{ctx.poly:#x}", "n": g.n,
+        "directed": g.directed,
+        "vertices": [point_label(point_of_index(ctx, i)) for i in range(g.n)],
+        "adjacency": [list(iter_bits(r)) for r in rows],
+    }
+    assert "".join(write_json_graph(g)) == json.dumps(doc, indent=2) + "\n"
