@@ -46,11 +46,17 @@ T[s] = tr(g^s),
 
 where * is cyclic convolution mod q-1 (T has q/2 ones).  One big-int
 square computes T * T exactly.
+
+The codegree spectrum is the same convolution, mod n.  On the circulant
+with connection set C, codeg(v_0, v_s) = #{d in C : d - s in C}, and at
+even k C = -C turns d - s into s - d, so codeg(v_0, v_s) = (C * C)[s].
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -112,21 +118,24 @@ def kloosterman(ctx: FieldCtx, b: int) -> KloostermanValue:
     return KloostermanValue(b, _kloosterman_sum(ctx, b))
 
 
-def _cyclic_self_convolution(seq: bytes) -> list[int]:
+def _cyclic_self_convolution(seq: bytes) -> memoryview:
     """(seq * seq)[t] = sum_s seq[s] seq[(t - s) mod m] for a 0/1 sequence.
 
-    Packs seq into w-byte slots of one int, squares it and folds the wrap.
-    Every coefficient of the linear square is at most the number of ones,
-    so slots wide enough for that count never carry into each other.
+    Packs seq into w-byte slots of one int (w = 1, 2, 4 or 8), squares it
+    and folds the wrap inside the int: slot t of (sq mod 2^(8wm)) + (sq >> 8wm)
+    is the cyclic coefficient.  Every coefficient, linear or cyclic, is at
+    most the number of ones, so slots wide enough for that count never carry.
+    The result is a memoryview of the m slots, read in place as ints.
     """
     m = len(seq)
-    w = (seq.count(1).bit_length() + 7) // 8
+    w = 1 << (max(1, (seq.count(1).bit_length() + 7) // 8) - 1).bit_length()
     packed = bytearray(m * w)
     packed[::w] = seq
     x = int.from_bytes(packed, "little")
-    sq = (x * x).to_bytes(2 * m * w, "little")
-    linear = [int.from_bytes(sq[i:i + w], "little") for i in range(0, 2 * m * w, w)]
-    return [linear[t] + linear[t + m] for t in range(m)]
+    sq = x * x
+    folded = (sq & (1 << 8 * w * m) - 1) + (sq >> 8 * w * m)
+    step = 1 if sys.byteorder == "little" else -1  # cast reads native slots
+    return memoryview(folded.to_bytes(m * w, sys.byteorder)).cast("BHIQ"[w.bit_length() - 1])[::step]
 
 
 def kloosterman_sweep(ctx: FieldCtx) -> list[int]:
@@ -138,9 +147,8 @@ def kloosterman_sweep(ctx: FieldCtx) -> list[int]:
     exp2 = ctx._exp2
     q = ctx.q
     conv = _cyclic_self_convolution(bytes(map(ctx.trace, exp2[:q - 1])))
-    out = [0] * q
-    for t, c in enumerate(conv):
-        out[exp2[t]] = 4 * c - q - 1
+    out = [4 * conv[t] - q - 1 for t in ctx._log]
+    out[0] = 0
     return out
 
 
@@ -253,22 +261,23 @@ def _spectrum(q: int, counts: dict, max_pair: tuple[int, int]) -> CodegreeSpectr
 def circulant_spectrum(lab: CirculantLabeling) -> CodegreeSpectrum:
     """Exact histogram of (epsilon, ell) of the circulant on lab's connection set.
 
-    codeg(v_i, v_(i+s)) = popcount(C & rot(C, s)) for the connection mask
-    C, and each shift s = 1 .. (n-1)/2 covers n distinct pairs (n is odd),
-    so no dense graph is needed.  The pair reported for the top codegree
-    is (v_0, v_s), as dense row indices.  This is a graph's spectrum once
-    the graph is certified to be that circulant (`verify_circulant`).
+    codeg(v_0, v_s) = (C * C)[s], resting on C = -C (see the module
+    notes; ValueError otherwise), and each shift s = 1 .. (n-1)/2 covers
+    n distinct pairs (n is odd), so no dense graph is needed.  The pair
+    reported for the top codegree is (v_0, v_s), as dense row indices.
+    This is a graph's spectrum once the graph is certified to be that
+    circulant (`verify_circulant`).
     """
     n = lab.n
-    c = lab.conn_mask
-    counts: dict[tuple[int, int], int] = {}
-    best, best_s = -1, 1
-    for s in range(1, (n - 1) // 2 + 1):
-        ell = (c & lab.neighbour_mask(s)).bit_count()
-        key = (int(s in lab.conn), ell)
-        counts[key] = counts.get(key, 0) + n
-        if ell > best:
-            best, best_s = ell, s
+    ind = bytearray(n)
+    for d in lab.conn:
+        ind[d] = 1
+    if ind[1:] != ind[:0:-1]:
+        raise ValueError("the connection set is not closed under negation")
+    half = (n - 1) // 2
+    conv = _cyclic_self_convolution(ind)
+    counts = {key: cnt * n for key, cnt in Counter(zip(ind[1:half + 1], conv[1:half + 1])).items()}
+    best_s = max(range(1, half + 1), key=conv.__getitem__)
     return _spectrum(n - 1, counts, (lab.index[0], lab.index[best_s]))
 
 

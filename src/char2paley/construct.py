@@ -16,9 +16,13 @@ tr(x^2/u) = tr(x/sqrt(u)), so the edge bit of {x, x + u} is
 
     D_u[x] = 1 + tr(a/u) + tr(x w_u),   w_u = u^(-1/2) + u^(-1) + 1,
 
-an affine Walsh word in x: a constant plus the parity of x masked by the
-trace dual of w_u.  One bit-matrix transpose turns these translation
-diagonals into rows over u, and row x is that row translated by x.
+an affine Walsh word in x: D_u[x] = c_u + parity(x & m_u), with
+c_u = 1 + tr(a/u) and m_u the trace dual of w_u (bit h is tr(z^h w_u)).
+Read across u, the difference row R_x (bit u is D_u[x]) is then the word
+C of the c_u plus one mask M_h (bit u is bit h of m_u) for each set bit
+h of x.  A Gray walk over x reaches every R_x with one xor, and row x is
+R_x translated by x.  The M_h depend on the field alone; C is the
+parameter's.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, count
+from operator import eq
 
 from .gf2k import FieldCtx
 from .mobius import (
@@ -125,69 +130,66 @@ def check_cap(k: int) -> int:
     return n
 
 
-@lru_cache(maxsize=1)
-def _walsh_pieces() -> tuple[tuple[bytes, bytes], ...]:
-    """[m][f]: the 256-bit word whose bit t is f + parity(t & m), as 32 little-endian bytes."""
-    full = (1 << _TILE) - 1
-    words = [0] * _TILE
-    for m in range(1, _TILE):
-        low = m & -m
-        words[m] = words[m ^ low] ^ _bit_set_masks()[low.bit_length() - 1]
-    return tuple((w.to_bytes(_PIECE, "little"), (w ^ full).to_bytes(_PIECE, "little"))
-                 for w in words)
+def _quotient_traces(ctx: FieldCtx, exp_traces: bytes, e: int) -> int:
+    """The q-bit word whose bit u is tr(e/u) for u != 0; bit 0 is clear.
 
-
-def _diagonals(ctx: FieldCtx, a: ParamA) -> list[tuple[int, int]]:
-    """(m_u, c_u) for each u, with D_u[x] = c_u + parity(x & m_u) (see the module docstring).
-
-    m_u is the trace dual of w_u (bit i is tr(z^i w_u)) and c_u = 1 + tr(a/u);
-    u = 0 gets (0, 0), the empty loop diagonal.
+    exp_traces[s] is tr(g^s) as an ASCII digit, so tr(e/u) is
+    exp_traces[(log e - log u) mod (q-1)].
     """
+    if e == 0:
+        return 0
     ctx._ensure_tables()
-    exp2, log = ctx._exp2, ctx._log
-    m, half = ctx.q - 1, ctx.q // 2  # u^(-1/2) = g^(-j q/2) for u = g^j, as 2 (q/2) = 1 mod q-1
-    # dual[w] has bit i = tr(z^i w), filled one lowest set bit of w at a time
-    basis = [sum(ctx.trace(ctx.mul(1 << i, 1 << j)) << i for i in range(ctx.k))
-             for j in range(ctx.k)]
-    dual = [0] * ctx.q
-    for w in range(1, ctx.q):
-        low = w & -w
-        dual[w] = dual[w ^ low] ^ basis[low.bit_length() - 1]
-    la = log[a.value]
-    diag = [(0, 0)] * ctx.q
-    for j in range(m):
-        w = exp2[-j * half % m] ^ exp2[-j % m] ^ 1
-        diag[exp2[j]] = (dual[w], 1 ^ ctx.trace(exp2[(la - j) % m]))
-    return diag
+    log = ctx._log
+    le = log[e]
+    by_log = exp_traces[le::-1] + exp_traces[:le:-1]  # [j] = tr(g^(log e - j))
+    return int(bytes(map(by_log.__getitem__, log[:0:-1])), 2) << 1
 
 
-def _diagonal_blocks(diag: list[tuple[int, int]], q: int):
-    """Per 256-column block of x, the pieces of every diagonal D_u, as _transpose_tiles reads them.
+@lru_cache(maxsize=16)  # holds each context's tables: bounded, unlike the masks keyed by k
+def _field_words(ctx: FieldCtx) -> tuple[bytes, tuple[int, ...], int]:
+    """The parameter-free part of the build: tr(g^s) by exponent, the Walsh masks and INF's row.
 
-    For lo <= x < lo + 256, parity(x & m) = parity(lo & m) + parity((x - lo) & m),
-    so a piece is a table word for m mod 256, complemented by that constant.
-    Bits at or above q (for q < 256) are ignored by the transpose.
+    Bit u of M_h is bit h of m_u, tr(z^h w_u) = tr((z^2h + z^h)/u) + tr(z^h),
+    as tr(y) = tr(y^2) makes tr(z^h u^(-1/2)) = tr(z^2h/u); bit 0 (u = 0)
+    is clear.  INF's row has bit 1+w for tr(w + 1) = 0.
     """
-    words = _walsh_pieces()
-    for lo in range(0, q, _TILE):
-        yield [b"".join([words[mu & _TILE - 1][cu ^ (lo & mu).bit_count() & 1]
-                         for mu, cu in diag[t:t + _TILE]])
-               for t in range(0, q, _TILE)]
+    ctx._ensure_tables()  # exponents of the generator, which equal contexts share
+    q, tr = ctx.q, ctx.trace
+    exp_traces = bytes(map(tr, ctx._exp2[:q - 1])).translate(bytes.maketrans(b"\0\1", b"01"))
+    nonzero = (1 << q) - 2
+    masks = tuple(_quotient_traces(ctx, exp_traces, ctx.sqr(z) ^ z) ^ (nonzero if tr(z) else 0)
+                  for z in (1 << h for h in range(ctx.k)))
+    inf_row = int("".join("10"[tr(w ^ 1)] for w in range(q - 1, -1, -1)), 2) << 1
+    return exp_traces, masks, inf_row
+
+
+def _difference_rows(ctx: FieldCtx, a: ParamA):
+    """(x, R_x) for every field element x in Gray-code order; bit u of R_x is D_u[x].
+
+    R_0 is C, with bit u = c_u = 1 + tr(a/u) (u = 0, the loop, stays
+    clear), and a step of the walk across bit h of x flips M_h (see the
+    module docstring).
+    """
+    exp_traces, masks, _ = _field_words(ctx)
+    r = _quotient_traces(ctx, exp_traces, a.value) ^ (1 << ctx.q) - 2
+    yield 0, r
+    for i in range(1, ctx.q):
+        r ^= masks[(i & -i).bit_length() - 1]
+        yield i ^ i >> 1, r
 
 
 def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     """Dense rows of the trace rule at either parity of k.
 
-    The diagonals D_u, transposed, give for each x the row
-    {u : x ~ x + u}; translated by x, with the INF bit 1 + tr(x), that
-    is row x.  INF's row has bit 1+w for tr(w + 1) = 0.
+    R_x, the set {u : x ~ x + u}, translated by x and given the INF bit
+    1 + tr(x), is row x.
     """
     n = check_cap(ctx.k)
-    q, tr = ctx.q, ctx.trace
-    rows = [int("".join("10"[tr(w ^ 1)] for w in range(q - 1, -1, -1)), 2) << 1]
-    diagonals_by_x = _transpose_tiles(_diagonal_blocks(_diagonals(ctx, a), q), q)
-    for x, row in enumerate(diagonals_by_x):
-        rows.append(translate(row << 1 | (1 ^ tr(x)), x, ctx))
+    swaps, tr = _swap_masks(ctx.k), ctx.trace
+    rows = [0] * n
+    rows[0] = _field_words(ctx)[2]
+    for x, r in _difference_rows(ctx, a):
+        rows[1 + x] = _swapped(r, x, swaps) << 1 | 1 ^ tr(x)
     return PaleyLikeGraph(ctx, a, n, tuple(rows))
 
 
@@ -207,7 +209,7 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 
 # ---------------------------------------------------------------------------
 # Bit and permutation primitives.  Permutations and transposes of a whole
-# matrix go through one big-int tile transpose (_transpose_tiles);
+# matrix go through one big-int tile transpose (_transposed);
 # translations x -> x + b are a few masked swaps of the row int instead.
 
 # bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
@@ -233,12 +235,6 @@ _PIECE = _TILE // 8   # bytes per tile row
 
 
 @lru_cache(maxsize=1)
-def _bit_set_masks() -> tuple[int, ...]:
-    """masks[h] has bit t set, for t < 256, exactly when bit h of t is set."""
-    return tuple(low << (1 << h) for h, low in enumerate(_swap_masks(_TILE_K)))
-
-
-@lru_cache(maxsize=1)
 def _tile_swaps() -> tuple[tuple[int, int], ...]:
     """(shift, mask) of the eight delta swaps that transpose one 256 x 256 tile.
 
@@ -251,46 +247,36 @@ def _tile_swaps() -> tuple[tuple[int, int], ...]:
     out = []
     for h in reversed(range(_TILE_K)):
         s = 1 << h
-        cols = _bit_set_masks()[h].to_bytes(_PIECE, "little")
+        cols = (_swap_masks(_TILE_K)[h][1] << s).to_bytes(_PIECE, "little")  # bit h of c set
         out.append(((_TILE - 1) * s,
                     int.from_bytes(b"".join(zero if r & s else cols for r in range(_TILE)), "little")))
     return tuple(out)
 
 
-def _transpose_tiles(blocks, n: int):
-    """Rows of the transpose of an n x n bit matrix, in order, one at a time.
+def _transposed(rows):
+    """Rows of the transpose of n rows of n bits, one at a time; rows must fit in n bits.
 
-    blocks yields, for each column block lo = 0, 256, ... below n, the
-    pieces (row >> lo) mod 2^256 of the matrix's n rows as a list of
-    tiles: bytes strings of 32 little-endian bytes per piece, for rows
-    0-255, 256-511, ...  Bits of a piece at or above column n are
-    ignored.  Each tile is read as one int and transposed in place by
-    eight masked delta swaps; row lo + c of the result is then row c of
-    each tile in turn.
+    For each column block lo = 0, 256, ... below n, the pieces
+    (row >> lo) mod 2^256 of rows 0-255, 256-511, ... form tiles of 32
+    little-endian bytes per piece.  Each tile is read as one int and
+    transposed in place by eight masked delta swaps; row lo + c of the
+    result is then row c of each tile in turn.
     """
+    n = len(rows)
+    low = (1 << _TILE) - 1
     swaps = _tile_swaps()
     size = _TILE * _PIECE  # bytes per tile
-    for lo, block in zip(range(0, n, _TILE), blocks):
+    for lo in range(0, n, _TILE):
         tiles = []
-        for tile in block:
-            x = int.from_bytes(tile, "little")
+        for t in range(0, n, _TILE):
+            x = int.from_bytes(b"".join([(r >> lo & low).to_bytes(_PIECE, "little")
+                                         for r in rows[t:t + _TILE]]), "little")
             for d, mask in swaps:
-                t = (x >> d ^ x) & mask
-                x ^= t ^ t << d
+                s = (x >> d ^ x) & mask
+                x ^= s ^ s << d
             tiles.append(x.to_bytes(size, "little"))
         for c in range(0, min(_TILE, n - lo) * _PIECE, _PIECE):
             yield int.from_bytes(b"".join([t[c:c + _PIECE] for t in tiles]), "little")
-
-
-def _transposed(rows):
-    """Rows of the transpose of n rows of n bits, one at a time; rows must fit in n bits."""
-    n = len(rows)
-    low = (1 << _TILE) - 1
-    return _transpose_tiles(
-        ([b"".join([(r >> lo & low).to_bytes(_PIECE, "little") for r in rows[t:t + _TILE]])
-          for t in range(0, n, _TILE)]
-         for lo in range(0, n, _TILE)),
-        n)
 
 
 def transpose(rows) -> list[int]:
@@ -312,6 +298,8 @@ def _renamed(rows, src):
 
 def relabel(rows, perm) -> list[int]:
     """Rows after renaming vertex i to perm[i], for a permutation perm of range(n)."""
+    if sorted(perm) != list(range(len(rows))):
+        raise ValueError(f"perm is not a permutation of range({len(rows)})")
     src = [0] * len(perm)
     for i, p in enumerate(perm):
         src[p] = i
@@ -319,25 +307,19 @@ def relabel(rows, perm) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _swap_masks(k: int) -> tuple[int, ...]:
-    """masks[h] has bit u set, for u < 2^k, exactly when bit h of u is clear."""
+def _swap_masks(k: int) -> tuple[tuple[int, int], ...]:
+    """(2^h, mask) for h < k: mask has bit u set, for u < 2^k, exactly when bit h of u is clear."""
     q = 1 << k
-    return tuple(((1 << s) - 1) * (((1 << q) - 1) // ((1 << 2 * s) - 1))
+    return tuple((s, ((1 << s) - 1) * (((1 << q) - 1) // ((1 << 2 * s) - 1)))
                  for s in (1 << h for h in range(k)))
 
 
-def _swaps(b: int, ctx: FieldCtx) -> list[tuple[int, int]]:
-    """(shift 2^h, mask) for each set bit h of the field element b."""
-    ctx.check_elem(b)
-    return [(1 << h, low) for h, low in enumerate(_swap_masks(ctx.k)) if b >> h & 1]
-
-
-def _swapped(mask: int, swaps) -> int:
-    """mask with the swaps applied to its field bits; bit 0 (INF) stays."""
-    f = mask >> 1
+def _swapped(f: int, b: int, swaps) -> int:
+    """The 2^k-bit word f with bit u moved to u ^ b, by the swaps (2^h, mask) of set bits h of b."""
     for s, low in swaps:
-        f = (f & low) << s | (f >> s) & low
-    return f << 1 | mask & 1
+        if b & s:
+            f = (f & low) << s | (f >> s) & low
+    return f
 
 
 def translate(mask: int, b: int, ctx: FieldCtx) -> int:
@@ -346,7 +328,8 @@ def translate(mask: int, b: int, ctx: FieldCtx) -> int:
     Adding bit h of b exchanges the blocks of 2^h positions that differ
     in that bit, one masked swap per set bit.  mask has n = q+1 bits.
     """
-    return _swapped(mask, _swaps(b, ctx))
+    ctx.check_elem(b)
+    return _swapped(mask >> 1, b, _swap_masks(ctx.k)) << 1 | mask & 1
 
 
 def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
@@ -354,9 +337,10 @@ def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
     if len(rows) != ctx.q + 1:
         raise ValueError(f"{len(rows)} rows, want q + 1 = {ctx.q + 1}")
     check_width(rows)
-    swaps = _swaps(b, ctx)
-    return [_swapped(rows[0], swaps),
-            *(_swapped(rows[1 + (y ^ b)], swaps) for y in range(ctx.q))]
+    ctx.check_elem(b)
+    swaps = [(s, low) for s, low in _swap_masks(ctx.k) if b & s]
+    return [_swapped(r >> 1, b, swaps) << 1 | r & 1
+            for r in (rows[0], *(rows[1 + (y ^ b)] for y in range(ctx.q)))]
 
 
 def rotate(mask: int, i: int, n: int) -> int:
@@ -378,7 +362,9 @@ class CirculantLabeling:
     (see circulant_labeling), so v_1 = b; b = 0 gives alpha's orbit.
     conn is the set of circulant distances d with tr(v_d + 1) = 0, the
     neighbours of v_0 = INF (out-neighbours when directed): v_i ~ v_j,
-    or v_i -> v_j, exactly when (j - i) mod (q+1) is in conn.
+    or v_i -> v_j, exactly when (j - i) mod (q+1) is in conn.  pos is the
+    inverse of vertices; the constructor checks both and that conn lies
+    in 1 .. n-1.
     """
 
     a: ParamA
@@ -387,14 +373,20 @@ class CirculantLabeling:
     conn: frozenset[int]
     pos: dict = field(repr=False)
 
+    def __post_init__(self) -> None:
+        n, verts, pos = self.n, self.vertices, self.pos
+        if len(pos) != n or not all(map(eq, map(pos.get, verts), range(n))):
+            raise ValueError("pos is not the inverse of the vertices, or they repeat a point")
+        i = pos.get(INF, 0)
+        finite = verts[:i] + verts[i + 1:]  # distinct, as pos tells them apart
+        if verts[i] is not INF or min(finite, default=0) < 0 or max(finite, default=0) >= n - 1:
+            raise ValueError(f"the vertices are not a permutation of PG(1, {n - 1})")
+        if min(self.conn, default=1) < 1 or max(self.conn, default=0) >= n:
+            raise ValueError(f"the connection set is not within 1 .. {n - 1}")
+
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def conn_mask(self) -> int:
-        """conn as a bitmask over orbit positions: bit d for each d in conn."""
-        return sum(1 << d for d in self.conn)
 
     @cached_property
     def index(self) -> tuple[int, ...]:
@@ -405,10 +397,6 @@ class CirculantLabeling:
         """Raise ValueError unless g was built at this labeling's parameter and order."""
         if self.a != g.a or self.n != g.n:
             raise ValueError("labeling and graph were built from different parameters")
-
-    def neighbour_mask(self, i: int) -> int:
-        """Orbit positions adjacent to v_i in the circulant: conn_mask rotated by i."""
-        return rotate(self.conn_mask, i, self.n)
 
     def orbit_rows(self, rows):
         """Dense rows relabeled into orbit order (v_i becomes i), one at a time."""

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from char2paley import (
     INF, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, all_points, alpha_of,
@@ -10,7 +12,7 @@ from char2paley import (
     kloosterman_sweep, kloosterman_value_set, param_a, vertex_index, verify_circulant,
     weil_bound_holds,
 )
-from char2paley.analyze import _kloosterman_sum, spectrum_counts
+from char2paley.analyze import _cyclic_self_convolution, _kloosterman_sum, spectrum_counts
 from char2paley.construct import rotate
 
 
@@ -168,6 +170,77 @@ def test_spectrum_witness_when_cap_fails(std):
         assert spec.counts == spectrum_counts(g.rows, g.n)
         i, j = spec.max_pair
         assert (g.rows[i] & g.rows[j]).bit_count() == spec.max_ell > spec.bound
+
+
+def rotation_spectrum(lab):
+    """Spectrum counts and top pair by the definition: codeg(v_0, v_s) = |C & rot(C, s)|."""
+    n = lab.n
+    c = sum(1 << d for d in lab.conn)
+    counts = {}
+    best, best_s = -1, 1
+    for s in range(1, (n - 1) // 2 + 1):
+        ell = (c & rotate(c, s, n)).bit_count()
+        key = (int(s in lab.conn), ell)
+        counts[key] = counts.get(key, 0) + n
+        if ell > best:
+            best, best_s = ell, s
+    return dict(sorted(counts.items())), (lab.index[0], lab.index[best_s])
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
+def test_circulant_spectrum_matches_rotation_oracle(field, k):
+    # the default parameter through the dense cap, and every trace-1 a at k <= 6
+    ctx = field(k)
+    params = [param_a(ctx)] if k > 6 else [
+        param_a(ctx, v) for v in range(ctx.q) if ctx.trace(v) == 1]
+    for a in params:
+        lab = circulant_labeling(ctx, a)
+        spec = circulant_spectrum(lab)
+        assert (spec.counts, spec.max_pair) == rotation_spectrum(lab), a
+
+
+def test_circulant_spectrum_needs_a_symmetric_connection_set(field):
+    # negative control: codeg(v_0, v_s) is the self-convolution only when C = -C
+    ctx = field(4)
+    a = param_a(ctx)
+    lab = circulant_labeling(ctx, a)
+    skew = CirculantLabeling(a, lab.b, lab.vertices, frozenset({1, 2, lab.n - 1}), lab.pos)
+    with pytest.raises(ValueError, match="negation"):
+        circulant_spectrum(skew)
+    # a tournament's connection set is disjoint from its negation
+    ctx5 = field(5)
+    with pytest.raises(ValueError, match="negation"):
+        circulant_spectrum(circulant_labeling(ctx5, param_a(ctx5)))
+
+
+def _self_convolution_by_definition(seq):
+    m = len(seq)
+    return [sum(seq[s] * seq[(t - s) % m] for s in range(m)) for t in range(m)]
+
+
+@st.composite
+def zero_one_sequences(draw):
+    """0/1 bytes of length 1..600, with ones counts across the 1-/2-byte slot threshold."""
+    m = draw(st.integers(1, 600))
+    ones = draw(st.integers(0, m) | st.sampled_from([min(m, 255), min(m, 256)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    seq = bytearray(m)
+    for s in rng.sample(range(m), ones):
+        seq[s] = 1
+    return bytes(seq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_one_sequences())
+@example(b"\1")
+@example(b"\0")
+@example(b"\1" * 255 + b"\0" * 45)
+@example(b"\1" * 256 + b"\0" * 44)
+@example(b"\1" * 256)
+def test_cyclic_self_convolution_matches_definition(seq):
+    conv = _cyclic_self_convolution(seq)
+    assert list(conv) == _self_convolution_by_definition(seq)
+    assert conv.itemsize == (1 if seq.count(1) < 256 else 2)
 
 
 def test_spectrum_rejects_foreign_labeling(std):

@@ -9,8 +9,7 @@ from char2paley import (
     param_a, relabel, translate, translate_rows, transpose, verify_circulant, vertex_index,
 )
 from char2paley.construct import (
-    CirculantLabeling, PaleyLikeGraph, _diagonal_blocks, _diagonals, _transpose_tiles,
-    is_circulant, rotate,
+    CirculantLabeling, PaleyLikeGraph, _difference_rows, _transposed, is_circulant, rotate,
 )
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
@@ -463,13 +462,10 @@ def test_transpose_kernel_matches_per_bit_transpose(case):
     n, rows, rng = case
     want = _per_bit_transpose(rows)
     assert transpose(rows) == want
-    # pieces may carry bits at or above column n: the kernel ignores them
-    blocks = []
-    for lo in range(0, n, 256):
-        junk = (rng.getrandbits(256) >> (n - lo) << (n - lo)) if n - lo < 256 else 0
-        pieces = [(r >> lo & (1 << 256) - 1 | junk).to_bytes(32, "little") for r in rows]
-        blocks.append([b"".join(pieces[t:t + 256]) for t in range(0, n, 256)])
-    assert list(_transpose_tiles(iter(blocks), n)) == want
+    # rows may carry bits at or above column n in the last tile: the kernel ignores them
+    edge = -n % 256  # columns n .. n + edge - 1 lie in the last 256-column block
+    junk = [r | rng.getrandbits(edge) << n for r in rows]
+    assert list(_transposed(junk)) == want
     perm = list(range(n))
     rng.shuffle(perm)
     moved = [0] * n
@@ -489,40 +485,37 @@ def test_transpose_rejects_bits_beyond_n_in_any_block(n):
             relabel(rows, list(range(n)))
 
 
+def _difference_rows_by_x(ctx, a):
+    walked = dict(_difference_rows(ctx, a))
+    assert sorted(walked) == list(range(ctx.q))  # the Gray walk visits every x once
+    return walked
+
+
 @pytest.mark.parametrize("k, poly", [(2, None), (3, None), (4, None), (5, None), (6, None),
                                      (4, 0x19), (6, 0x49)])
 def test_diagonal_identity(field, k, poly):
-    # D_u[x] = 1 + tr(a/u) + tr(x w_u) is the edge bit of {x, x + u}, for every a
+    # bit u of the Gray-walked R_x is D_u[x] = 1 + tr(a/u) + tr(x w_u), the edge
+    # bit of {x, x + u}, for every x, u and trace-1 a; bit 0 (the loop) is clear
     ctx = field(k, poly)
     for a_val in range(ctx.q):
         if ctx.trace(a_val) != 1:
             continue
         a = param_a(ctx, a_val)
-        diag = _diagonals(ctx, a)
-        assert diag[0] == (0, 0)
-        ((block,),) = _diagonal_blocks(diag, ctx.q)
-        for u in range(1, ctx.q):
-            m_u, c_u = diag[u]
-            piece = int.from_bytes(block[32 * u:32 * u + 32], "little")
-            for x in range(ctx.q):
-                want = 1 ^ adjacency(ctx, a, x, x ^ u)
-                assert c_u ^ (x & m_u).bit_count() & 1 == want, (a_val, u, x)
-                assert piece >> x & 1 == want, (a_val, u, x)
+        for x, r in _difference_rows_by_x(ctx, a).items():
+            assert r >> ctx.q == 0 and r & 1 == 0, (a_val, x)
+            for u in range(1, ctx.q):
+                assert r >> u & 1 == 1 ^ adjacency(ctx, a, x, x ^ u), (a_val, u, x)
 
 
-def test_diagonal_blocks_across_column_blocks(field):
-    # at k = 9 the diagonals span two 256-column blocks
+def test_difference_rows_across_column_blocks(field):
+    # at k = 9 the difference rows span two 256-bit blocks: u on both sides of 256
     ctx = field(9)
     a = param_a(ctx)
-    diag = _diagonals(ctx, a)
-    blocks = list(_diagonal_blocks(diag, ctx.q))
-    assert len(blocks) == 2
+    walked = _difference_rows_by_x(ctx, a)
     rng = random.Random(9)
-    for u in rng.sample(range(1, ctx.q), 40):
-        t, r = divmod(u, 256)
-        word = sum(int.from_bytes(blk[t][32 * r:32 * r + 32], "little") << 256 * b
-                   for b, blk in enumerate(blocks))
-        assert word == sum((1 ^ adjacency(ctx, a, x, x ^ u)) << x for x in range(ctx.q))
+    for u in rng.sample(range(1, 256), 20) + rng.sample(range(256, ctx.q), 20):
+        assert (sum((r >> u & 1) << x for x, r in walked.items())
+                == sum((1 ^ adjacency(ctx, a, x, x ^ u)) << x for x in range(ctx.q))), u
 
 
 @pytest.mark.parametrize("k", [8, 9])
@@ -552,6 +545,13 @@ def test_primitives_reject_bits_beyond_n():
         transpose(rows)
 
 
+@pytest.mark.parametrize("perm", [[0, 0], [1, 1], [1], [0, 1, 2], [0, 2], [-1, 0]])
+def test_relabel_rejects_non_permutations(perm):
+    # a repeated, missing or foreign target is no renaming of range(2)
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel([0b10, 0b01], perm)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 200).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(-400, 400))))
@@ -578,5 +578,37 @@ def test_labeling_index_and_orbit_rows(field, k):
     assert list(lab.orbit_rows(g.rows)) == relabel(g.rows, perm)
     # the positional constructor still works, and the index follows the vertices
     swapped = (lab.vertices[1], lab.vertices[0], *lab.vertices[2:])
-    moved = CirculantLabeling(a, lab.b, swapped, lab.conn, lab.pos)
+    moved = CirculantLabeling(a, lab.b, swapped, lab.conn, {p: i for i, p in enumerate(swapped)})
     assert moved.index == (lab.index[1], lab.index[0], *lab.index[2:])
+
+
+def test_labeling_constructor_rejects_inconsistent_fields(field):
+    # one negative control per check: the vertices, their inverse and the connection set
+    ctx = field(4)
+    a = param_a(ctx)
+    lab = circulant_labeling(ctx, a)
+    n = lab.n
+
+    def make(verts, conn=lab.conn, pos=None):
+        pos = {p: i for i, p in enumerate(verts)} if pos is None else pos
+        return CirculantLabeling(a, lab.b, tuple(verts), conn, pos)
+
+    assert make(lab.vertices).index == lab.index
+    v = list(lab.vertices)
+    for verts in ([*v[:3], ctx.q, *v[4:]],   # a point off PG(1, q)
+                  [*v[:3], -1, *v[4:]],      # a negative one
+                  [ctx.q, *v[1:]],           # INF traded for a point off the line
+                  [p for p in v if p != 0]):  # one point short
+        with pytest.raises(ValueError, match="not a permutation of PG"):
+            make(verts)
+    swapped = [v[1], v[0], *v[2:]]
+    repeated = [*v[:3], v[2], *v[4:]]
+    for verts, pos in ((swapped, lab.pos),                             # another order's inverse
+                       (v, {**lab.pos, "extra": n}),                   # a key beyond the vertices
+                       (v, {p: i for i, p in enumerate(v) if i != 5}),  # a vertex without a position
+                       (repeated, None)):                              # a repeated point
+        with pytest.raises(ValueError, match="not the inverse.*repeat a point"):
+            make(verts, pos=pos)
+    for conn in (lab.conn | {0}, lab.conn | {n}, lab.conn | {-1}):
+        with pytest.raises(ValueError, match="connection set"):
+            make(v, conn=frozenset(conn))
