@@ -13,9 +13,8 @@ arithmetic throughout.
 __version__ = "0.1.0"
 
 from .analyze import (
-    CodegreePair, CodegreeSpectrum, JumblednessAudit, JumblednessCertificate,
-    KloostermanValue, circulant_spectrum, codegree_direct, codegree_formula,
-    codegree_spectrum, jumbledness_audit, jumbledness_certificate, kloosterman,
+    CodegreePair, CodegreeSpectrum, JumblednessCertificate, circulant_spectrum,
+    codegree_direct, codegree_formula, codegree_spectrum, jumbledness_certificate,
     kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (

@@ -1,15 +1,8 @@
-"""Codegrees, Kloosterman sums, and the jumbledness certificate and audit.
+"""Codegrees, Kloosterman sums, and the jumbledness certificate.
 
 Everything here is exact: counts are ints, character sums are ints, and
 the jumbledness inequality |e(H) - C(h,2)/2| <= q^(3/4) h is decided by
 comparing fourth powers, since q^(3/4) is irrational when k = 2 mod 4.
-Writing d = |2 e(H) - C(h,2)| (twice the deviation), the audit's test
-on one subset is
-
-    d^4 <= 16 q^3 h^4
-
-and its reported worst ratio is the exact rational d^4 / (16 q^3 h^4),
-the fourth power of deviation/bound.
 
 The certificate covers every subset at once, from the fourth moment of
 the spectrum.  With A the adjacency matrix and deg = q/2,
@@ -54,20 +47,14 @@ even k C = -C turns d - s into s - d, so codeg(v_0, v_s) = (C * C)[s].
 
 from __future__ import annotations
 
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, isqrt
 
-from .construct import (
-    CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, circulant_labeling, iter_bits,
-)
+from .construct import CirculantLabeling, ParamA, PaleyLikeGraph
 from .gf2k import FieldCtx
-from .mobius import INF, vertex_index
-
-EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
+from .mobius import vertex_index
 
 
 @dataclass(frozen=True)
@@ -76,12 +63,6 @@ class CodegreePair:
     y: object
     epsilon: int  # 1 if the pair is an edge
     ell: int      # number of common neighbours
-
-
-@dataclass(frozen=True)
-class KloostermanValue:
-    b: int
-    value: int
 
 
 def codegree_direct(g: PaleyLikeGraph, x, y) -> CodegreePair:
@@ -93,29 +74,6 @@ def codegree_direct(g: PaleyLikeGraph, x, y) -> CodegreePair:
     ell = (g.rows[i] & g.rows[j]).bit_count()
     eps = g.rows[i] >> j & 1
     return CodegreePair(x, y, eps, ell)
-
-
-def _kloosterman_sum(ctx: FieldCtx, b: int) -> int:
-    ctx._ensure_tables()
-    exp2 = ctx._exp2
-    log = ctx._log
-    tr = ctx.trace
-    q1 = ctx.q - 1
-    lb = log[b] + q1
-    # psi(z + b/z) = 1 - 2 tr(z ^ b/z)
-    s = 0
-    for z in range(1, ctx.q):
-        s += tr(z ^ exp2[lb - log[z]])
-    return q1 - 2 * s
-
-
-def kloosterman(ctx: FieldCtx, b: int) -> KloostermanValue:
-    """Exact Kloosterman sum K(b) over the nonzero elements; b must be nonzero."""
-    ctx.check_elem(b)
-    if b == 0:
-        raise ValueError("K(0) is out of scope: codegree parameters b = x^2+x+a "
-                         "always have trace 1, hence are nonzero")
-    return KloostermanValue(b, _kloosterman_sum(ctx, b))
 
 
 def _cyclic_self_convolution(seq: bytes) -> memoryview:
@@ -143,22 +101,18 @@ def kloosterman_sweep(ctx: FieldCtx) -> list[int]:
 
     Computed as 4 (T * T)[t] - q - 1 at b = g^t (see the module notes).
     """
-    ctx._ensure_tables()
-    exp2 = ctx._exp2
     q = ctx.q
-    conv = _cyclic_self_convolution(bytes(map(ctx.trace, exp2[:q - 1])))
-    out = [4 * conv[t] - q - 1 for t in ctx._log]
+    conv = _cyclic_self_convolution(ctx.exp_traces())
+    out = [4 * conv[t] - q - 1 for t in ctx.log_table()]
     out[0] = 0
     return out
 
 
-def weil_bound_holds(ctx: FieldCtx, values: list[int] | None = None) -> tuple[bool, int, int]:
+def weil_bound_holds(ctx: FieldCtx, values: list[int]) -> tuple[bool, int, int]:
     """Check |K(b)| <= 2 sqrt(q) for all nonzero b, exactly (K^2 <= 4q).
 
-    Returns (ok, argmax b, max |K|).
+    values is the sweep, K(b) at index b.  Returns (ok, argmax b, max |K|).
     """
-    if values is None:
-        values = kloosterman_sweep(ctx)
     worst_b, worst = 1, 0
     for b in range(1, ctx.q):
         if abs(values[b]) > worst:
@@ -167,14 +121,13 @@ def weil_bound_holds(ctx: FieldCtx, values: list[int] | None = None) -> tuple[bo
 
 
 def kloosterman_value_set(ctx: FieldCtx,
-                          values: list[int] | None = None) -> tuple[bool, int | None, int | None]:
+                          values: list[int]) -> tuple[bool, int | None, int | None]:
     """Check {K(b) : b != 0} is exactly {v = 3 mod 4 : v^2 <= 4q} (Lachaud-Wolfmann).
 
-    Returns (ok, the first b whose value lies outside that set, the
-    smallest value of it that no b takes), None where there is none.
+    values is the sweep, K(b) at index b.  Returns (ok, the first b whose
+    value lies outside that set, the smallest value of it that no b
+    takes), None where there is none.
     """
-    if values is None:
-        values = kloosterman_sweep(ctx)
     r = isqrt(4 * ctx.q)
     want = {v for v in range(-r, r + 1) if v % 4 == 3}
     stray = next((b for b in range(1, ctx.q) if values[b] not in want), None)
@@ -183,19 +136,15 @@ def kloosterman_value_set(ctx: FieldCtx,
 
 
 def codegree_formula(ctx: FieldCtx, a: ParamA, x, y,
-                     labeling: CirculantLabeling | None = None,
-                     kloo: list[int] | None = None) -> int:
+                     labeling: CirculantLabeling, kloo: list[int]) -> int:
     """Codegree of (x, y) via the Kloosterman identity, no matrix needed.
 
-    Rotates y to INF along the circulant labeling, an automorphism at
+    Rotates y to INF along `a`'s circulant labeling, an automorphism at
     every trace-1 `a`, then evaluates q/4 - eps + (K(x'^2 + x' + a) + 1)/4
-    at the rotated x'.  Optional precomputed labeling and K table make
-    the per-pair cost O(1).
+    at the rotated x', reading K from the sweep `kloo`: O(1) per pair.
     """
     if ctx.k % 2:
         raise ValueError("the codegree formula is for graphs (even k)")
-    if labeling is None:
-        labeling = circulant_labeling(ctx, a)
     i = labeling.pos[x]
     j = labeling.pos[y]
     if i == j:
@@ -203,7 +152,7 @@ def codegree_formula(ctx: FieldCtx, a: ParamA, x, y,
     n = ctx.q + 1
     xr = labeling.vertices[(i - j) % n]  # alpha^(-j) image of x; finite
     b = ctx.sqr(xr) ^ xr ^ a.value
-    k_val = kloo[b] if kloo is not None else _kloosterman_sum(ctx, b)
+    k_val = kloo[b]
     eps = 1 if ctx.trace(xr) == 0 else 0
     num = k_val + 1
     if num % 4 or ctx.q % 4:
@@ -321,80 +270,3 @@ def jumbledness_certificate(q: int, counts: dict) -> JumblednessCertificate:
         lam += 1
     # 2L + 1 <= floor((256 q^3)^(1/4)) exactly when (2L + 1)^4 <= 256 q^3
     return JumblednessCertificate(trace_a4, lam, (isqrt(isqrt(256 * q ** 3)) - 1) // 2)
-
-
-@dataclass(frozen=True)
-class JumblednessAudit:
-    mode: str                  # "exhaustive" or "sampled"
-    samples: int               # number of subsets tested
-    seed: int | None           # None in exhaustive mode
-    worst_dev2: int            # d = |2 e(H) - C(h,2)| at the worst subset
-    worst_size: int            # h there
-    worst_mask: int            # the subset itself, as a vertex bitmask
-    worst_ratio_pow4: Fraction  # (deviation/bound)^4, exact
-    passed: bool
-
-    @property
-    def worst_ratio(self) -> float:
-        """Float view of deviation/bound at the worst subset (display only)."""
-        return float(self.worst_ratio_pow4) ** 0.25
-
-
-def _audit_from_worst(g, mode, samples, seed, d, h, mask) -> JumblednessAudit:
-    q = g.ctx.q
-    if h == 0:
-        ratio4 = Fraction(0)
-    else:
-        ratio4 = Fraction(d ** 4, 16 * q ** 3 * h ** 4)
-    return JumblednessAudit(mode, samples, seed, d, h, mask, ratio4, ratio4 <= 1)
-
-
-def jumbledness_audit(g: PaleyLikeGraph, mode: str = "sampled",
-                      samples: int = 100_000, seed: int = 0) -> JumblednessAudit:
-    """Audit |e(H) - C(h,2)/2| <= q^(3/4) h over induced subgraphs.
-
-    Exhaustive mode walks all 2^n subsets in Gray-code order (order
-    capped at 17); sampled mode draws uniform subsets from a seeded RNG.
-    The worst subset is the one maximizing deviation/size, which orders
-    identically to the reported fourth-power ratio.
-    """
-    rows = g.rows
-    n = g.n
-    worst_d, worst_h, worst_mask = 0, 1, 0
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_SUBSET_CAP:
-            raise OutOfScopeError(
-                f"exhaustive subset sweep capped at order {EXHAUSTIVE_SUBSET_CAP}, got {n}")
-        total = 1 << n
-        mask = 0
-        e2 = 0  # twice e(H), maintained incrementally
-        h = 0
-        for i in range(1, total):
-            bit = 1 << ((i & -i).bit_length() - 1)
-            v = bit.bit_length() - 1
-            if mask & bit:
-                mask ^= bit
-                h -= 1
-                e2 -= 2 * (rows[v] & mask).bit_count()
-            else:
-                mask ^= bit
-                h += 1
-                e2 += 2 * (rows[v] & mask).bit_count()
-            if h:
-                d = abs(e2 - comb(h, 2))
-                if d * worst_h > worst_d * h:
-                    worst_d, worst_h, worst_mask = d, h, mask
-        return _audit_from_worst(g, "exhaustive", total, None, worst_d, worst_h, worst_mask)
-    if mode != "sampled":
-        raise ValueError(f"unknown audit mode {mode!r}")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        mask = rng.getrandbits(n)
-        h = mask.bit_count()
-        if h == 0:
-            continue
-        e2 = sum((rows[v] & mask).bit_count() for v in iter_bits(mask))
-        d = abs(e2 - comb(h, 2))
-        if d * worst_h > worst_d * h:
-            worst_d, worst_h, worst_mask = d, h, mask
-    return _audit_from_worst(g, "sampled", samples, seed, worst_d, worst_h, worst_mask)

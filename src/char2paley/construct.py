@@ -130,37 +130,37 @@ def check_cap(k: int) -> int:
     return n
 
 
-def _quotient_traces(ctx: FieldCtx, exp_traces: bytes, e: int) -> int:
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int(_, 2) reads
+
+
+def _quotient_traces(ctx: FieldCtx, e: int) -> int:
     """The q-bit word whose bit u is tr(e/u) for u != 0; bit 0 is clear.
 
-    exp_traces[s] is tr(g^s) as an ASCII digit, so tr(e/u) is
-    exp_traces[(log e - log u) mod (q-1)].
+    With t[s] = tr(g^s) (`FieldCtx.exp_traces`), tr(e/u) is
+    t[(log e - log u) mod (q-1)].
     """
     if e == 0:
         return 0
-    ctx._ensure_tables()
-    log = ctx._log
+    t, log = ctx.exp_traces(), ctx.log_table()
     le = log[e]
-    by_log = exp_traces[le::-1] + exp_traces[:le:-1]  # [j] = tr(g^(log e - j))
-    return int(bytes(map(by_log.__getitem__, log[:0:-1])), 2) << 1
+    rolled = t[le::-1] + t[:le:-1]  # [j] = tr(g^(log e - j))
+    return int(bytes(map(rolled.__getitem__, log[:0:-1])).translate(_DIGITS), 2) << 1
 
 
 @lru_cache(maxsize=16)  # holds each context's tables: bounded, unlike the masks keyed by k
-def _field_words(ctx: FieldCtx) -> tuple[bytes, tuple[int, ...], int]:
-    """The parameter-free part of the build: tr(g^s) by exponent, the Walsh masks and INF's row.
+def _field_words(ctx: FieldCtx) -> tuple[tuple[int, ...], int]:
+    """The parameter-free part of the build: the Walsh masks and INF's row.
 
     Bit u of M_h is bit h of m_u, tr(z^h w_u) = tr((z^2h + z^h)/u) + tr(z^h),
     as tr(y) = tr(y^2) makes tr(z^h u^(-1/2)) = tr(z^2h/u); bit 0 (u = 0)
     is clear.  INF's row has bit 1+w for tr(w + 1) = 0.
     """
-    ctx._ensure_tables()  # exponents of the generator, which equal contexts share
     q, tr = ctx.q, ctx.trace
-    exp_traces = bytes(map(tr, ctx._exp2[:q - 1])).translate(bytes.maketrans(b"\0\1", b"01"))
     nonzero = (1 << q) - 2
-    masks = tuple(_quotient_traces(ctx, exp_traces, ctx.sqr(z) ^ z) ^ (nonzero if tr(z) else 0)
+    masks = tuple(_quotient_traces(ctx, ctx.sqr(z) ^ z) ^ (nonzero if tr(z) else 0)
                   for z in (1 << h for h in range(ctx.k)))
     inf_row = int("".join("10"[tr(w ^ 1)] for w in range(q - 1, -1, -1)), 2) << 1
-    return exp_traces, masks, inf_row
+    return masks, inf_row
 
 
 def _difference_rows(ctx: FieldCtx, a: ParamA):
@@ -170,8 +170,8 @@ def _difference_rows(ctx: FieldCtx, a: ParamA):
     clear), and a step of the walk across bit h of x flips M_h (see the
     module docstring).
     """
-    exp_traces, masks, _ = _field_words(ctx)
-    r = _quotient_traces(ctx, exp_traces, a.value) ^ (1 << ctx.q) - 2
+    masks = _field_words(ctx)[0]
+    r = _quotient_traces(ctx, a.value) ^ (1 << ctx.q) - 2
     yield 0, r
     for i in range(1, ctx.q):
         r ^= masks[(i & -i).bit_length() - 1]
@@ -187,7 +187,7 @@ def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     n = check_cap(ctx.k)
     swaps, tr = _swap_masks(ctx.k), ctx.trace
     rows = [0] * n
-    rows[0] = _field_words(ctx)[2]
+    rows[0] = _field_words(ctx)[1]
     for x, r in _difference_rows(ctx, a):
         rows[1 + x] = _swapped(r, x, swaps) << 1 | 1 ^ tr(x)
     return PaleyLikeGraph(ctx, a, n, tuple(rows))

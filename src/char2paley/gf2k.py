@@ -19,17 +19,20 @@ factor search in the test suite):
 
 The trace is F_2-linear, so at every k it is the parity of x masked by
 tmask, whose bit i is the trace of the basis element z^i; a FieldCtx
-computes tmask once, without tables.  For q <= 2^16 it lazily builds
-exp/log and inverse tables, and multiplication and division then cost
-one or two list lookups, which is what the graph-construction inner
-loops run on.  Above that, they fall back to shift-and-xor /
-extended-gcd code paths that need no tables.
+computes tmask once, without tables.  At every k it lazily builds
+exp/log and inverse tables, in array('I') (16 MiB at k = 20), and
+multiplication and division then cost a few array lookups, which is
+what the graph-construction inner loops run on.  The tables stay
+inside FieldCtx: callers read them through log_table() and
+exp_traces(), the trace of each power of the generator.
 
 Elements are printed in lowercase hex (e.g. 0x13 is z^4+z+1) everywhere
 the package does I/O.
 """
 
 from __future__ import annotations
+
+from array import array
 
 K_MAX = 20
 
@@ -40,8 +43,6 @@ DEFAULT_POLYS = {
     13: 0x201B, 14: 0x4021, 15: 0x8003, 16: 0x1002B,
     17: 0x20009, 18: 0x40009, 19: 0x80027, 20: 0x100009,
 }
-
-_TABLE_LIMIT = 1 << 16  # build lookup tables only for q up to this
 
 
 def poly_degree(p: int) -> int:
@@ -114,9 +115,10 @@ class FieldCtx:
         self.k = k
         self.q = 1 << k
         self.poly = poly
-        self._exp2: list[int] | None = None   # doubled exp table, length 2(q-1)
-        self._log: list[int] | None = None
-        self._inv: list[int] | None = None
+        self._exp2: array | None = None   # doubled exp table, length 2(q-1)
+        self._log: array | None = None
+        self._inv: array | None = None
+        self._exp_traces: bytes | None = None
         self._as_rows: list[tuple[int, int, int]] | None = None
         self._generator: int | None = None
         # bit i of tmask is tr(z^i), the Frobenius sum of the basis element z^i
@@ -169,12 +171,10 @@ class FieldCtx:
         return p
 
     def mul(self, x: int, y: int) -> int:
-        if self.q <= _TABLE_LIMIT:
-            if x == 0 or y == 0:
-                return 0
-            self._ensure_tables()
-            return self._exp2[self._log[x] + self._log[y]]
-        return self._mul_raw(x, y)
+        if x == 0 or y == 0:
+            return 0
+        self._ensure_tables()
+        return self._exp2[self._log[x] + self._log[y]]
 
     def sqr(self, x: int) -> int:
         return self.mul(x, x)
@@ -182,27 +182,8 @@ class FieldCtx:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.q <= _TABLE_LIMIT:
-            self._ensure_tables()
-            return self._inv[x]
-        return self._inv_raw(x)
-
-    def _inv_raw(self, x: int) -> int:
-        """Inverse by the binary extended gcd on bit-polynomials."""
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        t1, t2 = 0, 1
-        r1, r2 = self.poly, x
-        r1l, r2l = self.k + 1, r2.bit_length()
-        while r2:
-            sh = r1l - r2l
-            r1 ^= r2 << sh
-            t1 ^= t2 << sh
-            r1l = r1.bit_length()
-            if r1 < r2:
-                r1, r2, r1l, r2l = r2, r1, r2l, r1l
-                t1, t2 = t2, t1
-        return t1
+        self._ensure_tables()
+        return self._inv[x]
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -294,22 +275,36 @@ class FieldCtx:
             e >>= 1
         return r
 
+    def log_table(self) -> array:
+        """log[x] = s with g^s = x, for the generator g and nonzero x; log[0] is 0.
+
+        The field's own table: read it, never write it.
+        """
+        self._ensure_tables()
+        return self._log
+
+    def exp_traces(self) -> bytes:
+        """tr(g^s) for s = 0 .. q-2, as bytes of 0 and 1; computed once per field."""
+        if self._exp_traces is None:
+            self._ensure_tables()
+            self._exp_traces = bytes(map(self.trace, self._exp2[:self.q - 1]))
+        return self._exp_traces
+
     def _ensure_tables(self) -> None:
         if self._exp2 is not None:
             return
         q1 = self.q - 1
         g = self.generator()
-        exp2 = [0] * (2 * q1)
-        log = [0] * self.q
+        exp = array("I", [0]) * q1
+        log = array("I", [0]) * self.q
         v = 1
         for i in range(q1):
-            exp2[i] = v
-            exp2[i + q1] = v
+            exp[i] = v
             log[v] = i
             v = self._mul_raw(v, g)
         if v != 1:
             raise AssertionError("generator order check failed")
-        inv = [0] * self.q
-        for x in range(1, self.q):
-            inv[x] = exp2[q1 - log[x]]
+        exp2 = exp + exp
+        # inv[g^s] = g^(q-1-s); inv[0] is never read
+        inv = array("I", map(exp2.__getitem__, map(q1.__sub__, log)))
         self._exp2, self._log, self._inv = exp2, log, inv

@@ -16,12 +16,13 @@ from char2paley import (
     INF, QuadExtCtx, adjacency, all_points, build_graph, build_tournament,
     circulant_labeling, chapman_build, chapman_compare, codegree_direct,
     codegree_formula, construct_a_for_order, hamiltonian_decompose,
-    jumbledness_audit, kloosterman_sweep, lambda_of, lambda_ratio_order,
-    param_a, shift_isomorphism, verify_arc_reversal, verify_automorphisms,
-    verify_circulant, verify_representative_independence,
-    verify_self_complementary, verify_shift_isomorphism,
+    kloosterman_sweep, lambda_of, lambda_ratio_order, param_a, shift_isomorphism,
+    verify_arc_reversal, verify_automorphisms, verify_circulant,
+    verify_representative_independence, verify_self_complementary,
+    verify_shift_isomorphism,
 )
 from char2paley.cli import main
+from oracles import jumbledness_audit
 
 
 @contextmanager

@@ -502,9 +502,29 @@ def test_evidence_below_dense_cap(capsys, argv, sampled):
     assert all(c["evidence"] == c.get("mode", c["evidence"]) for c in checks)
 
 
-def test_analyze_k18_out_of_scope(capsys):
-    code, _ = run(capsys, "analyze", "--k", "18")
-    assert code == 3
+def test_analyze_k18_report(capsys):
+    # the field tables serve every k, so analyze runs above k = 16: the
+    # Kloosterman checks sweep every nonzero b, the spectrum checks rest on
+    # the labeling, and the checks that need the dense matrix are skipped
+    code, out = run(capsys, "analyze", "--k", "18")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True and doc["complete"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    for name in ("kloosterman-weil", "kloosterman-value-set"):
+        assert checks[name]["pass"] is True and checks[name]["evidence"] == "exhaustive", name
+    assert checks["kloosterman-value-set"]["count"] == (1 << 18) - 1
+    for name in ("codegree-cap", "jumbledness"):
+        assert checks[name]["pass"] is True and checks[name]["evidence"] == "algebraic", name
+    for name in ("circulant", "codegree-formula-vs-direct"):
+        assert checks[name].get("skipped") is True, name
+    assert doc["evidence"] == {"exhaustive": 2, "sampled": 0, "algebraic": 2, "skipped": 2}
+
+
+def test_analyze_rejects_odd_k(capsys):
+    # above k = 16 too, where the cap that used to answer first is gone
+    code, _ = run(capsys, "analyze", "--k", "17")
+    assert code == 2
 
 
 def test_build_poly_override(capsys):

@@ -119,10 +119,23 @@ def test_table_mul_matches_raw(field, k):
             assert ctx.mul(x, y) == ctx._mul_raw(x, y)
 
 
-def test_inv_raw_matches_table(field):
+def test_inv_matches_raw_mul(field):
+    # the table inverse against the table-free multiply
     ctx = field(8)
     for x in range(1, ctx.q):
-        assert ctx._inv_raw(x) == ctx.inv(x)
+        assert ctx._mul_raw(x, ctx.inv(x)) == 1
+
+
+@pytest.mark.parametrize("k", range(17, K_MAX + 1))
+def test_tables_above_2_16_match_raw(k):
+    # the tables serve every k; a fresh context, so the session cache keeps no
+    # tables of these sizes
+    ctx = FieldCtx(k)
+    rng = random.Random(k)
+    for _ in range(2000):
+        x, y = rng.randrange(ctx.q), rng.randrange(1, ctx.q)
+        assert ctx.mul(x, y) == ctx._mul_raw(x, y)
+        assert ctx._mul_raw(y, ctx.inv(y)) == 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
