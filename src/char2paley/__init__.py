@@ -24,9 +24,8 @@ from .construct import (
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (
-    INF, IDENTITY, MobiusMap, QuadExtCtx, all_points, alpha_of, apply, beta_of,
-    compose, construct_a_for_order, det, find_generator_a, inverse,
-    is_full_orbit, lambda_of, lambda_ratio_order, mobius_map, orbit,
+    INF, IDENTITY, MobiusMap, QuadExtCtx, all_points, alpha_of, apply, det,
+    find_generator_a, is_full_orbit, lambda_of, lambda_ratio_order, mobius_map,
     point_of_index, vertex_index,
 )
 from .structure import (

@@ -49,16 +49,15 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .construct import CirculantLabeling, ParamA, PaleyLikeGraph
 from .gf2k import FieldCtx
 from .mobius import vertex_index
 
 
-@dataclass(frozen=True)
-class CodegreePair:
+class CodegreePair(NamedTuple):
     x: object
     y: object
     epsilon: int  # 1 if the pair is an edge
@@ -160,8 +159,7 @@ def codegree_formula(ctx: FieldCtx, a: ParamA, x, y,
     return ctx.q // 4 - eps + num // 4
 
 
-@dataclass(frozen=True)
-class CodegreeSpectrum:
+class CodegreeSpectrum(NamedTuple):
     counts: dict                 # (epsilon, ell) -> number of pairs
     max_ell: int
     max_pair: tuple[int, int]    # dense row indices of a pair with codegree max_ell
@@ -244,8 +242,7 @@ def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -
     return _spectrum(g.ctx.q, counts, max_pair)
 
 
-@dataclass(frozen=True)
-class JumblednessCertificate:
+class JumblednessCertificate(NamedTuple):
     trace_a4: int      # tr(A^4) = n deg^2 + 2 * (sum over pairs of codeg^2)
     lambda_bound: int  # least L with 2 L^4 >= tr(A^4) - deg^4; every nontrivial |lambda| <= L
     lambda_limit: int  # largest L with (2L + 1)^4 <= 256 q^3

@@ -27,15 +27,13 @@ parameter's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import eq
+from typing import NamedTuple
 
 from .gf2k import FieldCtx
-from .mobius import (
-    INF, MobiusMap, QuadExtCtx, find_generator_a, is_full_orbit, orbit, vertex_index,
-)
+from .mobius import INF, QuadExtCtx, find_generator_a, is_full_orbit, vertex_index
 
 MATRIX_CAP = 4097  # largest q+1 for which dense adjacency rows are built
 
@@ -44,8 +42,7 @@ class OutOfScopeError(RuntimeError):
     """Requested work is beyond a documented capacity or scope cap."""
 
 
-@dataclass(frozen=True)
-class ParamA:
+class ParamA(NamedTuple):
     """A trace-1 graph parameter."""
 
     value: int
@@ -87,8 +84,7 @@ def adjacency(ctx: FieldCtx, a: ParamA, x, y) -> int:
     return ctx.trace(ctx.div(num, den))
 
 
-@dataclass(frozen=True)
-class PaleyLikeGraph:
+class PaleyLikeGraph(NamedTuple):
     """Order-(q+1) graph (even k) or tournament (odd k) over PG(1,q).
 
     rows[i] is an int bitset: bit j is the edge {i, j}, or for a
@@ -131,6 +127,7 @@ def check_cap(k: int) -> int:
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int(_, 2) reads
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # 0/1 bytes to their complements
 
 
 def _quotient_traces(ctx: FieldCtx, e: int) -> int:
@@ -354,7 +351,6 @@ def is_circulant(rows, conn_mask: int, n: int) -> bool:
     return all(r == rotate(conn_mask, i, n) for i, r in enumerate(rows))
 
 
-@dataclass(frozen=True, eq=False)
 class CirculantLabeling:
     """A cyclic-automorphism labeling v_i of PG(1,q) and its connection set.
 
@@ -364,25 +360,30 @@ class CirculantLabeling:
     neighbours of v_0 = INF (out-neighbours when directed): v_i ~ v_j,
     or v_i -> v_j, exactly when (j - i) mod (q+1) is in conn.  pos is the
     inverse of vertices; the constructor checks both and that conn lies
-    in 1 .. n-1.
+    in 1 .. n-1.  Labelings are read-only, compare by identity and cache
+    index on first read.
     """
 
-    a: ParamA
-    b: int
-    vertices: tuple
-    conn: frozenset[int]
-    pos: dict = field(repr=False)
-
-    def __post_init__(self) -> None:
-        n, verts, pos = self.n, self.vertices, self.pos
-        if len(pos) != n or not all(map(eq, map(pos.get, verts), range(n))):
+    def __init__(self, a: ParamA, b: int, vertices: tuple, conn: frozenset[int], pos: dict):
+        n = len(vertices)
+        if len(pos) != n or not all(map(eq, map(pos.get, vertices), range(n))):
             raise ValueError("pos is not the inverse of the vertices, or they repeat a point")
         i = pos.get(INF, 0)
-        finite = verts[:i] + verts[i + 1:]  # distinct, as pos tells them apart
-        if verts[i] is not INF or min(finite, default=0) < 0 or max(finite, default=0) >= n - 1:
+        finite = vertices[:i] + vertices[i + 1:]  # distinct, as pos tells them apart
+        if vertices[i] is not INF or min(finite, default=0) < 0 or max(finite, default=0) >= n - 1:
             raise ValueError(f"the vertices are not a permutation of PG(1, {n - 1})")
-        if min(self.conn, default=1) < 1 or max(self.conn, default=0) >= n:
+        if min(conn, default=1) < 1 or max(conn, default=0) >= n:
             raise ValueError(f"the connection set is not within 1 .. {n - 1}")
+        self.__dict__.update(a=a, b=b, vertices=vertices, conn=conn, pos=pos)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CirculantLabeling is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CirculantLabeling is read-only: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"CirculantLabeling(a={self.a!r}, b={self.b:#x}, n={self.n}, |conn|={len(self.conn)})"
 
     @property
     def n(self) -> int:
@@ -391,7 +392,8 @@ class CirculantLabeling:
     @cached_property
     def index(self) -> tuple[int, ...]:
         """index[i] is the dense row of v_i (INF -> 0, x -> 1+x, as vertex_index)."""
-        return tuple(0 if p is INF else 1 + p for p in self.vertices)
+        i, verts = self.pos[INF], self.vertices
+        return (*map((1).__add__, verts[:i]), 0, *map((1).__add__, verts[i + 1:]))
 
     def check_graph(self, g: PaleyLikeGraph) -> None:
         """Raise ValueError unless g was built at this labeling's parameter and order."""
@@ -410,15 +412,29 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     carries the graph at a' onto the one at a or its complement.  b is the
     smallest even element giving a' a full alpha-orbit: b^2 + b runs over
     every trace-0 element, so one exists, and b = 0 when a's orbit is full.
+
+    The orbit is walked as sigma(z) = a'/(z + b + 1) + b, one division
+    per point, from sigma(INF) = b to sigma^q(INF) = b + 1.  A short orbit
+    reaches b + 1, whose image is INF, before q + 1 points, and the walk
+    stops there.
     """
     ext = QuadExtCtx(ctx)
-    b = next(b for b in range(0, ctx.q, 2) if is_full_orbit(ext, a.value ^ ctx.sqr(b) ^ b))
-    verts = orbit(ctx, MobiusMap(b, a.value, 1, b ^ 1), INF)
-    if len(verts) != ctx.q + 1:
+    q = ctx.q
+    b = next(b for b in range(0, q, 2) if is_full_orbit(ext, a.value ^ ctx.sqr(b) ^ b))
+    div, a2, c = ctx.div, a.value ^ ctx.sqr(b) ^ b, b ^ 1
+    verts = [INF, b]
+    append = verts.append
+    v = b
+    for _ in range(q - 1):
+        if v == c:  # sigma(b + 1) = INF: the orbit closed early
+            break
+        v = div(a2, v ^ c) ^ b
+        append(v)
+    pos = dict(zip(verts, range(q + 1)))
+    if len(pos) != q + 1:
         raise AssertionError("the orbit length disagrees with the lambda-ratio order")
-    conn = frozenset(d for d in range(1, ctx.q + 1) if ctx.trace(verts[d] ^ 1) == 0)
-    pos = {p: i for i, p in enumerate(verts)}
-    return CirculantLabeling(a, b, tuple(verts), conn, pos)
+    near = ctx.traces(map((1).__xor__, islice(verts, 1, None))).translate(_FLIP)
+    return CirculantLabeling(a, b, tuple(verts), frozenset(compress(count(1), near)), pos)
 
 
 def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:

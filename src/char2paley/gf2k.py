@@ -20,9 +20,11 @@ factor search in the test suite):
 The trace is F_2-linear, so at every k it is the parity of x masked by
 tmask, whose bit i is the trace of the basis element z^i; a FieldCtx
 computes tmask once, without tables.  At every k it lazily builds
-exp/log and inverse tables, in array('I') (16 MiB at k = 20), and
+exp and log tables, in array('I') (12 MiB at k = 20), and
 multiplication and division then cost a few array lookups, which is
-what the graph-construction inner loops run on.  The tables stay
+what the graph-construction inner loops run on.  The exp table walks
+the powers of the generator g, each step x -> x g by two lookups of
+_mul_raw products, one per half of the bits of x.  The tables stay
 inside FieldCtx: callers read them through log_table() and
 exp_traces(), the trace of each power of the generator.
 
@@ -33,6 +35,8 @@ the package does I/O.
 from __future__ import annotations
 
 from array import array
+from collections import deque
+from itertools import count
 
 K_MAX = 20
 
@@ -92,6 +96,9 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+_PARITY = bytes(i & 1 for i in range(256))  # popcount byte to its parity
+
+
 class FieldCtx:
     """The field GF(2^k) for a fixed reduction polynomial.
 
@@ -117,7 +124,6 @@ class FieldCtx:
         self.poly = poly
         self._exp2: array | None = None   # doubled exp table, length 2(q-1)
         self._log: array | None = None
-        self._inv: array | None = None
         self._exp_traces: bytes | None = None
         self._as_rows: list[tuple[int, int, int]] | None = None
         self._generator: int | None = None
@@ -180,13 +186,15 @@ class FieldCtx:
         return self.mul(x, x)
 
     def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        self._ensure_tables()
-        return self._inv[x]
+        return self.div(1, x)
 
     def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
+        if y == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        if x == 0:
+            return 0
+        self._ensure_tables()
+        return self._exp2[self._log[x] - self._log[y]]  # a negative index reads from the end
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
@@ -204,13 +212,6 @@ class FieldCtx:
     def trace(self, x: int) -> int:
         """tr(x) = x + x^2 + x^4 + ... + x^(q/2), an element of F_2."""
         return (x & self.tmask).bit_count() & 1
-
-    def trace_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(T0, T1): the trace-0 and trace-1 halves of the field, ascending."""
-        t0, t1 = [], []
-        for x in range(self.q):
-            (t1 if self.trace(x) else t0).append(x)
-        return tuple(t0), tuple(t1)
 
     def solve_artin_schreier(self, c: int) -> tuple[int, int]:
         """The two solutions (b, b+1) of x^2 + x = c, smallest first.
@@ -283,11 +284,15 @@ class FieldCtx:
         self._ensure_tables()
         return self._log
 
+    def traces(self, xs) -> bytes:
+        """tr(x) for each x of xs, as bytes of 0 and 1."""
+        return bytes(map(int.bit_count, map(self.tmask.__and__, xs))).translate(_PARITY)
+
     def exp_traces(self) -> bytes:
         """tr(g^s) for s = 0 .. q-2, as bytes of 0 and 1; computed once per field."""
         if self._exp_traces is None:
             self._ensure_tables()
-            self._exp_traces = bytes(map(self.trace, self._exp2[:self.q - 1]))
+            self._exp_traces = self.traces(self._exp2[:self.q - 1])
         return self._exp_traces
 
     def _ensure_tables(self) -> None:
@@ -295,16 +300,18 @@ class FieldCtx:
             return
         q1 = self.q - 1
         g = self.generator()
-        exp = array("I", [0]) * q1
-        log = array("I", [0]) * self.q
+        # x -> x g is F_2-linear: split x at h bits, look up both halves' products
+        h = (self.k + 1) // 2
+        low = (1 << h) - 1
+        lo = [self._mul_raw(x, g) for x in range(1 << h)]
+        hi = [self._mul_raw(x << h, g) for x in range(1 << (self.k - h))]
+        exp = array("I", bytes(4 * q1))
         v = 1
         for i in range(q1):
             exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, g)
+            v = lo[v & low] ^ hi[v >> h]
         if v != 1:
             raise AssertionError("generator order check failed")
-        exp2 = exp + exp
-        # inv[g^s] = g^(q-1-s); inv[0] is never read
-        inv = array("I", map(exp2.__getitem__, map(q1.__sub__, log)))
-        self._exp2, self._log, self._inv = exp2, log, inv
+        log = array("I", bytes(4 * self.q))
+        deque(map(log.__setitem__, exp, count()), maxlen=0)
+        self._exp2, self._log = exp + exp, log

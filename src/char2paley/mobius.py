@@ -87,55 +87,12 @@ def apply(ctx: FieldCtx, m: MobiusMap, p):
     return ctx.div(num, den)
 
 
-def compose(ctx: FieldCtx, m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
-    """Matrix product: the map p -> m1(m2(p))."""
-    mul = ctx.mul
-    return MobiusMap(
-        mul(m1.m00, m2.m00) ^ mul(m1.m01, m2.m10),
-        mul(m1.m00, m2.m01) ^ mul(m1.m01, m2.m11),
-        mul(m1.m10, m2.m00) ^ mul(m1.m11, m2.m10),
-        mul(m1.m10, m2.m01) ^ mul(m1.m11, m2.m11),
-    )
-
-
-def inverse(ctx: FieldCtx, m: MobiusMap) -> MobiusMap:
-    # adjugate; in characteristic 2 the off-diagonal signs vanish
-    return MobiusMap(m.m11, m.m01, m.m10, m.m00)
-
-
 def alpha_of(ctx: FieldCtx, a: int) -> MobiusMap:
     """The fixed-point-free map z -> a/(z+1); requires tr(a) = 1."""
     ctx.check_elem(a)
     if ctx.trace(a) != 1:
         raise ValueError(f"alpha parameter needs trace 1, tr({a:#x}) = 0")
     return MobiusMap(0, a, 1, 1)
-
-
-def beta_of(ctx: FieldCtx, y, a: int) -> MobiusMap:
-    """The map z -> (zy + z + a)/(z + y), extended to the identity at y = INF.
-
-    For finite y its matrix is ((y+1, a), (1, y)) with determinant
-    y^2 + y + a, nonzero because tr(a) = 1.
-    """
-    if ctx.trace(a) != 1:
-        raise ValueError(f"beta parameter needs trace 1, tr({a:#x}) = 0")
-    if y is INF:
-        return IDENTITY
-    ctx.check_elem(y)
-    return MobiusMap(y ^ 1, a, 1, y)
-
-
-def orbit(ctx: FieldCtx, m: MobiusMap, start) -> list:
-    """start, m(start), m^2(start), ... up to the first repetition."""
-    out = [start]
-    p = apply(ctx, m, start)
-    limit = ctx.q + 2
-    while p != start:  # INF compares by identity, fields by value
-        out.append(p)
-        p = apply(ctx, m, p)
-        if len(out) > limit:
-            raise AssertionError("orbit exceeded group order; map is not a bijection?")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +242,3 @@ def find_generator_a(ctx: FieldCtx) -> int:
         if ctx.trace(a) == 1 and is_full_orbit(ext, a):
             return a
     raise AssertionError(f"no full-orbit parameter found in GF(2^{ctx.k})")
-
-
-def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:
-    """A trace-1 element a whose lambda-ratio has prescribed order m.
-
-    Requires m | q+1 and m > 2.  Takes a power nu of the primitive root
-    so that nu^(q-1) has order m, then a = N(nu / T(nu)).
-    """
-    q = ext.base.q
-    if m <= 2:
-        raise ValueError(f"order must exceed 2, got {m}")
-    if (q + 1) % m != 0:
-        raise ValueError(f"{m} does not divide q+1 = {q + 1}")
-    g = ext.primitive_root()
-    nu = ext.pow(g, (q + 1) // m)
-    b = ext.trace_to_base(nu)  # nonzero: nu is outside the base field
-    binv = ext.base.inv(b)
-    lam = (ext.base.mul(nu[0], binv), ext.base.mul(nu[1], binv))
-    a = ext.norm(lam)
-    if ext.base.trace(a) != 1:
-        raise AssertionError("constructed parameter has trace 0")
-    return a

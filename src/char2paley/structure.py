@@ -16,8 +16,8 @@ an explicit edge-by-edge verification of the map it gives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .analyze import spectrum_counts
 from .construct import (
@@ -29,8 +29,7 @@ from .gf2k import FieldCtx
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
 
 
-@dataclass(frozen=True)
-class ShiftIso:
+class ShiftIso(NamedTuple):
     """The vertex map x -> x + b (INF fixed) between two parameter choices.
 
     kind is "iso" when tr(b) = 0 (edges map to edges) and
@@ -138,8 +137,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HamiltonianDecomposition:
+class HamiltonianDecomposition(NamedTuple):
     p: int                                  # the (prime) order
     classes: tuple[tuple[int, int], ...]    # distance pairs {d, p-d}
     cycles: tuple[tuple, ...]               # q/4 vertex sequences, length p each
@@ -173,8 +171,7 @@ def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> Hamilton
 # The coset-quotient construction over GF(q^2), an independent oracle
 
 
-@dataclass(frozen=True, eq=False)
-class ChapmanGraph:
+class ChapmanGraph(NamedTuple):
     """Graph on the q+1 cosets of the base multiplicative group in GF(q^2)*.
 
     reps[i] is g^i for the fixed primitive root g, so the rows are in
@@ -284,8 +281,7 @@ def verify_representative_independence(h: ChapmanGraph, samples: int = 0,
     return True
 
 
-@dataclass(frozen=True)
-class ChapmanComparison:
+class ChapmanComparison(NamedTuple):
     verdict: str              # "isomorphic-certified" | "consistent-uncertified" | "not-isomorphic"
     multiplier: int | None    # connection-set multiplier when certified
     spectra_match: bool

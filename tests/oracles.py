@@ -11,6 +11,12 @@
 
   and its reported worst ratio is the exact rational d^4 / (16 q^3 h^4),
   the fourth power of deviation/bound.
+- `orbit` walks a Moebius map point by point through `apply`, and
+  `orbit_labeling` builds the circulant labeling's fields from it, the
+  oracle of the table walk in `circulant_labeling`.
+- `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
+  `trace_partition` state the paper's maps and sets by definition, for
+  the tests to check the package against.
 """
 
 import random
@@ -18,7 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from char2paley import FieldCtx, OutOfScopeError, PaleyLikeGraph, iter_bits
+from char2paley import (
+    IDENTITY, INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, apply,
+    is_full_orbit, iter_bits,
+)
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
 
@@ -120,3 +129,92 @@ def jumbledness_audit(g: PaleyLikeGraph, mode: str = "sampled",
         if d * worst_h > worst_d * h:
             worst_d, worst_h, worst_mask = d, h, mask
     return _audit_from_worst(g, "sampled", samples, seed, worst_d, worst_h, worst_mask)
+
+
+def trace_partition(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(T0, T1): the trace-0 and trace-1 halves of the field, ascending."""
+    t0, t1 = [], []
+    for x in range(ctx.q):
+        (t1 if ctx.trace(x) else t0).append(x)
+    return tuple(t0), tuple(t1)
+
+
+def compose(ctx: FieldCtx, m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
+    """Matrix product: the map p -> m1(m2(p))."""
+    mul = ctx.mul
+    return MobiusMap(
+        mul(m1.m00, m2.m00) ^ mul(m1.m01, m2.m10),
+        mul(m1.m00, m2.m01) ^ mul(m1.m01, m2.m11),
+        mul(m1.m10, m2.m00) ^ mul(m1.m11, m2.m10),
+        mul(m1.m10, m2.m01) ^ mul(m1.m11, m2.m11),
+    )
+
+
+def inverse(ctx: FieldCtx, m: MobiusMap) -> MobiusMap:
+    # adjugate; in characteristic 2 the off-diagonal signs vanish
+    return MobiusMap(m.m11, m.m01, m.m10, m.m00)
+
+
+def beta_of(ctx: FieldCtx, y, a: int) -> MobiusMap:
+    """The map z -> (zy + z + a)/(z + y), extended to the identity at y = INF.
+
+    For finite y its matrix is ((y+1, a), (1, y)) with determinant
+    y^2 + y + a, nonzero because tr(a) = 1.
+    """
+    if ctx.trace(a) != 1:
+        raise ValueError(f"beta parameter needs trace 1, tr({a:#x}) = 0")
+    if y is INF:
+        return IDENTITY
+    ctx.check_elem(y)
+    return MobiusMap(y ^ 1, a, 1, y)
+
+
+def orbit(ctx: FieldCtx, m: MobiusMap, start) -> list:
+    """start, m(start), m^2(start), ... up to the first repetition."""
+    out = [start]
+    p = apply(ctx, m, start)
+    limit = ctx.q + 2
+    while p != start:  # INF compares by identity, fields by value
+        out.append(p)
+        p = apply(ctx, m, p)
+        if len(out) > limit:
+            raise AssertionError("orbit exceeded group order; map is not a bijection?")
+    return out
+
+
+def orbit_labeling(ctx: FieldCtx, a: int):
+    """(b, vertices, conn, pos, index) of the circulant labeling at a, by definition.
+
+    b is the smallest even element with a full alpha-orbit at
+    a + b^2 + b, vertices the orbit of INF under z -> (b z + a)/(z + b + 1)
+    walked through `apply`, conn the distances d with tr(v_d + 1) = 0.
+    """
+    ext = QuadExtCtx(ctx)
+    b = next(b for b in range(0, ctx.q, 2) if is_full_orbit(ext, a ^ ctx.sqr(b) ^ b))
+    verts = tuple(orbit(ctx, MobiusMap(b, a, 1, b ^ 1), INF))
+    conn = frozenset(d for d in range(1, len(verts)) if ctx.trace(verts[d] ^ 1) == 0)
+    pos = {p: i for i, p in enumerate(verts)}
+    index = tuple(0 if p is INF else 1 + p for p in verts)
+    return b, verts, conn, pos, index
+
+
+def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:
+    """A trace-1 element a whose lambda-ratio has prescribed order m.
+
+    Requires m | q+1 and m > 2.  Takes a power nu of the primitive root
+    so that nu^(q-1) has order m, then a = N(nu / T(nu)).
+    """
+    q = ext.base.q
+    if m <= 2:
+        raise ValueError(f"order must exceed 2, got {m}")
+    if (q + 1) % m != 0:
+        raise ValueError(f"{m} does not divide q+1 = {q + 1}")
+    g = ext.primitive_root()
+    nu = ext.pow(g, (q + 1) // m)
+    b = ext.trace_to_base(nu)  # nonzero: nu is outside the base field
+    binv = ext.base.inv(b)
+    lam = (ext.base.mul(nu[0], binv), ext.base.mul(nu[1], binv))
+    a = ext.norm(lam)
+    if ext.base.trace(a) != 1:
+        raise AssertionError("constructed parameter has trace 0")
+    return a

@@ -15,14 +15,14 @@ from math import comb, isqrt
 from char2paley import (
     INF, QuadExtCtx, adjacency, all_points, build_graph, build_tournament,
     circulant_labeling, chapman_build, chapman_compare, codegree_direct,
-    codegree_formula, construct_a_for_order, hamiltonian_decompose,
+    codegree_formula, hamiltonian_decompose,
     kloosterman_sweep, lambda_of, lambda_ratio_order, param_a, shift_isomorphism,
     verify_arc_reversal, verify_automorphisms, verify_circulant,
     verify_representative_independence, verify_self_complementary,
     verify_shift_isomorphism,
 )
 from char2paley.cli import main
-from oracles import jumbledness_audit
+from oracles import construct_a_for_order, jumbledness_audit
 
 
 @contextmanager

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import char2paley
 
 from char2paley import (
     FieldCtx, PaleyLikeGraph, build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
@@ -606,3 +612,16 @@ def test_stages_timed_on_stderr(capsys):
     for stage in ("setup", "kloosterman-sweep", "build", "labeling", "codegree-spectrum"):
         assert f"] STEP {stage}\n" in err
     assert "] PASS circulant\n" in err
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every CLI run is a fresh process: the value types are NamedTuples, so the
+    # import pays for neither module
+    code = ("import sys; before = set(sys.modules); import char2paley.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(char2paley.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, all_points, apply, beta_of,
+    INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, all_points, apply,
     FieldCtx, build_graph, build_tournament, circulant_labeling, is_full_orbit, iter_bits,
     param_a, relabel, translate, translate_rows, transpose, verify_circulant, vertex_index,
 )
+from char2paley import construct
 from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, _difference_rows, _transposed, is_circulant, rotate,
 )
+from oracles import beta_of, orbit_labeling, trace_partition
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
 # enumeration [inf, 0, 1, w, w^2]; edges {inf,0},{inf,1},{0,w},{1,w^2},{w,w^2}
@@ -125,7 +127,7 @@ def test_tournament_k3_arcs_at_infinity(field):
 def test_neighborhood_of_infinity_is_t0(field):
     ctx = field(4)
     g = build_graph(ctx, param_a(ctx))
-    t0 = set(ctx.trace_partition()[0])
+    t0 = set(trace_partition(ctx)[0])
     nbrs = {w for w in range(ctx.q) if g.has_edge(INF, w)}
     assert nbrs == t0
 
@@ -315,6 +317,62 @@ def test_circulant_labeling_every_parameter(field, k):
         short += b != 0
     # the short-orbit parameters (8 of 32 at k = 6) are covered too
     assert short == {2: 0, 3: 1, 4: 0, 5: 6, 6: 8, 7: 22, 8: 0}[k]
+
+
+def _assert_walk_matches_orbit(ctx, a_val):
+    lab = circulant_labeling(ctx, param_a(ctx, a_val))
+    b, verts, conn, pos, index = orbit_labeling(ctx, a_val)
+    assert (lab.b, lab.vertices, lab.conn, lab.pos, lab.index) == (b, verts, conn, pos, index), \
+        f"k = {ctx.k}, a = {a_val:#x}"
+    assert lab.vertices[0] is INF
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_labeling_walk_matches_orbit_every_parameter(field, k):
+    # the table walk sigma(z) = a'/(z + b + 1) + b against apply() along the orbit
+    ctx = field(k)
+    for a_val in range(ctx.q):
+        if ctx.trace(a_val) == 1:
+            _assert_walk_matches_orbit(ctx, a_val)
+
+
+@pytest.mark.parametrize("k", [10, 12, 14, 16])
+def test_labeling_walk_matches_orbit_sampled(field, k):
+    ctx = field(k)
+    rng = random.Random(k)
+    t1 = [x for x in range(ctx.q) if ctx.trace(x) == 1]
+    for a_val in rng.sample(t1, 3 if k < 16 else 1):
+        _assert_walk_matches_orbit(ctx, a_val)
+
+
+@pytest.mark.parametrize("k, a_val", [(6, 0x20), (10, 0x88)])
+def test_labeling_walk_matches_orbit_short_orbit(field, k, a_val):
+    # b != 0: the walk runs sigma, not alpha
+    ctx = field(k)
+    assert circulant_labeling(ctx, param_a(ctx, a_val)).b != 0
+    _assert_walk_matches_orbit(ctx, a_val)
+
+
+@pytest.mark.parametrize("k, a_val", [(6, 0x20), (10, 0x88)])
+def test_labeling_short_orbit_raises(field, monkeypatch, k, a_val):
+    # forced to b = 0, the walk meets b + 1 -> INF early and the length check fires
+    ctx = field(k)
+    monkeypatch.setattr(construct, "is_full_orbit", lambda ext, a: True)
+    with pytest.raises(AssertionError, match="orbit length"):
+        circulant_labeling(ctx, param_a(ctx, a_val))
+
+
+def test_labeling_is_read_only(field):
+    ctx = field(4)
+    lab = circulant_labeling(ctx, param_a(ctx))
+    index = lab.index
+    for name in ("a", "b", "vertices", "conn", "pos", "index"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(lab, name, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(lab, name)
+    assert lab.index is index and lab.vertices[0] is INF
+    assert repr(lab) == f"CirculantLabeling(a={lab.a!r}, b=0x0, n=17, |conn|=8)"
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9, 11])

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from char2paley import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from char2paley.gf2k import poly_degree, poly_mod
+from oracles import trace_partition
 
 
 # -- an independent irreducibility oracle (distinct-degree style, not the
@@ -126,16 +127,26 @@ def test_inv_matches_raw_mul(field):
         assert ctx._mul_raw(x, ctx.inv(x)) == 1
 
 
-@pytest.mark.parametrize("k", range(17, K_MAX + 1))
+@pytest.mark.parametrize("k", range(2, K_MAX + 1))
 def test_tables_above_2_16_match_raw(k):
     # the tables serve every k; a fresh context, so the session cache keeps no
-    # tables of these sizes
+    # tables of the sizes above 2^16
     ctx = FieldCtx(k)
     rng = random.Random(k)
     for _ in range(2000):
         x, y = rng.randrange(ctx.q), rng.randrange(1, ctx.q)
         assert ctx.mul(x, y) == ctx._mul_raw(x, y)
         assert ctx._mul_raw(y, ctx.inv(y)) == 1
+    # each step of the split-multiply walk is one multiplication by g, and the
+    # doubled table wraps around at q - 1
+    g, log = ctx.generator(), ctx.log_table()
+    exp = ctx._exp2
+    q1 = ctx.q - 1
+    assert len(exp) == 2 * q1 and exp[0] == exp[q1] == 1
+    steps = range(q1) if k <= 12 else [q1 - 1, *(rng.randrange(q1) for _ in range(2000))]
+    for s in steps:
+        assert exp[s + 1] == ctx._mul_raw(exp[s], g)
+        assert exp[s + q1] == exp[s] and log[exp[s]] == s
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -221,21 +232,21 @@ def test_trace_frobenius_invariant(field, k):
 @pytest.mark.parametrize("k", range(2, 13))
 def test_trace_partition_sizes(field, k):
     ctx = field(k)
-    t0, t1 = ctx.trace_partition()
+    t0, t1 = trace_partition(ctx)
     assert len(t0) == len(t1) == ctx.q // 2
     assert 0 in t0
     assert set(t0) | set(t1) == set(range(ctx.q))
 
 
 def test_trace_partition_k2(field):
-    t0, t1 = field(2).trace_partition()
+    t0, t1 = trace_partition(field(2))
     assert t0 == (0, 1)
     assert t1 == (2, 3)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_t0_closed_under_addition(field, k):
-    t0 = set(field(k).trace_partition()[0])
+    t0 = set(trace_partition(field(k))[0])
     for x in t0:
         for y in t0:
             assert (x ^ y) in t0
@@ -245,7 +256,7 @@ def test_t0_closed_under_addition(field, k):
 def test_artin_schreier_image_is_t0(field, k):
     ctx = field(k)
     image = {ctx.sqr(x) ^ x for x in range(ctx.q)}
-    assert image == set(ctx.trace_partition()[0])
+    assert image == set(trace_partition(ctx)[0])
 
 
 def test_artin_schreier_examples(field):
@@ -259,7 +270,7 @@ def test_artin_schreier_examples(field):
 @pytest.mark.parametrize("k", range(2, 11))
 def test_artin_schreier_roundtrip(field, k):
     ctx = field(k)
-    t0, t1 = ctx.trace_partition()
+    t0, t1 = trace_partition(ctx)
     for c in t0:
         b0, b1 = ctx.solve_artin_schreier(c)
         assert b1 == b0 ^ 1
@@ -287,7 +298,7 @@ def test_alternate_poly_still_a_field():
     assert is_irreducible(0b11001)
     for x in range(1, ctx.q):
         assert ctx.mul(x, ctx.inv(x)) == 1
-    t0, t1 = ctx.trace_partition()
+    t0, t1 = trace_partition(ctx)
     assert len(t0) == len(t1) == 8
 
 
