@@ -20,7 +20,7 @@ from .analyze import (
 from .construct import (
     MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA,
     adjacency, build_graph, build_tournament, circulant_labeling, iter_bits,
-    param_a, relabel, translate, translate_rows, transpose, verify_circulant,
+    param_a, relabel, translate_rows, transpose, verify_circulant,
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (

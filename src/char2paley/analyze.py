@@ -26,10 +26,12 @@ The codegree of a pair against y = INF closes in terms of a Kloosterman
 sum: with b = x^2 + x + a and psi(z) = (-1)^tr(z),
 
     K(b) = sum over nonzero z of psi(z + b/z),
-    codegree(x, INF) = q/4 - eps + (K(b) + 1)/4,
+    codegree(x, INF) = q/4 - eps + (K(b) + 1)/4.
 
-and a general pair reduces to that case by rotating y to INF along the
-circulant labeling.
+A general pair reduces to that case by the certified rotation: once the
+graph is the circulant on a labeling with v_0 = INF (`verify_circulant`),
+v_i -> v_(i+1) is an automorphism, so {v_i, v_j} has the codegree of
+{v_(i-j), INF}, and the q finite x cover all C(q+1, 2) pairs.
 
 The full sweep of K is a convolution: psi is additive, so with b = g^t
 and z = g^s, psi(z + b/z) = psi(g^s) psi(g^(t-s)), and with
@@ -134,25 +136,18 @@ def kloosterman_value_set(ctx: FieldCtx,
     return stray is None and missing is None, stray, missing
 
 
-def codegree_formula(ctx: FieldCtx, a: ParamA, x, y,
-                     labeling: CirculantLabeling, kloo: list[int]) -> int:
-    """Codegree of (x, y) via the Kloosterman identity, no matrix needed.
+def codegree_formula(ctx: FieldCtx, a: ParamA, x: int, kloo: list[int]) -> int:
+    """Codegree of the pair (x, INF), x finite, via the Kloosterman identity.
 
-    Rotates y to INF along `a`'s circulant labeling, an automorphism at
-    every trace-1 `a`, then evaluates q/4 - eps + (K(x'^2 + x' + a) + 1)/4
-    at the rotated x', reading K from the sweep `kloo`: O(1) per pair.
+    Evaluates q/4 - eps + (K(x^2 + x + a) + 1)/4, reading K from the sweep
+    `kloo`: O(1), no matrix needed.  A general pair reduces to this one by
+    the certified rotation (see the module notes).
     """
     if ctx.k % 2:
         raise ValueError("the codegree formula is for graphs (even k)")
-    i = labeling.pos[x]
-    j = labeling.pos[y]
-    if i == j:
-        raise ValueError("codegree is undefined on equal points")
-    n = ctx.q + 1
-    xr = labeling.vertices[(i - j) % n]  # alpha^(-j) image of x; finite
-    b = ctx.sqr(xr) ^ xr ^ a.value
+    b = ctx.sqr(x) ^ x ^ a.value
     k_val = kloo[b]
-    eps = 1 if ctx.trace(xr) == 0 else 0
+    eps = 1 if ctx.trace(x) == 0 else 0
     num = k_val + 1
     if num % 4 or ctx.q % 4:
         raise AssertionError(f"non-integral codegree from K({b:#x}) = {k_val}")
@@ -211,7 +206,8 @@ def circulant_spectrum(lab: CirculantLabeling) -> CodegreeSpectrum:
     codeg(v_0, v_s) = (C * C)[s], resting on C = -C (see the module
     notes; ValueError otherwise), and each shift s = 1 .. (n-1)/2 covers
     n distinct pairs (n is odd), so no dense graph is needed.  The pair
-    reported for the top codegree is (v_0, v_s), as dense row indices.
+    reported for the top codegree is (v_0, v_s), as dense row indices:
+    v_0 = INF is row 0.
     This is a graph's spectrum once the graph is certified to be that
     circulant (`verify_circulant`).
     """
@@ -225,7 +221,7 @@ def circulant_spectrum(lab: CirculantLabeling) -> CodegreeSpectrum:
     conv = _cyclic_self_convolution(ind)
     counts = {key: cnt * n for key, cnt in Counter(zip(ind[1:half + 1], conv[1:half + 1])).items()}
     best_s = max(range(1, half + 1), key=conv.__getitem__)
-    return _spectrum(n - 1, counts, (lab.index[0], lab.index[best_s]))
+    return _spectrum(n - 1, counts, (0, 1 + lab.vertices[best_s]))
 
 
 def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -> CodegreeSpectrum:

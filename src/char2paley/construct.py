@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
-from operator import eq
 from typing import NamedTuple
 
 from .gf2k import FieldCtx
@@ -319,16 +318,6 @@ def _swapped(f: int, b: int, swaps) -> int:
     return f
 
 
-def translate(mask: int, b: int, ctx: FieldCtx) -> int:
-    """A row under the vertex map x -> x + b (INF fixed): bit 1+x moves to 1+(x+b).
-
-    Adding bit h of b exchanges the blocks of 2^h positions that differ
-    in that bit, one masked swap per set bit.  mask has n = q+1 bits.
-    """
-    ctx.check_elem(b)
-    return _swapped(mask >> 1, b, _swap_masks(ctx.k)) << 1 | mask & 1
-
-
 def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
     """Rows after the vertex map x -> x + b (INF fixed): relabel's translation case."""
     if len(rows) != ctx.q + 1:
@@ -355,26 +344,31 @@ class CirculantLabeling:
     """A cyclic-automorphism labeling v_i of PG(1,q) and its connection set.
 
     vertices[i] is v_i = sigma^i(INF) for sigma(z) = (b z + a)/(z + b + 1)
-    (see circulant_labeling), so v_1 = b; b = 0 gives alpha's orbit.
-    conn is the set of circulant distances d with tr(v_d + 1) = 0, the
-    neighbours of v_0 = INF (out-neighbours when directed): v_i ~ v_j,
-    or v_i -> v_j, exactly when (j - i) mod (q+1) is in conn.  pos is the
-    inverse of vertices; the constructor checks both and that conn lies
-    in 1 .. n-1.  Labelings are read-only, compare by identity and cache
-    index on first read.
+    (see circulant_labeling), so v_0 = INF and v_1 = b; b = 0 gives
+    alpha's orbit.  conn is the set of circulant distances d with
+    tr(v_d + 1) = 0, the neighbours of v_0 (out-neighbours when directed):
+    v_i ~ v_j, or v_i -> v_j, exactly when (j - i) mod (q+1) is in conn.
+    The constructor checks that v_0 is INF, that the other vertices are the
+    q field elements, each once, and that conn lies in 1 .. n-1.
+    Labelings are read-only, compare by identity and cache index on first
+    read.
     """
 
-    def __init__(self, a: ParamA, b: int, vertices: tuple, conn: frozenset[int], pos: dict):
-        n = len(vertices)
-        if len(pos) != n or not all(map(eq, map(pos.get, vertices), range(n))):
-            raise ValueError("pos is not the inverse of the vertices, or they repeat a point")
-        i = pos.get(INF, 0)
-        finite = vertices[:i] + vertices[i + 1:]  # distinct, as pos tells them apart
-        if vertices[i] is not INF or min(finite, default=0) < 0 or max(finite, default=0) >= n - 1:
-            raise ValueError(f"the vertices are not a permutation of PG(1, {n - 1})")
-        if min(conn, default=1) < 1 or max(conn, default=0) >= n:
-            raise ValueError(f"the connection set is not within 1 .. {n - 1}")
-        self.__dict__.update(a=a, b=b, vertices=vertices, conn=conn, pos=pos)
+    def __init__(self, a: ParamA, b: int, vertices: tuple, conn: frozenset[int]):
+        finite = vertices[1:]
+        q = len(finite)
+        bad = f"the vertices are not INF and then a permutation of GF({q})"
+        if (vertices[:1] != (INF,) or INF in finite
+                or min(finite, default=0) < 0 or max(finite, default=0) >= q):
+            raise ValueError(bad)
+        seen = bytearray(q)
+        for v in finite:
+            seen[v] = 1
+        if not all(seen):  # q points in q slots: an empty slot means a repeated point
+            raise ValueError(bad)
+        if min(conn, default=1) < 1 or max(conn, default=0) > q:
+            raise ValueError(f"the connection set is not within 1 .. {q}")
+        self.__dict__.update(a=a, b=b, vertices=vertices, conn=conn)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CirculantLabeling is read-only: cannot set {name!r}")
@@ -392,8 +386,7 @@ class CirculantLabeling:
     @cached_property
     def index(self) -> tuple[int, ...]:
         """index[i] is the dense row of v_i (INF -> 0, x -> 1+x, as vertex_index)."""
-        i, verts = self.pos[INF], self.vertices
-        return (*map((1).__add__, verts[:i]), 0, *map((1).__add__, verts[i + 1:]))
+        return (0, *map((1).__add__, islice(self.vertices, 1, None)))
 
     def check_graph(self, g: PaleyLikeGraph) -> None:
         """Raise ValueError unless g was built at this labeling's parameter and order."""
@@ -430,11 +423,10 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
             break
         v = div(a2, v ^ c) ^ b
         append(v)
-    pos = dict(zip(verts, range(q + 1)))
-    if len(pos) != q + 1:
+    if len(verts) != q + 1:
         raise AssertionError("the orbit length disagrees with the lambda-ratio order")
     near = ctx.traces(map((1).__xor__, islice(verts, 1, None))).translate(_FLIP)
-    return CirculantLabeling(a, b, tuple(verts), frozenset(compress(count(1), near)), pos)
+    return CirculantLabeling(a, b, tuple(verts), frozenset(compress(count(1), near)))
 
 
 def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:

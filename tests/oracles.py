@@ -14,6 +14,9 @@
 - `orbit` walks a Moebius map point by point through `apply`, and
   `orbit_labeling` builds the circulant labeling's fields from it, the
   oracle of the table walk in `circulant_labeling`.
+- `pair_codegree_formula` rotates any pair {x, y} to (x', INF) along a
+  labeling with a position map, so the one-point `codegree_formula` can
+  be held to every pair.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against.
@@ -26,7 +29,7 @@ from math import comb
 
 from char2paley import (
     IDENTITY, INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, apply,
-    is_full_orbit, iter_bits,
+    codegree_formula, is_full_orbit, iter_bits,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
@@ -183,7 +186,7 @@ def orbit(ctx: FieldCtx, m: MobiusMap, start) -> list:
 
 
 def orbit_labeling(ctx: FieldCtx, a: int):
-    """(b, vertices, conn, pos, index) of the circulant labeling at a, by definition.
+    """(b, vertices, conn, index) of the circulant labeling at a, by definition.
 
     b is the smallest even element with a full alpha-orbit at
     a + b^2 + b, vertices the orbit of INF under z -> (b z + a)/(z + b + 1)
@@ -193,9 +196,26 @@ def orbit_labeling(ctx: FieldCtx, a: int):
     b = next(b for b in range(0, ctx.q, 2) if is_full_orbit(ext, a ^ ctx.sqr(b) ^ b))
     verts = tuple(orbit(ctx, MobiusMap(b, a, 1, b ^ 1), INF))
     conn = frozenset(d for d in range(1, len(verts)) if ctx.trace(verts[d] ^ 1) == 0)
-    pos = {p: i for i, p in enumerate(verts)}
     index = tuple(0 if p is INF else 1 + p for p in verts)
-    return b, verts, conn, pos, index
+    return b, verts, conn, index
+
+
+def pair_codegree_formula(ctx: FieldCtx, a, lab, kloo):
+    """codeg(x, y) of any two distinct points by `codegree_formula`, as a function of (x, y).
+
+    On a graph certified to be lab's circulant, v_i -> v_(i+1) is an
+    automorphism and v_0 = INF, so {v_i, v_j} has the codegree of
+    {v_(i-j), INF}; i and j come from a position map of lab.vertices.
+    """
+    pos = {p: i for i, p in enumerate(lab.vertices)}
+
+    def formula(x, y):
+        i, j = pos[x], pos[y]
+        if i == j:
+            raise ValueError("codegree is undefined on equal points")
+        return codegree_formula(ctx, a, lab.vertices[(i - j) % lab.n], kloo)
+
+    return formula
 
 
 def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:

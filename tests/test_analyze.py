@@ -13,7 +13,7 @@ from char2paley import (
 )
 from char2paley.analyze import _cyclic_self_convolution, spectrum_counts
 from char2paley.construct import rotate
-from oracles import jumbledness_audit, kloosterman, kloosterman_sum
+from oracles import jumbledness_audit, kloosterman, kloosterman_sum, pair_codegree_formula
 
 
 def test_codegree_direct_c5(std):
@@ -91,20 +91,20 @@ def test_weil_bound(field, k):
 
 def test_codegree_formula_k2(std):
     ctx, a, g, lab = std(2)
-    kl = kloosterman_sweep(ctx)
+    formula = pair_codegree_formula(ctx, a, lab, kloosterman_sweep(ctx))
     # adjacent pair: 1 - 1 + (-1+1)/4 = 0; non-adjacent: 1 - 0 + 0 = 1
-    assert codegree_formula(ctx, a, INF, 0, lab, kl) == 0
-    assert codegree_formula(ctx, a, 0, 1, lab, kl) == 1
+    assert formula(INF, 0) == 0
+    assert formula(0, 1) == 1
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_codegree_formula_matches_direct(std, k):
     ctx, a, g, lab = std(k)
-    kl = kloosterman_sweep(ctx)
+    formula = pair_codegree_formula(ctx, a, lab, kloosterman_sweep(ctx))
     pts = all_points(ctx)
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            assert codegree_formula(ctx, a, x, y, lab, kl) == codegree_direct(g, x, y).ell
+            assert formula(x, y) == codegree_direct(g, x, y).ell
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
@@ -163,7 +163,7 @@ def test_spectrum_witness_when_cap_fails(std):
         for d in conn:
             rows[idx[i]] |= 1 << idx[(i + d) % n]
     g = PaleyLikeGraph(ctx, a, n, tuple(rows))
-    interval = CirculantLabeling(a, lab.b, lab.vertices, conn, lab.pos)
+    interval = CirculantLabeling(a, lab.b, lab.vertices, conn)
     assert verify_circulant(g, interval)
     for spec in (codegree_spectrum(g, interval), codegree_spectrum(g)):
         assert not spec.within_bound
@@ -204,7 +204,7 @@ def test_circulant_spectrum_needs_a_symmetric_connection_set(field):
     ctx = field(4)
     a = param_a(ctx)
     lab = circulant_labeling(ctx, a)
-    skew = CirculantLabeling(a, lab.b, lab.vertices, frozenset({1, 2, lab.n - 1}), lab.pos)
+    skew = CirculantLabeling(a, lab.b, lab.vertices, frozenset({1, 2, lab.n - 1}))
     with pytest.raises(ValueError, match="negation"):
         circulant_spectrum(skew)
     # a tournament's connection set is disjoint from its negation
@@ -389,7 +389,7 @@ def test_certificate_fails_on_interval_circulant(field):
     lab = circulant_labeling(ctx, a)
     n, quarter = lab.n, ctx.q // 4
     conn = frozenset({*range(1, quarter + 1), *range(n - quarter, n)})
-    interval = CirculantLabeling(a, lab.b, lab.vertices, conn, lab.pos)
+    interval = CirculantLabeling(a, lab.b, lab.vertices, conn)
     cert = jumbledness_certificate(ctx.q, circulant_spectrum(interval).counts)
     assert not cert.passed
     # the witness is sound: the Rayleigh quotient of 1_S - (h/n) 1 on the orbit
@@ -405,5 +405,8 @@ def test_certificate_fails_on_interval_circulant(field):
 def test_formula_requires_even_k(field):
     ctx = field(3)
     a = param_a(ctx)
-    with pytest.raises(ValueError):
-        codegree_formula(ctx, a, 0, 1, circulant_labeling(ctx, a), kloosterman_sweep(ctx))
+    formula = pair_codegree_formula(ctx, a, circulant_labeling(ctx, a), kloosterman_sweep(ctx))
+    with pytest.raises(ValueError, match="even k"):
+        formula(0, 1)
+    with pytest.raises(ValueError, match="even k"):
+        codegree_formula(ctx, a, 0, kloosterman_sweep(ctx))

@@ -152,7 +152,7 @@ def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     lab = circulant_labeling(ctx, a)
-    i = lab.pos[4]  # dense row 5 is the point 0x4
+    i = lab.vertices.index(4)  # dense row 5 is the point 0x4
     witness = {"vertex": "0x4", "orbit_position": i}
     assert checks["circulant"]["pass"] is False
     assert checks["circulant"]["witness"] == witness
@@ -377,7 +377,7 @@ def test_certify_labeling_identities_pin_b(capsys, monkeypatch):
 
     def wrong_b(ctx, a):
         lab = real(ctx, a)
-        return CirculantLabeling(lab.a, 2, lab.vertices, lab.conn, lab.pos)
+        return CirculantLabeling(lab.a, 2, lab.vertices, lab.conn)
 
     monkeypatch.setattr(cli, "circulant_labeling", wrong_b)
     code, out = run(capsys, "certify", "--k", "4")
@@ -399,9 +399,59 @@ def test_analyze_short_orbit_parameter_is_circulant(capsys):
     assert sum(e["count"] for e in doc["codegree_spectrum"]) == 65 * 64 // 2
 
 
+@pytest.mark.parametrize("k", [10, 12])
+def test_analyze_formula_check_exhaustive_at_the_dense_cap(capsys, monkeypatch, k):
+    # the certified rotation reduces every pair to one against INF: the q
+    # points x, each compared once, cover all C(n, 2) pairs, with nothing drawn at random
+    import char2paley.cli as cli
+    real, seen = cli.codegree_formula, []
+
+    def counting(ctx, a, x, kloo):
+        seen.append(x)
+        return real(ctx, a, x, kloo)
+
+    monkeypatch.setattr(cli, "codegree_formula", counting)
+    n = (1 << k) + 1
+    code, out = run(capsys, "analyze", "--k", str(k))
+    assert code == 0
+    assert seen == list(range(n - 1))
+    doc = json.loads(out)
+    entry = next(c for c in doc["checks"] if c["name"] == "codegree-formula-vs-direct")
+    assert entry == {"name": "codegree-formula-vs-direct", "pass": True,
+                     "evidence": "exhaustive", "mode": "exhaustive", "count": n * (n - 1) // 2}
+    assert doc["complete"] is True
+    assert doc["evidence"] == {"exhaustive": 6, "sampled": 0, "algebraic": 0, "skipped": 0}
+
+
+def test_analyze_report_ignores_seed_and_samples(capsys):
+    # --samples is accepted and echoed, but nothing in analyze draws from it or the seed
+    docs = []
+    for argv in ((), ("--seed", "5"), ("--samples", "7", "--seed", "9")):
+        code, out = run(capsys, "analyze", "--k", "10", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        del doc["config"]
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_analyze_formula_check_witness(capsys, monkeypatch):
+    # negative control: a formula off by one at a single x fails, naming that pair
+    import char2paley.cli as cli
+    real = cli.codegree_formula
+    monkeypatch.setattr(cli, "codegree_formula",
+                        lambda ctx, a, x, kloo: real(ctx, a, x, kloo) + (x == 5))
+    code, out = run(capsys, "analyze", "--k", "4")
+    assert code == 1
+    entry = next(c for c in json.loads(out)["checks"] if c["name"] == "codegree-formula-vs-direct")
+    direct = entry["witness"]["direct"]
+    assert entry == {"name": "codegree-formula-vs-direct", "pass": False, "evidence": "exhaustive",
+                     "witness": {"x": "0x5", "y": "inf", "direct": direct, "formula": direct + 1}}
+
+
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_formula_check_exhaustive_every_parameter(capsys, k):
-    # the formula rotates pairs along the labeling, which exists at every trace-1 a
+    # the check rests on the certified labeling, which exists at every trace-1 a
     q = 1 << k
     ctx = FieldCtx(k)
     for a_val in range(q):
@@ -463,8 +513,10 @@ def test_analyze_codegree_cap_witness(capsys, monkeypatch):
     assert cap["pass"] is False
     i, j = cap["witness"]["pair"]
     assert i != j and (rows[i] & rows[j]).bit_count() == cap["max_ell"] > cap["bound"]
-    # the spectral certificate needs the circulant, so it is not issued
+    # the spectral certificate and the pair reduction need the circulant, so neither runs
     assert checks["jumbledness"]["evidence"] == "skipped"
+    assert checks["codegree-formula-vs-direct"]["skipped"] is True
+    assert checks["codegree-formula-vs-direct"]["evidence"] == "skipped"
 
 
 def test_analyze_interval_connection_set_fails_jumbledness(capsys, monkeypatch):
@@ -478,7 +530,7 @@ def test_analyze_interval_connection_set_fails_jumbledness(capsys, monkeypatch):
         lab = real(ctx, a)
         n, quarter = lab.n, ctx.q // 4
         conn = frozenset({*range(1, quarter + 1), *range(n - quarter, n)})
-        return CirculantLabeling(lab.a, lab.b, lab.vertices, conn, lab.pos)
+        return CirculantLabeling(lab.a, lab.b, lab.vertices, conn)
 
     monkeypatch.setattr(cli, "circulant_labeling", interval)
     code, out = run(capsys, "analyze", "--k", "14")
@@ -492,7 +544,7 @@ def test_analyze_interval_connection_set_fails_jumbledness(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, sampled", [
     (("analyze", "--k", "4"), set()),
-    (("analyze", "--k", "10", "--samples", "50"), {"codegree-formula-vs-direct"}),
+    (("analyze", "--k", "10", "--samples", "50"), set()),
     (("certify", "--k", "4"), set()),
     (("chapman", "--k", "2"), set()),
     (("chapman", "--k", "4", "--samples", "50"), {"representative-independence"}),
@@ -543,26 +595,6 @@ def test_build_poly_override(capsys):
 def test_k_out_of_range(capsys):
     code, _ = run(capsys, "build", "--k", "25")
     assert code == 2
-
-
-def test_analyze_sampled_pair_count_is_exact(capsys, monkeypatch):
-    # draws with i == j are redrawn, so `count` pairs are really compared;
-    # seed 2 draws one i == j among its first 300 draws at n = 1025
-    import char2paley.cli as cli
-    calls = []
-    real = cli.codegree_formula
-
-    def counting(*args, **kwargs):
-        calls.append(args[2:4])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "codegree_formula", counting)
-    code, out = run(capsys, "analyze", "--k", "10", "--samples", "300", "--seed", "2")
-    assert code == 0
-    check = next(c for c in json.loads(out)["checks"]
-                 if c["name"] == "codegree-formula-vs-direct")
-    assert check["mode"] == "sampled" and check["count"] == 300
-    assert len(calls) == 300 and all(x != y for x, y in calls)
 
 
 def test_certify_symmetry_witness(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, all_points, apply,
     FieldCtx, build_graph, build_tournament, circulant_labeling, is_full_orbit, iter_bits,
-    param_a, relabel, translate, translate_rows, transpose, verify_circulant, vertex_index,
+    param_a, relabel, translate_rows, transpose, verify_circulant, vertex_index,
 )
 from char2paley import construct
 from char2paley.construct import (
@@ -250,8 +250,7 @@ def test_verify_circulant_negative_control(field):
     lab = circulant_labeling(ctx, a)
     verts = list(lab.vertices)
     verts[1], verts[2] = verts[2], verts[1]  # shuffle two labels
-    tampered = CirculantLabeling(a, lab.b, tuple(verts), lab.conn,
-                                 {p: i for i, p in enumerate(verts)})
+    tampered = CirculantLabeling(a, lab.b, tuple(verts), lab.conn)
     assert not verify_circulant(g, tampered)
 
 
@@ -321,8 +320,8 @@ def test_circulant_labeling_every_parameter(field, k):
 
 def _assert_walk_matches_orbit(ctx, a_val):
     lab = circulant_labeling(ctx, param_a(ctx, a_val))
-    b, verts, conn, pos, index = orbit_labeling(ctx, a_val)
-    assert (lab.b, lab.vertices, lab.conn, lab.pos, lab.index) == (b, verts, conn, pos, index), \
+    b, verts, conn, index = orbit_labeling(ctx, a_val)
+    assert (lab.b, lab.vertices, lab.conn, lab.index) == (b, verts, conn, index), \
         f"k = {ctx.k}, a = {a_val:#x}"
     assert lab.vertices[0] is INF
 
@@ -366,12 +365,12 @@ def test_labeling_is_read_only(field):
     ctx = field(4)
     lab = circulant_labeling(ctx, param_a(ctx))
     index = lab.index
-    for name in ("a", "b", "vertices", "conn", "pos", "index"):
+    for name in ("a", "b", "vertices", "conn", "index"):
         with pytest.raises(AttributeError, match="read-only"):
             setattr(lab, name, None)
         with pytest.raises(AttributeError, match="read-only"):
             delattr(lab, name)
-    assert lab.index is index and lab.vertices[0] is INF
+    assert lab.index is index and lab.vertices[0] is INF and not hasattr(lab, "pos")
     assert repr(lab) == f"CirculantLabeling(a={lab.a!r}, b=0x0, n=17, |conn|=8)"
 
 
@@ -467,16 +466,18 @@ def field_rows(draw):
 def test_translate_matches_per_bit_definition_and_relabel(case):
     k, rows, b = case
     ctx = FieldCtx(k)
-    for r in rows:
+    moved = [0, *(1 + (x ^ b) for x in range(ctx.q))]  # the dense row of each vertex's image
+    out = translate_rows(rows, b, ctx)
+    for r, i in zip(rows, moved):
         want = r & 1 | sum(1 << 1 + (x ^ b) for x in range(ctx.q) if r >> 1 + x & 1)
-        assert translate(r, b, ctx) == want
-    assert translate_rows(rows, b, ctx) == relabel(rows, [0, *(1 + (x ^ b) for x in range(ctx.q))])
+        assert out[i] == want
+    assert out == relabel(rows, moved)
 
 
 def test_translate_rejects_bad_input(field):
     ctx = field(3)
     with pytest.raises(ValueError):
-        translate(0b11, ctx.q, ctx)  # b is no field element
+        translate_rows([0b11, *[0] * ctx.q], -1, ctx)  # b is no field element
     with pytest.raises(ValueError):
         translate_rows([0] * ctx.q, 1, ctx)  # q rows, not q+1
     with pytest.raises(ValueError):
@@ -634,39 +635,34 @@ def test_labeling_index_and_orbit_rows(field, k):
     for i, r in enumerate(lab.index):
         perm[r] = i
     assert list(lab.orbit_rows(g.rows)) == relabel(g.rows, perm)
-    # the positional constructor still works, and the index follows the vertices
+    # the positional constructor still works, and v_0 must be INF
+    assert CirculantLabeling(a, lab.b, lab.vertices, lab.conn).index == lab.index
     swapped = (lab.vertices[1], lab.vertices[0], *lab.vertices[2:])
-    moved = CirculantLabeling(a, lab.b, swapped, lab.conn, {p: i for i, p in enumerate(swapped)})
-    assert moved.index == (lab.index[1], lab.index[0], *lab.index[2:])
+    with pytest.raises(ValueError, match="not INF and then a permutation"):
+        CirculantLabeling(a, lab.b, swapped, lab.conn)
 
 
 def test_labeling_constructor_rejects_inconsistent_fields(field):
-    # one negative control per check: the vertices, their inverse and the connection set
+    # one negative control per check: the vertices and the connection set
     ctx = field(4)
     a = param_a(ctx)
     lab = circulant_labeling(ctx, a)
     n = lab.n
 
-    def make(verts, conn=lab.conn, pos=None):
-        pos = {p: i for i, p in enumerate(verts)} if pos is None else pos
-        return CirculantLabeling(a, lab.b, tuple(verts), conn, pos)
+    def make(verts, conn=lab.conn):
+        return CirculantLabeling(a, lab.b, tuple(verts), conn)
 
     assert make(lab.vertices).index == lab.index
     v = list(lab.vertices)
     for verts in ([*v[:3], ctx.q, *v[4:]],   # a point off PG(1, q)
                   [*v[:3], -1, *v[4:]],      # a negative one
                   [ctx.q, *v[1:]],           # INF traded for a point off the line
-                  [p for p in v if p != 0]):  # one point short
-        with pytest.raises(ValueError, match="not a permutation of PG"):
+                  [p for p in v if p != 0],  # one point short
+                  [v[1], v[0], *v[2:]],      # v_0 is not INF
+                  [*v[:3], INF, *v[4:]],     # a second INF
+                  [*v[:3], v[2], *v[4:]]):   # a repeated point
+        with pytest.raises(ValueError, match="not INF and then a permutation"):
             make(verts)
-    swapped = [v[1], v[0], *v[2:]]
-    repeated = [*v[:3], v[2], *v[4:]]
-    for verts, pos in ((swapped, lab.pos),                             # another order's inverse
-                       (v, {**lab.pos, "extra": n}),                   # a key beyond the vertices
-                       (v, {p: i for i, p in enumerate(v) if i != 5}),  # a vertex without a position
-                       (repeated, None)):                              # a repeated point
-        with pytest.raises(ValueError, match="not the inverse.*repeat a point"):
-            make(verts, pos=pos)
     for conn in (lab.conn | {0}, lab.conn | {n}, lab.conn | {-1}):
         with pytest.raises(ValueError, match="connection set"):
             make(v, conn=frozenset(conn))

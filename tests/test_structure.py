@@ -299,7 +299,7 @@ def test_decompose_rejects_connection_set_not_closed_under_negation(std):
         for d in conn:
             rows[lab.index[i]] |= 1 << lab.index[(i + d) % n]
     g = PaleyLikeGraph(ctx, a, n, tuple(rows))
-    skew = CirculantLabeling(a, lab.b, lab.vertices, conn, lab.pos)
+    skew = CirculantLabeling(a, lab.b, lab.vertices, conn)
     assert verify_circulant(g, skew)
     with pytest.raises(AssertionError, match="negation"):
         hamiltonian_decompose(g, skew)
