@@ -48,7 +48,7 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 
-CHAPMAN_K_MAX = 8   # the coset build evaluates all C(q+1, 2) pairs in GF(q^2)
+CHAPMAN_K_MAX = 8   # the coset build walks all q^2 - 1 powers in GF(q^2)
 EVIDENCE = ("exhaustive", "sampled", "algebraic", "skipped")
 
 
@@ -415,13 +415,16 @@ def cmd_chapman(args) -> int:
         return not h.undefined_pairs, detail
 
     checks.run("no-undefined-pairs", "exhaustive", no_undefined)
-    if ctx.k == 2:
-        checks.run("representative-independence", "exhaustive", lambda: (
-            verify_representative_independence(h, 0), {"mode": "exhaustive"}))
-    else:
-        checks.run("representative-independence", "sampled", lambda: (
-            verify_representative_independence(h, args.samples, args.seed),
-            {"mode": "sampled", "count": args.samples}))
+
+    def independent():
+        rep = verify_representative_independence(h)
+        detail = {"mode": "exhaustive", "count": rep.count}
+        if rep.witness:
+            detail["witness"] = {"exponents": list(rep.witness),
+                                 "bits": [h.table[e] for e in rep.witness]}
+        return rep, detail
+
+    checks.run("representative-independence", "exhaustive", independent)
     checks.run("coset-graph-circulant", "exhaustive", lambda: (h.circulant_certified, None))
     cmp_result = _stage("compare", lambda: chapman_compare(h, g))
     checks.run("isomorphic", "exhaustive", lambda: (
@@ -489,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chapman", help="independent coset construction cross-check")
     common(p)
-    p.add_argument("--samples", type=_positive_int, default=2000)
     p.set_defaults(fn=cmd_chapman)
     return ap
 

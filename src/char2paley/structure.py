@@ -8,14 +8,15 @@ distance classes of the connection set decompose the edge set into
 Hamiltonian cycles whenever the order q+1 is prime.
 
 The coset construction over GF(q^2) gives an independent build of the
-same isomorphism class; comparing the two is done by a search over the
-connection-set multipliers m in Z_(q+1)^*, each candidate followed by
-an explicit edge-by-edge verification of the map it gives.
+same isomorphism class, from one pass over the powers of a primitive
+root; comparing the two is done by a search over the connection-set
+multipliers m in Z_(q+1)^*, each candidate followed by an explicit
+edge-by-edge verification of the map it gives.
 """
 
 from __future__ import annotations
 
-import random
+from itertools import accumulate, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -175,14 +176,17 @@ class ChapmanGraph(NamedTuple):
     """Graph on the q+1 cosets of the base multiplicative group in GF(q^2)*.
 
     reps[i] is g^i for the fixed primitive root g, so the rows are in
-    circulant order and conn is read from row 0.  Pairs where the
-    predicate denominator T(u^q v) vanishes are never guessed at: they
-    are collected in undefined_pairs (expected empty off the diagonal).
+    circulant order and conn is read from row 0.  table[e] is the
+    predicate at w = g^e, and the pair (i, j) reads its own entry
+    e = qi + j (w = conj(g^i) g^j).  Pairs where the denominator T(w)
+    vanishes are never guessed at: they are collected in undefined_pairs
+    (expected empty off the diagonal).
     """
 
     ext: QuadExtCtx
     lam: tuple[int, int]
     reps: tuple
+    table: bytes
     rows: tuple[int, ...]
     conn: frozenset[int]
     undefined_pairs: tuple
@@ -193,15 +197,17 @@ class ChapmanGraph(NamedTuple):
         return len(self.reps)
 
 
-def _coset_predicate(ext: QuadExtCtx, lam, u, v):
-    """Trace bit joining [u] and [v], or None if the denominator vanishes."""
+UNDEFINED = 2   # the predicate's value where its denominator T(w) vanishes
+
+
+def _coset_predicate(ext: QuadExtCtx, lam, w):
+    """Trace bit joining [u] and [v] with w = u^q v, or UNDEFINED if T(w) = 0."""
     base = ext.base
-    w = ext.mul(ext.conj(u), v)
     t_num = ext.trace_to_base(ext.mul(lam, w))
     t_den = ext.trace_to_base(w)
     t_lam = ext.trace_to_base(lam)
     if t_den == 0 or t_lam == 0:
-        return None
+        return UNDEFINED
     return base.trace(base.div(t_num, base.mul(t_lam, t_den)))
 
 
@@ -214,7 +220,8 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
     if ext.trace_to_base(lam) == 0:
         raise ValueError("lambda lies in the base field: T(lambda) = 0 degenerates "
                          "the predicate everywhere")
-    n = base.q + 1
+    q = base.q
+    n = q + 1
     # rep i = g^i.  GF(q)* = <g^(q+1)>, and the cosets [g^i], 0 <= i <= q,
     # are distinct (so all q+1 of them) exactly when no g^i with
     # 0 < i <= q lies in GF(q), i.e. has relative trace 0
@@ -225,60 +232,50 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
     if ext.trace_to_base(powers[n]) or not all(map(ext.trace_to_base, powers[1:n])):
         raise AssertionError("powers of the primitive root do not enumerate the cosets")
     reps = powers[:n]
+    # one pass over w = g^e, e = 0 ... q^2 - 2
+    walk = accumulate(repeat(g, q * q - 2), ext.mul, initial=ext.ONE)
+    table = bytes(_coset_predicate(ext, lam, w) for w in walk)
     rows = [0] * n
     undefined = []
     for i in range(n):
         for j in range(i + 1, n):
-            bit = _coset_predicate(ext, lam, reps[i], reps[j])
-            if bit is None:
+            bit = table[(q * i + j) % len(table)]
+            if bit == UNDEFINED:
                 undefined.append((reps[i], reps[j]))
-                continue
-            if bit == 0:
+            elif bit == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     certified = not undefined and is_circulant(rows, rows[0], n)
-    return ChapmanGraph(ext, lam, tuple(reps), tuple(rows), frozenset(iter_bits(rows[0])),
-                        tuple(undefined), certified)
+    return ChapmanGraph(ext, lam, tuple(reps), table, tuple(rows),
+                        frozenset(iter_bits(rows[0])), tuple(undefined), certified)
 
 
-def verify_representative_independence(h: ChapmanGraph, samples: int = 0,
-                                       seed: int = 0) -> bool:
-    """Re-evaluate the coset predicate on other representatives c u of each coset.
+class Independence(NamedTuple):
+    count: int                      # table entries read
+    witness: tuple[int, int] | None  # exponents e < e' in one class whose entries differ
 
-    samples = 0 checks every pair against every pair of unit multipliers
-    (exhaustive); otherwise draws that many (pair, c, c') probes of
-    distinct cosets from a seeded RNG.
+    def __bool__(self) -> bool:
+        return self.witness is None
+
+
+def verify_representative_independence(h: ChapmanGraph) -> Independence:
+    """Check that the coset predicate does not depend on the representatives.
+
+    The probe (c g^i, c' g^j), c and c' in GF(q)* = <g^(q+1)>, reads the
+    entry qi + j + (q+1)t for some t: in the class of qi + j = j - i != 0
+    mod q+1, and each class r != 0 holds the pair (0, r).  So every pair
+    against every pair of unit multipliers is exactly: the table is
+    constant on each class r != 0.  Its q(q-1) entries are read once each.
     """
-    ext = h.ext
-    q = ext.base.q
-    n = h.n
-
-    def probe(i, j, c, cp):
-        u = ext.mul(h.reps[i], (c, 0))
-        v = ext.mul(h.reps[j], (cp, 0))
-        got = _coset_predicate(ext, h.lam, u, v)
-        want = _coset_predicate(ext, h.lam, h.reps[i], h.reps[j])
-        return got == want
-
-    if samples == 0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                for c in range(1, q):
-                    for cp in range(1, q):
-                        if not probe(i, j, c, cp):
-                            return False
-        return True
-    rng = random.Random(seed)
-    done = 0
-    while done < samples:
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue  # redrawn, so `samples` pairs are really probed
-        done += 1
-        if not probe(i, j, rng.randrange(1, q), rng.randrange(1, q)):
-            return False
-    return True
+    step = h.n
+    count = 0
+    for r in range(1, step):
+        cls = h.table[r::step]
+        count += len(cls)
+        if cls.count(cls[0]) != len(cls):
+            t = next(t for t, bit in enumerate(cls) if bit != cls[0])
+            return Independence(count, (r, r + step * t))
+    return Independence(count, None)
 
 
 class ChapmanComparison(NamedTuple):

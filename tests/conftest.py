@@ -32,3 +32,23 @@ def std(field):
         return cache[k]
 
     return make
+
+
+@pytest.fixture
+def tamper_coset(monkeypatch):
+    """tamper_coset(ext, e) flips the coset predicate at w = g^e for the test
+    and returns the tampered predicate."""
+    import char2paley.structure as structure
+    real = structure._coset_predicate
+
+    def tamper(ext, e):
+        target = ext.pow(ext.primitive_root(), e)
+
+        def tampered(ext, lam, w):
+            bit = real(ext, lam, w)
+            return 1 - bit if w == target else bit
+
+        monkeypatch.setattr(structure, "_coset_predicate", tampered)
+        return tampered
+
+    return tamper

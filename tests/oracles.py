@@ -17,6 +17,11 @@
 - `pair_codegree_formula` rotates any pair {x, y} to (x', INF) along a
   labeling with a position map, so the one-point `codegree_formula` can
   be held to every pair.
+- `chapman_rows_per_pair` builds the coset graph with one GF(q^2)
+  product w = conj(u) v per pair, and `representative_probes` re-reads
+  the predicate on every pair against every pair of unit multipliers,
+  the oracles of the one-pass table in `chapman_build` and of
+  `verify_representative_independence`.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against.
@@ -216,6 +221,50 @@ def pair_codegree_formula(ctx: FieldCtx, a, lab, kloo):
         return codegree_formula(ctx, a, lab.vertices[(i - j) % lab.n], kloo)
 
     return formula
+
+
+def coset_bit(ext: QuadExtCtx, lam, w):
+    """tr(T(lam w) / (T(lam) T(w))), or None where T(w) = 0, by definition."""
+    base = ext.base
+    t_den = ext.trace_to_base(w)
+    if t_den == 0:
+        return None
+    t_num = ext.trace_to_base(ext.mul(lam, w))
+    return base.trace(base.div(t_num, base.mul(ext.trace_to_base(lam), t_den)))
+
+
+def chapman_rows_per_pair(ext: QuadExtCtx, lam, reps, pred=coset_bit):
+    """(rows, undefined pairs) of the coset graph on reps, one w = conj(u) v per pair."""
+    n = len(reps)
+    rows = [0] * n
+    undefined = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            bit = pred(ext, lam, ext.mul(ext.conj(reps[i]), reps[j]))
+            if bit not in (0, 1):
+                undefined.append((reps[i], reps[j]))
+            elif bit == 0:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows, undefined
+
+
+def representative_probes(ext: QuadExtCtx, lam, reps, pred=coset_bit) -> bool:
+    """Whether the predicate on (c u, c' v) equals the one on (u, v) for every
+    pair of reps and every c, c' in GF(q)*, each w through `ext.mul`."""
+    q = ext.base.q
+
+    def bit(u, v):
+        return pred(ext, lam, ext.mul(ext.conj(u), v))
+
+    for i, u in enumerate(reps):
+        for v in reps[i + 1:]:
+            want = bit(u, v)
+            for c in range(1, q):
+                cu = ext.mul(u, (c, 0))
+                if any(bit(cu, ext.mul(v, (cp, 0))) != want for cp in range(1, q)):
+                    return False
+    return True
 
 
 def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:

@@ -9,7 +9,8 @@ import pytest
 import char2paley
 
 from char2paley import (
-    FieldCtx, PaleyLikeGraph, build_graph, build_tournament, circulant_labeling, iter_bits, param_a,
+    FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, build_tournament, circulant_labeling,
+    iter_bits, param_a,
 )
 from char2paley.cli import main
 from char2paley.formats import parse_edges, write_edges
@@ -233,15 +234,30 @@ def test_chapman_k2(capsys):
     assert undef["undefined_pair_count"] == 0
 
 
-@pytest.mark.parametrize("argv, count", [((), 2000), (("--samples", "2500"), 2500)])
-def test_chapman_samples_default_and_uncapped(capsys, argv, count):
-    code, out = run(capsys, "chapman", "--k", "4", *argv)
+def test_chapman_representative_independence_exhaustive(capsys):
+    # one pass over GF(q^2)* reads all q(q-1) entries the probes can reach
+    code, out = run(capsys, "chapman", "--k", "4")
     assert code == 0
     doc = json.loads(out)
-    assert doc["config"]["samples"] == count
+    assert doc["config"] == {"k": 4, "a": "0x8", "poly": "0x13", "seed": 0}
     rep = next(c for c in doc["checks"] if c["name"] == "representative-independence")
     assert rep == {"name": "representative-independence", "pass": True,
-                   "evidence": "sampled", "mode": "sampled", "count": count}
+                   "evidence": "exhaustive", "mode": "exhaustive", "count": 16 * 15}
+
+
+def test_chapman_representative_independence_witness(capsys, field, tamper_coset):
+    # the predicate flipped at w = g^(3q+1), an entry no pair reads: the rows
+    # stay circulant and isomorphic, and only this check fails, with the class
+    tamper_coset(QuadExtCtx(field(4)), 3 * 16 + 1)
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["representative-independence"]
+    witness = checks["representative-independence"]["witness"]
+    assert witness["exponents"] == [15, 49]
+    assert sorted(witness["bits"]) == [0, 1]
 
 
 def test_chapman_short_orbit_parameter_certified(capsys):
@@ -293,9 +309,11 @@ def test_dense_cap_checked_before_setup(capsys, monkeypatch, argv):
 
 
 def test_samples_only_on_sampling_commands(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "--k", "4", "--samples", "5"])
-    assert exc.value.code == 2
+    for argv in (("certify", "--k", "4", "--samples", "5"),
+                 ("chapman", "--k", "4", "--samples", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
 
 
 def test_analyze_above_dense_cap_streams(capsys):
@@ -547,7 +565,7 @@ def test_analyze_interval_connection_set_fails_jumbledness(capsys, monkeypatch):
     (("analyze", "--k", "10", "--samples", "50"), set()),
     (("certify", "--k", "4"), set()),
     (("chapman", "--k", "2"), set()),
-    (("chapman", "--k", "4", "--samples", "50"), {"representative-independence"}),
+    (("chapman", "--k", "4"), set()),
 ])
 def test_evidence_below_dense_cap(capsys, argv, sampled):
     # every check that ran is exhaustive, or sampled where it draws samples;

@@ -207,6 +207,14 @@ def test_ext_field_axioms_k2(field):
 
 
 @pytest.mark.parametrize("k", [2, 4])
+def test_conj_is_frobenius(field, k):
+    # u^q = conj(u) is why the pair (g^i, g^j) of the coset build reads w = g^(qi + j)
+    ext = QuadExtCtx(field(k))
+    for u in ext.elements():
+        assert ext.conj(u) == ext.pow(u, ext.base.q), u
+
+
+@pytest.mark.parametrize("k", [2, 4])
 def test_ext_inverses(field, k):
     ext = QuadExtCtx(field(k))
     for u in ext.elements():

@@ -15,6 +15,7 @@ from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, is_circulant, iter_bits, verify_circulant,
 )
 from char2paley.structure import ChapmanGraph, _is_prime
+from oracles import chapman_rows_per_pair, coset_bit, representative_probes
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -333,8 +334,7 @@ def test_chapman_reps_are_powers_in_distinct_cosets(field, k):
                 assert ext.div(u, v)[1] != 0, (i, j)
 
 
-def test_chapman_tampered_row_not_certified(field, monkeypatch):
-    import char2paley.structure as structure
+def test_chapman_tampered_row_not_certified(field, tamper_coset):
     ctx = field(4)
     ext = QuadExtCtx(ctx)
     lam = lambda_of(ext, param_a(ctx).value)
@@ -344,15 +344,9 @@ def test_chapman_tampered_row_not_certified(field, monkeypatch):
     rows = list(h.rows)
     rows[3] ^= 1 << 7
     assert not is_circulant(rows, rows[0], h.n)
-    # the build itself, with the predicate flipped on the pair (reps[1], reps[3])
-    real = structure._coset_predicate
-    flip = (h.reps[1], h.reps[3])
-
-    def tampered(ext, lam, u, v):
-        bit = real(ext, lam, u, v)
-        return 1 - bit if (u, v) == flip else bit
-
-    monkeypatch.setattr(structure, "_coset_predicate", tampered)
+    # the build itself, with the predicate flipped at w = g^(q+3), which
+    # only the pair (reps[1], reps[3]) reads
+    tamper_coset(ext, ctx.q + 3)
     bad = chapman_build(ext, lam)
     assert bad.rows[0] == h.rows[0] and bad.rows != h.rows
     assert not bad.undefined_pairs
@@ -370,32 +364,64 @@ def test_chapman_rejects_degenerate_lambda(field):
 def test_chapman_representative_independence_exhaustive_k2(field):
     ext = QuadExtCtx(field(2))
     h = chapman_build(ext, lambda_of(ext, 2))
-    assert verify_representative_independence(h, 0)
+    assert verify_representative_independence(h) == (4 * 3, None)
 
 
-def test_chapman_representative_independence_sampled_k4(field):
+def test_chapman_representative_independence_exhaustive_k4(field):
     ext = QuadExtCtx(field(4))
     a = param_a(field(4))
     h = chapman_build(ext, lambda_of(ext, a.value))
-    assert verify_representative_independence(h, samples=500, seed=3)
+    rep = verify_representative_independence(h)
+    assert rep and rep == (16 * 15, None)
 
 
-def test_representative_independence_probes_exact_count(field, monkeypatch):
-    # draws with i == j are redrawn: 2000 samples are 2000 probes of two
-    # predicate calls each (seed 0 draws 135 such pairs at k = 4)
-    import char2paley.structure as structure
-    ext = QuadExtCtx(field(4))
-    h = chapman_build(ext, lambda_of(ext, param_a(field(4)).value))
-    calls = []
-    real = structure._coset_predicate
+def test_representative_independence_witness(field, tamper_coset):
+    # w = g^(3q+1) lies in the class 3q+1 = 15 mod 17 beside g^15 and g^32,
+    # which the pairs (0, 15) and (1, 16) read; no i < j <= q reads it, so
+    # the rows stay circulant and only this check sees the flip
+    ctx = field(4)
+    ext = QuadExtCtx(ctx)
+    lam = lambda_of(ext, param_a(ctx).value)
+    h = chapman_build(ext, lam)
+    tamper_coset(ext, 3 * ctx.q + 1)
+    bad = chapman_build(ext, lam)
+    assert bad.rows == h.rows and bad.circulant_certified
+    rep = verify_representative_independence(bad)
+    assert not rep and rep.witness == (15, 49)
+    assert bad.table[15] != bad.table[49] and (15 - 49) % 17 == 0
 
-    def counting(ext, lam, u, v):
-        calls.append((u, v))
-        return real(ext, lam, u, v)
 
-    monkeypatch.setattr(structure, "_coset_predicate", counting)
-    assert verify_representative_independence(h, samples=2000, seed=0)
-    assert len(calls) == 2 * 2000
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_representative_independence_witness_every_class(field, tamper_coset, r):
+    # k = 2: the last entry r + 5 * 2 of each class r != 0 mod 5, flipped alone
+    ext = QuadExtCtx(field(2))
+    tamper_coset(ext, r + 10)
+    h = chapman_build(ext, lambda_of(ext, 2))
+    assert verify_representative_independence(h).witness == (r, r + 10)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_chapman_table_rows_match_per_pair_oracle(field, k):
+    ctx = field(k)
+    ext = QuadExtCtx(ctx)
+    lam = lambda_of(ext, param_a(ctx).value)
+    h = chapman_build(ext, lam)
+    rows, undefined = chapman_rows_per_pair(ext, lam, h.reps)
+    assert list(h.rows) == rows and list(h.undefined_pairs) == undefined == []
+
+
+# tampered at k = 4: w = g^(3q+1), read by no pair, and g^(q+3), read by (1, 3)
+@pytest.mark.parametrize("k, tamper", [(2, None), (4, None), (4, 3 * 16 + 1), (4, 16 + 3)])
+def test_representative_independence_agrees_with_probes(field, tamper_coset, k, tamper):
+    ctx = field(k)
+    ext = QuadExtCtx(ctx)
+    lam = lambda_of(ext, param_a(ctx).value)
+    pred = coset_bit
+    if tamper:
+        pred = tamper_coset(ext, tamper)
+    h = chapman_build(ext, lam)
+    verdict = bool(verify_representative_independence(h))
+    assert verdict == representative_probes(ext, lam, h.reps, pred) == (tamper is None)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -426,7 +452,7 @@ def test_chapman_compare_negative_control(std):
     comp = [full ^ r ^ (1 << i) for i, r in enumerate(g.rows)]
     comp[0] ^= 1 << 1
     comp[1] ^= 1  # drop edge {0, 1}
-    fake = ChapmanGraph(ext, h.lam, h.reps, tuple(comp), h.conn, (), False)
+    fake = ChapmanGraph(ext, h.lam, h.reps, h.table, tuple(comp), h.conn, (), False)
     cmp_result = chapman_compare(fake, g)
     assert not cmp_result
     assert cmp_result.verdict == "not-isomorphic"
