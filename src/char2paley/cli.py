@@ -84,7 +84,11 @@ def _emit(args, chunks) -> None:
 
 
 def _print_time(t0: float, tag: str, name: str) -> None:
-    print(f"[{time.monotonic() - t0:8.3f}s] {tag} {name}", file=sys.stderr)
+    """One timing line: seconds since t0, then the process's peak RSS so far."""
+    elapsed = time.monotonic() - t0
+    import resource  # POSIX only, and off the import path: the first timed line loads it
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"[{elapsed:8.3f}s] {tag} {name} (peak RSS {peak:.1f} MiB)", file=sys.stderr)
 
 
 def _stage(name: str, fn):

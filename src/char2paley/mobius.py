@@ -32,13 +32,8 @@ class _Infinity:
 INF = _Infinity()
 
 
-def all_points(ctx: FieldCtx) -> list:
-    """The q+1 points in the fixed enumeration: INF first, then by encoding."""
-    return [INF, *range(ctx.q)]
-
-
 def vertex_index(ctx: FieldCtx, p) -> int:
-    """Index of a point in the fixed enumeration (INF -> 0, x -> 1+x)."""
+    """Index of a point in the fixed enumeration: INF -> 0, then x -> 1+x by encoding."""
     if p is INF:
         return 0
     return 1 + ctx.check_elem(p)
@@ -59,20 +54,6 @@ class MobiusMap(NamedTuple):
     m01: int
     m10: int
     m11: int
-
-
-IDENTITY = MobiusMap(1, 0, 0, 1)
-
-
-def det(ctx: FieldCtx, m: MobiusMap) -> int:
-    return ctx.mul(m.m00, m.m11) ^ ctx.mul(m.m01, m.m10)
-
-
-def mobius_map(ctx: FieldCtx, m00: int, m01: int, m10: int, m11: int) -> MobiusMap:
-    m = MobiusMap(m00, m01, m10, m11)
-    if det(ctx, m) == 0:
-        raise ValueError(f"singular Moebius matrix {m}")
-    return m
 
 
 def apply(ctx: FieldCtx, m: MobiusMap, p):

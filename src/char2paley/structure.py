@@ -4,8 +4,12 @@ The shift map x -> x+b carries the graph built at parameter a' onto the
 one built at a (or onto its complement, when tr(b) = 1), where b solves
 b^2 + b = a + a'.  The index-doubling map v_i -> v_2i along the
 circulant labeling exchanges the graph with its complement, and the
-distance classes of the connection set decompose the edge set into
-Hamiltonian cycles whenever the order q+1 is prime.
+automorphism certificates hold at both parities (z -> z+1 reverses
+every arc when tr(1) = 1).  Each of these checks one rule: the rows
+after a vertex map are the graph's, or its complement's (a tournament's
+complement is its reversal).  The distance classes of the connection
+set decompose the edge set into Hamiltonian cycles whenever the order
+q+1 is prime.
 
 The coset construction over GF(q^2) gives an independent build of the
 same isomorphism class, from one pass over the powers of a primitive
@@ -24,9 +28,9 @@ from .analyze import spectrum_counts
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph,
     build_graph, build_tournament, circulant_labeling, is_circulant, iter_bits, relabel,
-    translate_rows, transpose, verify_circulant,
+    translate_rows, verify_circulant,
 )
-from .gf2k import FieldCtx
+from .gf2k import FieldCtx, factorize
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
 
 
@@ -39,9 +43,6 @@ class ShiftIso(NamedTuple):
 
     b: int
     kind: str
-
-    def apply_point(self, p):
-        return p if p is INF else p ^ self.b
 
 
 def shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA) -> ShiftIso:
@@ -61,13 +62,17 @@ def shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA) -> ShiftIso:
     return ShiftIso(b, kind)
 
 
-def _complement_rows(rows, n: int) -> list[int]:
-    full = (1 << n) - 1
-    return [full ^ r ^ (1 << i) for i, r in enumerate(rows)]
+def _carries(image, target: PaleyLikeGraph, flipped: bool) -> bool:
+    """Whether `image`, a graph's rows after a vertex map, are the rows of
+    target, or of its complement when flipped (a tournament's complement is
+    its reversal)."""
+    if not flipped:
+        return image == list(target.rows)
+    full = (1 << target.n) - 1
+    return image == [full ^ r ^ (1 << i) for i, r in enumerate(target.rows)]
 
 
-def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA,
-                             iso: ShiftIso | None = None,
+def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: ShiftIso,
                              target=None) -> bool:
     """Edge-by-edge check that x -> x+b maps build(a') onto build(a),
     or onto its complement for a complement-iso.
@@ -76,22 +81,10 @@ def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA,
     against the target, so every pair is checked.  `target` may carry a
     prebuilt graph/tournament at parameter a to avoid rebuild churn.
     """
-    if iso is None:
-        iso = shift_isomorphism(ctx, a, a_prime)
     build = build_tournament if ctx.k % 2 else build_graph
     src = build(ctx, a_prime)
     tgt = target if target is not None else build(ctx, a)
-    # a tournament's complement is its reversal, so one rule serves both parities
-    want = _complement_rows(tgt.rows, tgt.n) if iso.kind == "complement-iso" else list(tgt.rows)
-    return translate_rows(src.rows, iso.b, ctx) == want
-
-
-def permutation_is_automorphism(g: PaleyLikeGraph, perm: list[int]) -> bool:
-    return relabel(g.rows, perm) == list(g.rows)
-
-
-def permutation_exchanges_complement(g: PaleyLikeGraph, perm: list[int]) -> bool:
-    return relabel(g.rows, perm) == _complement_rows(g.rows, g.n)
+    return _carries(translate_rows(src.rows, iso.b, ctx), tgt, iso.kind == "complement-iso")
 
 
 def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
@@ -102,40 +95,22 @@ def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool
     perm = [0] * n
     for i in range(n):
         perm[idx[i]] = idx[2 * i % n]
-    return permutation_exchanges_complement(g, perm)
+    return _carries(relabel(g.rows, perm), g, True)
 
 
 def verify_automorphisms(g: PaleyLikeGraph, a: ParamA) -> bool:
-    """Check that z -> a/(z+1) and z -> z+1 both preserve the edge set."""
+    """Check that z -> a/(z+1) preserves the edge set, and that z -> z+1
+    preserves it when tr(1) = 0 and reverses every arc when tr(1) = 1."""
     ctx = g.ctx
     al = alpha_of(ctx, a.value)
     perm_alpha = [vertex_index(ctx, apply(ctx, al, p))
                   for p in [INF, *range(ctx.q)]]
-    return (permutation_is_automorphism(g, perm_alpha)
-            and translate_rows(g.rows, 1, ctx) == list(g.rows))
-
-
-def verify_arc_reversal(t, b: int = 1) -> bool:
-    """Tournaments, odd k: check x -> x+b reverses every arc (tr(b) = 1)."""
-    ctx = t.ctx
-    if ctx.trace(b) != 1:
-        raise ValueError(f"arc reversal needs tr(b) = 1, got b = {b:#x}")
-    return translate_rows(t.rows, b, ctx) == transpose(t.rows)
+    return (_carries(relabel(g.rows, perm_alpha), g, False)
+            and _carries(translate_rows(g.rows, 1, ctx), g, ctx.trace(1) == 1))
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian decomposition for prime order
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 class HamiltonianDecomposition(NamedTuple):
@@ -155,7 +130,7 @@ def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> Hamilton
     """
     lab.check_graph(g)
     p = g.n
-    if not _is_prime(p):
+    if factorize(p) != {p: 1}:
         raise OutOfScopeError(
             f"order {p} is composite: only prime-order circulants are decomposed "
             "by distance classes (the general case has no practical algorithm here)")

@@ -24,7 +24,9 @@
   `verify_representative_independence`.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
-  the tests to check the package against.
+  the tests to check the package against; `all_points`, `IDENTITY`,
+  `det` and `mobius_map` are the small Moebius helpers they and the
+  tests share.
 """
 
 import random
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import comb
 
 from char2paley import (
-    IDENTITY, INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, apply,
+    INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, apply,
     codegree_formula, is_full_orbit, iter_bits,
 )
 
@@ -145,6 +147,25 @@ def trace_partition(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for x in range(ctx.q):
         (t1 if ctx.trace(x) else t0).append(x)
     return tuple(t0), tuple(t1)
+
+
+def all_points(ctx: FieldCtx) -> list:
+    """The q+1 points in the fixed enumeration: INF first, then by encoding."""
+    return [INF, *range(ctx.q)]
+
+
+IDENTITY = MobiusMap(1, 0, 0, 1)
+
+
+def det(ctx: FieldCtx, m: MobiusMap) -> int:
+    return ctx.mul(m.m00, m.m11) ^ ctx.mul(m.m01, m.m10)
+
+
+def mobius_map(ctx: FieldCtx, m00: int, m01: int, m10: int, m11: int) -> MobiusMap:
+    m = MobiusMap(m00, m01, m10, m11)
+    if det(ctx, m) == 0:
+        raise ValueError(f"singular Moebius matrix {m}")
+    return m
 
 
 def compose(ctx: FieldCtx, m1: MobiusMap, m2: MobiusMap) -> MobiusMap:

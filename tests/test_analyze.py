@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from char2paley import (
-    INF, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, all_points, alpha_of,
-    apply, circulant_labeling, circulant_spectrum, codegree_direct, codegree_formula,
+    INF, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, alpha_of, apply,
+    circulant_labeling, circulant_spectrum, codegree_direct, codegree_formula,
     codegree_spectrum, jumbledness_certificate, kloosterman_sweep, kloosterman_value_set,
     param_a, vertex_index, verify_circulant, weil_bound_holds,
 )
 from char2paley.analyze import _cyclic_self_convolution, spectrum_counts
 from char2paley.construct import rotate
-from oracles import jumbledness_audit, kloosterman, kloosterman_sum, pair_codegree_formula
+from oracles import (
+    all_points, jumbledness_audit, kloosterman, kloosterman_sum, pair_codegree_formula,
+)
 
 
 def test_codegree_direct_c5(std):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,17 @@ def test_certify_rejects_odd_k(capsys):
 def test_certify_rejects_reducible_poly(capsys):
     code, _ = run(capsys, "certify", "--k", "4", "--poly", "0x11")
     assert code == 2
+
+
+def test_timing_lines_carry_peak_rss(capsys):
+    # every STEP and PASS line on stderr ends with the process's peak RSS so far
+    assert main(["certify", "--k", "4"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    step = next(ln for ln in lines if " STEP build " in ln)
+    assert re.fullmatch(r"\[ *\d+\.\d{3}s\] STEP build \(peak RSS \d+\.\d MiB\)", step)
+    assert float(step.split("RSS ")[1].split()[0]) > 0
+    timed = [ln for ln in lines if " STEP " in ln or " PASS " in ln]
+    assert len(timed) == 12 and all(ln.endswith(" MiB)") for ln in timed)
 
 
 def test_analyze_k2_spectrum(capsys):
@@ -660,8 +672,8 @@ def test_stages_timed_on_stderr(capsys):
     assert main(["analyze", "--k", "4"]) == 0
     err = capsys.readouterr().err
     for stage in ("setup", "kloosterman-sweep", "build", "labeling", "codegree-spectrum"):
-        assert f"] STEP {stage}\n" in err
-    assert "] PASS circulant\n" in err
+        assert f"] STEP {stage} (peak RSS " in err
+    assert "] PASS circulant (peak RSS " in err
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, all_points, apply,
+    INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, apply,
     FieldCtx, build_graph, build_tournament, circulant_labeling, is_full_orbit, iter_bits,
     param_a, relabel, translate_rows, transpose, verify_circulant, vertex_index,
 )
@@ -12,7 +12,7 @@ from char2paley import construct
 from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, _difference_rows, _transposed, is_circulant, rotate,
 )
-from oracles import beta_of, orbit_labeling, trace_partition
+from oracles import all_points, beta_of, orbit_labeling, trace_partition
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
 # enumeration [inf, 0, 1, w, w^2]; edges {inf,0},{inf,1},{0,w},{1,w^2},{w,w^2}

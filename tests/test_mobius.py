@@ -3,11 +3,13 @@ import random
 import pytest
 
 from char2paley import (
-    IDENTITY, INF, QuadExtCtx, all_points, alpha_of, apply, det, factorize,
-    find_generator_a, is_full_orbit, lambda_of, lambda_ratio_order, mobius_map,
-    point_of_index, vertex_index,
+    INF, QuadExtCtx, alpha_of, apply, factorize, find_generator_a, is_full_orbit,
+    lambda_of, lambda_ratio_order, point_of_index, vertex_index,
 )
-from oracles import beta_of, compose, construct_a_for_order, inverse, orbit
+from oracles import (
+    IDENTITY, all_points, beta_of, compose, construct_a_for_order, det, inverse,
+    mobius_map, orbit,
+)
 
 
 def trace1_elements(ctx):

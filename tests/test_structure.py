@@ -4,17 +4,16 @@ import pytest
 
 from char2paley import (
     INF, OutOfScopeError, QuadExtCtx, ShiftIso, build_graph, build_tournament,
-    chapman_build, chapman_compare, circulant_labeling, hamiltonian_decompose,
-    lambda_of, param_a, permutation_exchanges_complement,
-    permutation_is_automorphism, shift_isomorphism, verify_arc_reversal,
-    verify_automorphisms, verify_representative_independence,
-    verify_self_complementary, verify_shift_isomorphism,
+    chapman_build, chapman_compare, circulant_labeling, factorize, hamiltonian_decompose,
+    lambda_of, param_a, relabel, shift_isomorphism, verify_automorphisms,
+    verify_representative_independence, verify_self_complementary,
+    verify_shift_isomorphism,
 )
 from char2paley.analyze import codegree_spectrum, spectrum_counts
 from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, is_circulant, iter_bits, verify_circulant,
 )
-from char2paley.structure import ChapmanGraph, _is_prime
+from char2paley.structure import ChapmanGraph, _carries
 from oracles import chapman_rows_per_pair, coset_bit, representative_probes
 
 
@@ -48,8 +47,7 @@ def test_shift_iso_same_parameter(field):
     assert iso.b in (0, 1)
     assert iso.b == 0  # smallest solution; the identity map
     assert iso.kind == "iso"
-    assert iso.apply_point(INF) is INF
-    assert iso.apply_point(5) == 5
+    assert verify_shift_isomorphism(ctx, a, a, iso)
 
 
 def test_shift_iso_odd_k_picks_trace0(field):
@@ -102,7 +100,7 @@ def test_automorphisms_shift_half_rejects_flipped_edge(std, monkeypatch):
     # with the alpha half forced to pass, z -> z+1 alone must catch the flip
     import char2paley.structure as structure
     ctx, a, g, _ = std(4)
-    monkeypatch.setattr(structure, "permutation_is_automorphism", lambda g, perm: True)
+    monkeypatch.setattr(structure, "relabel", lambda rows, perm: list(rows))
     assert verify_automorphisms(g, a)
     rows = list(g.rows)
     rows[0] ^= 0b10  # the pair {INF, 0}; z -> z+1 sends it to {INF, 1}
@@ -135,8 +133,9 @@ def test_self_complementary_every_parameter(field, k):
 def test_self_complementary_negative_control(std):
     # the identity permutation cannot exchange a graph with its complement
     _, _, g, _ = std(4)
-    assert not permutation_exchanges_complement(g, list(range(g.n)))
-    assert permutation_is_automorphism(g, list(range(g.n)))
+    image = relabel(g.rows, list(range(g.n)))
+    assert not _carries(image, g, True)
+    assert _carries(image, g, False)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -149,7 +148,7 @@ def test_automorphism_negative_control(std):
     _, _, g, _ = std(4)
     perm = list(range(g.n))
     perm[1], perm[2] = perm[2], perm[1]  # a random transposition
-    assert not permutation_is_automorphism(g, perm)
+    assert not _carries(relabel(g.rows, perm), g, False)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -173,37 +172,45 @@ def test_alpha_preserves_rational_expression(field, k):
         checked += 1
 
 
-@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("k", [3, 5, 7])
 def test_tournament_reversal(field, k):
+    # tr(1) = 1 at odd k, so the automorphism certificate asks z -> z+1 to reverse every arc
     ctx = field(k)
-    t = build_tournament(ctx, param_a(ctx))
-    assert verify_arc_reversal(t)
-    with pytest.raises(ValueError):
-        verify_arc_reversal(t, b=0)  # tr(0) = 0 is not orientation-reversing
-    # the same reversal seen as a complement-iso of the tournament onto itself
     a = param_a(ctx)
+    assert verify_automorphisms(build_tournament(ctx, a), a)
+    # the same reversal seen as a complement-iso of the tournament onto itself
     assert verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "complement-iso"))
     assert not verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "iso"))
 
 
-@pytest.mark.parametrize("k", [3, 5])
-def test_tournament_reversal_negative_control(field, k):
-    # turning one arc around breaks the reversal x -> x+1
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_tournament_reversal_negative_control(field, k, monkeypatch):
+    # one arc out of INF turned round, or present both ways, fails the certificate;
+    # with the alpha half forced to pass, z -> z+1 alone must catch either
+    import char2paley.structure as structure
     ctx = field(k)
-    t = build_tournament(ctx, param_a(ctx))
-    rows = list(t.rows)
-    j = next(iter_bits(rows[0]))
-    rows[0] ^= 1 << j
-    rows[j] ^= 1
-    assert not verify_arc_reversal(PaleyLikeGraph(t.ctx, t.a, t.n, tuple(rows)))
+    a = param_a(ctx)
+    t = build_tournament(ctx, a)
+    j = next(iter_bits(t.rows[0]))
+    turned, doubled = list(t.rows), list(t.rows)
+    turned[0] ^= 1 << j
+    turned[j] ^= 1
+    doubled[j] ^= 1
+    bad = [PaleyLikeGraph(ctx, a, t.n, tuple(rows)) for rows in (turned, doubled)]
+    assert not any(verify_automorphisms(g, a) for g in bad)
+    monkeypatch.setattr(structure, "relabel", lambda rows, perm: list(rows))
+    assert verify_automorphisms(t, a)
+    assert not any(verify_automorphisms(g, a) for g in bad)
 
 
 # -- Hamiltonian decomposition ----------------------------------------------
 
 
 def test_is_prime():
-    assert [n for n in range(2, 20) if _is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert _is_prime(257) and _is_prime(65537) and not _is_prime(4097)
+    # the primality idiom hamiltonian_decompose uses on the order
+    assert [n for n in range(2, 20) if factorize(n) == {n: 1}] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert factorize(257) == {257: 1} and factorize(65537) == {65537: 1}
+    assert factorize(4097) != {4097: 1} and factorize(1) != {1: 1}
 
 
 def test_decompose_k2_single_cycle(std):
