@@ -28,7 +28,7 @@ from .analyze import (
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap,
-    circulant_labeling, param_a, transpose, verify_circulant,
+    circulant_labeling, param_a, rotate, transpose, verify_circulant,
 )
 from .formats import (
     point_label, write_decomposition, write_dimacs, write_edges,
@@ -222,10 +222,9 @@ def _check_labeling_identities(ctx, a, lab):
 
 
 def _circulant_witness(g, lab) -> dict:
-    """The first v_i whose dense row is not the connection set shifted by i."""
-    idx, n = lab.index, lab.n
-    i = next(i for i in range(n)
-             if g.rows[idx[i]] != sum(1 << idx[(i + d) % n] for d in lab.conn))
+    """The first v_i whose row, in orbit order, is not the connection set shifted by i."""
+    conn = sum(1 << d for d in lab.conn)
+    i = next(i for i, r in enumerate(lab.orbit_rows(g.rows)) if r != rotate(conn, i, lab.n))
     return {"vertex": point_label(lab.vertices[i]), "orbit_position": i}
 
 

@@ -205,8 +205,9 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 
 # ---------------------------------------------------------------------------
 # Bit and permutation primitives.  Permutations and transposes of a whole
-# matrix go through one big-int tile transpose (_transposed);
-# translations x -> x + b are a few masked swaps of the row int instead.
+# matrix go through one transpose kernel (_transposed), one byte column of
+# the rows per big int; translations x -> x + b are a few masked swaps of
+# the row int instead.
 
 # bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
 # of x is set: the selectors for itertools.compress
@@ -225,54 +226,47 @@ def check_width(rows) -> None:
         raise ValueError(f"a row has bits at or above n = {n}")
 
 
-_TILE_K = 8
-_TILE = 1 << _TILE_K  # side of the square bit tiles of the transpose kernel
-_PIECE = _TILE // 8   # bytes per tile row
-
-
-@lru_cache(maxsize=1)
-def _tile_swaps() -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of the eight delta swaps that transpose one 256 x 256 tile.
-
-    Bit 256 r + c of a tile is its entry (r, c).  For s = 128, 64, ..., 1
-    the entries with bit s of r clear and bit s of c set trade places with
-    (r + s, c - s), 255 s positions up: the recursive block transpose
-    (Warren, Hacker's Delight, section 7-3).
-    """
-    zero = bytes(_PIECE)
-    out = []
-    for h in reversed(range(_TILE_K)):
-        s = 1 << h
-        cols = (_swap_masks(_TILE_K)[h][1] << s).to_bytes(_PIECE, "little")  # bit h of c set
-        out.append(((_TILE - 1) * s,
-                    int.from_bytes(b"".join(zero if r & s else cols for r in range(_TILE)), "little")))
-    return tuple(out)
+_BAND = 256  # most bytes of each row that one pass over the rows copies out
+# (distance, 64-bit mask) of the three delta swaps that transpose an 8 x 8 bit block
+_BLOCK_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
 def _transposed(rows):
-    """Rows of the transpose of n rows of n bits, one at a time; rows must fit in n bits.
+    """Rows of the transpose of n rows of n bits, one at a time; bits at or above n are ignored.
 
-    For each column block lo = 0, 256, ... below n, the pieces
-    (row >> lo) mod 2^256 of rows 0-255, 256-511, ... form tiles of 32
-    little-endian bytes per piece.  Each tile is read as one int and
-    transposed in place by eight masked delta swaps; row lo + c of the
-    result is then row c of each tile in turn.
+    The rows are taken as N = n rounded up to 8 (the padding rows are
+    zero), and their bytes are cut into balanced bands of at most 256.
+    A band of w bytes a row is copied once, row by row, into a byte
+    matrix, so its byte column j is the strided slice [j::w]: N bytes,
+    read as one int x.  Each 64-bit word of x is an 8 x 8 bit block, bit
+    8 r + c the entry (8 m + r, 8 j + c) of the band for the word's m,
+    and three masked delta swaps transpose every block at once (Warren,
+    Hacker's Delight, section 7-3).  Column 8 j + c of the band is then
+    bytes c, c + 8, ... of x, one more strided slice.
     """
     n = len(rows)
-    low = (1 << _TILE) - 1
-    swaps = _tile_swaps()
-    size = _TILE * _PIECE  # bytes per tile
-    for lo in range(0, n, _TILE):
-        tiles = []
-        for t in range(0, n, _TILE):
-            x = int.from_bytes(b"".join([(r >> lo & low).to_bytes(_PIECE, "little")
-                                         for r in rows[t:t + _TILE]]), "little")
-            for d, mask in swaps:
-                s = (x >> d ^ x) & mask
-                x ^= s ^ s << d
-            tiles.append(x.to_bytes(size, "little"))
-        for c in range(0, min(_TILE, n - lo) * _PIECE, _PIECE):
-            yield int.from_bytes(b"".join([t[c:c + _PIECE] for t in tiles]), "little")
+    if not n:
+        return
+    size = n + -n % 8  # N
+    width = size // 8  # bytes a row
+    per = -(-width // -(-width // _BAND))  # bytes a row of the widest band
+    band = bytearray(per * size)
+    view = memoryview(band)  # rows go in through it, cheaper than bytearray slicing
+    masks = [(d, int.from_bytes(m.to_bytes(8, "little") * width, "little")) for d, m in _BLOCK_SWAPS]
+    for first in range(0, width, per):
+        w = min(per, width - first)
+        low = (1 << 8 * w) - 1
+        for i, r in enumerate(rows):
+            view[w * i:w * i + w] = (r >> 8 * first & low).to_bytes(w, "little")
+        view[w * n:w * size] = bytes(w * (size - n))  # the padding rows, over a wider band's bytes
+        for j in range(w):
+            x = int.from_bytes(band[j:w * size:w], "little")
+            for d, m in masks:
+                t = (x >> d ^ x) & m
+                x ^= t ^ t << d
+            out = x.to_bytes(size, "little")
+            for c in range(min(8, n - 8 * (first + j))):
+                yield int.from_bytes(out[c::8], "little")
 
 
 def transpose(rows) -> list[int]:

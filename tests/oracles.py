@@ -22,6 +22,10 @@
   the predicate on every pair against every pair of unit multipliers,
   the oracles of the one-pass table in `chapman_build` and of
   `verify_representative_independence`.
+- `tile_transpose` transposes a bit matrix one 256 x 256 tile at a time
+  with the eight delta swaps of the recursive block transpose, the
+  oracle of the byte-column kernel behind `transpose` at orders where a
+  per-bit transpose is too slow.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against; `all_points`, `IDENTITY`,
@@ -147,6 +151,41 @@ def trace_partition(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for x in range(ctx.q):
         (t1 if ctx.trace(x) else t0).append(x)
     return tuple(t0), tuple(t1)
+
+
+def tile_transpose(rows) -> list[int]:
+    """Rows of the transpose of n rows of n bits, by 256 x 256 bit tiles.
+
+    For each column block lo = 0, 256, ... below n, the pieces
+    (row >> lo) mod 2^256 of rows 0-255, 256-511, ... form tiles of 32
+    little-endian bytes per piece.  Each tile is read as one int, bit
+    256 r + c its entry (r, c), and transposed in place: for s = 128, 64,
+    ..., 1 the entries with bit s of r clear and bit s of c set trade
+    places with (r + s, c - s), 255 s positions up (Warren, Hacker's
+    Delight, section 7-3).  Row lo + c of the result is then row c of
+    each tile in turn.  Bits at or above n inside the last block are
+    ignored.
+    """
+    n = len(rows)
+    swaps = []
+    for s in (128, 64, 32, 16, 8, 4, 2, 1):
+        cols = sum(1 << c for c in range(256) if c & s).to_bytes(32, "little")
+        swaps.append((255 * s, int.from_bytes(
+            b"".join(bytes(32) if r & s else cols for r in range(256)), "little")))
+    low = (1 << 256) - 1
+    out = []
+    for lo in range(0, n, 256):
+        tiles = []
+        for t in range(0, n, 256):
+            x = int.from_bytes(b"".join([(r >> lo & low).to_bytes(32, "little")
+                                         for r in rows[t:t + 256]]), "little")
+            for d, mask in swaps:
+                y = (x >> d ^ x) & mask
+                x ^= y ^ y << d
+            tiles.append(x.to_bytes(256 * 32, "little"))
+        for c in range(0, min(256, n - lo) * 32, 32):
+            out.append(int.from_bytes(b"".join([t[c:c + 32] for t in tiles]), "little"))
+    return out
 
 
 def all_points(ctx: FieldCtx) -> list:

@@ -14,7 +14,7 @@ from char2paley import (
     iter_bits, param_a,
 )
 from char2paley.cli import main
-from char2paley.formats import parse_edges, write_edges
+from char2paley.formats import parse_edges, point_label, write_edges
 
 
 def run(capsys, *argv):
@@ -160,6 +160,17 @@ def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
     assert checks["circulant"]["witness"] == witness
     assert checks["vertex-transitive"] == {
         "name": "vertex-transitive", "pass": False, "evidence": "exhaustive", "witness": witness}
+
+
+def test_circulant_witness_last_orbit_row_at_dense_cap(std):
+    # only the last orbit row is tampered at k = 12: the witness is its orbit position
+    from char2paley.cli import _check_circulant
+    ctx, a, g, lab = std(12)
+    rows = list(g.rows)
+    rows[lab.index[-1]] ^= 1 << lab.index[7]  # the entry (v_4096, v_7)
+    ok, detail = _check_circulant(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+    assert ok is False
+    assert detail["witness"] == {"vertex": point_label(lab.vertices[-1]), "orbit_position": 4096}
 
 
 def test_certify_rejects_trace0_a(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from char2paley import construct
 from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, _difference_rows, _transposed, is_circulant, rotate,
 )
-from oracles import all_points, beta_of, orbit_labeling, trace_partition
+from oracles import all_points, beta_of, orbit_labeling, tile_transpose, trace_partition
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
 # enumeration [inf, 0, 1, w, w^2]; edges {inf,0},{inf,1},{0,w},{1,w^2},{w,w^2}
@@ -544,6 +545,57 @@ def test_transpose_rejects_bits_beyond_n_in_any_block(n):
             relabel(rows, list(range(n)))
 
 
+def test_tile_oracle_matches_per_bit_transpose():
+    rng = random.Random(11)
+    for n in (1, 255, 257, 513):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        assert tile_transpose(rows) == _per_bit_transpose(rows)
+
+
+@pytest.mark.parametrize("n, sparse", [(2049, False), (2049, True), (4097, False), (4097, True)])
+def test_transpose_kernel_matches_tile_oracle_on_seeded_rows(n, sparse):
+    # 2049 rows take two bands of unequal width above 7 zero padding rows,
+    # 4097 rows three bands and a last byte column holding one column
+    rng = random.Random(n + sparse)
+    rows = [rng.getrandbits(n) & (rng.getrandbits(n) if sparse else -1) for _ in range(n)]
+    want = tile_transpose(rows)
+    assert transpose(rows) == want
+    junk = [r | rng.getrandbits(-n % 256) << n for r in rows]
+    assert list(_transposed(junk)) == want
+
+
+def test_transpose_kernel_matches_tile_oracle_on_orbit_rows(std):
+    _, _, g, lab = std(12)
+    rows = [g.rows[c] for c in lab.index]
+    assert transpose(rows) == tile_transpose(rows)
+
+
+@pytest.mark.parametrize("i, j", [(5, 4096),      # column n - 1, alone in the last byte column
+                                  (4096, 3),      # row n - 1, the last above the padding rows
+                                  (1000, 2000)])  # inside the middle band
+def test_verify_circulant_rejects_one_flipped_bit_at_dense_cap(std, i, j):
+    ctx, a, g, lab = std(12)
+    rows = list(g.rows)
+    rows[i] ^= 1 << j
+    assert not verify_circulant(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+    assert transpose(rows) == tile_transpose(rows)
+
+
+def test_transpose_kernel_scratch_is_bounded(std):
+    # the kernel copies out at most 256 bytes of each row at a time: about
+    # 0.7 MiB at n = 4097, where one byte copy of the matrix would take 2 MiB
+    _, _, g, lab = std(12)
+    rows = [g.rows[c] for c in lab.index]
+    tracemalloc.start()
+    try:
+        for _ in _transposed(rows):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def _difference_rows_by_x(ctx, a):
     walked = dict(_difference_rows(ctx, a))
     assert sorted(walked) == list(range(ctx.q))  # the Gray walk visits every x once
@@ -579,7 +631,7 @@ def test_difference_rows_across_column_blocks(field):
 
 @pytest.mark.parametrize("k", [8, 9])
 def test_verify_circulant_rejects_one_flipped_bit(field, k):
-    # n = 257 and 513: the last column block and the last tile are partial
+    # n = 257 and 513: the last byte column holds one column, above 7 padding rows
     ctx = field(k)
     a = param_a(ctx)
     g = (build_tournament if k % 2 else build_graph)(ctx, a)
@@ -587,8 +639,8 @@ def test_verify_circulant_rejects_one_flipped_bit(field, k):
     n = g.n
     assert verify_circulant(g, lab)
     for i, j in ((5, 7),          # first block
-                 (5, n - 1),      # last, partial column block
-                 (n - 1, 3),      # last, partial tile of rows
+                 (5, n - 1),      # last byte column
+                 (n - 1, 3),      # last row above the padding rows
                  (0, 9),          # INF row
                  (9, 0)):         # INF column
         rows = list(g.rows)
