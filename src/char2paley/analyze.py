@@ -54,7 +54,7 @@ from collections import Counter
 from math import comb, isqrt
 from typing import NamedTuple
 
-from .construct import CirculantLabeling, ParamA, PaleyLikeGraph
+from .construct import _DIGITS, CirculantLabeling, ParamA, PaleyLikeGraph
 from .gf2k import FieldCtx
 from .mobius import vertex_index
 
@@ -77,22 +77,61 @@ def codegree_direct(g: PaleyLikeGraph, x, y) -> CodegreePair:
     return CodegreePair(x, y, eps, ell)
 
 
+_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # decimal digits to their values
+
+
+def _lanes(text: str, start: int, slots: int, d: int, w: int) -> int:
+    """The int whose w-byte lane j is the d-digit slot j of text[start:start + slots * d].
+
+    start may be negative: the digits before text[0] are the leading zeros
+    str() leaves out.  Each digit plane i (the 10^i digit of every slot) is
+    one strided slice, and lands in the lanes times 10^i; a lane's planes
+    sum to its slot's value, so when that fits in w bytes nothing carries.
+    """
+    stop = max(start + slots * d, 0)
+    lanes = bytearray(slots * w)
+    total = 0
+    for i in range(d):
+        first = start + d - 1 - i  # where slot 0 keeps its 10^i digit
+        lead = max(0, -(first // d))  # slots wholly before text[0] in this plane
+        lanes[::w] = text[first + lead * d:stop:d].encode().translate(_VALUES).rjust(slots, b"\0")
+        total += int.from_bytes(lanes, "little") * 10 ** i
+    return total
+
+
 def _cyclic_self_convolution(seq: bytes) -> memoryview:
     """(seq * seq)[t] = sum_s seq[s] seq[(t - s) mod m] for a 0/1 sequence.
 
-    Packs seq into w-byte slots of one int (w = 1, 2, 4 or 8), squares it
-    and folds the wrap inside the int: slot t of (sq mod 2^(8wm)) + (sq >> 8wm)
-    is the cyclic coefficient.  Every coefficient, linear or cyclic, is at
-    most the number of ones, so slots wide enough for that count never carry.
-    The result is a memoryview of the m slots, read in place as ints.
+    Every coefficient, linear or cyclic, is at most the number of ones,
+    which has d decimal digits.  seq[s] becomes the last digit of d-digit
+    slot s of one decimal integer, slot 0 most significant, so slot j of
+    its exact square (libmpdec multiplies by a number-theoretic transform)
+    is the linear coefficient j and no slot carries.  The square is read
+    back from its digit string into w-byte lanes of two ints (w = 1, 2, 4
+    or 8, wide enough for the number of ones), slots 0 .. m-1 and the wrap
+    m .. 2m-2, and one add folds them.  The result is a memoryview of the m
+    cyclic coefficients, read in place as ints.
     """
+    # imported here, not with the module: about 1.5 ms that only the kernel's callers pay
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Rounded
+
     m = len(seq)
-    w = 1 << (max(1, (seq.count(1).bit_length() + 7) // 8) - 1).bit_length()
-    packed = bytearray(m * w)
-    packed[::w] = seq
-    x = int.from_bytes(packed, "little")
-    sq = x * x
-    folded = (sq & (1 << 8 * w * m) - 1) + (sq >> 8 * w * m)
+    ones = seq.count(1)
+    w = 1 << (max(1, (ones.bit_length() + 7) // 8) - 1).bit_length()
+    d = len(str(ones))
+    digits = bytearray(b"0") * (m * d)
+    digits[d - 1::d] = seq.translate(_DIGITS)
+    x = Decimal(digits.decode())
+    del digits
+    # exact: a square that would have to be rounded raises instead
+    sq = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded]).multiply(x, x)
+    del x
+    text = str(sq)  # linear in libmpdec; str(int) would be quadratic
+    del sq
+    wrap = len(text) - (m - 1) * d  # where slot m starts in text
+    folded = _lanes(text, wrap, m - 1, d, w)
+    folded += _lanes(text, wrap - m * d, m, d, w)
+    del text
     step = 1 if sys.byteorder == "little" else -1  # cast reads native slots
     return memoryview(folded.to_bytes(m * w, sys.byteorder)).cast("BHIQ"[w.bit_length() - 1])[::step]
 
@@ -114,11 +153,11 @@ def weil_bound_holds(ctx: FieldCtx, values: list[int]) -> tuple[bool, int, int]:
 
     values is the sweep, K(b) at index b.  Returns (ok, argmax b, max |K|).
     """
-    worst_b, worst = 1, 0
-    for b in range(1, ctx.q):
-        if abs(values[b]) > worst:
-            worst_b, worst = b, abs(values[b])
-    return worst * worst <= 4 * ctx.q, worst_b, worst
+    rest = values[1:ctx.q]
+    top, bottom = max(rest), min(rest)
+    worst = max(top, -bottom)
+    first = min(rest.index(v) for v in (top, bottom) if abs(v) == worst)
+    return worst * worst <= 4 * ctx.q, 1 + first, worst
 
 
 def kloosterman_value_set(ctx: FieldCtx,
@@ -131,8 +170,9 @@ def kloosterman_value_set(ctx: FieldCtx,
     """
     r = isqrt(4 * ctx.q)
     want = {v for v in range(-r, r + 1) if v % 4 == 3}
-    stray = next((b for b in range(1, ctx.q) if values[b] not in want), None)
-    missing = min(want.difference(values[1:]), default=None)
+    rest = values[1:ctx.q]
+    stray = None if want.issuperset(rest) else next(b for b, v in enumerate(rest, 1) if v not in want)
+    missing = min(want.difference(rest), default=None)
     return stray is None and missing is None, stray, missing
 
 

@@ -159,33 +159,34 @@ def _field_words(ctx: FieldCtx) -> tuple[tuple[int, ...], int]:
     return masks, inf_row
 
 
-def _difference_rows(ctx: FieldCtx, a: ParamA):
-    """(x, R_x) for every field element x in Gray-code order; bit u of R_x is D_u[x].
-
-    R_0 is C, with bit u = c_u = 1 + tr(a/u) (u = 0, the loop, stays
-    clear), and a step of the walk across bit h of x flips M_h (see the
-    module docstring).
-    """
-    masks = _field_words(ctx)[0]
-    r = _quotient_traces(ctx, a.value) ^ (1 << ctx.q) - 2
-    yield 0, r
-    for i in range(1, ctx.q):
-        r ^= masks[(i & -i).bit_length() - 1]
-        yield i ^ i >> 1, r
-
-
 def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     """Dense rows of the trace rule at either parity of k.
 
-    R_x, the set {u : x ~ x + u}, translated by x and given the INF bit
-    1 + tr(x), is row x.
+    R_x, the set {u : x ~ x + u}, translated by x (T_x moves bit u to
+    u + x) and given the INF bit 1 + tr(x), is row x.  R_0 is C, with bit
+    u = c_u = 1 + tr(a/u) (u = 0, the loop, stays clear), and the Gray
+    walk's step across bit h, x' = x + 2^h, flips M_h (see the module
+    docstring), so T_x'(R_x') = swap_h(T_x(R_x)) + T_x'(M_h): the
+    translation rides along.  moved[h] is M_h translated by at[h], the
+    point of its last use, and moves on by at[h] + x'; in the reflected
+    Gray code that is two bits, so a row costs three masked swaps.
     """
     n = check_cap(ctx.k)
     swaps, tr = _swap_masks(ctx.k), ctx.trace
+    masks, inf_row = _field_words(ctx)
+    moved, at = list(masks), [0] * ctx.k
+    row = _quotient_traces(ctx, a.value) ^ (1 << ctx.q) - 2
     rows = [0] * n
-    rows[0] = _field_words(ctx)[1]
-    for x, r in _difference_rows(ctx, a):
-        rows[1 + x] = _swapped(r, x, swaps) << 1 | 1 ^ tr(x)
+    rows[0], rows[1] = inf_row, row << 1 | 1
+    x = 0
+    for i in range(1, ctx.q):
+        h = (i & -i).bit_length() - 1
+        x ^= 1 << h
+        moved[h] = _swapped(moved[h], x ^ at[h], swaps)
+        at[h] = x
+        s, low = swaps[h]
+        row = ((row & low) << s | (row >> s) & low) ^ moved[h]
+        rows[1 + x] = row << 1 | 1 ^ tr(x)
     return PaleyLikeGraph(ctx, a, n, tuple(rows))
 
 
@@ -219,11 +220,17 @@ def iter_bits(x: int):
     return compress(count(), bin(x)[:1:-1].encode().translate(BIT_FLAGS))
 
 
+def wide_row(rows) -> int | None:
+    """The first of these n rows with a bit at or above n, or None."""
+    n = len(rows)
+    return next((i for i, r in enumerate(rows) if r >> n), None)
+
+
 def check_width(rows) -> None:
     """Raise ValueError if a row of these n rows has a bit at or above n."""
-    n = len(rows)
-    if any(r >> n for r in rows):
-        raise ValueError(f"a row has bits at or above n = {n}")
+    i = wide_row(rows)
+    if i is not None:
+        raise ValueError(f"row {i} has bits at or above n = {len(rows)}")
 
 
 _BAND = 256  # most bytes of each row that one pass over the rows copies out
@@ -400,22 +407,24 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     smallest even element giving a' a full alpha-orbit: b^2 + b runs over
     every trace-0 element, so one exists, and b = 0 when a's orbit is full.
 
-    The orbit is walked as sigma(z) = a'/(z + b + 1) + b, one division
-    per point, from sigma(INF) = b to sigma^q(INF) = b + 1.  A short orbit
-    reaches b + 1, whose image is INF, before q + 1 points, and the walk
-    stops there.
+    The orbit is walked as sigma(z) = a'/(z + b + 1) + b, in log
+    coordinates (exp[log a' - log(z + b + 1)] + b, a' != 0 as tr(a') = 1),
+    from sigma(INF) = b to sigma^q(INF) = b + 1.  A short orbit reaches
+    b + 1, whose image is INF, before q + 1 points, and the walk stops
+    there.
     """
     ext = QuadExtCtx(ctx)
     q = ctx.q
     b = next(b for b in range(0, q, 2) if is_full_orbit(ext, a.value ^ ctx.sqr(b) ^ b))
-    div, a2, c = ctx.div, a.value ^ ctx.sqr(b) ^ b, b ^ 1
+    exp, log, c = ctx.exp_table(), ctx.log_table(), b ^ 1
+    la2 = log[a.value ^ ctx.sqr(b) ^ b]
     verts = [INF, b]
     append = verts.append
     v = b
     for _ in range(q - 1):
         if v == c:  # sigma(b + 1) = INF: the orbit closed early
             break
-        v = div(a2, v ^ c) ^ b
+        v = exp[la2 - log[v ^ c]] ^ b
         append(v)
     if len(verts) != q + 1:
         raise AssertionError("the orbit length disagrees with the lambda-ratio order")
@@ -433,11 +442,12 @@ def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
     """
     lab.check_graph(g)
     n = g.n
-    if any(r >> n for r in g.rows):
+    if wide_row(g.rows) is not None:
         return False
     where = [0] * n  # where[c]: the orbit position of dense vertex c
     for i, c in enumerate(lab.index):
         where[c] = i
     neg_mask = sum(1 << -d % n for d in lab.conn)
+    doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - i & full: neg_mask rotated by i
     cols = _transposed([g.rows[c] for c in lab.index])
-    return all(col == rotate(neg_mask, where[c], n) for c, col in enumerate(cols))
+    return all(col == doubled >> n - where[c] & full for c, col in enumerate(cols))

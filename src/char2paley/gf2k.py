@@ -25,8 +25,8 @@ multiplication and division then cost a few array lookups, which is
 what the graph-construction inner loops run on.  The exp table walks
 the powers of the generator g, each step x -> x g by two lookups of
 _mul_raw products, one per half of the bits of x.  The tables stay
-inside FieldCtx: callers read them through log_table() and
-exp_traces(), the trace of each power of the generator.
+inside FieldCtx: callers read them through log_table(), exp_table()
+and exp_traces(), the trace of each power of the generator.
 
 Elements are printed in lowercase hex (e.g. 0x13 is z^4+z+1) everywhere
 the package does I/O.
@@ -283,6 +283,15 @@ class FieldCtx:
         """
         self._ensure_tables()
         return self._log
+
+    def exp_table(self) -> array:
+        """exp[s] = g^s for the generator g, s = 0 .. 2(q-1) - 1: the doubled table.
+
+        Any s in -(q-1) .. 2(q-1) - 1 reads g^s, a negative s from the end.
+        The field's own table: read it, never write it.
+        """
+        self._ensure_tables()
+        return self._exp2
 
     def traces(self, xs) -> bytes:
         """tr(x) for each x of xs, as bytes of 0 and 1."""

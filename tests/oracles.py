@@ -26,6 +26,13 @@
   with the eight delta swaps of the recursive block transpose, the
   oracle of the byte-column kernel behind `transpose` at orders where a
   per-bit transpose is too slow.
+- `int_self_convolution` squares one binary int of w-byte slots, the
+  oracle of the decimal square behind `kloosterman_sweep` and
+  `circulant_spectrum`.
+- `difference_rows` walks the difference rows R_x alone, and
+  `per_row_build` translates each of them by its own x, popcount(x)
+  masked swaps a row: the oracles of the dense build, which carries the
+  translation along the walk.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against; `all_points`, `IDENTITY`,
@@ -34,13 +41,17 @@
 """
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from char2paley import (
     INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, apply,
-    codegree_formula, is_full_orbit, iter_bits,
+    ParamA, codegree_formula, is_full_orbit, iter_bits,
+)
+from char2paley.construct import (
+    _field_words, _quotient_traces, _swap_masks, _swapped, check_cap,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
@@ -186,6 +197,50 @@ def tile_transpose(rows) -> list[int]:
         for c in range(0, min(256, n - lo) * 32, 32):
             out.append(int.from_bytes(b"".join([t[c:c + 32] for t in tiles]), "little"))
     return out
+
+
+def int_self_convolution(seq: bytes) -> memoryview:
+    """(seq * seq)[t] = sum_s seq[s] seq[(t - s) mod m] for a 0/1 sequence, by one int square.
+
+    Packs seq into w-byte slots of one int (w = 1, 2, 4 or 8), squares it
+    and folds the wrap inside the int: slot t of (sq mod 2^(8wm)) + (sq >> 8wm)
+    is the cyclic coefficient.  Every coefficient, linear or cyclic, is at
+    most the number of ones, so slots wide enough for that count never carry.
+    """
+    m = len(seq)
+    w = 1 << (max(1, (seq.count(1).bit_length() + 7) // 8) - 1).bit_length()
+    packed = bytearray(m * w)
+    packed[::w] = seq
+    x = int.from_bytes(packed, "little")
+    sq = x * x
+    folded = (sq & (1 << 8 * w * m) - 1) + (sq >> 8 * w * m)
+    step = 1 if sys.byteorder == "little" else -1  # cast reads native slots
+    return memoryview(folded.to_bytes(m * w, sys.byteorder)).cast("BHIQ"[w.bit_length() - 1])[::step]
+
+
+def difference_rows(ctx: FieldCtx, a: ParamA):
+    """(x, R_x) for every field element x in Gray-code order; bit u of R_x is D_u[x].
+
+    R_0 is C, with bit u = c_u = 1 + tr(a/u) (u = 0, the loop, stays
+    clear), and a step of the walk across bit h of x flips M_h.
+    """
+    masks = _field_words(ctx)[0]
+    r = _quotient_traces(ctx, a.value) ^ (1 << ctx.q) - 2
+    yield 0, r
+    for i in range(1, ctx.q):
+        r ^= masks[(i & -i).bit_length() - 1]
+        yield i ^ i >> 1, r
+
+
+def per_row_build(ctx: FieldCtx, a: ParamA) -> list[int]:
+    """Dense rows of the trace rule: R_x translated by x, with the INF bit 1 + tr(x)."""
+    n = check_cap(ctx.k)
+    swaps = _swap_masks(ctx.k)
+    rows = [0] * n
+    rows[0] = _field_words(ctx)[1]
+    for x, r in difference_rows(ctx, a):
+        rows[1 + x] = _swapped(r, x, swaps) << 1 | 1 ^ ctx.trace(x)
+    return rows
 
 
 def all_points(ctx: FieldCtx) -> list:

@@ -14,7 +14,8 @@ from char2paley import (
 from char2paley.analyze import _cyclic_self_convolution, spectrum_counts
 from char2paley.construct import rotate
 from oracles import (
-    all_points, jumbledness_audit, kloosterman, kloosterman_sum, pair_codegree_formula,
+    all_points, int_self_convolution, jumbledness_audit, kloosterman, kloosterman_sum,
+    pair_codegree_formula,
 )
 
 
@@ -89,6 +90,25 @@ def test_weil_bound(field, k):
     ctx = field(k)
     ok, b, worst = weil_bound_holds(ctx, kloosterman_sweep(ctx))
     assert ok, f"|K({b:#x})| = {worst} exceeds 2*sqrt({ctx.q})"
+
+
+def test_weil_bound_tampered_sweep_witness(field):
+    # the witness is the first b of largest |K|, whichever its sign
+    ctx = field(6)
+    values = kloosterman_sweep(ctx)
+    mags = [abs(v) for v in values]
+    ok, b, worst = weil_bound_holds(ctx, values)
+    assert ok and worst == max(mags[1:]) and b == mags.index(worst, 1)
+    bad = list(values)
+    bad[9], bad[4] = -17, 17  # 17^2 > 4 * 64
+    assert weil_bound_holds(ctx, bad) == (False, 4, 17)
+    bad[3] = -17
+    assert weil_bound_holds(ctx, bad) == (False, 3, 17)
+    bad[ctx.q - 1] = 19
+    assert weil_bound_holds(ctx, bad) == (False, ctx.q - 1, 19)
+    low = list(values)
+    low[7] = -21  # the largest magnitude on the negative side alone
+    assert weil_bound_holds(ctx, low) == (False, 7, 21)
 
 
 def test_codegree_formula_k2(std):
@@ -243,6 +263,41 @@ def test_cyclic_self_convolution_matches_definition(seq):
     conv = _cyclic_self_convolution(seq)
     assert list(conv) == _self_convolution_by_definition(seq)
     assert conv.itemsize == (1 if seq.count(1) < 256 else 2)
+
+
+def _assert_matches_int_square(seq):
+    conv, want = _cyclic_self_convolution(seq), int_self_convolution(seq)
+    assert conv.itemsize == want.itemsize
+    assert conv.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_one_sequences())
+@example(b"\0")
+@example(b"\1")
+@example(b"\0\0")
+@example(b"\0\1")
+@example(b"\1\0")
+@example(b"\1\1")
+@example(bytes(1000))
+@example(b"\1" * 1000)
+@example(bytes(999) + b"\1")
+@example(b"\1" + bytes(999))
+@example(bytes(750) + b"\1" * 250)  # the square lies wholly in the wrap
+def test_cyclic_self_convolution_matches_int_square(seq):
+    _assert_matches_int_square(seq)
+
+
+@pytest.mark.parametrize("ones", [9, 10, 99, 100, 999, 1000, 9999, 10000,  # digits a slot
+                                  255, 256, 65535, 65536])                 # bytes a lane
+def test_cyclic_self_convolution_at_width_boundaries(ones):
+    # all ones, one zero after them, and ones spread over about twice as many slots
+    rng = random.Random(ones)
+    spread = bytearray(2 * ones + 3)
+    for s in rng.sample(range(len(spread)), ones):
+        spread[s] = 1
+    for seq in (b"\1" * ones, b"\1" * ones + b"\0", bytes(spread)):
+        _assert_matches_int_square(seq)
 
 
 def test_spectrum_rejects_foreign_labeling(std):

@@ -162,6 +162,54 @@ def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
         "name": "vertex-transitive", "pass": False, "evidence": "exhaustive", "witness": witness}
 
 
+def _one_row_wider_than_n(monkeypatch, k, i):
+    """Make the CLI's build set bit n in dense row i; returns the labeling."""
+    import char2paley.cli as cli
+    ctx = FieldCtx(k)
+    a = param_a(ctx)
+    g = build_graph(ctx, a)
+    rows = list(g.rows)
+    rows[i] |= 1 << g.n
+    tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+    return circulant_labeling(ctx, a)
+
+
+def test_certify_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
+    # a row reaching past vertex n - 1 is a failed certificate (exit 1), not a
+    # configuration error: regularity names it, circulant places it in orbit
+    # order, and the checks that relabel the rows are skipped
+    lab = _one_row_wider_than_n(monkeypatch, 6, 5)
+    code, out = run(capsys, "certify", "--k", "6")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False and doc["complete"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["regularity"]["pass"] is False
+    assert checks["regularity"]["witness"] == {"vertex": 5, "bit": 65, "n": 65}
+    i = lab.index.index(5)
+    assert checks["circulant"]["pass"] is False
+    assert checks["circulant"]["witness"] == {"vertex": "0x4", "orbit_position": i}
+    assert checks["vertex-transitive"]["witness"] == checks["circulant"]["witness"]
+    for name in ("symmetry", "self-complementary", "automorphisms", "shift-isomorphism-class"):
+        assert checks[name]["skipped"] is True
+        assert checks[name]["reason"] == "row 5 has bits at or above n = 65"
+    assert checks["no-loops"]["pass"] is True
+
+
+def test_analyze_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
+    # analyze reads the rows first in circulant, which names the row; the
+    # checks resting on the circulant are skipped
+    lab = _one_row_wider_than_n(monkeypatch, 6, 5)
+    code, out = run(capsys, "analyze", "--k", "6")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["circulant"]["pass"] is False
+    assert checks["circulant"]["witness"] == {"vertex": "0x4", "orbit_position": lab.index.index(5)}
+    for name in ("codegree-formula-vs-direct", "jumbledness"):
+        assert checks[name]["skipped"] is True
+
+
 def test_circulant_witness_last_orbit_row_at_dense_cap(std):
     # only the last orbit row is tampered at k = 12: the witness is its orbit position
     from char2paley.cli import _check_circulant

@@ -11,9 +11,12 @@ from char2paley import (
 )
 from char2paley import construct
 from char2paley.construct import (
-    CirculantLabeling, PaleyLikeGraph, _difference_rows, _transposed, is_circulant, rotate,
+    CirculantLabeling, PaleyLikeGraph, _transposed, is_circulant, rotate,
 )
-from oracles import all_points, beta_of, orbit_labeling, tile_transpose, trace_partition
+from oracles import (
+    all_points, beta_of, difference_rows, orbit_labeling, per_row_build, tile_transpose,
+    trace_partition,
+)
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
 # enumeration [inf, 0, 1, w, w^2]; edges {inf,0},{inf,1},{0,w},{1,w^2},{w,w^2}
@@ -597,7 +600,7 @@ def test_transpose_kernel_scratch_is_bounded(std):
 
 
 def _difference_rows_by_x(ctx, a):
-    walked = dict(_difference_rows(ctx, a))
+    walked = dict(difference_rows(ctx, a))
     assert sorted(walked) == list(range(ctx.q))  # the Gray walk visits every x once
     return walked
 
@@ -627,6 +630,17 @@ def test_difference_rows_across_column_blocks(field):
     for u in rng.sample(range(1, 256), 20) + rng.sample(range(256, ctx.q), 20):
         assert (sum((r >> u & 1) << x for x, r in walked.items())
                 == sum((1 ^ adjacency(ctx, a, x, x ^ u)) << x for x in range(ctx.q))), u
+
+
+@pytest.mark.parametrize("k, a", [(k, None) for k in range(2, 13)] + [(6, 0x20), (10, 0x88)])
+def test_build_matches_per_row_build(field, k, a):
+    # the translation carried along the Gray walk gives the rows that
+    # translating each difference row by its own x gives, at both parities
+    # and at short-orbit parameters
+    ctx = field(k)
+    a = param_a(ctx, a)
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    assert list(g.rows) == per_row_build(ctx, a)
 
 
 @pytest.mark.parametrize("k", [8, 9])

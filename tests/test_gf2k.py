@@ -139,10 +139,10 @@ def test_tables_above_2_16_match_raw(k):
         assert ctx._mul_raw(y, ctx.inv(y)) == 1
     # each step of the split-multiply walk is one multiplication by g, and the
     # doubled table wraps around at q - 1
-    g, log = ctx.generator(), ctx.log_table()
-    exp = ctx._exp2
+    g, log, exp = ctx.generator(), ctx.log_table(), ctx.exp_table()
     q1 = ctx.q - 1
     assert len(exp) == 2 * q1 and exp[0] == exp[q1] == 1
+    assert ctx._mul_raw(exp[-1], g) == 1  # a negative exponent reads from the end
     steps = range(q1) if k <= 12 else [q1 - 1, *(rng.randrange(q1) for _ in range(2000))]
     for s in steps:
         assert exp[s + 1] == ctx._mul_raw(exp[s], g)
