@@ -14,14 +14,13 @@ jumbledness) with integer arithmetic throughout.
 __version__ = "0.1.0"
 
 from .analyze import (
-    CodegreePair, CodegreeSpectrum, JumblednessCertificate, circulant_spectrum,
-    codegree_direct, codegree_formula, codegree_spectrum, jumbledness_certificate,
-    kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
+    CodegreeSpectrum, JumblednessCertificate, circulant_spectrum, codegree_formula,
+    jumbledness_certificate, kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
     MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA,
     adjacency, build_graph, build_tournament, circulant_labeling, iter_bits,
-    param_a, relabel, translate_rows, transpose, verify_circulant,
+    param_a, relabel, translate_rows, transpose, unpaired_distance, verify_circulant,
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (

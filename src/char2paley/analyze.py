@@ -45,6 +45,10 @@ square computes T * T exactly.
 The codegree spectrum is the same convolution, mod n.  On the circulant
 with connection set C, codeg(v_0, v_s) = #{d in C : d - s in C}, and at
 even k C = -C turns d - s into s - d, so codeg(v_0, v_s) = (C * C)[s].
+Every pair-level claim here is read off a connection set, so it is a
+graph's claim only once the graph is certified to be that circulant: a
+check resting on that certificate is skipped when it fails, and no pair
+is counted one by one.
 """
 
 from __future__ import annotations
@@ -54,27 +58,8 @@ from collections import Counter
 from math import comb, isqrt
 from typing import NamedTuple
 
-from .construct import _DIGITS, CirculantLabeling, ParamA, PaleyLikeGraph
+from .construct import _DIGITS, ParamA, unpaired_distance
 from .gf2k import FieldCtx
-from .mobius import vertex_index
-
-
-class CodegreePair(NamedTuple):
-    x: object
-    y: object
-    epsilon: int  # 1 if the pair is an edge
-    ell: int      # number of common neighbours
-
-
-def codegree_direct(g: PaleyLikeGraph, x, y) -> CodegreePair:
-    """Count common neighbours straight off the bitset rows."""
-    i = vertex_index(g.ctx, x)
-    j = vertex_index(g.ctx, y)
-    if i == j:
-        raise ValueError("codegree is undefined on equal points")
-    ell = (g.rows[i] & g.rows[j]).bit_count()
-    eps = g.rows[i] >> j & 1
-    return CodegreePair(x, y, eps, ell)
 
 
 _VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # decimal digits to their values
@@ -197,85 +182,43 @@ def codegree_formula(ctx: FieldCtx, a: ParamA, x: int, kloo: list[int]) -> int:
 class CodegreeSpectrum(NamedTuple):
     counts: dict                 # (epsilon, ell) -> number of pairs
     max_ell: int
-    max_pair: tuple[int, int]    # dense row indices of a pair with codegree max_ell
+    max_shift: int               # the pair (v_0, v_s) has codegree max_ell at s = max_shift
     bound: int                   # q/4 + sqrt(q)/2, an exact int for even k
     within_bound: bool
     max_conference_deviation: int  # max |ell - (q/4 - eps)|
     pairs: int
 
 
-def _pairwise_spectrum(rows, n: int) -> tuple[dict, tuple[int, int]]:
-    """Spectrum counts over all unordered pairs, and the first pair of top codegree."""
-    counts: dict[tuple[int, int], int] = {}
-    best, pair = -1, (0, 1)
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            ell = (ri & rows[j]).bit_count()
-            key = (ri >> j & 1, ell)
-            counts[key] = counts.get(key, 0) + 1
-            if ell > best:
-                best, pair = ell, (i, j)
-    return counts, pair
-
-
-def spectrum_counts(rows, n: int) -> dict:
-    """(epsilon, ell) -> pair count over all unordered pairs of rows."""
-    return _pairwise_spectrum(rows, n)[0]
-
-
-def _spectrum(q: int, counts: dict, max_pair: tuple[int, int]) -> CodegreeSpectrum:
-    max_ell = max(ell for _, ell in counts)
-    bound = q // 4 + isqrt(q) // 2
-    ideal = q // 4
-    dev = max(abs(ell - (ideal - eps)) for eps, ell in counts)
-    return CodegreeSpectrum(
-        counts=dict(sorted(counts.items())),
-        max_ell=max_ell,
-        max_pair=max_pair,
-        bound=bound,
-        within_bound=max_ell <= bound,
-        max_conference_deviation=dev,
-        pairs=comb(q + 1, 2),
-    )
-
-
-def circulant_spectrum(lab: CirculantLabeling) -> CodegreeSpectrum:
-    """Exact histogram of (epsilon, ell) of the circulant on lab's connection set.
+def circulant_spectrum(n: int, conn: frozenset[int]) -> CodegreeSpectrum:
+    """Exact histogram of (epsilon, ell) of the circulant of order n on conn.
 
     codeg(v_0, v_s) = (C * C)[s], resting on C = -C (see the module
-    notes; ValueError otherwise), and each shift s = 1 .. (n-1)/2 covers
+    notes; ValueError when `unpaired_distance` finds a d), and each shift s = 1 .. (n-1)/2 covers
     n distinct pairs (n is odd), so no dense graph is needed.  The pair
-    reported for the top codegree is (v_0, v_s), as dense row indices:
-    v_0 = INF is row 0.
+    of top codegree is (v_0, v_max_shift).
     This is a graph's spectrum once the graph is certified to be that
-    circulant (`verify_circulant`).
+    circulant (`verify_circulant`, or `ChapmanGraph.circulant_certified`).
     """
-    n = lab.n
-    ind = bytearray(n)
-    for d in lab.conn:
-        ind[d] = 1
-    if ind[1:] != ind[:0:-1]:
+    if unpaired_distance(conn, n) is not None:
         raise ValueError("the connection set is not closed under negation")
-    half = (n - 1) // 2
+    ind = bytearray(n)
+    for d in conn:
+        ind[d] = 1
+    q, half = n - 1, (n - 1) // 2
     conv = _cyclic_self_convolution(ind)
-    counts = {key: cnt * n for key, cnt in Counter(zip(ind[1:half + 1], conv[1:half + 1])).items()}
-    best_s = max(range(1, half + 1), key=conv.__getitem__)
-    return _spectrum(n - 1, counts, (0, 1 + lab.vertices[best_s]))
-
-
-def codegree_spectrum(g: PaleyLikeGraph, lab: CirculantLabeling | None = None) -> CodegreeSpectrum:
-    """Exact histogram of (epsilon, ell) over all unordered pairs.
-
-    With a labeling, the counts come from its connection set in O(n)
-    big-int operations; the caller must have certified it against the
-    graph (`verify_circulant`).  Without one, every pair is counted.
-    """
-    if lab is not None:
-        lab.check_graph(g)
-        return circulant_spectrum(lab)
-    counts, max_pair = _pairwise_spectrum(g.rows, g.n)
-    return _spectrum(g.ctx.q, counts, max_pair)
+    counts = Counter(zip(ind[1:half + 1], conv[1:half + 1]))
+    max_shift = max(range(1, half + 1), key=conv.__getitem__)
+    max_ell = conv[max_shift]
+    bound = q // 4 + isqrt(q) // 2
+    return CodegreeSpectrum(
+        counts={key: cnt * n for key, cnt in sorted(counts.items())},
+        max_ell=max_ell,
+        max_shift=max_shift,
+        bound=bound,
+        within_bound=max_ell <= bound,
+        max_conference_deviation=max(abs(ell - (q // 4 - eps)) for eps, ell in counts),
+        pairs=comb(n, 2),
+    )
 
 
 class JumblednessCertificate(NamedTuple):

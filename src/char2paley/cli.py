@@ -23,12 +23,13 @@ import time
 
 from . import __version__
 from .analyze import (
-    circulant_spectrum, codegree_formula, codegree_spectrum,
-    jumbledness_certificate, kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
+    circulant_spectrum, codegree_formula, jumbledness_certificate, kloosterman_sweep,
+    kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap,
-    circulant_labeling, param_a, rotate, transpose, verify_circulant, wide_row,
+    circulant_labeling, param_a, rotate, transpose, unpaired_distance, verify_circulant,
+    wide_row,
 )
 from .formats import (
     point_label, write_decomposition, write_dimacs, write_edges,
@@ -331,31 +332,44 @@ def cmd_analyze(args) -> int:
 
     dense = ctx.q + 1 <= MATRIX_CAP
     too_big = f"order {ctx.q + 1} exceeds the dense cap {MATRIX_CAP}"
+    on_circulant = "the certificate rests on the circulant check, which failed"
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
     if dense:
         g = _stage("build", lambda: build_graph(ctx, a))
         certified = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
-        # the spectrum may rest on the connection set only once it is certified
-        spec = _stage("codegree-spectrum", lambda: codegree_spectrum(g, lab if certified else None))
         basis = "exhaustive"
     else:
         checks.skip("circulant", too_big)
         # the labeling walks an automorphism, so the graph is this circulant by
         # the theorem, which no check here verifies
         certified = True
-        spec = _stage("codegree-spectrum", lambda: circulant_spectrum(lab))
         basis = "algebraic"
-    extra = {"codegree_spectrum": [
-        {"epsilon": eps, "ell": ell, "count": cnt} for (eps, ell), cnt in spec.counts.items()]}
+    # every codegree below is read off the connection set: only once the graph
+    # is certified to be its circulant, and only when it is closed under negation
+    unpaired = spec = extra = None
+    if certified:
+        def read_spectrum():
+            d = unpaired_distance(lab.conn, lab.n)
+            return d, None if d is not None else circulant_spectrum(lab.n, lab.conn)
+
+        unpaired, spec = _stage("codegree-spectrum", read_spectrum)
+    if spec is not None:
+        extra = {"codegree_spectrum": [
+            {"epsilon": eps, "ell": ell, "count": cnt} for (eps, ell), cnt in spec.counts.items()]}
 
     def codegree_cap():
+        if spec is None:  # d in C, n - d not: the codegrees are no self-convolution
+            return False, {"witness": {"distance": unpaired}}
         detail = {"max_ell": spec.max_ell, "bound": spec.bound,
                   "max_conference_deviation": spec.max_conference_deviation}
         if not spec.within_bound:
-            detail["witness"] = {"pair": list(spec.max_pair)}
+            detail["witness"] = {"pair": [lab.index[0], lab.index[spec.max_shift]]}
         return spec.within_bound, detail
 
-    checks.run("codegree-cap", basis, codegree_cap)
+    if certified:
+        checks.run("codegree-cap", basis, codegree_cap)
+    else:
+        checks.skip("codegree-cap", on_circulant)
 
     if dense and certified:
         def formula_vs_direct():
@@ -383,10 +397,12 @@ def cmd_analyze(args) -> int:
             detail["witness"] = {"lambda_bound": cert.lambda_bound}
         return cert.passed, detail
 
-    if certified:
+    if spec is not None:
         checks.run("jumbledness", basis, jumbled)
     else:
-        checks.skip("jumbledness", "the certificate rests on the circulant check, which failed")
+        checks.skip("jumbledness", on_circulant if not certified else
+                    "the certificate rests on a connection set closed under negation, "
+                    "which failed")
 
     _emit(args, _report(args, ctx, a, "analyze", checks, extra))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
@@ -426,6 +442,7 @@ def cmd_chapman(args) -> int:
     lam = lambda_of(ext, a.value)
     h = _stage("coset-build", lambda: chapman_build(ext, lam))
     g = _stage("build", lambda: build_graph(ctx, a))
+    lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
     checks = _Checks()
 
     def no_undefined():
@@ -448,13 +465,20 @@ def cmd_chapman(args) -> int:
         return rep, detail
 
     checks.run("representative-independence", "exhaustive", independent)
-    checks.run("coset-graph-circulant", "exhaustive", lambda: (h.circulant_certified, None))
-    cmp_result = _stage("compare", lambda: chapman_compare(h, g))
-    checks.run("isomorphic", "exhaustive", lambda: (
-        bool(cmp_result),
-        {"verdict": cmp_result.verdict,
-         "multiplier": cmp_result.multiplier,
-         "spectra_match": cmp_result.spectra_match}))
+
+    def isomorphic():
+        if not verify_circulant(g, lab):  # no connection set of g to compare
+            return False, {"witness": _circulant_witness(g, lab)}
+        cmp_result = chapman_compare(h, g, lab)
+        return cmp_result, {"verdict": cmp_result.verdict,
+                            "multiplier": cmp_result.multiplier,
+                            "spectra_match": cmp_result.spectra_match}
+
+    if checks.run("coset-graph-circulant", "exhaustive", lambda: (h.circulant_certified, None)):
+        checks.run("isomorphic", "exhaustive", isomorphic)
+    else:
+        checks.skip("isomorphic", "the comparison rests on the coset-graph-circulant check, "
+                    "which failed")
     _emit(args, _report(args, ctx, a, "chapman", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 

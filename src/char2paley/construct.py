@@ -341,6 +341,11 @@ def is_circulant(rows, conn_mask: int, n: int) -> bool:
     return all(r == rotate(conn_mask, i, n) for i, r in enumerate(rows))
 
 
+def unpaired_distance(conn: frozenset[int], n: int) -> int | None:
+    """The least d in conn with n - d not in conn; None when conn is closed under negation."""
+    return min((d for d in conn if n - d not in conn), default=None)
+
+
 class CirculantLabeling:
     """A cyclic-automorphism labeling v_i of PG(1,q) and its connection set.
 

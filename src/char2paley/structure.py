@@ -24,11 +24,11 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import NamedTuple
 
-from .analyze import spectrum_counts
+from .analyze import circulant_spectrum
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph,
-    build_graph, build_tournament, circulant_labeling, is_circulant, iter_bits, relabel,
-    translate_rows, verify_circulant,
+    build_graph, build_tournament, is_circulant, iter_bits, relabel,
+    translate_rows, unpaired_distance, verify_circulant,
 )
 from .gf2k import FieldCtx, factorize
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
@@ -136,7 +136,7 @@ def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> Hamilton
             "by distance classes (the general case has no practical algorithm here)")
     if not verify_circulant(g, lab):
         raise AssertionError("the rows are not the circulant of the connection set")
-    if 0 in lab.conn or any(p - d not in lab.conn for d in lab.conn):
+    if unpaired_distance(lab.conn, p) is not None:
         raise AssertionError("connection set is not closed under negation")
     dists = sorted(d for d in lab.conn if d < p - d)
     cycles = tuple(tuple(lab.vertices[d * t % p] for t in range(p)) for d in dists)
@@ -262,21 +262,27 @@ class ChapmanComparison(NamedTuple):
         return self.verdict == "isomorphic-certified"
 
 
-def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph) -> ChapmanComparison:
+def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) -> ChapmanComparison:
     """Search for an explicit isomorphism between the two constructions.
 
-    Both are circulants of order n = q+1; a unit m of Z_n with
+    Both must be certified circulants of order n = q+1: h by
+    `circulant_certified` (ValueError otherwise), g against lab by
+    `verify_circulant` (AssertionError otherwise).  Their codegree spectra
+    are then read off the two connection sets.  A unit m of Z_n with
     m * conn(G) = conn(H) gives the map v_i -> w_(m i), which is then
     verified edge by edge.  When no unit passes, only the invariant
     comparison (codegree spectra) is reported.
     """
     if h.ext.base != g.ctx:
         raise ValueError("the two graphs live over different base fields")
-    spectra_match = spectrum_counts(h.rows, h.n) == spectrum_counts(g.rows, g.n)
+    if not h.circulant_certified:
+        raise ValueError("the coset graph is not a certified circulant")
+    if not verify_circulant(g, lab):
+        raise AssertionError("the rows are not the circulant of the connection set")
+    n = g.n
+    spectra_match = circulant_spectrum(h.n, h.conn).counts == circulant_spectrum(n, lab.conn).counts
     if not spectra_match:
         return ChapmanComparison("not-isomorphic", None, False)
-    n = g.n
-    lab = circulant_labeling(g.ctx, g.a)
     g_orbit = list(lab.orbit_rows(g.rows))
     for m in range(1, n):
         if gcd(m, n) != 1 or {m * d % n for d in lab.conn} != h.conn:

@@ -17,6 +17,10 @@
 - `pair_codegree_formula` rotates any pair {x, y} to (x', INF) along a
   labeling with a position map, so the one-point `codegree_formula` can
   be held to every pair.
+- `codegree_direct` counts the common neighbours of one pair off the
+  rows, and `spectrum_counts` counts every pair that way, the oracles of
+  the codegree formula and of the convolution spectrum
+  `circulant_spectrum`.
 - `chapman_rows_per_pair` builds the coset graph with one GF(q^2)
   product w = conj(u) v per pair, and `representative_probes` re-reads
   the predicate on every pair against every pair of unit multipliers,
@@ -48,7 +52,7 @@ from math import comb
 
 from char2paley import (
     INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, apply,
-    ParamA, codegree_formula, is_full_orbit, iter_bits,
+    ParamA, codegree_formula, is_full_orbit, iter_bits, vertex_index,
 )
 from char2paley.construct import (
     _field_words, _quotient_traces, _swap_masks, _swapped, check_cap,
@@ -336,6 +340,34 @@ def pair_codegree_formula(ctx: FieldCtx, a, lab, kloo):
         return codegree_formula(ctx, a, lab.vertices[(i - j) % lab.n], kloo)
 
     return formula
+
+
+@dataclass(frozen=True)
+class CodegreePair:
+    x: object
+    y: object
+    epsilon: int  # 1 if the pair is an edge
+    ell: int      # number of common neighbours
+
+
+def codegree_direct(g: PaleyLikeGraph, x, y) -> CodegreePair:
+    """Count common neighbours straight off the bitset rows."""
+    i = vertex_index(g.ctx, x)
+    j = vertex_index(g.ctx, y)
+    if i == j:
+        raise ValueError("codegree is undefined on equal points")
+    return CodegreePair(x, y, g.rows[i] >> j & 1, (g.rows[i] & g.rows[j]).bit_count())
+
+
+def spectrum_counts(rows, n: int) -> dict:
+    """(epsilon, ell) -> pair count over all unordered pairs of rows, one pair at a time."""
+    counts: dict[tuple[int, int], int] = {}
+    for i in range(n):
+        ri = rows[i]
+        for j in range(i + 1, n):
+            key = (ri >> j & 1, (ri & rows[j]).bit_count())
+            counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def coset_bit(ext: QuadExtCtx, lam, w):

@@ -14,14 +14,16 @@ from math import comb, isqrt
 
 from char2paley import (
     INF, QuadExtCtx, adjacency, build_graph, build_tournament,
-    circulant_labeling, chapman_build, chapman_compare, codegree_direct, hamiltonian_decompose,
+    circulant_labeling, chapman_build, chapman_compare, hamiltonian_decompose,
     kloosterman_sweep, lambda_of, lambda_ratio_order, param_a, shift_isomorphism,
     verify_automorphisms, verify_circulant,
     verify_representative_independence, verify_self_complementary,
     verify_shift_isomorphism,
 )
 from char2paley.cli import main
-from oracles import all_points, construct_a_for_order, jumbledness_audit, pair_codegree_formula
+from oracles import (
+    all_points, codegree_direct, construct_a_for_order, jumbledness_audit, pair_codegree_formula,
+)
 
 
 @contextmanager
@@ -222,13 +224,13 @@ def test_criterion_12_order_theory(field):
 def test_criterion_13_chapman_oracle(std):
     with criterion(13, "coset-quotient build: well defined and isomorphic", 60):
         for k in (2, 4):
-            ctx, a, g, _ = std(k)
+            ctx, a, g, lab = std(k)
             ext = QuadExtCtx(ctx)
             h = chapman_build(ext, lambda_of(ext, a.value))
             assert h.undefined_pairs == ()  # division-by-zero never suppressed
             rep = verify_representative_independence(h)
             assert rep and rep.count == ctx.q * (ctx.q - 1)  # every probe, k = 2 and 4
-            result = chapman_compare(h, g)
+            result = chapman_compare(h, g, lab)
             assert bool(result), result.verdict
             assert result.verdict == "isomorphic-certified"
 

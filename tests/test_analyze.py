@@ -7,15 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from char2paley import (
     INF, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, alpha_of, apply,
-    circulant_labeling, circulant_spectrum, codegree_direct, codegree_formula,
-    codegree_spectrum, jumbledness_certificate, kloosterman_sweep, kloosterman_value_set,
-    param_a, vertex_index, verify_circulant, weil_bound_holds,
+    circulant_labeling, circulant_spectrum, codegree_formula, jumbledness_certificate,
+    kloosterman_sweep, kloosterman_value_set, param_a, unpaired_distance, vertex_index,
+    verify_circulant, weil_bound_holds,
 )
-from char2paley.analyze import _cyclic_self_convolution, spectrum_counts
+from char2paley.analyze import _cyclic_self_convolution
 from char2paley.construct import rotate
 from oracles import (
-    all_points, int_self_convolution, jumbledness_audit, kloosterman, kloosterman_sum,
-    pair_codegree_formula,
+    all_points, codegree_direct, int_self_convolution, jumbledness_audit, kloosterman,
+    kloosterman_sum, pair_codegree_formula, spectrum_counts,
 )
 
 
@@ -153,25 +153,45 @@ def test_codegree_rotation_invariance(std, k):
 
 
 def test_spectrum_c5(std):
-    _, _, g, _ = std(2)
-    spec = codegree_spectrum(g)
-    assert spec.counts == {(0, 1): 5, (1, 0): 5}
+    _, _, g, lab = std(2)
+    spec = circulant_spectrum(lab.n, lab.conn)
+    assert spec.counts == spectrum_counts(g.rows, g.n) == {(0, 1): 5, (1, 0): 5}
     assert spec.pairs == 10
     assert spec.max_ell == 1
+
+
+def _assert_matches_pairwise(spec, rows, index):
+    """spec against every pair of rows counted one at a time; index maps
+    circulant positions to rows, and the top pair (v_0, v_max_shift) reaches max_ell."""
+    pairwise = spectrum_counts(rows, len(rows))
+    ideal = (len(rows) - 1) // 4
+    assert spec.counts == pairwise
+    assert spec.max_ell == max(ell for _, ell in pairwise)
+    assert spec.max_conference_deviation == max(abs(ell - (ideal - eps)) for eps, ell in pairwise)
+    i, j = index[0], index[spec.max_shift]
+    assert (rows[i] & rows[j]).bit_count() == spec.max_ell
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
 def test_circulant_spectrum_matches_pairwise(std, k):
     _, _, g, lab = std(k)
-    spec = codegree_spectrum(g, lab)
-    pairwise = codegree_spectrum(g)
-    assert spec.counts == spectrum_counts(g.rows, g.n) == pairwise.counts
-    assert (spec.max_ell, spec.max_conference_deviation) == (
-        pairwise.max_ell, pairwise.max_conference_deviation)
-    # the circulant path reports (v_0, v_s); both witnesses reach max_ell
-    assert spec.max_pair[0] == vertex_index(g.ctx, lab.vertices[0])
-    for i, j in (spec.max_pair, pairwise.max_pair):
-        assert (g.rows[i] & g.rows[j]).bit_count() == spec.max_ell
+    assert verify_circulant(g, lab)
+    _assert_matches_pairwise(circulant_spectrum(lab.n, lab.conn), g.rows, lab.index)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_circulant_spectrum_matches_pairwise_on_random_symmetric_sets(k):
+    # not only the Paley sets: a random union of classes {d, n - d}, any size,
+    # and the rows built as that circulant in circulant order
+    rng = random.Random(1000 + k)
+    n = (1 << k) + 1
+    for _ in range(3):
+        conn = frozenset(e for d in range(1, n // 2 + 1) if rng.random() < 0.5
+                         for e in (d, n - d))
+        assert unpaired_distance(conn, n) is None
+        mask = sum(1 << d for d in conn)
+        rows = [rotate(mask, i, n) for i in range(n)]
+        _assert_matches_pairwise(circulant_spectrum(n, conn), rows, range(n))
 
 
 def test_spectrum_witness_when_cap_fails(std):
@@ -187,15 +207,13 @@ def test_spectrum_witness_when_cap_fails(std):
     g = PaleyLikeGraph(ctx, a, n, tuple(rows))
     interval = CirculantLabeling(a, lab.b, lab.vertices, conn)
     assert verify_circulant(g, interval)
-    for spec in (codegree_spectrum(g, interval), codegree_spectrum(g)):
-        assert not spec.within_bound
-        assert spec.counts == spectrum_counts(g.rows, g.n)
-        i, j = spec.max_pair
-        assert (g.rows[i] & g.rows[j]).bit_count() == spec.max_ell > spec.bound
+    spec = circulant_spectrum(n, conn)
+    assert not spec.within_bound and spec.max_ell > spec.bound
+    _assert_matches_pairwise(spec, g.rows, interval.index)
 
 
 def rotation_spectrum(lab):
-    """Spectrum counts and top pair by the definition: codeg(v_0, v_s) = |C & rot(C, s)|."""
+    """Spectrum counts and top shift by the definition: codeg(v_0, v_s) = |C & rot(C, s)|."""
     n = lab.n
     c = sum(1 << d for d in lab.conn)
     counts = {}
@@ -206,7 +224,7 @@ def rotation_spectrum(lab):
         counts[key] = counts.get(key, 0) + n
         if ell > best:
             best, best_s = ell, s
-    return dict(sorted(counts.items())), (lab.index[0], lab.index[best_s])
+    return dict(sorted(counts.items())), best_s
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
@@ -217,8 +235,8 @@ def test_circulant_spectrum_matches_rotation_oracle(field, k):
         param_a(ctx, v) for v in range(ctx.q) if ctx.trace(v) == 1]
     for a in params:
         lab = circulant_labeling(ctx, a)
-        spec = circulant_spectrum(lab)
-        assert (spec.counts, spec.max_pair) == rotation_spectrum(lab), a
+        spec = circulant_spectrum(lab.n, lab.conn)
+        assert (spec.counts, spec.max_shift) == rotation_spectrum(lab), a
 
 
 def test_circulant_spectrum_needs_a_symmetric_connection_set(field):
@@ -226,13 +244,16 @@ def test_circulant_spectrum_needs_a_symmetric_connection_set(field):
     ctx = field(4)
     a = param_a(ctx)
     lab = circulant_labeling(ctx, a)
-    skew = CirculantLabeling(a, lab.b, lab.vertices, frozenset({1, 2, lab.n - 1}))
+    skew = frozenset({1, 2, lab.n - 1})
+    assert unpaired_distance(skew, lab.n) == 2
+    assert unpaired_distance(lab.conn, lab.n) is None
     with pytest.raises(ValueError, match="negation"):
-        circulant_spectrum(skew)
+        circulant_spectrum(lab.n, skew)
     # a tournament's connection set is disjoint from its negation
-    ctx5 = field(5)
+    lab5 = circulant_labeling(field(5), param_a(field(5)))
+    assert unpaired_distance(lab5.conn, lab5.n) == min(lab5.conn)
     with pytest.raises(ValueError, match="negation"):
-        circulant_spectrum(circulant_labeling(ctx5, param_a(ctx5)))
+        circulant_spectrum(lab5.n, lab5.conn)
 
 
 def _self_convolution_by_definition(seq):
@@ -300,17 +321,10 @@ def test_cyclic_self_convolution_at_width_boundaries(ones):
         _assert_matches_int_square(seq)
 
 
-def test_spectrum_rejects_foreign_labeling(std):
-    _, _, g4, _ = std(4)
-    _, _, _, lab6 = std(6)
-    with pytest.raises(ValueError):
-        codegree_spectrum(g4, lab6)
-
-
 @pytest.mark.parametrize("k", [4, 6, 8])
 def test_spectrum_bound_and_total(std, k):
-    ctx, _, g, _ = std(k)
-    spec = codegree_spectrum(g)
+    ctx, _, g, lab = std(k)
+    spec = circulant_spectrum(lab.n, lab.conn)
     assert sum(spec.counts.values()) == comb(g.n, 2)
     assert spec.bound == ctx.q // 4 + isqrt(ctx.q) // 2
     assert spec.within_bound
@@ -398,7 +412,7 @@ def test_certificate_trace_a4(std, k):
     # tr(A^4) read off the circulant spectrum equals n d^2 + 2 sum codeg^2 over
     # the pairwise spectrum, and the trace of a dense A^4 where that is cheap
     ctx, _, g, lab = std(k)
-    cert = jumbledness_certificate(ctx.q, circulant_spectrum(lab).counts)
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(lab.n, lab.conn).counts)
     pairwise = spectrum_counts(g.rows, g.n)
     deg = ctx.q // 2
     assert cert.trace_a4 == g.n * deg ** 2 + 2 * sum(
@@ -413,8 +427,8 @@ def test_certificate_bound_and_limit_are_tight(field, k, lam):
     # lambda_bound is the least L with 2 L^4 >= tr(A^4) - d^4, lambda_limit the
     # largest L with (2L + 1)^4 <= 256 q^3; the default graph passes at every k
     ctx = field(k)
-    cert = jumbledness_certificate(ctx.q, circulant_spectrum(
-        circulant_labeling(ctx, param_a(ctx))).counts)
+    lab = circulant_labeling(ctx, param_a(ctx))
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(lab.n, lab.conn).counts)
     rest = cert.trace_a4 - (ctx.q // 2) ** 4
     assert 2 * (cert.lambda_bound - 1) ** 4 < rest <= 2 * cert.lambda_bound ** 4
     lim = cert.lambda_limit
@@ -428,7 +442,7 @@ def test_certificate_dominates_audit(std, k, samples):
     # |2 e(H) - C(h,2)| <= (L + 1/2) h holds at the audit's worst subset: the
     # Gray-code sweep over every subset at k = 2, 4, seeded samples above
     ctx, _, g, lab = std(k)
-    cert = jumbledness_certificate(ctx.q, circulant_spectrum(lab).counts)
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(lab.n, lab.conn).counts)
     if samples is None:
         audit = jumbledness_audit(g, "exhaustive")
     else:
@@ -447,7 +461,7 @@ def test_certificate_fails_on_interval_circulant(field):
     n, quarter = lab.n, ctx.q // 4
     conn = frozenset({*range(1, quarter + 1), *range(n - quarter, n)})
     interval = CirculantLabeling(a, lab.b, lab.vertices, conn)
-    cert = jumbledness_certificate(ctx.q, circulant_spectrum(interval).counts)
+    cert = jumbledness_certificate(ctx.q, circulant_spectrum(interval.n, interval.conn).counts)
     assert not cert.passed
     # the witness is sound: the Rayleigh quotient of 1_S - (h/n) 1 on the orbit
     # interval S = {v_0 .. v_(h-1)} already exceeds the limit, so every nontrivial

@@ -331,6 +331,45 @@ def test_chapman_representative_independence_witness(capsys, field, tamper_coset
     assert sorted(witness["bits"]) == [0, 1]
 
 
+def test_chapman_skips_isomorphic_when_coset_graph_not_circulant(capsys, field, tamper_coset):
+    # the predicate flipped at w = g^(q+3), read by the pair (1, 3) alone: the
+    # rows are no circulant, and the comparison resting on that is skipped
+    tamper_coset(QuadExtCtx(field(4)), 16 + 3)
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False and doc["complete"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["coset-graph-circulant"]["pass"] is False
+    assert checks["isomorphic"]["skipped"] is True
+
+
+def test_chapman_fails_isomorphic_when_build_not_circulant(capsys, monkeypatch):
+    # the edge {1, 5} flipped: the comparison has no connection set of the build
+    # to read, so `isomorphic` fails with the witness `certify` gives its
+    # `circulant` check, and the report is still written
+    import char2paley.cli as cli
+    ctx = FieldCtx(4)
+    a = param_a(ctx)
+    rows = list(build_graph(ctx, a).rows)
+    rows[1] ^= 1 << 5
+    rows[5] ^= 1 << 1
+    tampered = PaleyLikeGraph(ctx, a, len(rows), tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False and doc["complete"] is True
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["coset-graph-circulant"]["pass"] is True
+    iso = checks["isomorphic"]
+    assert iso["pass"] is False and "verdict" not in iso
+    code, out = run(capsys, "certify", "--k", "4")
+    assert code == 1
+    circ = next(c for c in json.loads(out)["checks"] if c["name"] == "circulant")
+    assert iso["witness"] == circ["witness"]
+
+
 def test_chapman_short_orbit_parameter_certified(capsys):
     code, out = run(capsys, "chapman", "--k", "6", "--a", "0x20")
     assert code == 0
@@ -579,8 +618,10 @@ def test_report_complete_flag(capsys, argv, complete):
     assert complete == (doc["evidence"]["skipped"] == 0)
 
 
-def test_analyze_codegree_cap_witness(capsys, monkeypatch):
-    # a tampered graph: vertices 1 and 2 share every other vertex as a neighbour
+def test_analyze_non_circulant_rows_skip_codegree_checks(capsys, monkeypatch):
+    # a tampered graph: vertices 1 and 2 share every other vertex as a neighbour.
+    # Every codegree claim is read off the certified connection set, so with the
+    # circulant check failed none runs and no spectrum is written
     import char2paley.cli as cli
     ctx = FieldCtx(4)
     a = param_a(ctx)
@@ -596,16 +637,88 @@ def test_analyze_codegree_cap_witness(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
     code, out = run(capsys, "analyze", "--k", "4")
     assert code == 1
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    doc = json.loads(out)
+    assert doc["pass"] is False and "codegree_spectrum" not in doc
+    checks = {c["name"]: c for c in doc["checks"]}
     assert checks["circulant"]["pass"] is False
+    for name in ("codegree-cap", "codegree-formula-vs-direct", "jumbledness"):
+        assert checks[name]["skipped"] is True and checks[name]["evidence"] == "skipped"
+    assert checks["codegree-cap"]["reason"] == checks["jumbledness"]["reason"]
+
+
+def _forge_circulant(monkeypatch, k, conn_of):
+    """Make the CLI's build and labeling the circulant of conn_of(n) on the real
+    labeling's vertices; returns (rows, forged labeling)."""
+    import char2paley.cli as cli
+    from char2paley import CirculantLabeling
+    ctx = FieldCtx(k)
+    a = param_a(ctx)
+    lab = circulant_labeling(ctx, a)
+    forged = CirculantLabeling(a, lab.b, lab.vertices, frozenset(conn_of(lab.n)))
+    rows = [0] * lab.n
+    for i in range(lab.n):
+        for d in forged.conn:
+            rows[forged.index[i]] |= 1 << forged.index[(i + d) % lab.n]
+    forged_graph = PaleyLikeGraph(ctx, a, lab.n, tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: forged_graph)
+    monkeypatch.setattr(cli, "circulant_labeling", lambda ctx, a: forged)
+    return rows, forged
+
+
+def test_analyze_codegree_cap_witness(capsys, monkeypatch):
+    # build and labeling forged to the interval circulant +-{1 .. 16} at k = 6:
+    # circulant passes, and the top pair's codegree exceeds the cap
+    rows, _ = _forge_circulant(monkeypatch, 6, lambda n: {*range(1, 17), *range(n - 16, n)})
+    code, out = run(capsys, "analyze", "--k", "6")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["circulant"]["pass"] is True
     cap = checks["codegree-cap"]
-    assert cap["pass"] is False
+    assert cap["pass"] is False and cap["evidence"] == "exhaustive"
     i, j = cap["witness"]["pair"]
-    assert i != j and (rows[i] & rows[j]).bit_count() == cap["max_ell"] > cap["bound"]
-    # the spectral certificate and the pair reduction need the circulant, so neither runs
-    assert checks["jumbledness"]["evidence"] == "skipped"
-    assert checks["codegree-formula-vs-direct"]["skipped"] is True
-    assert checks["codegree-formula-vs-direct"]["evidence"] == "skipped"
+    assert i == 0 and (rows[i] & rows[j]).bit_count() == cap["max_ell"] > cap["bound"]
+
+
+def test_analyze_unpaired_distance_fails_codegree_cap_below_the_cap(capsys, monkeypatch):
+    # rows that are exactly the circulant of {1, 2, 16} at k = 4 pass circulant,
+    # but 2 is in the set and -2 = 15 is not: a failed certificate, not a
+    # configuration error
+    _forge_circulant(monkeypatch, 4, lambda n: {1, 2, n - 1})
+    code, out = run(capsys, "analyze", "--k", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert "codegree_spectrum" not in doc
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["circulant"]["pass"] is True
+    assert checks["codegree-cap"] == {"name": "codegree-cap", "pass": False,
+                                      "evidence": "exhaustive", "witness": {"distance": 2}}
+    assert checks["jumbledness"]["skipped"] is True
+
+
+def test_analyze_unpaired_distance_fails_codegree_cap_above_the_cap(capsys, monkeypatch):
+    # the labeling's connection set loses its least distance d at k = 14, so
+    # n - d is left unpaired: exit 1, with n - d as the witness
+    import char2paley.cli as cli
+    from char2paley import CirculantLabeling
+    real = cli.circulant_labeling
+    dropped = []
+
+    def unpaired(ctx, a):
+        lab = real(ctx, a)
+        dropped.append(min(lab.conn))
+        return CirculantLabeling(lab.a, lab.b, lab.vertices, lab.conn - {dropped[0]})
+
+    monkeypatch.setattr(cli, "circulant_labeling", unpaired)
+    code, out = run(capsys, "analyze", "--k", "14")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False and "codegree_spectrum" not in doc
+    checks = {c["name"]: c for c in doc["checks"]}
+    cap = checks["codegree-cap"]
+    assert cap["pass"] is False and cap["evidence"] == "algebraic"
+    assert cap["witness"] == {"distance": 16385 - dropped[0]}
+    assert checks["jumbledness"]["skipped"] is True
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["codegree-cap"]
 
 
 def test_analyze_interval_connection_set_fails_jumbledness(capsys, monkeypatch):

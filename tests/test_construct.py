@@ -14,8 +14,8 @@ from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, _transposed, is_circulant, rotate,
 )
 from oracles import (
-    all_points, beta_of, difference_rows, orbit_labeling, per_row_build, tile_transpose,
-    trace_partition,
+    all_points, beta_of, difference_rows, orbit_labeling, per_row_build, spectrum_counts,
+    tile_transpose, trace_partition,
 )
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
@@ -403,7 +403,6 @@ def test_poly_choice_gives_isomorphic_graph_k4(field, poly):
 def test_poly_choice_k6_spectra_agree(field):
     # composite order: certify agreement through the exact codegree spectrum
     from char2paley import FieldCtx
-    from char2paley.analyze import spectrum_counts
     ref_ctx = field(6)
     g_ref = build_graph(ref_ctx, param_a(ref_ctx))
     ctx = FieldCtx(6, 0x49)

@@ -5,16 +5,15 @@ import pytest
 from char2paley import (
     INF, OutOfScopeError, QuadExtCtx, ShiftIso, build_graph, build_tournament,
     chapman_build, chapman_compare, circulant_labeling, factorize, hamiltonian_decompose,
-    lambda_of, param_a, relabel, shift_isomorphism, verify_automorphisms,
+    circulant_spectrum, lambda_of, param_a, relabel, shift_isomorphism, verify_automorphisms,
     verify_representative_independence, verify_self_complementary,
     verify_shift_isomorphism,
 )
-from char2paley.analyze import codegree_spectrum, spectrum_counts
 from char2paley.construct import (
-    CirculantLabeling, PaleyLikeGraph, is_circulant, iter_bits, verify_circulant,
+    CirculantLabeling, PaleyLikeGraph, is_circulant, iter_bits, rotate, verify_circulant,
 )
 from char2paley.structure import ChapmanGraph, _carries
-from oracles import chapman_rows_per_pair, coset_bit, representative_probes
+from oracles import chapman_rows_per_pair, coset_bit, representative_probes, spectrum_counts
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -282,8 +281,7 @@ def test_labeling_from_another_field_rejected(field):
     g = build_graph(field(6), param_a(field(6), 0x21))
     lab = circulant_labeling(field(8), param_a(field(8), 0x21))
     assert g.a == lab.a
-    for certificate in (verify_circulant, verify_self_complementary,
-                        hamiltonian_decompose, codegree_spectrum):
+    for certificate in (verify_circulant, verify_self_complementary, hamiltonian_decompose):
         with pytest.raises(ValueError, match="different parameters"):
             certificate(g, lab)
 
@@ -436,40 +434,59 @@ def test_chapman_spectra_match(std, k):
     ctx, a, g, _ = std(k)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
-    assert spectrum_counts(h.rows, h.n) == spectrum_counts(g.rows, g.n)
+    pairwise = spectrum_counts(h.rows, h.n)
+    assert pairwise == spectrum_counts(g.rows, g.n)
+    assert circulant_spectrum(h.n, h.conn).counts == pairwise
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_chapman_isomorphic(std, k):
-    ctx, a, g, _ = std(k)
+    ctx, a, g, lab = std(k)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
-    cmp_result = chapman_compare(h, g)
+    cmp_result = chapman_compare(h, g, lab)
     assert bool(cmp_result)
     assert cmp_result.verdict == "isomorphic-certified"
     assert cmp_result.multiplier is not None
 
 
 def test_chapman_compare_negative_control(std):
-    # complement of G with one edge removed: spectra cannot match
-    ctx, a, g, _ = std(4)
+    # a certified circulant of the same degree on C = +-{1 .. q/4}: spectra cannot match
+    ctx, a, g, lab = std(4)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
-    full = (1 << g.n) - 1
-    comp = [full ^ r ^ (1 << i) for i, r in enumerate(g.rows)]
-    comp[0] ^= 1 << 1
-    comp[1] ^= 1  # drop edge {0, 1}
-    fake = ChapmanGraph(ext, h.lam, h.reps, h.table, tuple(comp), h.conn, (), False)
-    cmp_result = chapman_compare(fake, g)
+    n, quarter = h.n, ctx.q // 4
+    conn = frozenset({*range(1, quarter + 1), *range(n - quarter, n)})
+    mask = sum(1 << d for d in conn)
+    rows = tuple(rotate(mask, i, n) for i in range(n))
+    fake = h._replace(rows=rows, conn=conn)
+    assert is_circulant(rows, mask, n) and fake.circulant_certified
+    cmp_result = chapman_compare(fake, g, lab)
     assert not cmp_result
     assert cmp_result.verdict == "not-isomorphic"
+    assert cmp_result.spectra_match is False
+
+
+def test_chapman_compare_needs_two_certified_circulants(std):
+    # an uncertified coset graph is a bad argument; rows that are not the
+    # labeling's circulant are a failed certificate
+    ctx, a, g, lab = std(4)
+    ext = QuadExtCtx(ctx)
+    h = chapman_build(ext, lambda_of(ext, a.value))
+    with pytest.raises(ValueError, match="certified"):
+        chapman_compare(h._replace(circulant_certified=False), g, lab)
+    rows = list(g.rows)
+    rows[1] ^= 1 << 5
+    rows[5] ^= 1 << 1
+    with pytest.raises(AssertionError, match="circulant"):
+        chapman_compare(h, PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
 
 
 def test_chapman_arbitrary_lambda_still_isomorphic(std):
     # any lambda outside the base field defines an isomorphic copy
-    ctx, a, g, _ = std(2)
+    ctx, a, g, lab = std(2)
     ext = QuadExtCtx(ctx)
     for lam in [(0, 1), (1, 1), (2, 3)]:
         h = chapman_build(ext, lam)
         assert not h.undefined_pairs
-        assert bool(chapman_compare(h, g))
+        assert bool(chapman_compare(h, g, lab))
