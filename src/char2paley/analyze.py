@@ -54,7 +54,9 @@ is counted one by one.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from math import comb, isqrt
 from typing import NamedTuple
 
@@ -121,32 +123,34 @@ def _cyclic_self_convolution(seq: bytes) -> memoryview:
     return memoryview(folded.to_bytes(m * w, sys.byteorder)).cast("BHIQ"[w.bit_length() - 1])[::step]
 
 
-def kloosterman_sweep(ctx: FieldCtx) -> list[int]:
-    """K(b) for every nonzero b, as a list indexed by b (index 0 unused).
+def kloosterman_sweep(ctx: FieldCtx) -> array:
+    """K(b) for every nonzero b, as an array('i') indexed by b (index 0 unused).
 
     Computed as 4 (T * T)[t] - q - 1 at b = g^t (see the module notes).
+    An array keeps 4 bytes a value where a list of ints keeps about 36.
     """
     q = ctx.q
     conv = _cyclic_self_convolution(ctx.exp_traces())
-    out = [4 * conv[t] - q - 1 for t in ctx.log_table()]
+    out = array("i", [4 * conv[t] - q - 1 for t in ctx.log_table()])
     out[0] = 0
     return out
 
 
-def weil_bound_holds(ctx: FieldCtx, values: list[int]) -> tuple[bool, int, int]:
+def weil_bound_holds(ctx: FieldCtx, values: Sequence[int]) -> tuple[bool, int, int]:
     """Check |K(b)| <= 2 sqrt(q) for all nonzero b, exactly (K^2 <= 4q).
 
     values is the sweep, K(b) at index b.  Returns (ok, argmax b, max |K|).
     """
     rest = values[1:ctx.q]
-    top, bottom = max(rest), min(rest)
+    taken = set(rest)  # one pass; the scans below read its ~sqrt(q) values
+    top, bottom = max(taken), min(taken)
     worst = max(top, -bottom)
     first = min(rest.index(v) for v in (top, bottom) if abs(v) == worst)
     return worst * worst <= 4 * ctx.q, 1 + first, worst
 
 
 def kloosterman_value_set(ctx: FieldCtx,
-                          values: list[int]) -> tuple[bool, int | None, int | None]:
+                          values: Sequence[int]) -> tuple[bool, int | None, int | None]:
     """Check {K(b) : b != 0} is exactly {v = 3 mod 4 : v^2 <= 4q} (Lachaud-Wolfmann).
 
     values is the sweep, K(b) at index b.  Returns (ok, the first b whose
@@ -155,13 +159,13 @@ def kloosterman_value_set(ctx: FieldCtx,
     """
     r = isqrt(4 * ctx.q)
     want = {v for v in range(-r, r + 1) if v % 4 == 3}
-    rest = values[1:ctx.q]
-    stray = None if want.issuperset(rest) else next(b for b, v in enumerate(rest, 1) if v not in want)
-    missing = min(want.difference(rest), default=None)
+    taken = set(values[1:ctx.q])
+    stray = None if taken <= want else next(b for b in range(1, ctx.q) if values[b] not in want)
+    missing = min(want - taken, default=None)
     return stray is None and missing is None, stray, missing
 
 
-def codegree_formula(ctx: FieldCtx, a: ParamA, x: int, kloo: list[int]) -> int:
+def codegree_formula(ctx: FieldCtx, a: ParamA, x: int, kloo: Sequence[int]) -> int:
     """Codegree of the pair (x, INF), x finite, via the Kloosterman identity.
 
     Evaluates q/4 - eps + (K(x^2 + x + a) + 1)/4, reading K from the sweep

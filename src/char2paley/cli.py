@@ -16,7 +16,9 @@ out-of-scope request, 4 i/o error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 import time
@@ -32,7 +34,7 @@ from .construct import (
     wide_row,
 )
 from .formats import (
-    point_label, write_decomposition, write_dimacs, write_edges,
+    Export, point_label, write_decomposition, write_dimacs, write_edges,
     write_json_graph, write_matrix,
 )
 from .gf2k import K_MAX, FieldCtx
@@ -50,6 +52,10 @@ EXIT_CAPACITY = 3
 EXIT_IO = 4
 
 CHAPMAN_K_MAX = 8   # the coset build walks all q^2 - 1 powers in GF(q^2)
+# An export of fewer rows is written by this process alone.  A forked
+# worker costs about 3 ms; the edge and JSON writers break even near 513
+# rows, the matrix writer, about 20 times cheaper a row, near 2049.
+SPLIT_MIN_ROWS = 2049
 EVIDENCE = ("exhaustive", "sampled", "algebraic", "skipped")
 
 
@@ -74,14 +80,121 @@ def _config_echo(args, ctx, a) -> dict:
 
 
 def _emit(args, chunks) -> None:
-    """Write a string, or an iterable of strings as they come, to --output or stdout."""
+    """Write a string, or an iterable of strings as they come, to --output or stdout.
+
+    An Export is written from one process per CPU available (_write_export).
+    """
     if isinstance(chunks, str):
         chunks = (chunks,)
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
-            fh.writelines(chunks)
+            _write(fh, chunks)
     else:
-        sys.stdout.writelines(chunks)
+        _write(sys.stdout, chunks)
+
+
+def _write(fh, chunks) -> None:
+    if isinstance(chunks, Export):
+        _write_export(fh, chunks, _part_count(fh, chunks))
+    else:
+        fh.writelines(chunks)
+
+
+def _part_count(fh, export: Export) -> int:
+    """How many processes write this export to fh: one per CPU available, or
+    this one alone where a fork cannot pay or is unsafe."""
+    if export.n < SPLIT_MIN_ROWS or not hasattr(os, "fork"):
+        return 1
+    try:
+        fh.fileno()  # the workers' ranges are appended at the file descriptor
+    except (OSError, ValueError):
+        return 1
+    import threading  # off the import path, like every module only a split needs
+    if threading.active_count() > 1:  # a forked child runs the calling thread alone
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_export(fh, export: Export, parts: int) -> None:
+    """Write the export to fh in `parts` row ranges balanced by export.ranges.
+
+    This process writes the head and the first range, while workers made
+    by os.fork write the others, each into an unlinked temporary file; the
+    files are appended in order once their workers have exited, so the
+    bytes are those of the one-range text.  Every worker is reaped before
+    this returns or raises; a failed worker raises OSError.
+    """
+    ranges = export.ranges(parts) if parts > 1 else []
+    if len(ranges) < 2:
+        fh.writelines(export)
+        return
+    import signal
+    import tempfile
+    workers = []  # [pid, or None once reaped; its temporary file; its range]
+    try:
+        for start, stop in ranges[1:]:
+            tmp = tempfile.TemporaryFile()
+            workers.append([None, tmp, (start, stop)])
+            pid = os.fork()
+            if pid == 0:
+                _export_worker(export, start, stop, tmp.fileno(), fh.encoding)
+            workers[-1][0] = pid
+        fh.write(export.head)
+        fh.writelines(export.rows(*ranges[0]))
+        fh.flush()
+        for worker in workers:
+            pid, tmp, (start, stop) = worker
+            _, status = os.waitpid(pid, 0)
+            worker[0] = None
+            if status:
+                raise OSError(f"the worker writing rows {start}..{stop - 1} exited with "
+                              f"status {os.waitstatus_to_exitcode(status)}")
+            _append(fh.fileno(), tmp.fileno())
+        fh.write(export.tail)
+    finally:
+        for pid, tmp, _ in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            tmp.close()
+
+
+def _export_worker(export: Export, start: int, stop: int, fd: int, encoding: str):
+    """In a forked child: write rows start .. stop - 1 to fd, then exit, 0 once
+    they are written, 1 on any error, without flushing the parent's stdio."""
+    code = 1
+    try:
+        import gc
+        gc.disable()  # nothing here makes cycles, and a collection would copy the parent's pages
+        with open(fd, "w", encoding=encoding, closefd=False) as out:
+            out.writelines(export.rows(start, stop))
+        code = 0
+    except Exception as exc:
+        os.write(2, f"char2paley: the worker writing rows {start}..{stop - 1}: {exc!r}\n".encode())
+    finally:  # never unwinds into the parent's frames this process copied
+        os._exit(code)
+
+
+def _append(out: int, src: int) -> None:
+    """Append the file at fd src, from its start, at fd out's position."""
+    size = os.fstat(src).st_size
+    sent = 0
+    try:
+        while sent < size:
+            step = os.sendfile(out, src, sent, size - sent)
+            if not step:
+                raise OSError(f"the temporary file ended at {sent} of {size} bytes")
+            sent += step
+    except OSError as exc:  # out is opened for appending, say, which sendfile refuses
+        if sent or exc.errno not in (errno.EINVAL, errno.ENOSYS):
+            raise
+        os.lseek(src, 0, os.SEEK_SET)
+        while block := os.read(src, 1 << 20):
+            view = memoryview(block)
+            while view:
+                view = view[os.write(out, view):]
 
 
 def _print_time(t0: float, tag: str, name: str) -> None:
@@ -420,7 +533,20 @@ def cmd_decompose(args) -> int:
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-    dec = _stage("decompose", lambda: hamiltonian_decompose(g, lab))
+    try:
+        dec = _stage("decompose", lambda: hamiltonian_decompose(g, lab))
+    except AssertionError:
+        # the rows are not the labeling's circulant, or its connection set is
+        # not closed under negation: the witness certify or analyze would give
+        if not verify_circulant(g, lab):
+            failed, witness = "circulant", _circulant_witness(g, lab)
+        else:
+            d = unpaired_distance(lab.conn, lab.n)
+            if d is None:
+                raise
+            failed, witness = "unpaired_distance", {"distance": d}
+        print(f"certificate failed: {failed}: {json.dumps(witness)}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     _emit(args, write_decomposition(dec))
     print(f"[decompose] {len(dec.cycles)} Hamiltonian cycles of length {dec.p}",
           file=sys.stderr)

@@ -295,6 +295,53 @@ def test_decompose_k8(capsys, tmp_path):
     assert out_file.read_text().splitlines()[0] == "p=257 cycles=64"
 
 
+def test_decompose_flipped_edge_exits_1_with_the_circulant_witness(capsys, monkeypatch,
+                                                                   tmp_path):
+    # the edge {1, 5} flipped at k = 4: exit 1 and no file, with the witness
+    # certify gives its `circulant` check, not an uncaught AssertionError
+    import char2paley.cli as cli
+    ctx = FieldCtx(4)
+    a = param_a(ctx)
+    rows = list(build_graph(ctx, a).rows)
+    rows[1] ^= 1 << 5
+    rows[5] ^= 1 << 1
+    tampered = PaleyLikeGraph(ctx, a, len(rows), tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+    out_file = tmp_path / "dec.txt"
+    assert main(["decompose", "--k", "4", "-o", str(out_file)]) == 1
+    err = capsys.readouterr().err
+    assert not out_file.exists()
+    _, out = run(capsys, "certify", "--k", "4")
+    circ = next(c for c in json.loads(out)["checks"] if c["name"] == "circulant")
+    assert f"certificate failed: circulant: {json.dumps(circ['witness'])}\n" in err
+
+
+def test_decompose_unpaired_distance_exits_1_with_the_witness(capsys, monkeypatch, tmp_path):
+    # rows that are the circulant of {1, 2, 16} at k = 4: 2 is in the set and
+    # -2 = 15 is not, the witness analyze gives its `codegree-cap` check
+    _forge_circulant(monkeypatch, 4, lambda n: {1, 2, n - 1})
+    out_file = tmp_path / "dec.txt"
+    assert main(["decompose", "--k", "4", "-o", str(out_file)]) == 1
+    assert 'certificate failed: unpaired_distance: {"distance": 2}\n' in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_decompose_verifies_circulance_once(capsys, monkeypatch, tmp_path):
+    import char2paley.cli as cli
+    import char2paley.structure as structure
+    calls = []
+    real = structure.verify_circulant
+
+    def counting(g, lab):
+        calls.append(g.n)
+        return real(g, lab)
+
+    monkeypatch.setattr(structure, "verify_circulant", counting)
+    monkeypatch.setattr(cli, "verify_circulant", counting)
+    assert main(["decompose", "--k", "4", "-o", str(tmp_path / "dec.txt")]) == 0
+    assert calls == [17]
+
+
 def test_chapman_k2(capsys):
     code, out = run(capsys, "chapman", "--k", "2")
     assert code == 0
@@ -475,7 +522,7 @@ def test_analyze_value_set_tampered_sweep(capsys, monkeypatch, tamper, witness):
     # at k=4 the values are {-5, -1, 3, 7}; a stray value or a missing one fails
     import char2paley.cli as cli
     real = cli.kloosterman_sweep
-    monkeypatch.setattr(cli, "kloosterman_sweep", lambda ctx: tamper(real(ctx)))
+    monkeypatch.setattr(cli, "kloosterman_sweep", lambda ctx: tamper(real(ctx).tolist()))
     code, out = run(capsys, "analyze", "--k", "4")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
