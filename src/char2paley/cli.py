@@ -16,7 +16,6 @@ out-of-scope request, 4 i/o error.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
 import random
@@ -52,10 +51,11 @@ EXIT_CAPACITY = 3
 EXIT_IO = 4
 
 CHAPMAN_K_MAX = 8   # the coset build walks all q^2 - 1 powers in GF(q^2)
-# An export of fewer rows is written by this process alone.  A forked
-# worker costs about 3 ms; the edge and JSON writers break even near 513
-# rows, the matrix writer, about 20 times cheaper a row, near 2049.
-SPLIT_MIN_ROWS = 2049
+# An export is cut into at most one row range per this many rows, so it is
+# written by this process alone below twice as many.  A forked worker costs
+# about 3 ms; two ranges break even near 513 rows for the edge and JSON
+# writers and near 2049 for the matrix writer, about 20 times cheaper a row.
+ROWS_PER_WORKER = 1024
 EVIDENCE = ("exhaustive", "sampled", "algebraic", "skipped")
 
 
@@ -101,20 +101,21 @@ def _write(fh, chunks) -> None:
 
 
 def _part_count(fh, export: Export) -> int:
-    """How many processes write this export to fh: one per CPU available, or
-    this one alone where a fork cannot pay or is unsafe."""
-    if export.n < SPLIT_MIN_ROWS or not hasattr(os, "fork"):
+    """How many processes write this export to fh: one per CPU available and
+    ROWS_PER_WORKER rows, or this one alone where a fork cannot pay or is unsafe."""
+    parts = export.n // ROWS_PER_WORKER
+    if parts < 2 or not hasattr(os, "fork"):
         return 1
     try:
-        fh.fileno()  # the workers' ranges are appended at the file descriptor
+        fh.fileno()  # the workers' ranges are appended to a file, not a string buffer
     except (OSError, ValueError):
         return 1
     import threading  # off the import path, like every module only a split needs
     if threading.active_count() > 1:  # a forked child runs the calling thread alone
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(parts, len(os.sched_getaffinity(0)))
+    return min(parts, os.cpu_count() or 1)
 
 
 def _write_export(fh, export: Export, parts: int) -> None:
@@ -122,28 +123,35 @@ def _write_export(fh, export: Export, parts: int) -> None:
 
     This process writes the head and the first range, while workers made
     by os.fork write the others, each into an unlinked temporary file; the
-    files are appended in order once their workers have exited, so the
-    bytes are those of the one-range text.  Every worker is reaped before
-    this returns or raises; a failed worker raises OSError.
+    files are copied to fh in order once their workers have exited, so the
+    bytes are those of the one-range text.  Where the temporary files
+    cannot be made, this process writes every row.  Every worker is reaped
+    before this returns or raises; a failed worker raises OSError.
     """
     ranges = export.ranges(parts) if parts > 1 else []
     if len(ranges) < 2:
         fh.writelines(export)
         return
+    import shutil
     import signal
     import tempfile
+    tmps = []
     workers = []  # [pid, or None once reaped; its temporary file; its range]
     try:
-        for start, stop in ranges[1:]:
-            tmp = tempfile.TemporaryFile()
-            workers.append([None, tmp, (start, stop)])
+        try:
+            for _ in ranges[1:]:  # all made before any fork
+                tmps.append(tempfile.TemporaryFile())
+        except OSError:  # no temporary directory is writable
+            fh.writelines(export)
+            return
+        for tmp, (start, stop) in zip(tmps, ranges[1:]):
             pid = os.fork()
             if pid == 0:
                 _export_worker(export, start, stop, tmp.fileno(), fh.encoding)
-            workers[-1][0] = pid
+            workers.append([pid, tmp, (start, stop)])
         fh.write(export.head)
         fh.writelines(export.rows(*ranges[0]))
-        fh.flush()
+        fh.flush()  # the ranges below go to fh.buffer, after this text
         for worker in workers:
             pid, tmp, (start, stop) = worker
             _, status = os.waitpid(pid, 0)
@@ -151,13 +159,15 @@ def _write_export(fh, export: Export, parts: int) -> None:
             if status:
                 raise OSError(f"the worker writing rows {start}..{stop - 1} exited with "
                               f"status {os.waitstatus_to_exitcode(status)}")
-            _append(fh.fileno(), tmp.fileno())
+            tmp.seek(0)  # the worker wrote through the same open file, leaving it at the end
+            shutil.copyfileobj(tmp, fh.buffer, 1 << 20)
         fh.write(export.tail)
     finally:
-        for pid, tmp, _ in workers:
+        for pid, _, _ in workers:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        for tmp in tmps:
             tmp.close()
 
 
@@ -175,26 +185,6 @@ def _export_worker(export: Export, start: int, stop: int, fd: int, encoding: str
         os.write(2, f"char2paley: the worker writing rows {start}..{stop - 1}: {exc!r}\n".encode())
     finally:  # never unwinds into the parent's frames this process copied
         os._exit(code)
-
-
-def _append(out: int, src: int) -> None:
-    """Append the file at fd src, from its start, at fd out's position."""
-    size = os.fstat(src).st_size
-    sent = 0
-    try:
-        while sent < size:
-            step = os.sendfile(out, src, sent, size - sent)
-            if not step:
-                raise OSError(f"the temporary file ended at {sent} of {size} bytes")
-            sent += step
-    except OSError as exc:  # out is opened for appending, say, which sendfile refuses
-        if sent or exc.errno not in (errno.EINVAL, errno.ENOSYS):
-            raise
-        os.lseek(src, 0, os.SEEK_SET)
-        while block := os.read(src, 1 << 20):
-            view = memoryview(block)
-            while view:
-                view = view[os.write(out, view):]
 
 
 def _print_time(t0: float, tag: str, name: str) -> None:

@@ -13,6 +13,7 @@ import char2paley.cli as cli
 import char2paley.formats as formats
 from char2paley import PaleyLikeGraph, build_graph, build_tournament, param_a
 from char2paley.cli import _part_count, _write_export, main
+from char2paley.construct import MATRIX_CAP
 from char2paley.formats import write_dimacs, write_edges, write_json_graph, write_matrix
 
 WRITERS = {"edges": write_edges, "dimacs": write_dimacs, "matrix": write_matrix,
@@ -46,7 +47,6 @@ def test_split_writes_the_one_range_bytes(field, tmp_path, fmt, k):
 
 
 def test_split_appends_to_a_file_opened_for_appending(field, tmp_path):
-    # sendfile refuses an O_APPEND descriptor: the ranges are copied instead
     g = _graph(field, 8)
     path = tmp_path / "out"
     path.write_text("kept\n")
@@ -86,7 +86,7 @@ def test_part_count_runs_inline_where_a_fork_cannot_pay_or_is_unsafe(field, tmp_
     g = _graph(field, 4)
     with open(tmp_path / "out", "w") as fh:
         assert _part_count(fh, write_edges(g)) == 1  # below the break-even
-        monkeypatch.setattr(cli, "SPLIT_MIN_ROWS", 2)
+        monkeypatch.setattr(cli, "ROWS_PER_WORKER", 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert _part_count(fh, write_edges(g)) == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -103,6 +103,41 @@ def test_part_count_runs_inline_where_a_fork_cannot_pay_or_is_unsafe(field, tmp_
         assert _part_count(fh, write_edges(g)) == 2
         monkeypatch.delattr(os, "fork")
         assert _part_count(fh, write_edges(g)) == 1
+
+
+def test_part_count_gives_each_worker_its_share_of_rows(field, tmp_path, monkeypatch):
+    # many CPUs: no more ranges than ROWS_PER_WORKER rows allow, so the
+    # largest dense export, 4097 rows, is cut into at most four
+    assert MATRIX_CAP // cli.ROWS_PER_WORKER == 4
+    g = _graph(field, 4)  # 17 rows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    with open(tmp_path / "out", "w") as fh:
+        for rows_per_worker, parts in ((9, 1), (8, 2), (5, 3), (1, 17)):
+            monkeypatch.setattr(cli, "ROWS_PER_WORKER", rows_per_worker)
+            assert _part_count(fh, write_edges(g)) == parts, rows_per_worker
+
+
+def test_split_without_temporary_files_writes_inline(field, tmp_path, monkeypatch):
+    # no temporary file, or only some: no fork, and the one-range bytes
+    import tempfile
+    g = _graph(field, 6)
+    real = tempfile.TemporaryFile
+    made = []
+
+    def second_fails(*args, **kwargs):
+        if made:
+            raise PermissionError(13, "Permission denied")
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    forks = []
+    monkeypatch.setattr(tempfile, "TemporaryFile", second_fails)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    path = tmp_path / "out"
+    with open(path, "w") as fh:
+        _write_export(fh, write_edges(g), 3)
+    assert path.read_text() == "".join(write_edges(g))
+    assert not forks and made[0].closed
 
 
 def _force_split(monkeypatch):
