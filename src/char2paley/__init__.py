@@ -18,7 +18,7 @@ from .analyze import (
     jumbledness_certificate, kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
-    MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA,
+    MATRIX_CAP, CirculantLabeling, Circulance, OutOfScopeError, PaleyLikeGraph, ParamA,
     adjacency, build_graph, build_tournament, circulant_labeling, iter_bits,
     param_a, relabel, translate_rows, transpose, unpaired_distance, verify_circulant,
 )
@@ -28,7 +28,7 @@ from .mobius import (
     lambda_of, lambda_ratio_order, point_of_index, vertex_index,
 )
 from .structure import (
-    ChapmanComparison, ChapmanGraph, HamiltonianDecomposition, ShiftIso,
+    CertificateFailed, ChapmanComparison, ChapmanGraph, HamiltonianDecomposition, ShiftIso,
     chapman_build, chapman_compare, hamiltonian_decompose, shift_isomorphism,
     verify_automorphisms, verify_representative_independence,
     verify_self_complementary, verify_shift_isomorphism,

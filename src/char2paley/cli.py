@@ -29,8 +29,7 @@ from .analyze import (
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap,
-    circulant_labeling, param_a, rotate, transpose, unpaired_distance, verify_circulant,
-    wide_row,
+    circulant_labeling, param_a, transpose, unpaired_distance, verify_circulant, wide_row,
 )
 from .formats import (
     Export, point_label, write_decomposition, write_dimacs, write_edges,
@@ -39,7 +38,7 @@ from .formats import (
 from .gf2k import K_MAX, FieldCtx
 from .mobius import INF, QuadExtCtx, lambda_of
 from .structure import (
-    chapman_build, chapman_compare, hamiltonian_decompose, shift_isomorphism,
+    CertificateFailed, chapman_build, chapman_compare, hamiltonian_decompose, shift_isomorphism,
     verify_automorphisms, verify_representative_independence, verify_self_complementary,
     verify_shift_isomorphism,
 )
@@ -144,10 +143,11 @@ def _write_export(fh, export: Export, parts: int) -> None:
         except OSError:  # no temporary directory is writable
             fh.writelines(export)
             return
+        parent = os.getpid()
         for tmp, (start, stop) in zip(tmps, ranges[1:]):
             pid = os.fork()
             if pid == 0:
-                _export_worker(export, start, stop, tmp.fileno(), fh.encoding)
+                _export_worker(export, start, stop, tmp.fileno(), fh.encoding, parent)
             workers.append([pid, tmp, (start, stop)])
         fh.write(export.head)
         fh.writelines(export.rows(*ranges[0]))
@@ -171,15 +171,19 @@ def _write_export(fh, export: Export, parts: int) -> None:
             tmp.close()
 
 
-def _export_worker(export: Export, start: int, stop: int, fd: int, encoding: str):
+def _export_worker(export: Export, start: int, stop: int, fd: int, encoding: str, parent: int):
     """In a forked child: write rows start .. stop - 1 to fd, then exit, 0 once
-    they are written, 1 on any error, without flushing the parent's stdio."""
+    they are written, 1 on any error or once `parent` is no longer its
+    parent, without flushing the parent's stdio."""
     code = 1
     try:
         import gc
         gc.disable()  # nothing here makes cycles, and a collection would copy the parent's pages
         with open(fd, "w", encoding=encoding, closefd=False) as out:
-            out.writelines(export.rows(start, stop))
+            for chunk in export.rows(start, stop):
+                if os.getppid() != parent:  # orphaned: nobody will copy this range
+                    os._exit(1)
+                out.write(chunk)
         code = 0
     except Exception as exc:
         os.write(2, f"char2paley: the worker writing rows {start}..{stop - 1}: {exc!r}\n".encode())
@@ -209,7 +213,8 @@ class _Checks:
     def __init__(self):
         self.items = []
 
-    def run(self, name: str, evidence: str, fn) -> bool:
+    def run(self, name: str, evidence: str, fn):
+        """Run and record one check; returns its verdict, the first of fn's two values."""
         t0 = time.monotonic()
         ok, detail = fn()
         _print_time(t0, "PASS" if ok else "FAIL", name)
@@ -217,7 +222,7 @@ class _Checks:
         if detail:
             entry.update(detail)
         self.items.append(entry)
-        return bool(ok)
+        return ok
 
     def skip(self, name: str, reason: str) -> None:
         self.items.append({"name": name, "pass": True, "evidence": "skipped",
@@ -327,28 +332,23 @@ def _check_labeling_identities(ctx, a, lab):
     return True, None
 
 
-def _circulant_witness(g, lab) -> dict:
-    """The first v_i whose row, in orbit order, is not the connection set shifted by i.
-
-    A row with bits at or above n cannot be put into orbit order: it is
-    the witness itself.
-    """
-    wide = wide_row(g.rows)
-    if wide is not None:
-        i = lab.index.index(wide)
-    else:
-        conn = sum(1 << d for d in lab.conn)
-        i = next(i for i, r in enumerate(lab.orbit_rows(g.rows)) if r != rotate(conn, i, lab.n))
+def _orbit_witness(lab, i: int) -> dict:
+    """The witness of a failed circulant certificate: v_i, the first failing orbit row."""
     return {"vertex": point_label(lab.vertices[i]), "orbit_position": i}
 
 
-def _check_circulant(g, lab):
+def _circulant_detail(lab, verdict):
+    """verify_circulant's verdict and the `circulant` check's detail."""
     conn = sorted(lab.conn)
     detail = {"connection_set_size": len(conn), "connection_set_min": conn[0]}
-    ok = verify_circulant(g, lab)
-    if not ok:
-        detail["witness"] = _circulant_witness(g, lab)
-    return ok, detail
+    if not verdict:
+        detail["witness"] = _orbit_witness(lab, verdict.position)
+    return verdict, detail
+
+
+def _check_circulant(g, lab) -> tuple[bool, dict]:
+    ok, detail = _circulant_detail(lab, verify_circulant(g, lab))
+    return bool(ok), detail
 
 
 def cmd_certify(args) -> int:
@@ -372,17 +372,17 @@ def cmd_certify(args) -> int:
     in_range("symmetry", "exhaustive", lambda: _check_symmetry(g))
     checks.run("no-loops", "exhaustive", lambda: _check_no_loops(g))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-    circ_ok = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
-    circ_witness = checks.items[-1].get("witness")
+    circ = checks.run("circulant", "exhaustive",  # the verdict, which vertex-transitive restates
+                      lambda: _circulant_detail(lab, verify_circulant(g, lab)))
     checks.run("labeling-identities", "exhaustive",
                lambda: _check_labeling_identities(ctx, a, lab))
     in_range("self-complementary", "exhaustive",
              lambda: (verify_self_complementary(g, lab), None))
     in_range("automorphisms", "exhaustive", lambda: (verify_automorphisms(g, a), None))
     # the certified circulant makes v_i -> v_(i+1) an automorphism of order q+1
-    checks.run("vertex-transitive", "exhaustive", lambda: (circ_ok, (
-        {"certificate": "cyclic automorphism of order q+1"} if circ_ok else
-        {"witness": circ_witness})))
+    checks.run("vertex-transitive", "exhaustive", lambda: (circ, (
+        {"certificate": "cyclic automorphism of order q+1"} if circ else
+        {"witness": _orbit_witness(lab, circ.position)})))
 
     # the trace-1 parameters number q/2: all of them through k = 8, 128 drawn above
     mode = "sampled" if ctx.q // 2 > 128 else "exhaustive"
@@ -525,17 +525,10 @@ def cmd_decompose(args) -> int:
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
     try:
         dec = _stage("decompose", lambda: hamiltonian_decompose(g, lab))
-    except AssertionError:
-        # the rows are not the labeling's circulant, or its connection set is
-        # not closed under negation: the witness certify or analyze would give
-        if not verify_circulant(g, lab):
-            failed, witness = "circulant", _circulant_witness(g, lab)
-        else:
-            d = unpaired_distance(lab.conn, lab.n)
-            if d is None:
-                raise
-            failed, witness = "unpaired_distance", {"distance": d}
-        print(f"certificate failed: {failed}: {json.dumps(witness)}", file=sys.stderr)
+    except CertificateFailed as exc:  # the witness certify or analyze would give
+        witness = (_orbit_witness(lab, exc.witness) if exc.check == "circulant" else
+                   {"distance": exc.witness})
+        print(f"certificate failed: {exc.check}: {json.dumps(witness)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     _emit(args, write_decomposition(dec))
     print(f"[decompose] {len(dec.cycles)} Hamiltonian cycles of length {dec.p}",
@@ -583,9 +576,10 @@ def cmd_chapman(args) -> int:
     checks.run("representative-independence", "exhaustive", independent)
 
     def isomorphic():
-        if not verify_circulant(g, lab):  # no connection set of g to compare
-            return False, {"witness": _circulant_witness(g, lab)}
-        cmp_result = chapman_compare(h, g, lab)
+        try:
+            cmp_result = chapman_compare(h, g, lab)
+        except CertificateFailed as exc:  # no connection set of g to compare
+            return False, {"witness": _orbit_witness(lab, exc.witness)}
         return cmp_result, {"verdict": cmp_result.verdict,
                             "multiplier": cmp_result.multiplier,
                             "spectra_match": cmp_result.spectra_match}

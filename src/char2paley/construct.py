@@ -282,25 +282,19 @@ def transpose(rows) -> list[int]:
     return list(_transposed(rows))
 
 
-def _renamed(rows, src):
-    """Rows renamed so that new vertex i is old vertex src[i], yielded in the new order.
-
-    Reorder, transpose, reorder, transpose: bit j of new row i is bit
-    src[j] of old row src[i].
-    """
-    check_width(rows)
-    cols = list(_transposed([rows[i] for i in src]))
-    return _transposed([cols[i] for i in src])
-
-
 def relabel(rows, perm) -> list[int]:
-    """Rows after renaming vertex i to perm[i], for a permutation perm of range(n)."""
+    """Rows after renaming vertex i to perm[i], for a permutation perm of range(n).
+
+    Reorder, transpose, reorder, transpose: with src the inverse of perm,
+    bit j of new row i is bit src[j] of old row src[i].
+    """
     if sorted(perm) != list(range(len(rows))):
         raise ValueError(f"perm is not a permutation of range({len(rows)})")
     src = [0] * len(perm)
     for i, p in enumerate(perm):
         src[p] = i
-    return list(_renamed(rows, src))
+    cols = transpose([rows[i] for i in src])
+    return list(_transposed([cols[i] for i in src]))
 
 
 @lru_cache(maxsize=None)
@@ -399,10 +393,6 @@ class CirculantLabeling:
         if self.a != g.a or self.n != g.n:
             raise ValueError("labeling and graph were built from different parameters")
 
-    def orbit_rows(self, rows):
-        """Dense rows relabeled into orbit order (v_i becomes i), one at a time."""
-        return _renamed(rows, self.index)
-
 
 def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     """The orbit of INF under sigma(z) = (b z + a)/(z + b + 1), an automorphism.
@@ -437,22 +427,37 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     return CirculantLabeling(a, b, tuple(verts), frozenset(compress(count(1), near)))
 
 
-def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
+class Circulance(NamedTuple):
+    """The verdict of verify_circulant: the first failing orbit position, or None."""
+
+    position: int | None
+
+    def __bool__(self) -> bool:
+        return self.position is None
+
+
+def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> Circulance:
     """Certify edge(v_i, v_j) <=> (j - i) mod n in conn against the matrix.
 
     The rows, put into orbit order, are transposed, so the column of
     vertex v_j becomes a row whose bit i is the entry (v_i, v_j): the
     mask of -conn rotated by j.  Every entry is compared once, with no
-    symmetry assumed; a row with bits at or above n fails.
+    symmetry assumed.  Bit i of a column's difference fails orbit row i, so
+    the first failing row is the lowest bit of the OR of each column's
+    lowest differing bit; a row with bits at or above n fails at its own.
     """
     lab.check_graph(g)
     n = g.n
-    if wide_row(g.rows) is not None:
-        return False
     where = [0] * n  # where[c]: the orbit position of dense vertex c
     for i, c in enumerate(lab.index):
         where[c] = i
+    wide = wide_row(g.rows)
+    if wide is not None:
+        return Circulance(where[wide])
     neg_mask = sum(1 << -d % n for d in lab.conn)
     doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - i & full: neg_mask rotated by i
-    cols = _transposed([g.rows[c] for c in lab.index])
-    return all(col == doubled >> n - where[c] & full for c, col in enumerate(cols))
+    failing = 0
+    for c, col in enumerate(_transposed([g.rows[c] for c in lab.index])):
+        diff = col ^ doubled >> n - where[c] & full
+        failing |= diff & -diff
+    return Circulance((failing & -failing).bit_length() - 1 if failing else None)

@@ -109,6 +109,16 @@ def verify_automorphisms(g: PaleyLikeGraph, a: ParamA) -> bool:
             and _carries(translate_rows(g.rows, 1, ctx), g, ctx.trace(1) == 1))
 
 
+class CertificateFailed(AssertionError):
+    """A failed certificate: check "circulant" with the first failing orbit position as
+    witness, or "unpaired_distance" with the least d in conn whose n - d is not."""
+
+    def __init__(self, check: str, witness: int):
+        super().__init__({"circulant": "the rows are not the circulant of the connection set",
+                          "unpaired_distance": "connection set is not closed under negation"}[check])
+        self.check, self.witness = check, witness
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian decomposition for prime order
 
@@ -126,7 +136,7 @@ def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> Hamilton
     circulant of the connection set (`verify_circulant`), and the set to
     be closed under negation, so the classes {d, p-d} partition the
     edges; stepping i -> i+d walks all of Z_p, so each class is one
-    spanning cycle.
+    spanning cycle.  Either failure raises CertificateFailed.
     """
     lab.check_graph(g)
     p = g.n
@@ -134,10 +144,12 @@ def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> Hamilton
         raise OutOfScopeError(
             f"order {p} is composite: only prime-order circulants are decomposed "
             "by distance classes (the general case has no practical algorithm here)")
-    if not verify_circulant(g, lab):
-        raise AssertionError("the rows are not the circulant of the connection set")
-    if unpaired_distance(lab.conn, p) is not None:
-        raise AssertionError("connection set is not closed under negation")
+    verdict = verify_circulant(g, lab)
+    if not verdict:
+        raise CertificateFailed("circulant", verdict.position)
+    d = unpaired_distance(lab.conn, p)
+    if d is not None:
+        raise CertificateFailed("unpaired_distance", d)
     dists = sorted(d for d in lab.conn if d < p - d)
     cycles = tuple(tuple(lab.vertices[d * t % p] for t in range(p)) for d in dists)
     return HamiltonianDecomposition(p, tuple((d, p - d) for d in dists), cycles)
@@ -267,7 +279,7 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) 
 
     Both must be certified circulants of order n = q+1: h by
     `circulant_certified` (ValueError otherwise), g against lab by
-    `verify_circulant` (AssertionError otherwise).  Their codegree spectra
+    `verify_circulant` (CertificateFailed otherwise).  Their codegree spectra
     are then read off the two connection sets.  A unit m of Z_n with
     m * conn(G) = conn(H) gives the map v_i -> w_(m i), which is then
     verified edge by edge.  When no unit passes, only the invariant
@@ -277,20 +289,20 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) 
         raise ValueError("the two graphs live over different base fields")
     if not h.circulant_certified:
         raise ValueError("the coset graph is not a certified circulant")
-    if not verify_circulant(g, lab):
-        raise AssertionError("the rows are not the circulant of the connection set")
+    verdict = verify_circulant(g, lab)
+    if not verdict:
+        raise CertificateFailed("circulant", verdict.position)
     n = g.n
     spectra_match = circulant_spectrum(h.n, h.conn).counts == circulant_spectrum(n, lab.conn).counts
     if not spectra_match:
         return ChapmanComparison("not-isomorphic", None, False)
-    g_orbit = list(lab.orbit_rows(g.rows))
     for m in range(1, n):
         if gcd(m, n) != 1 or {m * d % n for d in lab.conn} != h.conn:
             continue
-        # explicit check of v_i -> w_(m i) on every pair: H with w_(m i) renamed i
+        # explicit check of v_i -> w_(m i) on every pair: H with w_(m i) renamed v_i's dense row
         h_perm = [0] * n
         for i in range(n):
-            h_perm[m * i % n] = i
-        if relabel(h.rows, h_perm) == g_orbit:
+            h_perm[m * i % n] = lab.index[i]
+        if relabel(h.rows, h_perm) == list(g.rows):
             return ChapmanComparison("isomorphic-certified", m, True)
     return ChapmanComparison("consistent-uncertified", None, True)

@@ -26,6 +26,9 @@
   the predicate on every pair against every pair of unit multipliers,
   the oracles of the one-pass table in `chapman_build` and of
   `verify_representative_independence`.
+- `circulant_witness` renames the rows into orbit order and takes the
+  first that is not the connection set rotated by its position, the
+  oracle of the one-pass witness in `verify_circulant`.
 - `tile_transpose` transposes a bit matrix one 256 x 256 tile at a time
   with the eight delta swaps of the recursive block transpose, the
   oracle of the byte-column kernel behind `transpose` at orders where a
@@ -55,7 +58,7 @@ from char2paley import (
     ParamA, codegree_formula, is_full_orbit, iter_bits, vertex_index,
 )
 from char2paley.construct import (
-    _field_words, _quotient_traces, _swap_masks, _swapped, check_cap,
+    _field_words, _quotient_traces, _swap_masks, _swapped, check_cap, relabel, rotate, wide_row,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
@@ -166,6 +169,24 @@ def trace_partition(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for x in range(ctx.q):
         (t1 if ctx.trace(x) else t0).append(x)
     return tuple(t0), tuple(t1)
+
+
+def circulant_witness(g: PaleyLikeGraph, lab) -> int | None:
+    """The orbit position of the first v_i whose row, renamed into orbit
+    order, is not the connection set shifted by i; None when there is none.
+
+    A row with bits at or above n cannot be renamed: it is the witness
+    itself.
+    """
+    wide = wide_row(g.rows)
+    if wide is not None:
+        return lab.index.index(wide)
+    perm = [0] * lab.n
+    for i, c in enumerate(lab.index):
+        perm[c] = i
+    conn = sum(1 << d for d in lab.conn)
+    return next((i for i, r in enumerate(relabel(g.rows, perm)) if r != rotate(conn, i, lab.n)),
+                None)
 
 
 def tile_transpose(rows) -> list[int]:

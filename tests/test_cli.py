@@ -326,7 +326,9 @@ def test_decompose_unpaired_distance_exits_1_with_the_witness(capsys, monkeypatc
     assert not out_file.exists()
 
 
-def test_decompose_verifies_circulance_once(capsys, monkeypatch, tmp_path):
+def _count_verifications(monkeypatch) -> list:
+    """Record the order n of every verify_circulant call the CLI makes, directly or
+    through the structure functions."""
     import char2paley.cli as cli
     import char2paley.structure as structure
     calls = []
@@ -338,8 +340,46 @@ def test_decompose_verifies_circulance_once(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(structure, "verify_circulant", counting)
     monkeypatch.setattr(cli, "verify_circulant", counting)
+    return calls
+
+
+def _flip_edge_1_5(monkeypatch):
+    """Make the CLI's k = 4 build the real graph with the edge {1, 5} flipped."""
+    import char2paley.cli as cli
+    ctx = FieldCtx(4)
+    a = param_a(ctx)
+    rows = list(build_graph(ctx, a).rows)
+    rows[1] ^= 1 << 5
+    rows[5] ^= 1 << 1
+    tampered = PaleyLikeGraph(ctx, a, len(rows), tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+
+
+def test_decompose_verifies_circulance_once(capsys, monkeypatch, tmp_path):
+    calls = _count_verifications(monkeypatch)
     assert main(["decompose", "--k", "4", "-o", str(tmp_path / "dec.txt")]) == 0
     assert calls == [17]
+    # the failing path reports the witness hamiltonian_decompose found
+    calls.clear()
+    _flip_edge_1_5(monkeypatch)
+    assert main(["decompose", "--k", "4", "-o", str(tmp_path / "bad.txt")]) == 1
+    assert "certificate failed: circulant: " in capsys.readouterr().err
+    assert calls == [17]
+
+
+def test_chapman_verifies_circulance_once(capsys, monkeypatch):
+    calls = _count_verifications(monkeypatch)
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 0 and calls == [17]
+    # the failing path names the witness certify's circulant check gives
+    calls.clear()
+    _flip_edge_1_5(monkeypatch)
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 1 and calls == [17]
+    iso = next(c for c in json.loads(out)["checks"] if c["name"] == "isomorphic")
+    _, out = run(capsys, "certify", "--k", "4")
+    circ = next(c for c in json.loads(out)["checks"] if c["name"] == "circulant")
+    assert iso["pass"] is False and iso["witness"] == circ["witness"]
 
 
 def test_chapman_k2(capsys):

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, apply,
@@ -14,8 +14,8 @@ from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, _transposed, is_circulant, rotate,
 )
 from oracles import (
-    all_points, beta_of, difference_rows, orbit_labeling, per_row_build, spectrum_counts,
-    tile_transpose, trace_partition,
+    all_points, beta_of, circulant_witness, difference_rows, orbit_labeling, per_row_build,
+    spectrum_counts, tile_transpose, trace_partition,
 )
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
@@ -661,6 +661,31 @@ def test_verify_circulant_rejects_one_flipped_bit(field, k):
         assert not verify_circulant(PaleyLikeGraph(ctx, a, n, tuple(rows)), lab), (i, j)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(2, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(0, 1 << k), st.integers(0, (1 << k) + 2)),
+                         max_size=4))))
+@example(case=(4, [(3, 17)]))   # bit n of a row
+@example(case=(5, [(0, 34)]))   # bit n + 1 of INF's row
+@example(case=(8, [(200, 3), (7, 200), (256, 0)]))
+def test_verify_circulant_names_the_oracles_witness(field, case):
+    # graphs at even k, tournaments at odd k, a few random bits flipped (bits
+    # n and n + 1 among them): the verdict's position is the first orbit row
+    # that is not the connection set shifted by its position
+    k, flips = case
+    ctx = field(k)
+    a = param_a(ctx)
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    lab = circulant_labeling(ctx, a)
+    rows = list(g.rows)
+    for i, j in flips:
+        rows[i] ^= 1 << j
+    tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+    verdict = verify_circulant(tampered, lab)
+    assert verdict.position == circulant_witness(tampered, lab)
+    assert bool(verdict) is (verdict.position is None)
+
+
 def test_primitives_reject_bits_beyond_n():
     rows = [0b1, 0b100]  # bit 2 is no vertex of a 2-vertex matrix
     with pytest.raises(ValueError):
@@ -699,7 +724,9 @@ def test_labeling_index_and_orbit_rows(field, k):
     perm = [0] * lab.n
     for i, r in enumerate(lab.index):
         perm[r] = i
-    assert list(lab.orbit_rows(g.rows)) == relabel(g.rows, perm)
+    # renamed into orbit order (v_i becomes i), row i is the connection set rotated by i
+    conn = sum(1 << d for d in lab.conn)
+    assert relabel(g.rows, perm) == [rotate(conn, i, lab.n) for i in range(lab.n)]
     # the positional constructor still works, and v_0 must be INF
     assert CirculantLabeling(a, lab.b, lab.vertices, lab.conn).index == lab.index
     swapped = (lab.vertices[1], lab.vertices[0], *lab.vertices[2:])

@@ -203,6 +203,56 @@ def test_wide_row_raises_before_any_fork_or_file(capsys, tmp_path, monkeypatch):
     _no_child_left()
 
 
+def test_worker_leaves_once_its_parent_is_killed(tmp_path):
+    # a forked child stands in for the CLI and writes a slow export, 50 rows of
+    # 0.1 s a range; killed by SIGKILL, it leaves its worker orphaned, which
+    # stops at its next row instead of finishing its 5 s range
+    import contextlib
+    import select
+    import signal
+    import time
+    from char2paley.formats import Export
+    r, w = os.pipe()
+
+    def rows(start, stop):
+        if start:  # the second range is the worker's
+            os.write(w, b"%d" % os.getpid())
+        for i in range(start, stop):
+            time.sleep(0.1)
+            yield f"{i}\n"
+
+    export = Export(100, "", rows, "", lambda: [1] * 100)
+    child = os.fork()
+    if child == 0:
+        try:
+            os.close(r)
+            with open(tmp_path / "out", "w") as fh:
+                _write_export(fh, export, 2)
+        finally:
+            os._exit(0)
+    os.close(w)
+    worker = None
+    try:
+        assert select.select([r], [], [], 5.0)[0]  # the worker has started its range
+        worker = int(os.read(r, 32))
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+        child = None
+        t0 = time.monotonic()
+        # the worker now holds the pipe's only write end: end of file is its exit
+        assert select.select([r], [], [], 1.0)[0] and os.read(r, 32) == b""
+        assert time.monotonic() - t0 < 1.0
+        worker = None  # gone: its pid may be reused
+    finally:
+        os.close(r)
+        if child is not None:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+        if worker is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)
+
+
 @pytest.mark.parametrize("argv", [["--k", "10"], ["--k", "11", "--tournament"]])
 def test_stdout_and_output_file_get_the_same_bytes(tmp_path, argv):
     # k = 10 is written inline, k = 11 (2049 rows) split where two CPUs are available
