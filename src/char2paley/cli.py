@@ -52,8 +52,8 @@ EXIT_IO = 4
 CHAPMAN_K_MAX = 8   # the coset build walks all q^2 - 1 powers in GF(q^2)
 # An export is cut into at most one row range per this many rows, so it is
 # written by this process alone below twice as many.  A forked worker costs
-# about 3 ms; two ranges break even near 513 rows for the edge and JSON
-# writers and near 2049 for the matrix writer, about 20 times cheaper a row.
+# about 3 ms; two ranges break even near 513 rows for the edge, DIMACS and
+# JSON writers.  The matrix writer returns no Export: it is written inline.
 ROWS_PER_WORKER = 1024
 EVIDENCE = ("exhaustive", "sampled", "algebraic", "skipped")
 
@@ -61,6 +61,13 @@ EVIDENCE = ("exhaustive", "sampled", "algebraic", "skipped")
 def _check_k_range(k: int) -> None:
     if not 2 <= k <= K_MAX:
         raise ValueError(f"k must be between 2 and {K_MAX}, got {k}")
+
+
+def _graph_k(k: int, what: str) -> None:
+    """Reject a k out of range, or an odd k, whose trace rule gives a tournament."""
+    _check_k_range(k)
+    if k % 2:
+        raise ValueError(f"{what} works on graphs: k must be even")
 
 
 def _make_ctx_and_a(args):
@@ -213,8 +220,17 @@ class _Checks:
     def __init__(self):
         self.items = []
 
-    def run(self, name: str, evidence: str, fn):
-        """Run and record one check; returns its verdict, the first of fn's two values."""
+    def run(self, name: str, evidence: str, fn, skip: str | None = None):
+        """Run and record one check; returns its verdict, the first of fn's two values.
+
+        Given a `skip` reason, fn is not called: the check is recorded as
+        skipped, with "pass": true, and the verdict is None.
+        """
+        if skip is not None:
+            self.items.append({"name": name, "pass": True, "evidence": "skipped",
+                               "skipped": True, "reason": skip})
+            print(f"[   skip ] ---- {name}: {skip}", file=sys.stderr)
+            return None
         t0 = time.monotonic()
         ok, detail = fn()
         _print_time(t0, "PASS" if ok else "FAIL", name)
@@ -223,11 +239,6 @@ class _Checks:
             entry.update(detail)
         self.items.append(entry)
         return ok
-
-    def skip(self, name: str, reason: str) -> None:
-        self.items.append({"name": name, "pass": True, "evidence": "skipped",
-                           "skipped": True, "reason": reason})
-        print(f"[   skip ] ---- {name}: {reason}", file=sys.stderr)
 
     def evidence_counts(self) -> dict:
         return {kind: sum(c["evidence"] == kind for c in self.items) for kind in EVIDENCE}
@@ -337,48 +348,45 @@ def _orbit_witness(lab, i: int) -> dict:
     return {"vertex": point_label(lab.vertices[i]), "orbit_position": i}
 
 
-def _circulant_detail(lab, verdict):
-    """verify_circulant's verdict and the `circulant` check's detail."""
-    conn = sorted(lab.conn)
-    detail = {"connection_set_size": len(conn), "connection_set_min": conn[0]}
+def _check_circulant(g, lab):
+    """verify_circulant's verdict, which names its failing orbit row, and the check's detail."""
+    verdict = verify_circulant(g, lab)
+    detail = {"connection_set_size": len(lab.conn), "connection_set_min": min(lab.conn)}
     if not verdict:
         detail["witness"] = _orbit_witness(lab, verdict.position)
     return verdict, detail
 
 
-def _check_circulant(g, lab) -> tuple[bool, dict]:
-    ok, detail = _circulant_detail(lab, verify_circulant(g, lab))
-    return bool(ok), detail
+def _rests_on(verdict, claim: str, basis: str) -> str | None:
+    """Why a check whose `claim` rests on `basis` is skipped: the verdict of basis
+    failed.  None, so the check runs, when it passed or was skipped (None)."""
+    if verdict is None or verdict:
+        return None
+    return f"the {claim} rests on {basis}, which failed"
 
 
 def cmd_certify(args) -> int:
-    _check_k_range(args.k)
-    if args.k % 2:
-        raise ValueError("certify works on graphs: k must be even")
+    _graph_k(args.k, "certify")
     check_cap(args.k)
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
     checks = _Checks()
     wide = wide_row(g.rows)
-
-    def in_range(name, evidence, fn):
-        # transposing or relabelling the rows needs every row within n columns
-        if wide is None:
-            checks.run(name, evidence, fn)
-        else:
-            checks.skip(name, f"row {wide} has bits at or above n = {g.n}")
+    # transposing or relabelling the rows needs every row within n columns
+    beyond_n = None if wide is None else f"row {wide} has bits at or above n = {g.n}"
 
     checks.run("regularity", "exhaustive", lambda: _check_regularity(g, wide))
-    in_range("symmetry", "exhaustive", lambda: _check_symmetry(g))
+    checks.run("symmetry", "exhaustive", lambda: _check_symmetry(g), beyond_n)
     checks.run("no-loops", "exhaustive", lambda: _check_no_loops(g))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-    circ = checks.run("circulant", "exhaustive",  # the verdict, which vertex-transitive restates
-                      lambda: _circulant_detail(lab, verify_circulant(g, lab)))
+    # the verdict, which vertex-transitive restates
+    circ = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
     checks.run("labeling-identities", "exhaustive",
                lambda: _check_labeling_identities(ctx, a, lab))
-    in_range("self-complementary", "exhaustive",
-             lambda: (verify_self_complementary(g, lab), None))
-    in_range("automorphisms", "exhaustive", lambda: (verify_automorphisms(g, a), None))
+    checks.run("self-complementary", "exhaustive",
+               lambda: (verify_self_complementary(g, lab), None), beyond_n)
+    checks.run("automorphisms", "exhaustive", lambda: (verify_automorphisms(g, a), None),
+               beyond_n)
     # the certified circulant makes v_i -> v_(i+1) an automorphism of order q+1
     checks.run("vertex-transitive", "exhaustive", lambda: (circ, (
         {"certificate": "cyclic automorphism of order q+1"} if circ else
@@ -398,7 +406,7 @@ def cmd_certify(args) -> int:
                 return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}"}}
         return True, {"mode": mode, "count": len(t1)}
 
-    in_range("shift-isomorphism-class", mode, shift_class)
+    checks.run("shift-isomorphism-class", mode, shift_class, beyond_n)
     _emit(args, _report(args, ctx, a, "certify", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 
@@ -408,9 +416,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _check_k_range(args.k)
-    if args.k % 2:
-        raise ValueError("analyze works on graphs: k must be even")
+    _graph_k(args.k, "analyze")
     ctx, a = _make_ctx_and_a(args)
     checks = _Checks()
     kloo = _stage("kloosterman-sweep", lambda: kloosterman_sweep(ctx))
@@ -434,23 +440,18 @@ def cmd_analyze(args) -> int:
     checks.run("kloosterman-value-set", "exhaustive", value_set)
 
     dense = ctx.q + 1 <= MATRIX_CAP
-    too_big = f"order {ctx.q + 1} exceeds the dense cap {MATRIX_CAP}"
-    on_circulant = "the certificate rests on the circulant check, which failed"
+    too_big = None if dense else f"order {ctx.q + 1} exceeds the dense cap {MATRIX_CAP}"
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-    if dense:
-        g = _stage("build", lambda: build_graph(ctx, a))
-        certified = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
-        basis = "exhaustive"
-    else:
-        checks.skip("circulant", too_big)
-        # the labeling walks an automorphism, so the graph is this circulant by
-        # the theorem, which no check here verifies
-        certified = True
-        basis = "algebraic"
+    g = _stage("build", lambda: build_graph(ctx, a)) if dense else None
+    circ = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab), too_big)
+    # above the cap the labeling walks an automorphism, so the graph is this
+    # circulant by the theorem, which no check here verifies
+    basis = "exhaustive" if dense else "algebraic"
+    on_circulant = _rests_on(circ, "certificate", "the circulant check")
     # every codegree below is read off the connection set: only once the graph
     # is certified to be its circulant, and only when it is closed under negation
     unpaired = spec = extra = None
-    if certified:
+    if not on_circulant:
         def read_spectrum():
             d = unpaired_distance(lab.conn, lab.n)
             return d, None if d is not None else circulant_spectrum(lab.n, lab.conn)
@@ -469,28 +470,22 @@ def cmd_analyze(args) -> int:
             detail["witness"] = {"pair": [lab.index[0], lab.index[spec.max_shift]]}
         return spec.within_bound, detail
 
-    if certified:
-        checks.run("codegree-cap", basis, codegree_cap)
-    else:
-        checks.skip("codegree-cap", on_circulant)
+    checks.run("codegree-cap", basis, codegree_cap, on_circulant)
 
-    if dense and certified:
-        def formula_vs_direct():
-            # the certified rotation carries every pair {v_i, v_j} to {v_(i-j), INF};
-            # codeg(x, INF) is |row x & row INF|, counted for every x in one pass
-            direct = list(map(int.bit_count, map(g.rows[0].__and__, g.rows[1:])))
-            for x in range(ctx.q):
-                got = codegree_formula(ctx, a, x, kloo)
-                if direct[x] != got:
-                    return False, {"witness": {
-                        "x": point_label(x), "y": point_label(INF),
-                        "direct": direct[x], "formula": got}}
-            return True, {"mode": "exhaustive", "count": ctx.q * (ctx.q + 1) // 2}
+    def formula_vs_direct():
+        # the certified rotation carries every pair {v_i, v_j} to {v_(i-j), INF};
+        # codeg(x, INF) is |row x & row INF|, counted for every x in one pass
+        direct = list(map(int.bit_count, map(g.rows[0].__and__, g.rows[1:])))
+        for x in range(ctx.q):
+            got = codegree_formula(ctx, a, x, kloo)
+            if direct[x] != got:
+                return False, {"witness": {
+                    "x": point_label(x), "y": point_label(INF),
+                    "direct": direct[x], "formula": got}}
+        return True, {"mode": "exhaustive", "count": ctx.q * (ctx.q + 1) // 2}
 
-        checks.run("codegree-formula-vs-direct", "exhaustive", formula_vs_direct)
-    else:
-        checks.skip("codegree-formula-vs-direct", too_big if not dense else
-                    "the pair reduction rests on the circulant check, which failed")
+    checks.run("codegree-formula-vs-direct", "exhaustive", formula_vs_direct,
+               too_big or _rests_on(circ, "pair reduction", "the circulant check"))
 
     def jumbled():
         cert = jumbledness_certificate(ctx.q, spec.counts)
@@ -500,12 +495,8 @@ def cmd_analyze(args) -> int:
             detail["witness"] = {"lambda_bound": cert.lambda_bound}
         return cert.passed, detail
 
-    if spec is not None:
-        checks.run("jumbledness", basis, jumbled)
-    else:
-        checks.skip("jumbledness", on_circulant if not certified else
-                    "the certificate rests on a connection set closed under negation, "
-                    "which failed")
+    checks.run("jumbledness", basis, jumbled, on_circulant or _rests_on(
+        unpaired is None, "certificate", "a connection set closed under negation"))
 
     _emit(args, _report(args, ctx, a, "analyze", checks, extra))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
@@ -516,9 +507,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    _check_k_range(args.k)
-    if args.k % 2:
-        raise ValueError("decompose works on graphs: k must be even")
+    _graph_k(args.k, "decompose")
     check_cap(args.k)
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
@@ -541,9 +530,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_chapman(args) -> int:
-    _check_k_range(args.k)
-    if args.k % 2:
-        raise ValueError("the coset comparison works on graphs: k must be even")
+    _graph_k(args.k, "the coset comparison")
     if args.k > CHAPMAN_K_MAX:
         raise OutOfScopeError(f"the coset comparison is limited to k <= {CHAPMAN_K_MAX}")
     ctx, a = _make_ctx_and_a(args)
@@ -584,11 +571,10 @@ def cmd_chapman(args) -> int:
                             "multiplier": cmp_result.multiplier,
                             "spectra_match": cmp_result.spectra_match}
 
-    if checks.run("coset-graph-circulant", "exhaustive", lambda: (h.circulant_certified, None)):
-        checks.run("isomorphic", "exhaustive", isomorphic)
-    else:
-        checks.skip("isomorphic", "the comparison rests on the coset-graph-circulant check, "
-                    "which failed")
+    coset = checks.run("coset-graph-circulant", "exhaustive",
+                       lambda: (h.circulant_certified, None))
+    checks.run("isomorphic", "exhaustive", isomorphic,
+               _rests_on(coset, "comparison", "the coset-graph-circulant check"))
     _emit(args, _report(args, ctx, a, "chapman", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 

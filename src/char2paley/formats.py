@@ -5,13 +5,15 @@ lowercase hex for field elements.  The edge-list format starts with a
 `# k=.. a=.. poly=.. n=..` header and has one `u v` line per edge
 (`u > v` per arc for tournaments); it round-trips through parse_edges.
 
-The graph writers return an `Export`: an iterator of text chunks, one
-per adjacency row (after a header chunk where the format has one), so a
-caller can write them out as they come.  An Export also yields the
-chunks of any contiguous row range on their own, so ranges written
-apart and concatenated give the same bytes.  The decomposition writer
-returns one string.  Every graph writer raises ValueError, before its
-first chunk, on a row with a bit at or above n.
+The graph writers return an iterator of text chunks, one per adjacency
+row (after a header chunk where the format has one), so a caller can
+write them out as they come.  The edge-list, DIMACS and JSON writers
+return an `Export`, which also yields the chunks of any contiguous row
+range on their own, so ranges written apart and concatenated give the
+same bytes; the matrix writer's rows are too cheap to be worth writing
+apart.  The decomposition writer returns one string.  Every graph writer
+raises ValueError, before its first chunk, on a row with a bit at or
+above n.
 """
 
 from __future__ import annotations
@@ -164,15 +166,15 @@ def write_dimacs(g: PaleyLikeGraph) -> Export:
     return _pair_export(g, f"p edge {g.n} {g.edge_count()}\n", one_based, "e ", " ")
 
 
-def write_matrix(g: PaleyLikeGraph) -> Export:
-    """Row-major bit dump: one fixed-width hex line per adjacency row."""
+def write_matrix(g: PaleyLikeGraph):
+    """Row-major bit dump: one fixed-width hex line per adjacency row.
+
+    The lines come as a plain iterator, not an Export: a row costs about a
+    twentieth of an edge-list row, so a forked writer would not pay for itself.
+    """
     check_width(g.rows)
     width = (g.n + 3) // 4
-
-    def rows(start, stop):
-        return (f"{r:0{width}x}\n" for r in g.rows[start:stop])
-
-    return Export(g.n, "", rows, "", lambda: [g.n] * g.n)
+    return (f"{r:0{width}x}\n" for r in g.rows)
 
 
 def write_json_graph(g: PaleyLikeGraph) -> Export:

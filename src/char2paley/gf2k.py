@@ -80,6 +80,17 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
+def power(mul, one, x, e: int):
+    """x^e for e >= 0 by square-and-multiply, under the product mul with unit one."""
+    r = one
+    while e:
+        if e & 1:
+            r = mul(r, x)
+        x = mul(x, x)
+        e >>= 1
+    return r
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division."""
     if n < 1:
@@ -198,14 +209,8 @@ class FieldCtx:
 
     def pow(self, x: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(x), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return r
+            x, e = self.inv(x), -e
+        return power(self.mul, 1, x, e)
 
     # -- trace and the additive quadratic ----------------------------
 
@@ -261,20 +266,11 @@ class FieldCtx:
             primes = list(factorize(n))
             g = 2
             while True:
-                if all(self._pow_raw(g, n // p) != 1 for p in primes):
+                if all(power(self._mul_raw, 1, g, n // p) != 1 for p in primes):
                     break
                 g += 1
             self._generator = g
         return self._generator
-
-    def _pow_raw(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, x)
-            x = self._mul_raw(x, x)
-            e >>= 1
-        return r
 
     def log_table(self) -> array:
         """log[x] = s with g^s = x, for the generator g and nonzero x; log[0] is 0.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .gf2k import FieldCtx, factorize
+from .gf2k import FieldCtx, factorize, power
 
 
 class _Infinity:
@@ -149,14 +149,8 @@ class QuadExtCtx:
 
     def pow(self, u, e: int):
         if e < 0:
-            return self.pow(self.inv(u), -e)
-        r = (1, 0)
-        while e:
-            if e & 1:
-                r = self.mul(r, u)
-            u = self.mul(u, u)
-            e >>= 1
-        return r
+            u, e = self.inv(u), -e
+        return power(self.mul, (1, 0), u, e)
 
     def mult_order(self, u) -> int:
         """Multiplicative order of a nonzero element."""

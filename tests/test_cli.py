@@ -217,7 +217,7 @@ def test_circulant_witness_last_orbit_row_at_dense_cap(std):
     rows = list(g.rows)
     rows[lab.index[-1]] ^= 1 << lab.index[7]  # the entry (v_4096, v_7)
     ok, detail = _check_circulant(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
-    assert ok is False
+    assert not ok and ok.position == 4096
     assert detail["witness"] == {"vertex": point_label(lab.vertices[-1]), "orbit_position": 4096}
 
 
@@ -230,6 +230,35 @@ def test_certify_rejects_trace0_a(capsys):
 def test_certify_rejects_odd_k(capsys):
     code, _ = run(capsys, "certify", "--k", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, k, what", [
+    ("certify", "3", "certify"),
+    ("analyze", "17", "analyze"),
+    ("decompose", "5", "decompose"),
+    ("chapman", "3", "the coset comparison"),
+])
+def test_graph_commands_reject_odd_k(capsys, command, k, what):
+    assert main([command, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {what} works on graphs: k must be even\n"
+
+
+def test_skipped_check_never_runs_its_function(capsys):
+    from char2paley.cli import _Checks
+
+    def never():
+        raise AssertionError("a skipped check ran")
+
+    reason = "order 65537 exceeds the dense cap 4097"
+    checks = _Checks()
+    assert checks.run("circulant", "exhaustive", never, reason) is None
+    assert checks.items == [{"name": "circulant", "pass": True, "evidence": "skipped",
+                             "skipped": True, "reason": reason}]
+    assert capsys.readouterr().err == f"[   skip ] ---- circulant: {reason}\n"
+    assert checks.all_pass() and not checks.complete()
+    assert checks.evidence_counts()["skipped"] == 1
 
 
 def test_certify_rejects_reducible_poly(capsys):

@@ -16,8 +16,7 @@ from char2paley.cli import _part_count, _write_export, main
 from char2paley.construct import MATRIX_CAP
 from char2paley.formats import write_dimacs, write_edges, write_json_graph, write_matrix
 
-WRITERS = {"edges": write_edges, "dimacs": write_dimacs, "matrix": write_matrix,
-           "json": write_json_graph}
+WRITERS = {"edges": write_edges, "dimacs": write_dimacs, "json": write_json_graph}
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -115,6 +114,20 @@ def test_part_count_gives_each_worker_its_share_of_rows(field, tmp_path, monkeyp
         for rows_per_worker, parts in ((9, 1), (8, 2), (5, 3), (1, 17)):
             monkeypatch.setattr(cli, "ROWS_PER_WORKER", rows_per_worker)
             assert _part_count(fh, write_edges(g)) == parts, rows_per_worker
+
+
+def test_matrix_export_forks_nothing(field, tmp_path, monkeypatch):
+    # 2049 rows on two CPUs: an edge list would be cut in two, the matrix is
+    # written by the CLI alone
+    g = _graph(field, 11)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with open(tmp_path / "probe", "w") as fh:
+        assert _part_count(fh, write_edges(g)) == 2
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    out = tmp_path / "out"
+    assert main(["build", "--k", "11", "--tournament", "--format", "matrix", "-o", str(out)]) == 0
+    assert out.read_text() == "".join(write_matrix(g)) and not forks
 
 
 def test_split_without_temporary_files_writes_inline(field, tmp_path, monkeypatch):
