@@ -20,7 +20,7 @@ from .analyze import (
 from .construct import (
     MATRIX_CAP, CirculantLabeling, Circulance, OutOfScopeError, PaleyLikeGraph, ParamA,
     adjacency, build_graph, build_tournament, circulant_labeling, iter_bits,
-    param_a, relabel, translate_rows, transpose, unpaired_distance, verify_circulant,
+    param_a, relabel, transpose, unpaired_distance, verify_circulant,
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (
@@ -29,7 +29,7 @@ from .mobius import (
 )
 from .structure import (
     CertificateFailed, ChapmanComparison, ChapmanGraph, HamiltonianDecomposition, ShiftIso,
-    chapman_build, chapman_compare, hamiltonian_decompose, shift_isomorphism,
+    ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose, shift_isomorphism,
     verify_automorphisms, verify_representative_independence,
     verify_self_complementary, verify_shift_isomorphism,
 )

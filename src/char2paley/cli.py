@@ -38,9 +38,9 @@ from .formats import (
 from .gf2k import K_MAX, FieldCtx
 from .mobius import INF, QuadExtCtx, lambda_of
 from .structure import (
-    CertificateFailed, chapman_build, chapman_compare, hamiltonian_decompose, shift_isomorphism,
-    verify_automorphisms, verify_representative_independence, verify_self_complementary,
-    verify_shift_isomorphism,
+    CertificateFailed, ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose,
+    shift_isomorphism, verify_automorphisms, verify_representative_independence,
+    verify_self_complementary, verify_shift_isomorphism,
 )
 
 EXIT_OK = 0
@@ -392,17 +392,18 @@ def cmd_certify(args) -> int:
         {"certificate": "cyclic automorphism of order q+1"} if circ else
         {"witness": _orbit_witness(lab, circ.position)})))
 
-    # the trace-1 parameters number q/2: all of them through k = 8, 128 drawn above
-    mode = "sampled" if ctx.q // 2 > 128 else "exhaustive"
+    # the trace-1 parameters number q/2: all of them through k = 10, 128 drawn above
+    mode = "sampled" if ctx.q // 2 > 512 else "exhaustive"
 
     def shift_class():
         t1 = [x for x in range(ctx.q) if ctx.trace(x) == 1]
         if mode == "sampled":
             t1 = sorted(random.Random(args.seed).sample(t1, 128))
+        target = ShiftTarget(g)  # g's rows packed once for every a'
         for ap_val in t1:
             ap = param_a(ctx, ap_val)
             iso = shift_isomorphism(ctx, a, ap)
-            if not verify_shift_isomorphism(ctx, a, ap, iso, target=g):
+            if not verify_shift_isomorphism(ctx, a, ap, iso, target=target):
                 return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}"}}
         return True, {"mode": mode, "count": len(t1)}
 

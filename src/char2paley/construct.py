@@ -19,16 +19,18 @@ tr(x^2/u) = tr(x/sqrt(u)), so the edge bit of {x, x + u} is
 an affine Walsh word in x: D_u[x] = c_u + parity(x & m_u), with
 c_u = 1 + tr(a/u) and m_u the trace dual of w_u (bit h is tr(z^h w_u)).
 Read across u, the difference row R_x (bit u is D_u[x]) is then the word
-C of the c_u plus one mask M_h (bit u is bit h of m_u) for each set bit
-h of x.  A Gray walk over x reaches every R_x with one xor, and row x is
-R_x translated by x.  The M_h depend on the field alone; C is the
-parameter's.
+C of the c_u plus M(x), the sum of one mask M_h (bit u is bit h of m_u)
+for each set bit h of x.  Row x is R_x translated by x, and translation
+is linear: T_x(C) + T_x(M(x)).  The second half depends on the field
+alone and is tabled once per field; the first is the parameter's, and
+doubling over the bits of x reaches it with one masked swap a row.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
+from operator import xor
 from typing import NamedTuple
 
 from .gf2k import FieldCtx
@@ -143,51 +145,66 @@ def _quotient_traces(ctx: FieldCtx, e: int) -> int:
     return int(bytes(map(rolled.__getitem__, log[:0:-1])).translate(_DIGITS), 2) << 1
 
 
+class _FieldWords(NamedTuple):
+    """The parameter-free part of the build, for one field."""
+
+    masks: tuple[int, ...]  # M_h for h < k
+    inf_row: int            # INF's row
+    table: tuple[int, ...]  # [x]: T_x(M(x)) << 1 | 1 + tr(x), the rest of row x being T_x(C) << 1
+
+
 @lru_cache(maxsize=16)  # holds each context's tables: bounded, unlike the masks keyed by k
-def _field_words(ctx: FieldCtx) -> tuple[tuple[int, ...], int]:
-    """The parameter-free part of the build: the Walsh masks and INF's row.
+def _field_words(ctx: FieldCtx) -> _FieldWords:
+    """The Walsh masks, INF's row and the table of parameter-free row halves.
 
     Bit u of M_h is bit h of m_u, tr(z^h w_u) = tr((z^2h + z^h)/u) + tr(z^h),
     as tr(y) = tr(y^2) makes tr(z^h u^(-1/2)) = tr(z^2h/u); bit 0 (u = 0)
     is clear.  INF's row has bit 1+w for tr(w + 1) = 0.
+
+    The table doubles over the bits of x.  T_y moves the entry of each
+    finite point u to u + y, and for y < 2^j, T_(y + 2^j) is the swap
+    across bit j after T_y.  M(y + 2^j) is M(y) + M_j, so entry y + 2^j
+    is the swap across bit j of entry y plus T_y(M_j), and the T_y(M_j)
+    double over the bits below j the same way: about two masked swaps an
+    entry.  The swap clears bit 0, where the entry's INF bit goes.
     """
-    q, tr = ctx.q, ctx.trace
+    q, k, tr = ctx.q, ctx.k, ctx.trace
     nonzero = (1 << q) - 2
     masks = tuple(_quotient_traces(ctx, ctx.sqr(z) ^ z) ^ (nonzero if tr(z) else 0)
-                  for z in (1 << h for h in range(ctx.k)))
-    inf_row = int("".join("10"[tr(w ^ 1)] for w in range(q - 1, -1, -1)), 2) << 1
-    return masks, inf_row
+                  for z in (1 << h for h in range(k)))
+    traces = ctx.traces(range(q))
+    inf_bits = traces.translate(_FLIP)  # [x]: 1 + tr(x)
+    # tr(w + 1) = tr(w) + tr(1): INF's bit 1 + w is set where tr(w) = tr(1)
+    inf_row = int((traces if tr(1) else inf_bits)[::-1].translate(_DIGITS), 2) << 1
+    swaps = _swap_masks(k)
+    table = [inf_bits[0]]
+    for j, (s, low) in enumerate(swaps):
+        moved = [masks[j] << 1]  # T_y(M_j) for y < 2^j
+        for s2, low2 in swaps[:j]:
+            moved += [(r & low2) << s2 | (r >> s2) & low2 for r in moved]
+        table += [(d & low) << s | (d >> s) & low | bit
+                  for d, bit in zip(map(xor, table, moved), inf_bits[s:2 * s])]
+    return _FieldWords(masks, inf_row, tuple(table))
 
 
 def _build(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
     """Dense rows of the trace rule at either parity of k.
 
-    R_x, the set {u : x ~ x + u}, translated by x (T_x moves bit u to
-    u + x) and given the INF bit 1 + tr(x), is row x.  R_0 is C, with bit
-    u = c_u = 1 + tr(a/u) (u = 0, the loop, stays clear), and the Gray
-    walk's step across bit h, x' = x + 2^h, flips M_h (see the module
-    docstring), so T_x'(R_x') = swap_h(T_x(R_x)) + T_x'(M_h): the
-    translation rides along.  moved[h] is M_h translated by at[h], the
-    point of its last use, and moves on by at[h] + x'; in the reflected
-    Gray code that is two bits, so a row costs three masked swaps.
+    Row x is T_x(C) << 1 plus the field's table entry for x, with C the
+    word of bit u = c_u = 1 + tr(a/u) (u = 0, the loop, stays clear), and
+    INF's row is the field's.  For y < 2^i, T_(y + 2^i) is the swap across
+    bit i after T_y, and T_y(C) << 1 is row y plus table[y]: each row
+    after the first is one masked swap of a row before it, plus its own
+    table entry.
     """
     n = check_cap(ctx.k)
-    swaps, tr = _swap_masks(ctx.k), ctx.trace
-    masks, inf_row = _field_words(ctx)
-    moved, at = list(masks), [0] * ctx.k
-    row = _quotient_traces(ctx, a.value) ^ (1 << ctx.q) - 2
-    rows = [0] * n
-    rows[0], rows[1] = inf_row, row << 1 | 1
-    x = 0
-    for i in range(1, ctx.q):
-        h = (i & -i).bit_length() - 1
-        x ^= 1 << h
-        moved[h] = _swapped(moved[h], x ^ at[h], swaps)
-        at[h] = x
-        s, low = swaps[h]
-        row = ((row & low) << s | (row >> s) & low) ^ moved[h]
-        rows[1 + x] = row << 1 | 1 ^ tr(x)
-    return PaleyLikeGraph(ctx, a, n, tuple(rows))
+    words = _field_words(ctx)
+    table = words.table
+    rows = [(_quotient_traces(ctx, a.value) ^ (1 << ctx.q) - 2) << 1 ^ table[0]]
+    for s, low in _swap_masks(ctx.k):
+        rows += [((d & low) << s | (d >> s) & low) ^ t
+                 for d, t in zip(map(xor, rows, table), table[s:2 * s])]
+    return PaleyLikeGraph(ctx, a, n, (words.inf_row, *rows))
 
 
 def build_graph(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
@@ -207,8 +224,8 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 # ---------------------------------------------------------------------------
 # Bit and permutation primitives.  Permutations and transposes of a whole
 # matrix go through one transpose kernel (_transposed), one byte column of
-# the rows per big int; translations x -> x + b are a few masked swaps of
-# the row int instead.
+# the rows per big int; translations x -> x + b are a few masked swaps
+# (_swap_masks) of a row, or of a band of rows (structure._shift_carries).
 
 # bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
 # of x is set: the selectors for itertools.compress
@@ -299,29 +316,15 @@ def relabel(rows, perm) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _swap_masks(k: int) -> tuple[tuple[int, int], ...]:
-    """(2^h, mask) for h < k: mask has bit u set, for u < 2^k, exactly when bit h of u is clear."""
+    """(2^h, mask) for h < k: mask has bit 1 + u set, for u < 2^k, exactly when bit h of u is clear.
+
+    Bit 1 + u of a dense row is the finite point u, so the masked swap
+    across bit h, (r & mask) << 2^h | (r >> 2^h) & mask, moves the entry
+    of u to u + 2^h and leaves INF's bit 0 where it is.
+    """
     q = 1 << k
-    return tuple((s, ((1 << s) - 1) * (((1 << q) - 1) // ((1 << 2 * s) - 1)))
+    return tuple((s, ((1 << s) - 1) * (((1 << q) - 1) // ((1 << 2 * s) - 1)) << 1)
                  for s in (1 << h for h in range(k)))
-
-
-def _swapped(f: int, b: int, swaps) -> int:
-    """The 2^k-bit word f with bit u moved to u ^ b, by the swaps (2^h, mask) of set bits h of b."""
-    for s, low in swaps:
-        if b & s:
-            f = (f & low) << s | (f >> s) & low
-    return f
-
-
-def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
-    """Rows after the vertex map x -> x + b (INF fixed): relabel's translation case."""
-    if len(rows) != ctx.q + 1:
-        raise ValueError(f"{len(rows)} rows, want q + 1 = {ctx.q + 1}")
-    check_width(rows)
-    ctx.check_elem(b)
-    swaps = [(s, low) for s, low in _swap_masks(ctx.k) if b & s]
-    return [_swapped(r >> 1, b, swaps) << 1 | r & 1
-            for r in (rows[0], *(rows[1 + (y ^ b)] for y in range(ctx.q)))]
 
 
 def rotate(mask: int, i: int, n: int) -> int:
@@ -444,19 +447,18 @@ def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> Circulance:
     mask of -conn rotated by j.  Every entry is compared once, with no
     symmetry assumed.  Bit i of a column's difference fails orbit row i, so
     the first failing row is the lowest bit of the OR of each column's
-    lowest differing bit; a row with bits at or above n fails at its own.
+    lowest differing bit.  A row with bits at or above n (which the
+    transpose ignores) fails too: its orbit position is one more bit of
+    the same OR.
     """
     lab.check_graph(g)
     n = g.n
     where = [0] * n  # where[c]: the orbit position of dense vertex c
     for i, c in enumerate(lab.index):
         where[c] = i
-    wide = wide_row(g.rows)
-    if wide is not None:
-        return Circulance(where[wide])
     neg_mask = sum(1 << -d % n for d in lab.conn)
     doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - i & full: neg_mask rotated by i
-    failing = 0
+    failing = sum(1 << where[c] for c, r in enumerate(g.rows) if r >> n)
     for c, col in enumerate(_transposed([g.rows[c] for c in lab.index])):
         diff = col ^ doubled >> n - where[c] & full
         failing |= diff & -diff

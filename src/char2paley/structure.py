@@ -20,15 +20,16 @@ edge-by-edge verification of the map it gives.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
 from typing import NamedTuple
 
 from .analyze import circulant_spectrum
 from .construct import (
-    CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph,
+    CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, _swap_masks,
     build_graph, build_tournament, is_circulant, iter_bits, relabel,
-    translate_rows, unpaired_distance, verify_circulant,
+    unpaired_distance, verify_circulant, wide_row,
 )
 from .gf2k import FieldCtx, factorize
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
@@ -62,14 +63,89 @@ def shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA) -> ShiftIso:
     return ShiftIso(b, kind)
 
 
+def _complement_rows(g: PaleyLikeGraph) -> list[int]:
+    """The rows of g's complement (a tournament's complement is its reversal)."""
+    full = (1 << g.n) - 1
+    return [full ^ r ^ (1 << i) for i, r in enumerate(g.rows)]
+
+
 def _carries(image, target: PaleyLikeGraph, flipped: bool) -> bool:
     """Whether `image`, a graph's rows after a vertex map, are the rows of
-    target, or of its complement when flipped (a tournament's complement is
-    its reversal)."""
-    if not flipped:
-        return image == list(target.rows)
-    full = (1 << target.n) - 1
-    return image == [full ^ r ^ (1 << i) for i, r in enumerate(target.rows)]
+    target, or of its complement when flipped."""
+    return image == (_complement_rows(target) if flipped else list(target.rows))
+
+
+_SHIFT_BAND = 1 << 14  # bytes a band of the shift kernel is cut to: about 16 KiB measured best
+
+
+@lru_cache(maxsize=None)
+def _band_swaps(k: int, per: int) -> tuple[tuple[int, int], ...]:
+    """_swap_masks(k) repeated over `per` row slots of (2^k + 8) // 8 bytes each."""
+    w = ((1 << k) + 8) // 8
+    return tuple((s, int.from_bytes(low.to_bytes(w, "little") * per, "little"))
+                 for s, low in _swap_masks(k))
+
+
+def _bands(rows, w: int, per: int):
+    """The rows packed w bytes a row, little-endian, `per` rows to an int; rows within 8w bits."""
+    for lo in range(0, len(rows), per):
+        chunk = map(int.to_bytes, rows[lo:lo + per], repeat(w), repeat("little"))
+        yield int.from_bytes(b"".join(chunk), "little")
+
+
+class ShiftTarget:
+    """A graph's rows packed into the shift kernel's bands on first use: its
+    own, and its complement's only when a complement-iso asks for them.
+    One target serves every shift checked against the same graph."""
+
+    def __init__(self, g: PaleyLikeGraph):
+        self.graph = g
+        self._packed: dict[tuple[bool, int], list[int] | None] = {}
+
+    def bands(self, flipped: bool, w: int, per: int) -> list[int] | None:
+        """The rows, or the complement's when flipped, packed as _bands packs them;
+        None when a row has a bit at or above n."""
+        if (flipped, per) not in self._packed:
+            rows = _complement_rows(self.graph) if flipped else self.graph.rows
+            wide = wide_row(rows) is not None
+            self._packed[flipped, per] = None if wide else list(_bands(rows, w, per))
+        return self._packed[flipped, per]
+
+
+def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> bool:
+    """Whether `rows`, after the vertex map x -> x + b (INF fixed), are the rows of
+    target, or of its complement when flipped; False when a row has a bit at or above n.
+
+    Source row y + b is image row y, by list indexing, and the image is
+    packed as whole rows of w = ceil(n/8) bytes into bands of about
+    _SHIFT_BAND bytes, one int each.  Each band is translated by
+    popcount(b) delta swaps with band-wide column masks (Warren, Hacker's
+    Delight, section 7-3): across bit h of b, bit 1 + u of every row slot
+    trades places with bit 1 + u + 2^h, for u with bit h clear, and INF's
+    bit 0 stays.  Every band is then compared with the target's.
+    """
+    ctx, n = target.graph.ctx, target.graph.n
+    ctx.check_elem(b)
+    if len(rows) != n:
+        return False
+    w = (n + 7) // 8
+    per = max(1, _SHIFT_BAND // w)
+    want = target.bands(flipped, w, per)
+    if want is None:
+        return False
+    finite = rows[1:]
+    image = [rows[0], *map(finite.__getitem__, map(b.__xor__, range(ctx.q)))]
+    swaps = [(s, m) for s, m in _band_swaps(ctx.k, per) if b & s]
+    try:
+        for x, band in zip(_bands(image, w, per), want):
+            for s, m in swaps:
+                t = (x >> s ^ x) & m
+                x ^= t ^ t << s
+            if x != band:  # the swaps keep the padding bits at or above n, and band's are clear
+                return False
+    except OverflowError:  # a row too wide (or negative) for its w bytes
+        return False
+    return True
 
 
 def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: ShiftIso,
@@ -77,14 +153,17 @@ def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: Shi
     """Edge-by-edge check that x -> x+b maps build(a') onto build(a),
     or onto its complement for a complement-iso.
 
-    Compares the fully relabeled adjacency structure of the source
-    against the target, so every pair is checked.  `target` may carry a
-    prebuilt graph/tournament at parameter a to avoid rebuild churn.
+    Compares the source's rows after the shift with the target's,
+    bit for bit, in packed bands (`_shift_carries`).  `target` may carry
+    the prebuilt graph/tournament at parameter a, to avoid rebuild churn,
+    or its ShiftTarget, which also keeps the packed bands for the next call.
     """
     build = build_tournament if ctx.k % 2 else build_graph
     src = build(ctx, a_prime)
     tgt = target if target is not None else build(ctx, a)
-    return _carries(translate_rows(src.rows, iso.b, ctx), tgt, iso.kind == "complement-iso")
+    if isinstance(tgt, PaleyLikeGraph):
+        tgt = ShiftTarget(tgt)
+    return _shift_carries(src.rows, iso.b, tgt, iso.kind == "complement-iso")
 
 
 def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
@@ -106,7 +185,7 @@ def verify_automorphisms(g: PaleyLikeGraph, a: ParamA) -> bool:
     perm_alpha = [vertex_index(ctx, apply(ctx, al, p))
                   for p in [INF, *range(ctx.q)]]
     return (_carries(relabel(g.rows, perm_alpha), g, False)
-            and _carries(translate_rows(g.rows, 1, ctx), g, ctx.trace(1) == 1))
+            and _shift_carries(g.rows, 1, ShiftTarget(g), ctx.trace(1) == 1))
 
 
 class CertificateFailed(AssertionError):

@@ -27,8 +27,8 @@
   the oracles of the one-pass table in `chapman_build` and of
   `verify_representative_independence`.
 - `circulant_witness` renames the rows into orbit order and takes the
-  first that is not the connection set rotated by its position, the
-  oracle of the one-pass witness in `verify_circulant`.
+  first that is too wide or not the connection set rotated by its
+  position, the oracle of the one-pass witness in `verify_circulant`.
 - `tile_transpose` transposes a bit matrix one 256 x 256 tile at a time
   with the eight delta swaps of the recursive block transpose, the
   oracle of the byte-column kernel behind `transpose` at orders where a
@@ -38,8 +38,11 @@
   `circulant_spectrum`.
 - `difference_rows` walks the difference rows R_x alone, and
   `per_row_build` translates each of them by its own x, popcount(x)
-  masked swaps a row: the oracles of the dense build, which carries the
-  translation along the walk.
+  masked swaps a row: the oracles of the dense build, which tables the
+  parameter-free half of every row once per field.
+- `translate_rows` moves each row by x -> x + b, one row at a time, the
+  oracle of the banded translate-and-compare kernel behind
+  `verify_shift_isomorphism` and `verify_automorphisms`.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against; `all_points`, `IDENTITY`,
@@ -58,7 +61,7 @@ from char2paley import (
     ParamA, codegree_formula, is_full_orbit, iter_bits, vertex_index,
 )
 from char2paley.construct import (
-    _field_words, _quotient_traces, _swap_masks, _swapped, check_cap, relabel, rotate, wide_row,
+    _field_words, _quotient_traces, _swap_masks, check_cap, check_width, relabel, rotate,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
@@ -172,21 +175,19 @@ def trace_partition(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def circulant_witness(g: PaleyLikeGraph, lab) -> int | None:
-    """The orbit position of the first v_i whose row, renamed into orbit
-    order, is not the connection set shifted by i; None when there is none.
-
-    A row with bits at or above n cannot be renamed: it is the witness
-    itself.
+    """The orbit position of the first v_i whose row has a bit at or above
+    n, or, renamed into orbit order, is not the connection set shifted by
+    i; None when there is none.  Bits at or above n are dropped for the
+    renaming.
     """
-    wide = wide_row(g.rows)
-    if wide is not None:
-        return lab.index.index(wide)
-    perm = [0] * lab.n
+    n = lab.n
+    perm = [0] * n
     for i, c in enumerate(lab.index):
         perm[c] = i
     conn = sum(1 << d for d in lab.conn)
-    return next((i for i, r in enumerate(relabel(g.rows, perm)) if r != rotate(conn, i, lab.n)),
-                None)
+    renamed = relabel([r & (1 << n) - 1 for r in g.rows], perm)
+    return next((i for i, (c, r) in enumerate(zip(lab.index, renamed))
+                 if g.rows[c] >> n or r != rotate(conn, i, n)), None)
 
 
 def tile_transpose(rows) -> list[int]:
@@ -249,7 +250,7 @@ def difference_rows(ctx: FieldCtx, a: ParamA):
     R_0 is C, with bit u = c_u = 1 + tr(a/u) (u = 0, the loop, stays
     clear), and a step of the walk across bit h of x flips M_h.
     """
-    masks = _field_words(ctx)[0]
+    masks = _field_words(ctx).masks
     r = _quotient_traces(ctx, a.value) ^ (1 << ctx.q) - 2
     yield 0, r
     for i in range(1, ctx.q):
@@ -257,15 +258,36 @@ def difference_rows(ctx: FieldCtx, a: ParamA):
         yield i ^ i >> 1, r
 
 
+def _swapped(r: int, b: int, swaps) -> int:
+    """The dense row r, with INF's bit 0 clear, with the entry of each finite point u moved
+    to u + b, one swap a set bit of b."""
+    for s, low in swaps:
+        if b & s:
+            r = (r & low) << s | (r >> s) & low
+    return r
+
+
 def per_row_build(ctx: FieldCtx, a: ParamA) -> list[int]:
     """Dense rows of the trace rule: R_x translated by x, with the INF bit 1 + tr(x)."""
     n = check_cap(ctx.k)
     swaps = _swap_masks(ctx.k)
     rows = [0] * n
-    rows[0] = _field_words(ctx)[1]
+    rows[0] = _field_words(ctx).inf_row
     for x, r in difference_rows(ctx, a):
-        rows[1 + x] = _swapped(r, x, swaps) << 1 | 1 ^ ctx.trace(x)
+        rows[1 + x] = _swapped(r << 1, x, swaps) | 1 ^ ctx.trace(x)
     return rows
+
+
+def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
+    """Rows after the vertex map x -> x + b (INF fixed), one row at a time:
+    relabel's translation case."""
+    if len(rows) != ctx.q + 1:
+        raise ValueError(f"{len(rows)} rows, want q + 1 = {ctx.q + 1}")
+    check_width(rows)
+    ctx.check_elem(b)
+    swaps = _swap_masks(ctx.k)
+    return [_swapped(r >> 1 << 1, b, swaps) | r & 1
+            for r in (rows[0], *(rows[1 + (y ^ b)] for y in range(ctx.q)))]
 
 
 def all_points(ctx: FieldCtx) -> list:

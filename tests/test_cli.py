@@ -11,7 +11,7 @@ import char2paley
 
 from char2paley import (
     FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, build_tournament, circulant_labeling,
-    iter_bits, param_a,
+    iter_bits, param_a, shift_isomorphism,
 )
 from char2paley.cli import main
 from char2paley.formats import parse_edges, point_label, write_edges
@@ -139,6 +139,25 @@ def test_certify_short_orbit_parameter_is_complete(capsys, tmp_path):
     assert checks["vertex-transitive"]["certificate"] == "cyclic automorphism of order q+1"
 
 
+@pytest.mark.parametrize("a", [None, "0x88"])
+def test_certify_k10_shift_class_is_exhaustive(capsys, a):
+    # all 512 trace-1 parameters at k = 10, at the default and at a
+    # short-orbit parameter: nothing is drawn, so the reports under --seed 1
+    # and --seed 2 differ only in the seed they echo
+    argv = ["certify", "--k", "10", *(["--a", a] if a else [])]
+    outs = []
+    for seed in ("1", "2"):
+        code, out = run(capsys, *argv, "--seed", seed)
+        assert code == 0
+        outs.append(out)
+    assert outs[0].replace('"seed": 1', '"seed": 2') == outs[1]
+    doc = json.loads(outs[0])
+    shift = next(c for c in doc["checks"] if c["name"] == "shift-isomorphism-class")
+    assert shift["pass"] is True and shift["count"] == 512
+    assert shift["evidence"] == shift["mode"] == "exhaustive"
+    assert doc["evidence"] == {"exhaustive": 9, "sampled": 0, "algebraic": 0, "skipped": 0}
+
+
 def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
     # one row bit flipped at a short-orbit parameter: the circulant check and
     # the vertex-transitivity resting on it fail, naming the first bad row
@@ -160,6 +179,35 @@ def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
     assert checks["circulant"]["witness"] == witness
     assert checks["vertex-transitive"] == {
         "name": "vertex-transitive", "pass": False, "evidence": "exhaustive", "witness": witness}
+
+
+@pytest.mark.parametrize("k, flip", [(4, (3, 5)), (8, (0, 200)), (8, (256, 0))])
+def test_certify_shift_class_names_the_failing_parameter(capsys, monkeypatch, k, flip):
+    # one bit flipped in the rows built at one a' (a finite row, INF's row,
+    # INF's column): the class fails and names that a' and its shift b
+    import char2paley.structure as structure
+    ctx = FieldCtx(k)
+    a = param_a(ctx)
+    bad = max(x for x in range(ctx.q) if ctx.trace(x) == 1)
+    real = structure.build_graph
+
+    def tampered(ctx, ap):
+        g = real(ctx, ap)
+        if ap.value != bad:
+            return g
+        rows = list(g.rows)
+        rows[flip[0]] ^= 1 << flip[1]
+        return PaleyLikeGraph(ctx, ap, g.n, tuple(rows))
+
+    monkeypatch.setattr(structure, "build_graph", tampered)
+    code, out = run(capsys, "certify", "--k", str(k))
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    b = shift_isomorphism(ctx, a, param_a(ctx, bad)).b
+    assert checks["shift-isomorphism-class"] == {
+        "name": "shift-isomorphism-class", "pass": False, "evidence": "exhaustive",
+        "witness": {"a_prime": f"{bad:#x}", "b": f"{b:#x}"}}
+    assert all(c["pass"] for name, c in checks.items() if name != "shift-isomorphism-class")
 
 
 def _one_row_wider_than_n(monkeypatch, k, i):

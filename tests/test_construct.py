@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, apply,
     FieldCtx, build_graph, build_tournament, circulant_labeling, is_full_orbit, iter_bits,
-    param_a, relabel, translate_rows, transpose, verify_circulant, vertex_index,
+    param_a, relabel, transpose, verify_circulant, vertex_index,
 )
 from char2paley import construct
 from char2paley.construct import (
@@ -15,7 +15,7 @@ from char2paley.construct import (
 )
 from oracles import (
     all_points, beta_of, circulant_witness, difference_rows, orbit_labeling, per_row_build,
-    spectrum_counts, tile_transpose, trace_partition,
+    spectrum_counts, tile_transpose, trace_partition, translate_rows,
 )
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
@@ -642,6 +642,23 @@ def test_build_matches_per_row_build(field, k, a):
     assert list(g.rows) == per_row_build(ctx, a)
 
 
+@pytest.mark.parametrize("k", [5, 6])
+def test_build_in_any_parameter_order(field, k):
+    # the field's table holds no parameter's part: every trace-1 parameter
+    # built in ascending order, and again from a cold table in a shuffled
+    # order, gives the same rows, and they are per_row_build's
+    ctx = field(k)
+    build = build_tournament if k % 2 else build_graph
+    params = [x for x in range(ctx.q) if ctx.trace(x) == 1]
+    construct._field_words.cache_clear()
+    ascending = {x: build(ctx, param_a(ctx, x)).rows for x in params}
+    construct._field_words.cache_clear()
+    random.Random(k).shuffle(params)
+    for x in params:
+        rows = build(ctx, param_a(ctx, x)).rows
+        assert rows == ascending[x] and list(rows) == per_row_build(ctx, param_a(ctx, x)), x
+
+
 @pytest.mark.parametrize("k", [8, 9])
 def test_verify_circulant_rejects_one_flipped_bit(field, k):
     # n = 257 and 513: the last byte column holds one column, above 7 padding rows
@@ -668,10 +685,11 @@ def test_verify_circulant_rejects_one_flipped_bit(field, k):
 @example(case=(4, [(3, 17)]))   # bit n of a row
 @example(case=(5, [(0, 34)]))   # bit n + 1 of INF's row
 @example(case=(8, [(200, 3), (7, 200), (256, 0)]))
+@example(case=(4, [(1, 3), (7, 17)]))  # orbit row 1 flipped, orbit row 12 (dense 7) wide: 1
 def test_verify_circulant_names_the_oracles_witness(field, case):
     # graphs at even k, tournaments at odd k, a few random bits flipped (bits
     # n and n + 1 among them): the verdict's position is the first orbit row
-    # that is not the connection set shifted by its position
+    # that is too wide or not the connection set shifted by its position
     k, flips = case
     ctx = field(k)
     a = param_a(ctx)
@@ -684,6 +702,22 @@ def test_verify_circulant_names_the_oracles_witness(field, case):
     verdict = verify_circulant(tampered, lab)
     assert verdict.position == circulant_witness(tampered, lab)
     assert bool(verdict) is (verdict.position is None)
+
+
+def test_verify_circulant_wide_row_is_one_more_failing_bit(field):
+    # k = 4: orbit row 1 fails on an edge bit and orbit row 12 has bit n; the
+    # verdict is the first failing orbit row, 1, whichever kind of failure;
+    # with the two kinds swapped, it is still 1
+    ctx = field(4)
+    a = param_a(ctx)
+    g = build_graph(ctx, a)
+    lab = circulant_labeling(ctx, a)
+    for edge, wide in ((1, 12), (12, 1)):
+        rows = list(g.rows)
+        rows[lab.index[edge]] ^= 1 << 3
+        rows[lab.index[wide]] |= 1 << g.n
+        tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+        assert verify_circulant(tampered, lab).position == 1 == circulant_witness(tampered, lab)
 
 
 def test_primitives_reject_bits_beyond_n():

@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    INF, OutOfScopeError, QuadExtCtx, ShiftIso, build_graph, build_tournament,
+    INF, FieldCtx, OutOfScopeError, QuadExtCtx, ShiftIso, build_graph, build_tournament,
     chapman_build, chapman_compare, circulant_labeling, factorize, hamiltonian_decompose,
     circulant_spectrum, lambda_of, param_a, relabel, shift_isomorphism, verify_automorphisms,
     verify_representative_independence, verify_self_complementary,
@@ -12,8 +14,11 @@ from char2paley import (
 from char2paley.construct import (
     CirculantLabeling, PaleyLikeGraph, is_circulant, iter_bits, rotate, verify_circulant,
 )
-from char2paley.structure import ChapmanGraph, _carries
-from oracles import chapman_rows_per_pair, coset_bit, representative_probes, spectrum_counts
+from char2paley import structure
+from char2paley.structure import ChapmanGraph, ShiftTarget, _carries, _shift_carries
+from oracles import (
+    chapman_rows_per_pair, coset_bit, representative_probes, spectrum_counts, translate_rows,
+)
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -93,6 +98,124 @@ def test_shift_isomorphism_rejects_flipped_bit(field, k):
             tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
             assert not verify_shift_isomorphism(ctx, a, ap, iso, target=tampered)
     assert kinds == ({"iso"} if k % 2 else {"iso", "complement-iso"})
+
+
+def _row_bytes(k):
+    """Bytes a dense row takes in the shift kernel's bands: ceil(n/8)."""
+    return ((1 << k) + 8) // 8
+
+
+@st.composite
+def shift_cases(draw):
+    """k <= 6, q+1 random rows, b, the flipped flag, a band of 1-4 rows or the
+    default, and a target: the oracle's image, or its complement when flipped,
+    with up to one bit flipped, or random rows."""
+    k = draw(st.integers(2, 6))
+    n = (1 << k) + 1
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    b = draw(st.integers(0, (1 << k) - 1))
+    flipped = draw(st.booleans())
+    band = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    image = translate_rows(rows, b, FieldCtx(k))
+    if flipped:
+        image = [(1 << n) - 1 ^ r ^ 1 << i for i, r in enumerate(image)]
+    target = draw(st.one_of(
+        st.just(image),
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+            lambda ij: [r ^ (1 << ij[1] if i == ij[0] else 0) for i, r in enumerate(image)]),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    return k, rows, b, flipped, band, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_cases())
+def test_shift_kernel_agrees_with_the_per_row_oracle(field, case):
+    # graphs' and tournaments' orders, in one band or in bands of a few rows:
+    # the packed translate-and-compare says what translating each row says
+    k, rows, b, flipped, band, target = case
+    ctx = field(k)
+    n = ctx.q + 1
+    g = PaleyLikeGraph(ctx, param_a(ctx), n, tuple(target))
+    want = _carries(translate_rows(rows, b, ctx), g, flipped)
+    size = structure._SHIFT_BAND if band is None else band * _row_bytes(k)
+    with mock.patch.object(structure, "_SHIFT_BAND", size):
+        assert _shift_carries(tuple(rows), b, ShiftTarget(g), flipped) is want
+
+
+def _tamper(rows, i, j):
+    out = list(rows)
+    out[i] ^= 1 << j
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_shift_class_across_several_bands(field, monkeypatch, k):
+    # three rows a band: k = 4-6 spans 6-22 bands; every trace-1 a' still
+    # carries, and one flipped bit in the first or last row of a band fails.
+    # The target, packed as one band first, is packed again for the smaller bands
+    ctx = field(k)
+    a = param_a(ctx)
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    n = g.n
+    target = ShiftTarget(g)
+    assert _shift_carries(g.rows, 1, target, ctx.trace(1) == 1)
+    monkeypatch.setattr(structure, "_SHIFT_BAND", 3 * _row_bytes(k))
+    for ap_val in (x for x in range(ctx.q) if ctx.trace(x) == 1):
+        ap = param_a(ctx, ap_val)
+        assert verify_shift_isomorphism(ctx, a, ap, shift_isomorphism(ctx, a, ap), target=target)
+    ap = param_a(ctx, next(x for x in range(ctx.q) if ctx.trace(x) == 1 and x != a.value))
+    iso = shift_isomorphism(ctx, a, ap)
+    src = (build_tournament if k % 2 else build_graph)(ctx, ap).rows
+    flipped = iso.kind == "complement-iso"
+    assert _shift_carries(src, iso.b, target, flipped)
+    for slot in (2, 3, 5, 6, n - 1):  # both sides of the first two band borders, and the last row
+        for j in (0, 1, n - 1):
+            tampered = ShiftTarget(PaleyLikeGraph(ctx, a, n, _tamper(g.rows, slot, j)))
+            assert not _shift_carries(src, iso.b, tampered, flipped), (slot, j)
+            source = _tamper(src, 1 + ((slot - 1) ^ iso.b), j)  # the source row of image slot
+            assert not _shift_carries(source, iso.b, target, flipped), (slot, j)
+
+
+@pytest.mark.parametrize("k", [4, 5, 8])
+def test_shift_kernel_negative_controls(field, k):
+    # one flipped bit in INF's row, INF's column, the first or the last finite
+    # row, in the source or in the target, fails (flips on the border of two
+    # bands: test_shift_class_across_several_bands)
+    ctx = field(k)
+    a = param_a(ctx)
+    build = build_tournament if k % 2 else build_graph
+    g = build(ctx, a)
+    n = g.n
+    ap = param_a(ctx, max(x for x in range(ctx.q) if ctx.trace(x) == 1))
+    iso = shift_isomorphism(ctx, a, ap)
+    src, flipped = build(ctx, ap).rows, iso.kind == "complement-iso"
+    target = ShiftTarget(g)
+    assert _shift_carries(src, iso.b, target, flipped)
+    for slot, j in ((0, 5), (0, n - 1), (7, 0), (n - 1, 0),
+                    (1, 3), (1, n - 1), (n - 1, 1), (n - 1, n - 1)):
+        tampered = ShiftTarget(PaleyLikeGraph(ctx, a, n, _tamper(g.rows, slot, j)))
+        assert not _shift_carries(src, iso.b, tampered, flipped), (slot, j)
+        row = 0 if slot == 0 else 1 + ((slot - 1) ^ iso.b)
+        assert not _shift_carries(_tamper(src, row, j), iso.b, target, flipped), (slot, j)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_shift_kernel_wide_rows_fail_without_raising(field, k):
+    # a row with a bit at or above n, in the padding of its bytes or beyond
+    # them, or a negative row, fails the check in the source or the target
+    ctx = field(k)
+    a = param_a(ctx)
+    g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    n, flipped = g.n, ctx.trace(1) == 1
+    target = ShiftTarget(g)
+    assert _shift_carries(g.rows, 1, target, flipped)
+    for i in (0, 1, n - 1):
+        for bad in (g.rows[i] | 1 << n, g.rows[i] | 1 << 8 * _row_bytes(k), -1 - g.rows[i]):
+            rows = g.rows[:i] + (bad,) + g.rows[i + 1:]
+            assert not _shift_carries(rows, 1, target, flipped), (i, bad)
+            wide = ShiftTarget(PaleyLikeGraph(ctx, a, n, rows))
+            assert not _shift_carries(g.rows, 1, wide, flipped), (i, bad)
+    assert not _shift_carries(g.rows[:-1], 1, target, flipped)  # q rows, not q + 1
 
 
 def test_automorphisms_shift_half_rejects_flipped_edge(std, monkeypatch):
