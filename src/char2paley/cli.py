@@ -385,7 +385,7 @@ def cmd_certify(args) -> int:
                lambda: _check_labeling_identities(ctx, a, lab))
     checks.run("self-complementary", "exhaustive",
                lambda: (verify_self_complementary(g, lab), None), beyond_n)
-    checks.run("automorphisms", "exhaustive", lambda: (verify_automorphisms(g, a), None),
+    checks.run("automorphisms", "exhaustive", lambda: (verify_automorphisms(g), None),
                beyond_n)
     # the certified circulant makes v_i -> v_(i+1) an automorphism of order q+1
     checks.run("vertex-transitive", "exhaustive", lambda: (circ, (

@@ -20,7 +20,6 @@ edge-by-edge verification of the map it gives.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
 from typing import NamedTuple
@@ -78,14 +77,6 @@ def _carries(image, target: PaleyLikeGraph, flipped: bool) -> bool:
 _SHIFT_BAND = 1 << 14  # bytes a band of the shift kernel is cut to: about 16 KiB measured best
 
 
-@lru_cache(maxsize=None)
-def _band_swaps(k: int, per: int) -> tuple[tuple[int, int], ...]:
-    """_swap_masks(k) repeated over `per` row slots of (2^k + 8) // 8 bytes each."""
-    w = ((1 << k) + 8) // 8
-    return tuple((s, int.from_bytes(low.to_bytes(w, "little") * per, "little"))
-                 for s, low in _swap_masks(k))
-
-
 def _bands(rows, w: int, per: int):
     """The rows packed w bytes a row, little-endian, `per` rows to an int; rows within 8w bits."""
     for lo in range(0, len(rows), per):
@@ -94,22 +85,29 @@ def _bands(rows, w: int, per: int):
 
 
 class ShiftTarget:
-    """A graph's rows packed into the shift kernel's bands on first use: its
-    own, and its complement's only when a complement-iso asks for them.
-    One target serves every shift checked against the same graph."""
+    """A graph in the shift kernel's layout, fixed when the target is built:
+    rows of w = ceil(n/8) bytes, `per` rows to a band of about _SHIFT_BAND
+    bytes, and _swap_masks(k) repeated over every row slot of a band.  Its
+    rows are packed into bands on first use: its own, and its complement's
+    only when a complement-iso asks for them.  One target serves every
+    shift checked against the same graph."""
 
     def __init__(self, g: PaleyLikeGraph):
         self.graph = g
-        self._packed: dict[tuple[bool, int], list[int] | None] = {}
+        self.w = w = (g.n + 7) // 8
+        self.per = per = max(1, _SHIFT_BAND // w)
+        self.swaps = tuple((s, int.from_bytes(low.to_bytes(w, "little") * per, "little"))
+                           for s, low in _swap_masks(g.ctx.k))
+        self._packed: dict[bool, list[int] | None] = {}
 
-    def bands(self, flipped: bool, w: int, per: int) -> list[int] | None:
+    def bands(self, flipped: bool) -> list[int] | None:
         """The rows, or the complement's when flipped, packed as _bands packs them;
         None when a row has a bit at or above n."""
-        if (flipped, per) not in self._packed:
+        if flipped not in self._packed:
             rows = _complement_rows(self.graph) if flipped else self.graph.rows
             wide = wide_row(rows) is not None
-            self._packed[flipped, per] = None if wide else list(_bands(rows, w, per))
-        return self._packed[flipped, per]
+            self._packed[flipped] = None if wide else list(_bands(rows, self.w, self.per))
+        return self._packed[flipped]
 
 
 def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> bool:
@@ -117,27 +115,25 @@ def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> bool:
     target, or of its complement when flipped; False when a row has a bit at or above n.
 
     Source row y + b is image row y, by list indexing, and the image is
-    packed as whole rows of w = ceil(n/8) bytes into bands of about
-    _SHIFT_BAND bytes, one int each.  Each band is translated by
-    popcount(b) delta swaps with band-wide column masks (Warren, Hacker's
-    Delight, section 7-3): across bit h of b, bit 1 + u of every row slot
-    trades places with bit 1 + u + 2^h, for u with bit h clear, and INF's
-    bit 0 stays.  Every band is then compared with the target's.
+    packed in the target's layout, one int a band.  Each band is
+    translated by popcount(b) delta swaps with the target's band-wide
+    column masks (Warren, Hacker's Delight, section 7-3): across bit h
+    of b, bit 1 + u of every row slot trades places with bit 1 + u + 2^h,
+    for u with bit h clear, and INF's bit 0 stays.  Every band is then
+    compared with the target's.
     """
     ctx, n = target.graph.ctx, target.graph.n
     ctx.check_elem(b)
     if len(rows) != n:
         return False
-    w = (n + 7) // 8
-    per = max(1, _SHIFT_BAND // w)
-    want = target.bands(flipped, w, per)
+    want = target.bands(flipped)
     if want is None:
         return False
     finite = rows[1:]
     image = [rows[0], *map(finite.__getitem__, map(b.__xor__, range(ctx.q)))]
-    swaps = [(s, m) for s, m in _band_swaps(ctx.k, per) if b & s]
+    swaps = [(s, m) for s, m in target.swaps if b & s]
     try:
-        for x, band in zip(_bands(image, w, per), want):
+        for x, band in zip(_bands(image, target.w, target.per), want):
             for s, m in swaps:
                 t = (x >> s ^ x) & m
                 x ^= t ^ t << s
@@ -149,21 +145,19 @@ def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> bool:
 
 
 def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: ShiftIso,
-                             target=None) -> bool:
+                             target: ShiftTarget | None = None) -> bool:
     """Edge-by-edge check that x -> x+b maps build(a') onto build(a),
     or onto its complement for a complement-iso.
 
     Compares the source's rows after the shift with the target's,
-    bit for bit, in packed bands (`_shift_carries`).  `target` may carry
-    the prebuilt graph/tournament at parameter a, to avoid rebuild churn,
-    or its ShiftTarget, which also keeps the packed bands for the next call.
+    bit for bit, in packed bands (`_shift_carries`).  `target`, the
+    ShiftTarget of the graph/tournament at parameter a, saves the
+    rebuild and keeps its packed bands for the next call.
     """
     build = build_tournament if ctx.k % 2 else build_graph
     src = build(ctx, a_prime)
-    tgt = target if target is not None else build(ctx, a)
-    if isinstance(tgt, PaleyLikeGraph):
-        tgt = ShiftTarget(tgt)
-    return _shift_carries(src.rows, iso.b, tgt, iso.kind == "complement-iso")
+    target = target or ShiftTarget(build(ctx, a))
+    return _shift_carries(src.rows, iso.b, target, iso.kind == "complement-iso")
 
 
 def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
@@ -177,11 +171,11 @@ def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool
     return _carries(relabel(g.rows, perm), g, True)
 
 
-def verify_automorphisms(g: PaleyLikeGraph, a: ParamA) -> bool:
-    """Check that z -> a/(z+1) preserves the edge set, and that z -> z+1
+def verify_automorphisms(g: PaleyLikeGraph) -> bool:
+    """Check that z -> a/(z+1), a = g.a, preserves the edge set, and that z -> z+1
     preserves it when tr(1) = 0 and reverses every arc when tr(1) = 1."""
     ctx = g.ctx
-    al = alpha_of(ctx, a.value)
+    al = alpha_of(ctx, g.a.value)
     perm_alpha = [vertex_index(ctx, apply(ctx, al, p))
                   for p in [INF, *range(ctx.q)]]
     return (_carries(relabel(g.rows, perm_alpha), g, False)
@@ -382,6 +376,6 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) 
         h_perm = [0] * n
         for i in range(n):
             h_perm[m * i % n] = lab.index[i]
-        if relabel(h.rows, h_perm) == list(g.rows):
+        if _carries(relabel(h.rows, h_perm), g, False):
             return ChapmanComparison("isomorphic-certified", m, True)
     return ChapmanComparison("consistent-uncertified", None, True)

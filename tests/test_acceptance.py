@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from math import comb, isqrt
 
 from char2paley import (
-    INF, QuadExtCtx, adjacency, build_graph, build_tournament,
+    INF, QuadExtCtx, ShiftTarget, adjacency, build_graph, build_tournament,
     circulant_labeling, chapman_build, chapman_compare, hamiltonian_decompose,
     kloosterman_sweep, lambda_of, lambda_ratio_order, param_a, shift_isomorphism,
     verify_automorphisms, verify_circulant,
@@ -163,11 +163,11 @@ def test_criterion_09_selfcomp_and_automorphisms(std, field):
         for k in (2, 4, 6, 8):
             ctx, a, g, lab = std(k)
             assert verify_self_complementary(g, lab)
-            assert verify_automorphisms(g, a)
+            assert verify_automorphisms(g)
         for k in (3, 5, 7):  # tr(1) = 1: z -> z+1 reverses every arc
             ctx = field(k)
             a = param_a(ctx)
-            assert verify_automorphisms(build_tournament(ctx, a), a)
+            assert verify_automorphisms(build_tournament(ctx, a))
 
 
 def test_criterion_10_isomorphism_class_independence(std):
@@ -176,10 +176,11 @@ def test_criterion_10_isomorphism_class_independence(std):
         t1 = [x for x in range(ctx.q) if ctx.trace(x) == 1]
         assert len(t1) == 8
         kinds = set()
+        target = ShiftTarget(g)
         for ap_val in t1:
             ap = param_a(ctx, ap_val)
             iso = shift_isomorphism(ctx, a, ap)
-            assert verify_shift_isomorphism(ctx, a, ap, iso, target=g)
+            assert verify_shift_isomorphism(ctx, a, ap, iso, target=target)
             kinds.add(iso.kind)
         assert kinds == {"iso", "complement-iso"}
 

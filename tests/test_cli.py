@@ -275,11 +275,6 @@ def test_certify_rejects_trace0_a(capsys):
     assert code == 2
 
 
-def test_certify_rejects_odd_k(capsys):
-    code, _ = run(capsys, "certify", "--k", "3")
-    assert code == 2
-
-
 @pytest.mark.parametrize("command, k, what", [
     ("certify", "3", "certify"),
     ("analyze", "17", "analyze"),
@@ -539,11 +534,6 @@ def test_chapman_short_orbit_parameter_certified(capsys):
     assert code == 0
     iso = next(c for c in json.loads(out)["checks"] if c["name"] == "isomorphic")
     assert iso["verdict"] == "isomorphic-certified"
-
-
-def test_chapman_rejects_odd_k(capsys):
-    code, _ = run(capsys, "chapman", "--k", "3")
-    assert code == 2
 
 
 def test_chapman_k10_out_of_scope(capsys):
@@ -943,12 +933,6 @@ def test_analyze_k18_report(capsys):
     for name in ("circulant", "codegree-formula-vs-direct"):
         assert checks[name].get("skipped") is True, name
     assert doc["evidence"] == {"exhaustive": 2, "sampled": 0, "algebraic": 2, "skipped": 2}
-
-
-def test_analyze_rejects_odd_k(capsys):
-    # above k = 16 too, where the cap that used to answer first is gone
-    code, _ = run(capsys, "analyze", "--k", "17")
-    assert code == 2
 
 
 def test_build_poly_override(capsys):

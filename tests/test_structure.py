@@ -86,16 +86,17 @@ def test_shift_isomorphism_rejects_flipped_bit(field, k):
     ctx = field(k)
     a = param_a(ctx)
     g = (build_tournament if k % 2 else build_graph)(ctx, a)
+    target = ShiftTarget(g)
     kinds = set()
     for ap_val in [x for x in range(ctx.q) if ctx.trace(x) == 1][:6]:
         ap = param_a(ctx, ap_val)
         iso = shift_isomorphism(ctx, a, ap)
         kinds.add(iso.kind)
-        assert verify_shift_isomorphism(ctx, a, ap, iso, target=g)
+        assert verify_shift_isomorphism(ctx, a, ap, iso, target=target)
         for i, j in ((0, 1), (3, g.n - 1), (g.n - 1, 2)):
             rows = list(g.rows)
             rows[i] ^= 1 << j
-            tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+            tampered = ShiftTarget(PaleyLikeGraph(ctx, a, g.n, tuple(rows)))
             assert not verify_shift_isomorphism(ctx, a, ap, iso, target=tampered)
     assert kinds == ({"iso"} if k % 2 else {"iso", "complement-iso"})
 
@@ -152,14 +153,15 @@ def _tamper(rows, i, j):
 def test_shift_class_across_several_bands(field, monkeypatch, k):
     # three rows a band: k = 4-6 spans 6-22 bands; every trace-1 a' still
     # carries, and one flipped bit in the first or last row of a band fails.
-    # The target, packed as one band first, is packed again for the smaller bands
+    # A target takes its band size when it is built
     ctx = field(k)
     a = param_a(ctx)
     g = (build_tournament if k % 2 else build_graph)(ctx, a)
     n = g.n
-    target = ShiftTarget(g)
-    assert _shift_carries(g.rows, 1, target, ctx.trace(1) == 1)
     monkeypatch.setattr(structure, "_SHIFT_BAND", 3 * _row_bytes(k))
+    target = ShiftTarget(g)
+    assert target.per == 3
+    assert _shift_carries(g.rows, 1, target, ctx.trace(1) == 1)
     for ap_val in (x for x in range(ctx.q) if ctx.trace(x) == 1):
         ap = param_a(ctx, ap_val)
         assert verify_shift_isomorphism(ctx, a, ap, shift_isomorphism(ctx, a, ap), target=target)
@@ -223,11 +225,11 @@ def test_automorphisms_shift_half_rejects_flipped_edge(std, monkeypatch):
     import char2paley.structure as structure
     ctx, a, g, _ = std(4)
     monkeypatch.setattr(structure, "relabel", lambda rows, perm: list(rows))
-    assert verify_automorphisms(g, a)
+    assert verify_automorphisms(g)
     rows = list(g.rows)
     rows[0] ^= 0b10  # the pair {INF, 0}; z -> z+1 sends it to {INF, 1}
     rows[1] ^= 0b1
-    assert not verify_automorphisms(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), a)
+    assert not verify_automorphisms(PaleyLikeGraph(ctx, a, g.n, tuple(rows)))
 
 
 def test_shift_iso_rejects_bad_trace(field):
@@ -262,8 +264,8 @@ def test_self_complementary_negative_control(std):
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_automorphisms(std, k):
-    ctx, a, g, _ = std(k)
-    assert verify_automorphisms(g, a)
+    _, _, g, _ = std(k)
+    assert verify_automorphisms(g)
 
 
 def test_automorphism_negative_control(std):
@@ -299,7 +301,7 @@ def test_tournament_reversal(field, k):
     # tr(1) = 1 at odd k, so the automorphism certificate asks z -> z+1 to reverse every arc
     ctx = field(k)
     a = param_a(ctx)
-    assert verify_automorphisms(build_tournament(ctx, a), a)
+    assert verify_automorphisms(build_tournament(ctx, a))
     # the same reversal seen as a complement-iso of the tournament onto itself
     assert verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "complement-iso"))
     assert not verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "iso"))
@@ -319,10 +321,10 @@ def test_tournament_reversal_negative_control(field, k, monkeypatch):
     turned[j] ^= 1
     doubled[j] ^= 1
     bad = [PaleyLikeGraph(ctx, a, t.n, tuple(rows)) for rows in (turned, doubled)]
-    assert not any(verify_automorphisms(g, a) for g in bad)
+    assert not any(verify_automorphisms(g) for g in bad)
     monkeypatch.setattr(structure, "relabel", lambda rows, perm: list(rows))
-    assert verify_automorphisms(t, a)
-    assert not any(verify_automorphisms(g, a) for g in bad)
+    assert verify_automorphisms(t)
+    assert not any(verify_automorphisms(g) for g in bad)
 
 
 # -- Hamiltonian decomposition ----------------------------------------------
