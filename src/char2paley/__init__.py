@@ -18,9 +18,9 @@ from .analyze import (
     jumbledness_certificate, kloosterman_sweep, kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
-    MATRIX_CAP, CirculantLabeling, Circulance, OutOfScopeError, PaleyLikeGraph, ParamA,
-    adjacency, build_graph, build_tournament, circulant_labeling, iter_bits,
-    param_a, relabel, transpose, unpaired_distance, verify_circulant,
+    MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA, RowVerdict,
+    adjacency, build_graph, build_tournament, circulant_labeling, first_failing_row,
+    iter_bits, param_a, unpaired_distance, verify_circulant, verify_vertex_map,
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (

@@ -28,15 +28,15 @@ from .analyze import (
     kloosterman_value_set, weil_bound_holds,
 )
 from .construct import (
-    MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap,
-    circulant_labeling, param_a, transpose, unpaired_distance, verify_circulant, wide_row,
+    MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap, circulant_labeling,
+    first_failing_row, param_a, unpaired_distance, verify_circulant, wide_row,
 )
 from .formats import (
     Export, point_label, write_decomposition, write_dimacs, write_edges,
     write_json_graph, write_matrix,
 )
 from .gf2k import K_MAX, FieldCtx
-from .mobius import INF, QuadExtCtx, lambda_of
+from .mobius import INF, QuadExtCtx, lambda_of, point_of_index
 from .structure import (
     CertificateFailed, ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose,
     shift_isomorphism, verify_automorphisms, verify_representative_independence,
@@ -297,7 +297,8 @@ def cmd_build(args) -> int:
 # certify
 
 
-def _check_regularity(g, wide):
+def _check_regularity(g):
+    wide = wide_row(g.rows)
     if wide is not None:  # the row reaches past the last vertex: name it and its highest bit
         return False, {"witness": {"vertex": wide, "bit": g.rows[wide].bit_length() - 1, "n": g.n}}
     want = g.ctx.q // 2
@@ -308,12 +309,14 @@ def _check_regularity(g, wide):
 
 
 def _check_symmetry(g):
-    trans = transpose(g.rows)
-    if trans != list(g.rows):
-        bad = next(i for i in range(g.n) if trans[i] != g.rows[i])
-        j = (trans[bad] ^ g.rows[bad]).bit_length() - 1
-        return False, {"witness": {"pair": [bad, j]}}
-    return True, None
+    """The rows are their own columns: the first failing row i is paired with the
+    highest bit where row i and column i differ."""
+    verdict = first_failing_row(g.rows, g.rows)
+    if verdict:
+        return True, None
+    i = verdict.position
+    col = sum((r >> i & 1) << c for c, r in enumerate(g.rows))
+    return False, {"witness": {"pair": [i, (col ^ g.rows[i]).bit_length() - 1]}}
 
 
 def _check_no_loops(g):
@@ -371,22 +374,22 @@ def cmd_certify(args) -> int:
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
     checks = _Checks()
-    wide = wide_row(g.rows)
-    # transposing or relabelling the rows needs every row within n columns
-    beyond_n = None if wide is None else f"row {wide} has bits at or above n = {g.n}"
-
-    checks.run("regularity", "exhaustive", lambda: _check_regularity(g, wide))
-    checks.run("symmetry", "exhaustive", lambda: _check_symmetry(g), beyond_n)
+    checks.run("regularity", "exhaustive", lambda: _check_regularity(g))
+    checks.run("symmetry", "exhaustive", lambda: _check_symmetry(g))
     checks.run("no-loops", "exhaustive", lambda: _check_no_loops(g))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
     # the verdict, which vertex-transitive restates
     circ = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
     checks.run("labeling-identities", "exhaustive",
                lambda: _check_labeling_identities(ctx, a, lab))
-    checks.run("self-complementary", "exhaustive",
-               lambda: (verify_self_complementary(g, lab), None), beyond_n)
-    checks.run("automorphisms", "exhaustive", lambda: (verify_automorphisms(g), None),
-               beyond_n)
+
+    def self_complementary():
+        verdict = verify_self_complementary(g, lab)
+        return verdict, None if verdict else {
+            "witness": {"vertex": point_label(point_of_index(ctx, verdict.position))}}
+
+    checks.run("self-complementary", "exhaustive", self_complementary)
+    checks.run("automorphisms", "exhaustive", lambda: (verify_automorphisms(g), None))
     # the certified circulant makes v_i -> v_(i+1) an automorphism of order q+1
     checks.run("vertex-transitive", "exhaustive", lambda: (circ, (
         {"certificate": "cyclic automorphism of order q+1"} if circ else
@@ -407,7 +410,7 @@ def cmd_certify(args) -> int:
                 return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}"}}
         return True, {"mode": mode, "count": len(t1)}
 
-    checks.run("shift-isomorphism-class", mode, shift_class, beyond_n)
+    checks.run("shift-isomorphism-class", mode, shift_class)
     _emit(args, _report(args, ctx, a, "certify", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 

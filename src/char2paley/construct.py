@@ -222,10 +222,11 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Bit and permutation primitives.  Permutations and transposes of a whole
-# matrix go through one transpose kernel (_transposed), one byte column of
-# the rows per big int; translations x -> x + b are a few masked swaps
-# (_swap_masks) of a row, or of a band of rows (structure._shift_carries).
+# Bit and permutation primitives.  Every whole-matrix comparison is one
+# column pass (first_failing_row) over one transpose kernel (_transposed),
+# one byte column of the rows per big int; translations x -> x + b are a few
+# masked swaps (_swap_masks) of a row, or of a band of rows
+# (structure._shift_carries).
 
 # bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
 # of x is set: the selectors for itertools.compress
@@ -293,25 +294,51 @@ def _transposed(rows):
                 yield int.from_bytes(out[c::8], "little")
 
 
-def transpose(rows) -> list[int]:
-    """Rows of the transposed matrix: bit i of row j is bit j of row i."""
-    check_width(rows)
-    return list(_transposed(rows))
+class RowVerdict(NamedTuple):
+    """The verdict of a whole-matrix comparison: the first failing row, or None."""
+
+    position: int | None
+
+    def __bool__(self) -> bool:
+        return self.position is None
 
 
-def relabel(rows, perm) -> list[int]:
-    """Rows after renaming vertex i to perm[i], for a permutation perm of range(n).
+def first_failing_row(rows, columns) -> RowVerdict:
+    """The first of n rows that disagrees with `columns`, column c's expected bits (bit i the entry (i, c)).
 
-    Reorder, transpose, reorder, transpose: with src the inverse of perm,
-    bit j of new row i is bit src[j] of old row src[i].
+    The rows are transposed once.  Bit i of a column's difference fails
+    row i, so the first failing row is the lowest bit of the OR of each
+    column's lowest differing bit.  A row with bits at or above n (which
+    the transpose ignores) fails too: its position is one more bit of the
+    same OR.
     """
-    if sorted(perm) != list(range(len(rows))):
-        raise ValueError(f"perm is not a permutation of range({len(rows)})")
-    src = [0] * len(perm)
+    n = len(rows)
+    failing = sum(1 << i for i, r in enumerate(rows) if r >> n)
+    for col, want in zip(_transposed(rows), columns):
+        diff = col ^ want
+        failing |= diff & -diff
+    return RowVerdict((failing & -failing).bit_length() - 1 if failing else None)
+
+
+def verify_vertex_map(rows, perm, target, flipped: bool) -> RowVerdict:
+    """Whether i -> perm[i], a permutation of range(n), carries these n rows onto
+    `target`, or onto its complement when flipped (a tournament's complement is
+    its reversal): the first target vertex whose image row differs, or None.
+
+    Image row perm[i] is row i, and its columns are held to the target's,
+    renamed by the map: image column c (source column c) is target column
+    perm[c], complemented off the diagonal when flipped.  A target row with
+    bits at or above n is folded into its image row, so it fails there too.
+    """
+    n = len(rows)
+    if sorted(perm) != list(range(n)) or len(target) != n:
+        raise ValueError(f"perm is not a permutation of range({n}), or the target has not {n} rows")
+    image = [0] * n
     for i, p in enumerate(perm):
-        src[p] = i
-    cols = transpose([rows[i] for i in src])
-    return list(_transposed([cols[i] for i in src]))
+        image[p] = rows[i] | target[p] >> n << n
+    cols = list(_transposed(target))
+    full = (1 << n) - 1 if flipped else 0
+    return first_failing_row(image, (full ^ cols[p] ^ flipped << p for p in perm))
 
 
 @lru_cache(maxsize=None)
@@ -325,17 +352,6 @@ def _swap_masks(k: int) -> tuple[tuple[int, int], ...]:
     q = 1 << k
     return tuple((s, ((1 << s) - 1) * (((1 << q) - 1) // ((1 << 2 * s) - 1)) << 1)
                  for s in (1 << h for h in range(k)))
-
-
-def rotate(mask: int, i: int, n: int) -> int:
-    """mask as an n-bit word rotated by i: bit d moves to (d + i) mod n."""
-    i %= n
-    return (mask << i | mask >> (n - i)) & ((1 << n) - 1)
-
-
-def is_circulant(rows, conn_mask: int, n: int) -> bool:
-    """Whether row i is conn_mask rotated by i, for rows in circulant order."""
-    return all(r == rotate(conn_mask, i, n) for i, r in enumerate(rows))
 
 
 def unpaired_distance(conn: frozenset[int], n: int) -> int | None:
@@ -430,26 +446,14 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     return CirculantLabeling(a, b, tuple(verts), frozenset(compress(count(1), near)))
 
 
-class Circulance(NamedTuple):
-    """The verdict of verify_circulant: the first failing orbit position, or None."""
-
-    position: int | None
-
-    def __bool__(self) -> bool:
-        return self.position is None
-
-
-def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> Circulance:
+def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> RowVerdict:
     """Certify edge(v_i, v_j) <=> (j - i) mod n in conn against the matrix.
 
-    The rows, put into orbit order, are transposed, so the column of
-    vertex v_j becomes a row whose bit i is the entry (v_i, v_j): the
-    mask of -conn rotated by j.  Every entry is compared once, with no
-    symmetry assumed.  Bit i of a column's difference fails orbit row i, so
-    the first failing row is the lowest bit of the OR of each column's
-    lowest differing bit.  A row with bits at or above n (which the
-    transpose ignores) fails too: its orbit position is one more bit of
-    the same OR.
+    The rows, put into orbit order, go through one column pass
+    (`first_failing_row`): the column of vertex v_j, bit i the entry
+    (v_i, v_j), should be the mask of -conn rotated by j.  Every entry is
+    compared once, with no symmetry assumed, and the verdict names the
+    first failing orbit position.
     """
     lab.check_graph(g)
     n = g.n
@@ -458,8 +462,4 @@ def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> Circulance:
         where[c] = i
     neg_mask = sum(1 << -d % n for d in lab.conn)
     doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - i & full: neg_mask rotated by i
-    failing = sum(1 << where[c] for c, r in enumerate(g.rows) if r >> n)
-    for c, col in enumerate(_transposed([g.rows[c] for c in lab.index])):
-        diff = col ^ doubled >> n - where[c] & full
-        failing |= diff & -diff
-    return Circulance((failing & -failing).bit_length() - 1 if failing else None)
+    return first_failing_row([g.rows[c] for c in lab.index], (doubled >> n - i & full for i in where))

@@ -7,9 +7,10 @@ circulant labeling exchanges the graph with its complement, and the
 automorphism certificates hold at both parities (z -> z+1 reverses
 every arc when tr(1) = 1).  Each of these checks one rule: the rows
 after a vertex map are the graph's, or its complement's (a tournament's
-complement is its reversal).  The distance classes of the connection
-set decompose the edge set into Hamiltonian cycles whenever the order
-q+1 is prime.
+complement is its reversal), by one column pass (`verify_vertex_map`),
+or for x -> x + b by masked swaps of packed bands (`_shift_carries`).
+The distance classes of the connection set decompose the edge set into
+Hamiltonian cycles whenever the order q+1 is prime.
 
 The coset construction over GF(q^2) gives an independent build of the
 same isomorphism class, from one pass over the powers of a primitive
@@ -26,9 +27,9 @@ from typing import NamedTuple
 
 from .analyze import circulant_spectrum
 from .construct import (
-    CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, _swap_masks,
-    build_graph, build_tournament, is_circulant, iter_bits, relabel,
-    unpaired_distance, verify_circulant, wide_row,
+    CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, RowVerdict, _swap_masks,
+    build_graph, build_tournament, iter_bits, unpaired_distance, verify_circulant,
+    verify_vertex_map, wide_row,
 )
 from .gf2k import FieldCtx, factorize
 from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
@@ -66,12 +67,6 @@ def _complement_rows(g: PaleyLikeGraph) -> list[int]:
     """The rows of g's complement (a tournament's complement is its reversal)."""
     full = (1 << g.n) - 1
     return [full ^ r ^ (1 << i) for i, r in enumerate(g.rows)]
-
-
-def _carries(image, target: PaleyLikeGraph, flipped: bool) -> bool:
-    """Whether `image`, a graph's rows after a vertex map, are the rows of
-    target, or of its complement when flipped."""
-    return image == (_complement_rows(target) if flipped else list(target.rows))
 
 
 _SHIFT_BAND = 1 << 14  # bytes a band of the shift kernel is cut to: about 16 KiB measured best
@@ -160,15 +155,16 @@ def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: Shi
     return _shift_carries(src.rows, iso.b, target, iso.kind == "complement-iso")
 
 
-def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> bool:
-    """Certify that v_i -> v_2i maps every edge to a non-edge and back."""
+def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> RowVerdict:
+    """Certify that v_i -> v_2i maps every edge to a non-edge and back; the
+    verdict names the first dense vertex whose image row is not its complement row."""
     lab.check_graph(g)
     n = g.n
     idx = lab.index
     perm = [0] * n
     for i in range(n):
         perm[idx[i]] = idx[2 * i % n]
-    return _carries(relabel(g.rows, perm), g, True)
+    return verify_vertex_map(g.rows, perm, g.rows, True)
 
 
 def verify_automorphisms(g: PaleyLikeGraph) -> bool:
@@ -178,7 +174,7 @@ def verify_automorphisms(g: PaleyLikeGraph) -> bool:
     al = alpha_of(ctx, g.a.value)
     perm_alpha = [vertex_index(ctx, apply(ctx, al, p))
                   for p in [INF, *range(ctx.q)]]
-    return (_carries(relabel(g.rows, perm_alpha), g, False)
+    return (bool(verify_vertex_map(g.rows, perm_alpha, g.rows, False))
             and _shift_carries(g.rows, 1, ShiftTarget(g), ctx.trace(1) == 1))
 
 
@@ -305,7 +301,8 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
             elif bit == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    certified = not undefined and is_circulant(rows, rows[0], n)
+    # rows in circulant order are circulant exactly when i -> i + 1 is an automorphism
+    certified = not undefined and bool(verify_vertex_map(rows, [*range(1, n), 0], rows, False))
     return ChapmanGraph(ext, lam, tuple(reps), table, tuple(rows),
                         frozenset(iter_bits(rows[0])), tuple(undefined), certified)
 
@@ -352,11 +349,11 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) 
 
     Both must be certified circulants of order n = q+1: h by
     `circulant_certified` (ValueError otherwise), g against lab by
-    `verify_circulant` (CertificateFailed otherwise).  Their codegree spectra
-    are then read off the two connection sets.  A unit m of Z_n with
+    `verify_circulant` (CertificateFailed otherwise).  A unit m of Z_n with
     m * conn(G) = conn(H) gives the map v_i -> w_(m i), which is then
-    verified edge by edge.  When no unit passes, only the invariant
-    comparison (codegree spectra) is reported.
+    verified edge by edge; isomorphic graphs have equal codegree spectra.
+    Only when no unit passes are the spectra read off the two connection
+    sets and compared, the invariant comparison that is then reported.
     """
     if h.ext.base != g.ctx:
         raise ValueError("the two graphs live over different base fields")
@@ -366,9 +363,6 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) 
     if not verdict:
         raise CertificateFailed("circulant", verdict.position)
     n = g.n
-    spectra_match = circulant_spectrum(h.n, h.conn).counts == circulant_spectrum(n, lab.conn).counts
-    if not spectra_match:
-        return ChapmanComparison("not-isomorphic", None, False)
     for m in range(1, n):
         if gcd(m, n) != 1 or {m * d % n for d in lab.conn} != h.conn:
             continue
@@ -376,6 +370,8 @@ def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) 
         h_perm = [0] * n
         for i in range(n):
             h_perm[m * i % n] = lab.index[i]
-        if _carries(relabel(h.rows, h_perm), g, False):
+        if verify_vertex_map(h.rows, h_perm, g.rows, False):
             return ChapmanComparison("isomorphic-certified", m, True)
+    if circulant_spectrum(h.n, h.conn).counts != circulant_spectrum(n, lab.conn).counts:
+        return ChapmanComparison("not-isomorphic", None, False)
     return ChapmanComparison("consistent-uncertified", None, True)

@@ -31,8 +31,16 @@
   position, the oracle of the one-pass witness in `verify_circulant`.
 - `tile_transpose` transposes a bit matrix one 256 x 256 tile at a time
   with the eight delta swaps of the recursive block transpose, the
-  oracle of the byte-column kernel behind `transpose` at orders where a
+  oracle of the byte-column kernel `_transposed` at orders where a
   per-bit transpose is too slow.
+- `transpose`, `relabel`, `complement` and `carries` rename a whole
+  matrix by two transposes and compare it list against list, and
+  `rotate` and `is_circulant` build each row of a circulant and compare
+  it: the routes the package took before every whole-matrix comparison
+  became one column pass, and the oracles of `first_failing_row` and
+  `verify_vertex_map` (and, through `circulant_witness` and
+  `doubling_witness`, of the witnesses of `verify_circulant` and
+  `verify_self_complementary`).
 - `int_self_convolution` squares one binary int of w-byte slots, the
   oracle of the decimal square behind `kloosterman_sweep` and
   `circulant_spectrum`.
@@ -61,7 +69,7 @@ from char2paley import (
     ParamA, codegree_formula, is_full_orbit, iter_bits, vertex_index,
 )
 from char2paley.construct import (
-    _field_words, _quotient_traces, _swap_masks, check_cap, check_width, relabel, rotate,
+    _field_words, _quotient_traces, _swap_masks, _transposed, check_cap, check_width,
 )
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
@@ -172,6 +180,60 @@ def trace_partition(ctx: FieldCtx) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for x in range(ctx.q):
         (t1 if ctx.trace(x) else t0).append(x)
     return tuple(t0), tuple(t1)
+
+
+def transpose(rows) -> list[int]:
+    """Rows of the transposed matrix: bit i of row j is bit j of row i."""
+    check_width(rows)
+    return list(_transposed(rows))
+
+
+def relabel(rows, perm) -> list[int]:
+    """Rows after renaming vertex i to perm[i], for a permutation perm of range(n).
+
+    Reorder, transpose, reorder, transpose: with src the inverse of perm,
+    bit j of new row i is bit src[j] of old row src[i].
+    """
+    if sorted(perm) != list(range(len(rows))):
+        raise ValueError(f"perm is not a permutation of range({len(rows)})")
+    src = [0] * len(perm)
+    for i, p in enumerate(perm):
+        src[p] = i
+    cols = transpose([rows[i] for i in src])
+    return list(_transposed([cols[i] for i in src]))
+
+
+def complement(rows) -> list[int]:
+    """The complement's rows (a tournament's complement is its reversal)."""
+    full = (1 << len(rows)) - 1
+    return [full ^ r ^ 1 << i for i, r in enumerate(rows)]
+
+
+def carries(image, target, flipped: bool) -> bool:
+    """Whether `image`, rows after a vertex map, are the rows `target`, or its
+    complement's when flipped."""
+    return list(image) == (complement(target) if flipped else list(target))
+
+
+def doubling_witness(rows, lab) -> int | None:
+    """The first row of the image of v_i -> v_2i, by relabel, that is not the
+    complement's row; None when there is none."""
+    perm = [0] * lab.n
+    for i, c in enumerate(lab.index):
+        perm[c] = lab.index[2 * i % lab.n]
+    image, want = relabel(rows, perm), complement(rows)
+    return next((i for i in range(lab.n) if image[i] != want[i]), None)
+
+
+def rotate(mask: int, i: int, n: int) -> int:
+    """mask as an n-bit word rotated by i: bit d moves to (d + i) mod n."""
+    i %= n
+    return (mask << i | mask >> (n - i)) & ((1 << n) - 1)
+
+
+def is_circulant(rows, conn_mask: int, n: int) -> bool:
+    """Whether row i is conn_mask rotated by i, for rows in circulant order."""
+    return all(r == rotate(conn_mask, i, n) for i, r in enumerate(rows))
 
 
 def circulant_witness(g: PaleyLikeGraph, lab) -> int | None:

@@ -12,10 +12,9 @@ from char2paley import (
     verify_circulant, weil_bound_holds,
 )
 from char2paley.analyze import _cyclic_self_convolution
-from char2paley.construct import rotate
 from oracles import (
     all_points, codegree_direct, int_self_convolution, jumbledness_audit, kloosterman,
-    kloosterman_sum, pair_codegree_formula, spectrum_counts,
+    kloosterman_sum, pair_codegree_formula, rotate, spectrum_counts,
 )
 
 

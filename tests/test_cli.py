@@ -15,6 +15,8 @@ from char2paley import (
 )
 from char2paley.cli import main
 from char2paley.formats import parse_edges, point_label, write_edges
+from char2paley.mobius import point_of_index
+from oracles import doubling_witness
 
 
 def run(capsys, *argv):
@@ -226,12 +228,12 @@ def _one_row_wider_than_n(monkeypatch, k, i):
 def test_certify_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
     # a row reaching past vertex n - 1 is a failed certificate (exit 1), not a
     # configuration error: regularity names it, circulant places it in orbit
-    # order, and the checks that relabel the rows are skipped
+    # order, and every check that compares whole matrices fails on it
     lab = _one_row_wider_than_n(monkeypatch, 6, 5)
     code, out = run(capsys, "certify", "--k", "6")
     assert code == 1
     doc = json.loads(out)
-    assert doc["pass"] is False and doc["complete"] is False
+    assert doc["pass"] is False and doc["complete"] is True
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["regularity"]["pass"] is False
     assert checks["regularity"]["witness"] == {"vertex": 5, "bit": 65, "n": 65}
@@ -240,8 +242,9 @@ def test_certify_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
     assert checks["circulant"]["witness"] == {"vertex": "0x4", "orbit_position": i}
     assert checks["vertex-transitive"]["witness"] == checks["circulant"]["witness"]
     for name in ("symmetry", "self-complementary", "automorphisms", "shift-isomorphism-class"):
-        assert checks[name]["skipped"] is True
-        assert checks[name]["reason"] == "row 5 has bits at or above n = 65"
+        assert checks[name]["pass"] is False and "skipped" not in checks[name]
+    assert checks["symmetry"]["witness"] == {"pair": [5, 65]}
+    assert checks["self-complementary"]["witness"] == {"vertex": "0x4"}
     assert checks["no-loops"]["pass"] is True
 
 
@@ -963,6 +966,36 @@ def test_certify_symmetry_witness(capsys, monkeypatch):
     sym = next(c for c in json.loads(out)["checks"] if c["name"] == "symmetry")
     assert sym["pass"] is False
     assert sym["witness"] == {"pair": [0, j]}
+
+
+def test_certify_self_complementary_witness(capsys, monkeypatch):
+    # the edge {1, 5} flipped: v_i -> v_2i fails, and the check names the first
+    # row of the image that is not the complement's, by the relabel oracle
+    _flip_edge_1_5(monkeypatch)
+    code, out = run(capsys, "certify", "--k", "4")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    ctx = FieldCtx(4)
+    lab = circulant_labeling(ctx, param_a(ctx))
+    rows = list(build_graph(ctx, param_a(ctx)).rows)
+    rows[1] ^= 1 << 5
+    rows[5] ^= 1 << 1
+    first = doubling_witness(rows, lab)
+    assert checks["self-complementary"]["pass"] is False
+    assert checks["self-complementary"]["witness"] == {"vertex": point_label(point_of_index(ctx, first))}
+
+
+def test_passing_chapman_loads_no_decimal(tmp_path):
+    # the spectra are read only when no multiplier verifies an isomorphism
+    code = ("import sys, char2paley.cli as cli; "
+            f"assert cli.main(['chapman', '--k', '4', '-o', {str(tmp_path / 'c.json')!r}]) == 0; "
+            "print('decimal' in sys.modules)")
+    src = str(Path(char2paley.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_output_in_missing_directory_is_io_error(capsys, tmp_path):

@@ -6,16 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, apply,
-    FieldCtx, build_graph, build_tournament, circulant_labeling, is_full_orbit, iter_bits,
-    param_a, relabel, transpose, verify_circulant, vertex_index,
+    FieldCtx, build_graph, build_tournament, circulant_labeling, first_failing_row,
+    is_full_orbit, iter_bits, param_a, verify_circulant, verify_vertex_map, vertex_index,
 )
 from char2paley import construct
-from char2paley.construct import (
-    CirculantLabeling, PaleyLikeGraph, _transposed, is_circulant, rotate,
-)
+from char2paley.construct import CirculantLabeling, PaleyLikeGraph, _transposed
 from oracles import (
-    all_points, beta_of, circulant_witness, difference_rows, orbit_labeling, per_row_build,
-    spectrum_counts, tile_transpose, trace_partition, translate_rows,
+    all_points, beta_of, carries, circulant_witness, complement, difference_rows,
+    is_circulant, orbit_labeling, per_row_build, relabel, rotate, spectrum_counts,
+    tile_transpose, trace_partition, translate_rows, transpose,
 )
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
@@ -453,6 +452,51 @@ def test_primitives_match_per_bit_definitions(case):
                 flipped[j] |= 1 << i
     assert relabel(rows, perm) == moved
     assert transpose(rows) == flipped
+    # the column pass holds the rows to their own columns, and the map to its image
+    assert first_failing_row(rows, flipped)
+    assert verify_vertex_map(rows, perm, moved, False)
+
+
+@st.composite
+def vertex_map_cases(draw):
+    """Rows of order 2^k + 1 (k = 2-6), a permutation and a flip, and a target: the
+    rows' image (or the complement of that image when flipped), the same with one
+    bit off, or random rows.  A source row and a target row may reach past n."""
+    k = draw(st.integers(2, 6))
+    n = (1 << k) + 1
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    perm = draw(st.permutations(range(n)))
+    flipped = draw(st.booleans())
+    kind = draw(st.sampled_from(["image", "one-off", "random"]))
+    if kind == "random":
+        target = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    else:
+        image = relabel(rows, perm)
+        target = complement(image) if flipped else image
+    if kind == "one-off":
+        target[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n - 1))
+    for side in (rows, target):
+        i = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        if i is not None:
+            side[i] |= 1 << draw(st.integers(n, n + 9))
+    return rows, perm, flipped, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_map_cases())
+def test_vertex_map_pass_matches_relabel_and_carries(case):
+    # the position is the first image row that is too wide, or that differs from
+    # the target's (its complement's when flipped) once wide bits are dropped
+    rows, perm, flipped, target = case
+    n = len(rows)
+    image = relabel([r & (1 << n) - 1 for r in rows], perm)
+    want = complement(target) if flipped else target
+    wide = {p for p, r in zip(perm, rows) if r >> n}
+    first = next((i for i in range(n) if i in wide or image[i] != want[i]), None)
+    verdict = verify_vertex_map(rows, perm, target, flipped)
+    assert verdict.position == first
+    if not wide:
+        assert bool(verdict) is carries(image, target, flipped)
 
 
 @st.composite
@@ -500,7 +544,7 @@ def test_transpose_across_column_blocks():
     n = 600
     rows = [rng.getrandbits(n) for _ in range(n)]
     want = [sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n)]
-    assert transpose(rows) == want
+    assert list(_transposed(rows)) == want
 
 
 def _per_bit_transpose(rows):
@@ -523,7 +567,7 @@ def tiled_rows(draw):
 def test_transpose_kernel_matches_per_bit_transpose(case):
     n, rows, rng = case
     want = _per_bit_transpose(rows)
-    assert transpose(rows) == want
+    assert list(_transposed(rows)) == want
     # rows may carry bits at or above column n in the last tile: the kernel ignores them
     edge = -n % 256  # columns n .. n + edge - 1 lie in the last 256-column block
     junk = [r | rng.getrandbits(edge) << n for r in rows]
@@ -534,10 +578,12 @@ def test_transpose_kernel_matches_per_bit_transpose(case):
     for i in range(n):
         moved[perm[i]] = sum(1 << perm[j] for j in range(n) if rows[i] >> j & 1)
     assert relabel(rows, perm) == moved
+    assert verify_vertex_map(rows, perm, moved, False)
 
 
 @pytest.mark.parametrize("n", [256, 257, 513])
 def test_transpose_rejects_bits_beyond_n_in_any_block(n):
+    # the oracles raise; the column pass fails at the row, in the source or the target
     for i in (0, n - 1):
         rows = [0] * n
         rows[i] = 1 << n
@@ -545,6 +591,9 @@ def test_transpose_rejects_bits_beyond_n_in_any_block(n):
             transpose(rows)
         with pytest.raises(ValueError, match="at or above n"):
             relabel(rows, list(range(n)))
+        assert first_failing_row(rows, [0] * n).position == i
+        assert verify_vertex_map(rows, list(range(n)), [0] * n, False).position == i
+        assert verify_vertex_map([0] * n, list(range(n)), rows, False).position == i
 
 
 def test_tile_oracle_matches_per_bit_transpose():
@@ -561,7 +610,7 @@ def test_transpose_kernel_matches_tile_oracle_on_seeded_rows(n, sparse):
     rng = random.Random(n + sparse)
     rows = [rng.getrandbits(n) & (rng.getrandbits(n) if sparse else -1) for _ in range(n)]
     want = tile_transpose(rows)
-    assert transpose(rows) == want
+    assert list(_transposed(rows)) == want
     junk = [r | rng.getrandbits(-n % 256) << n for r in rows]
     assert list(_transposed(junk)) == want
 
@@ -569,7 +618,7 @@ def test_transpose_kernel_matches_tile_oracle_on_seeded_rows(n, sparse):
 def test_transpose_kernel_matches_tile_oracle_on_orbit_rows(std):
     _, _, g, lab = std(12)
     rows = [g.rows[c] for c in lab.index]
-    assert transpose(rows) == tile_transpose(rows)
+    assert list(_transposed(rows)) == tile_transpose(rows)
 
 
 @pytest.mark.parametrize("i, j", [(5, 4096),      # column n - 1, alone in the last byte column
@@ -580,7 +629,7 @@ def test_verify_circulant_rejects_one_flipped_bit_at_dense_cap(std, i, j):
     rows = list(g.rows)
     rows[i] ^= 1 << j
     assert not verify_circulant(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
-    assert transpose(rows) == tile_transpose(rows)
+    assert list(_transposed(rows)) == tile_transpose(rows)
 
 
 def test_transpose_kernel_scratch_is_bounded(std):
@@ -726,6 +775,8 @@ def test_primitives_reject_bits_beyond_n():
         relabel(rows, [1, 0])
     with pytest.raises(ValueError):
         transpose(rows)
+    assert first_failing_row(rows, rows).position == 1
+    assert not verify_vertex_map(rows, [1, 0], rows, False)
 
 
 @pytest.mark.parametrize("perm", [[0, 0], [1, 1], [1], [0, 1, 2], [0, 2], [-1, 0]])
@@ -733,6 +784,8 @@ def test_relabel_rejects_non_permutations(perm):
     # a repeated, missing or foreign target is no renaming of range(2)
     with pytest.raises(ValueError, match="not a permutation"):
         relabel([0b10, 0b01], perm)
+    with pytest.raises(ValueError, match="not a permutation"):
+        verify_vertex_map([0b10, 0b01], perm, [0b10, 0b01], False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -744,8 +797,12 @@ def test_rotate_and_circulance_match_per_bit_definitions(case):
     assert rotate(mask, i, n) == want
     rows = [sum(1 << (j + d) % n for d in range(n) if mask >> d & 1) for j in range(n)]
     assert is_circulant(rows, mask, n)
+    # rows are the circulant of their row 0 exactly when i -> i + 1 is an automorphism
+    shift = [*range(1, n), 0]
+    assert verify_vertex_map(rows, shift, rows, False)
     rows[i % n] ^= 1 << (i * 7 % n)  # one bit of one row
     assert not is_circulant(rows, mask, n)
+    assert bool(verify_vertex_map(rows, shift, rows, False)) is is_circulant(rows, rows[0], n)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])

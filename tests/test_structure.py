@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 from char2paley import (
     INF, FieldCtx, OutOfScopeError, QuadExtCtx, ShiftIso, build_graph, build_tournament,
     chapman_build, chapman_compare, circulant_labeling, factorize, hamiltonian_decompose,
-    circulant_spectrum, lambda_of, param_a, relabel, shift_isomorphism, verify_automorphisms,
+    circulant_spectrum, lambda_of, param_a, shift_isomorphism, verify_automorphisms,
     verify_representative_independence, verify_self_complementary,
-    verify_shift_isomorphism,
+    verify_shift_isomorphism, verify_vertex_map,
 )
 from char2paley.construct import (
-    CirculantLabeling, PaleyLikeGraph, is_circulant, iter_bits, rotate, verify_circulant,
+    CirculantLabeling, PaleyLikeGraph, RowVerdict, iter_bits, verify_circulant,
 )
 from char2paley import structure
-from char2paley.structure import ChapmanGraph, ShiftTarget, _carries, _shift_carries
+from char2paley.structure import ChapmanGraph, ShiftTarget, _shift_carries
 from oracles import (
-    chapman_rows_per_pair, coset_bit, representative_probes, spectrum_counts, translate_rows,
+    carries, chapman_rows_per_pair, coset_bit, doubling_witness, is_circulant, relabel,
+    representative_probes, rotate, spectrum_counts, translate_rows,
 )
 
 
@@ -137,7 +138,7 @@ def test_shift_kernel_agrees_with_the_per_row_oracle(field, case):
     ctx = field(k)
     n = ctx.q + 1
     g = PaleyLikeGraph(ctx, param_a(ctx), n, tuple(target))
-    want = _carries(translate_rows(rows, b, ctx), g, flipped)
+    want = carries(translate_rows(rows, b, ctx), target, flipped)
     size = structure._SHIFT_BAND if band is None else band * _row_bytes(k)
     with mock.patch.object(structure, "_SHIFT_BAND", size):
         assert _shift_carries(tuple(rows), b, ShiftTarget(g), flipped) is want
@@ -220,11 +221,16 @@ def test_shift_kernel_wide_rows_fail_without_raising(field, k):
     assert not _shift_carries(g.rows[:-1], 1, target, flipped)  # q rows, not q + 1
 
 
+def _alpha_half_passes(monkeypatch):
+    """Make every vertex map verify_automorphisms checks by column pass (the alpha
+    half) pass, so that the shift half is left alone."""
+    monkeypatch.setattr(structure, "verify_vertex_map", lambda *args: RowVerdict(None))
+
+
 def test_automorphisms_shift_half_rejects_flipped_edge(std, monkeypatch):
     # with the alpha half forced to pass, z -> z+1 alone must catch the flip
-    import char2paley.structure as structure
     ctx, a, g, _ = std(4)
-    monkeypatch.setattr(structure, "relabel", lambda rows, perm: list(rows))
+    _alpha_half_passes(monkeypatch)
     assert verify_automorphisms(g)
     rows = list(g.rows)
     rows[0] ^= 0b10  # the pair {INF, 0}; z -> z+1 sends it to {INF, 1}
@@ -257,9 +263,25 @@ def test_self_complementary_every_parameter(field, k):
 def test_self_complementary_negative_control(std):
     # the identity permutation cannot exchange a graph with its complement
     _, _, g, _ = std(4)
-    image = relabel(g.rows, list(range(g.n)))
-    assert not _carries(image, g, True)
-    assert _carries(image, g, False)
+    identity = list(range(g.n))
+    image = relabel(g.rows, identity)
+    assert not carries(image, g.rows, True)
+    assert carries(image, g.rows, False)
+    assert verify_vertex_map(g.rows, identity, g.rows, False)
+    assert verify_vertex_map(g.rows, identity, g.rows, True).position == 0
+
+
+@pytest.mark.parametrize("k, u, v", [(4, 1, 5), (4, 0, 16), (8, 200, 3), (8, 256, 255)])
+def test_self_complementary_witness_is_first_differing_image_row(std, k, u, v):
+    # one flipped edge: the verdict names the first row of the oracle's image of
+    # v_i -> v_2i that is not the complement's
+    ctx, a, g, lab = std(k)
+    rows = list(g.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    verdict = verify_self_complementary(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+    assert not verdict
+    assert verdict.position == doubling_witness(rows, lab) is not None
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -272,7 +294,8 @@ def test_automorphism_negative_control(std):
     _, _, g, _ = std(4)
     perm = list(range(g.n))
     perm[1], perm[2] = perm[2], perm[1]  # a random transposition
-    assert not _carries(relabel(g.rows, perm), g, False)
+    assert not carries(relabel(g.rows, perm), g.rows, False)
+    assert not verify_vertex_map(g.rows, perm, g.rows, False)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -311,7 +334,6 @@ def test_tournament_reversal(field, k):
 def test_tournament_reversal_negative_control(field, k, monkeypatch):
     # one arc out of INF turned round, or present both ways, fails the certificate;
     # with the alpha half forced to pass, z -> z+1 alone must catch either
-    import char2paley.structure as structure
     ctx = field(k)
     a = param_a(ctx)
     t = build_tournament(ctx, a)
@@ -322,7 +344,7 @@ def test_tournament_reversal_negative_control(field, k, monkeypatch):
     doubled[j] ^= 1
     bad = [PaleyLikeGraph(ctx, a, t.n, tuple(rows)) for rows in (turned, doubled)]
     assert not any(verify_automorphisms(g) for g in bad)
-    monkeypatch.setattr(structure, "relabel", lambda rows, perm: list(rows))
+    _alpha_half_passes(monkeypatch)
     assert verify_automorphisms(t)
     assert not any(verify_automorphisms(g) for g in bad)
 
@@ -469,11 +491,14 @@ def test_chapman_tampered_row_not_certified(field, tamper_coset):
     ext = QuadExtCtx(ctx)
     lam = lambda_of(ext, param_a(ctx).value)
     h = chapman_build(ext, lam)
+    shift = [*range(1, h.n), 0]
     assert h.circulant_certified and is_circulant(h.rows, h.rows[0], h.n)
+    assert verify_vertex_map(h.rows, shift, h.rows, False)
     # one row of the built graph with one bit flipped
     rows = list(h.rows)
     rows[3] ^= 1 << 7
     assert not is_circulant(rows, rows[0], h.n)
+    assert not verify_vertex_map(rows, shift, rows, False)
     # the build itself, with the predicate flipped at w = g^(q+3), which
     # only the pair (reps[1], reps[3]) reads
     tamper_coset(ext, ctx.q + 3)
@@ -573,6 +598,20 @@ def test_chapman_isomorphic(std, k):
     assert bool(cmp_result)
     assert cmp_result.verdict == "isomorphic-certified"
     assert cmp_result.multiplier is not None
+
+
+def test_chapman_verified_isomorphism_reads_no_spectrum(std, monkeypatch):
+    # isomorphic graphs have equal codegree spectra: a verified map reports that
+    # without reading either spectrum
+    ctx, a, g, lab = std(6)
+    ext = QuadExtCtx(ctx)
+    h = chapman_build(ext, lambda_of(ext, a.value))
+
+    def no_spectrum(n, conn):
+        raise AssertionError("a codegree spectrum was read")
+
+    monkeypatch.setattr(structure, "circulant_spectrum", no_spectrum)
+    assert chapman_compare(h, g, lab) == ("isomorphic-certified", 22, True)
 
 
 def test_chapman_compare_negative_control(std):
