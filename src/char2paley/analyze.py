@@ -201,7 +201,7 @@ def circulant_spectrum(n: int, conn: frozenset[int]) -> CodegreeSpectrum:
     n distinct pairs (n is odd), so no dense graph is needed.  The pair
     of top codegree is (v_0, v_max_shift).
     This is a graph's spectrum once the graph is certified to be that
-    circulant (`verify_circulant`, or `ChapmanGraph.circulant_certified`).
+    circulant (`verify_circulant`, or a `ChapmanGraph` whose `circulant` verdict passes).
     """
     if unpaired_distance(conn, n) is not None:
         raise ValueError("the connection set is not closed under negation")

@@ -36,7 +36,7 @@ from .formats import (
     write_json_graph, write_matrix,
 )
 from .gf2k import K_MAX, FieldCtx
-from .mobius import INF, QuadExtCtx, lambda_of, point_of_index
+from .mobius import INF, QuadExtCtx, lambda_of
 from .structure import (
     CertificateFailed, ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose,
     shift_isomorphism, verify_automorphisms, verify_representative_independence,
@@ -380,16 +380,24 @@ def cmd_certify(args) -> int:
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
     # the verdict, which vertex-transitive restates
     circ = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
-    checks.run("labeling-identities", "exhaustive",
-               lambda: _check_labeling_identities(ctx, a, lab))
+    ident = checks.run("labeling-identities", "exhaustive",
+                       lambda: _check_labeling_identities(ctx, a, lab))
+    # the maps are read off C, on the identities v_2i = v_i^2 + a and v_-i = 1 + v_i
+    on_labeling = (_rests_on(circ, "certificate", "the circulant check")
+                   or _rests_on(ident, "certificate", "the labeling-identities check"))
 
     def self_complementary():
-        verdict = verify_self_complementary(g, lab)
-        return verdict, None if verdict else {
-            "witness": {"vertex": point_label(point_of_index(ctx, verdict.position))}}
+        v = verify_self_complementary(lab)
+        return v, None if v else {"witness": {"pair": [
+            point_label(INF), point_label(lab.vertices[v.at])]}}
 
-    checks.run("self-complementary", "exhaustive", self_complementary)
-    checks.run("automorphisms", "exhaustive", lambda: (verify_automorphisms(g), None))
+    def automorphisms():
+        v = verify_automorphisms(ctx, lab)
+        at = {"vertex": point_label(lab.vertices[v.at])} if v.map == "alpha" else {"distance": v.at}
+        return v, None if v else {"witness": {"map": v.map, **at}}
+
+    checks.run("self-complementary", "exhaustive", self_complementary, on_labeling)
+    checks.run("automorphisms", "exhaustive", automorphisms, on_labeling)
     # the certified circulant makes v_i -> v_(i+1) an automorphism of order q+1
     checks.run("vertex-transitive", "exhaustive", lambda: (circ, (
         {"certificate": "cyclic automorphism of order q+1"} if circ else
@@ -410,7 +418,9 @@ def cmd_certify(args) -> int:
                 return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}"}}
         return True, {"mode": mode, "count": len(t1)}
 
-    checks.run("shift-isomorphism-class", mode, shift_class)
+    # each a' is held to G_a's rows: only certified ones, so no fault of theirs falls on an a'
+    checks.run("shift-isomorphism-class", mode, shift_class,
+               _rests_on(circ, "class", "the circulant check"))
     _emit(args, _report(args, ctx, a, "certify", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 
@@ -554,7 +564,7 @@ def cmd_chapman(args) -> int:
                 for u, v in h.undefined_pairs[:3]]}
         return not h.undefined_pairs, detail
 
-    checks.run("no-undefined-pairs", "exhaustive", no_undefined)
+    defined = checks.run("no-undefined-pairs", "exhaustive", no_undefined)
 
     def independent():
         rep = verify_representative_independence(h)
@@ -575,10 +585,11 @@ def cmd_chapman(args) -> int:
                             "multiplier": cmp_result.multiplier,
                             "spectra_match": cmp_result.spectra_match}
 
-    coset = checks.run("coset-graph-circulant", "exhaustive",
-                       lambda: (h.circulant_certified, None))
+    on_defined = _rests_on(defined, "certificate", "the no-undefined-pairs check")
+    row = None if h.circulant else {"witness": {"row": h.circulant.position}}
+    coset = checks.run("coset-graph-circulant", "exhaustive", lambda: (h.circulant, row), on_defined)
     checks.run("isomorphic", "exhaustive", isomorphic,
-               _rests_on(coset, "comparison", "the coset-graph-circulant check"))
+               on_defined or _rests_on(coset, "comparison", "the coset-graph-circulant check"))
     _emit(args, _report(args, ctx, a, "chapman", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 

@@ -222,11 +222,11 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Bit and permutation primitives.  Every whole-matrix comparison is one
-# column pass (first_failing_row) over one transpose kernel (_transposed),
-# one byte column of the rows per big int; translations x -> x + b are a few
-# masked swaps (_swap_masks) of a row, or of a band of rows
-# (structure._shift_carries).
+# Bit primitives.  Every whole-matrix comparison is one column pass
+# (first_failing_row) over one transpose kernel (_transposed), against a
+# circulant's columns (circulant_columns) or the rows' own; translations
+# x -> x + b are masked swaps (_swap_masks) of a row, or of a band of rows
+# (structure._shift_carries).  Other vertex maps are read off a certified C.
 
 # bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
 # of x is set: the selectors for itertools.compress
@@ -320,25 +320,12 @@ def first_failing_row(rows, columns) -> RowVerdict:
     return RowVerdict((failing & -failing).bit_length() - 1 if failing else None)
 
 
-def verify_vertex_map(rows, perm, target, flipped: bool) -> RowVerdict:
-    """Whether i -> perm[i], a permutation of range(n), carries these n rows onto
-    `target`, or onto its complement when flipped (a tournament's complement is
-    its reversal): the first target vertex whose image row differs, or None.
-
-    Image row perm[i] is row i, and its columns are held to the target's,
-    renamed by the map: image column c (source column c) is target column
-    perm[c], complemented off the diagonal when flipped.  A target row with
-    bits at or above n is folded into its image row, so it fails there too.
-    """
-    n = len(rows)
-    if sorted(perm) != list(range(n)) or len(target) != n:
-        raise ValueError(f"perm is not a permutation of range({n}), or the target has not {n} rows")
-    image = [0] * n
-    for i, p in enumerate(perm):
-        image[p] = rows[i] | target[p] >> n << n
-    cols = list(_transposed(target))
-    full = (1 << n) - 1 if flipped else 0
-    return first_failing_row(image, (full ^ cols[p] ^ flipped << p for p in perm))
+def circulant_columns(conn, n: int, positions):
+    """The columns at orbit positions j of the circulant of conn, rows in circulant order:
+    bit i, the entry (i, j), is set when j - i is in conn, so each is -conn rotated by j."""
+    neg_mask = sum(1 << -d % n for d in conn)
+    doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - j & full: neg_mask rotated by j
+    return (doubled >> n - j & full for j in positions)
 
 
 @lru_cache(maxsize=None)
@@ -460,6 +447,4 @@ def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> RowVerdict:
     where = [0] * n  # where[c]: the orbit position of dense vertex c
     for i, c in enumerate(lab.index):
         where[c] = i
-    neg_mask = sum(1 << -d % n for d in lab.conn)
-    doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - i & full: neg_mask rotated by i
-    return first_failing_row([g.rows[c] for c in lab.index], (doubled >> n - i & full for i in where))
+    return first_failing_row([g.rows[c] for c in lab.index], circulant_columns(lab.conn, n, where))

@@ -2,21 +2,20 @@
 
 The shift map x -> x+b carries the graph built at parameter a' onto the
 one built at a (or onto its complement, when tr(b) = 1), where b solves
-b^2 + b = a + a'.  The index-doubling map v_i -> v_2i along the
-circulant labeling exchanges the graph with its complement, and the
-automorphism certificates hold at both parities (z -> z+1 reverses
-every arc when tr(1) = 1).  Each of these checks one rule: the rows
-after a vertex map are the graph's, or its complement's (a tournament's
-complement is its reversal), by one column pass (`verify_vertex_map`),
-or for x -> x + b by masked swaps of packed bands (`_shift_carries`).
-The distance classes of the connection set decompose the edge set into
+b^2 + b = a + a'; the rows are compared by masked swaps of packed bands
+(`_shift_carries`).  Every other claim is read off a certified circulant
+(`verify_circulant`): a map v_i -> v_(m i + c) sends the pair (v_0, v_d)
+to distance m d, so it is an automorphism exactly when d in C <=> m d in C
+for every d, and exchanges the graph with its complement (a tournament's
+with its reversal) exactly when d in C <=> m d not in C.  Index doubling
+is m = 2; z -> z+1 is v_i -> v_-i, by v_-i = 1 + v_i; z -> a/(z+1) is a
+rotation (m = 1).  The distance classes of C decompose the edge set into
 Hamiltonian cycles whenever the order q+1 is prime.
 
 The coset construction over GF(q^2) gives an independent build of the
 same isomorphism class, from one pass over the powers of a primitive
-root; comparing the two is done by a search over the connection-set
-multipliers m in Z_(q+1)^*, each candidate followed by an explicit
-edge-by-edge verification of the map it gives.
+root, its rows in circulant order and certified by the same column pass;
+a unit m of Z_(q+1) with m C = C_H is then the isomorphism v_i -> w_(m i).
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ from typing import NamedTuple
 from .analyze import circulant_spectrum
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, RowVerdict, _swap_masks,
-    build_graph, build_tournament, iter_bits, unpaired_distance, verify_circulant,
-    verify_vertex_map, wide_row,
+    build_graph, build_tournament, circulant_columns, first_failing_row, iter_bits,
+    unpaired_distance, verify_circulant, wide_row,
 )
 from .gf2k import FieldCtx, factorize
-from .mobius import INF, QuadExtCtx, alpha_of, apply, vertex_index
+from .mobius import QuadExtCtx, alpha_of, apply
 
 
 class ShiftIso(NamedTuple):
@@ -54,19 +53,9 @@ def shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA) -> ShiftIso:
     returned (an honest isomorphism); for even k both solutions have
     the same trace and the smaller is returned.
     """
-    c = a.value ^ a_prime.value
-    b0, b1 = ctx.solve_artin_schreier(c)
-    b = b0
-    if ctx.k % 2 and ctx.trace(b) != 0:
-        b = b1
-    kind = "iso" if ctx.trace(b) == 0 else "complement-iso"
-    return ShiftIso(b, kind)
-
-
-def _complement_rows(g: PaleyLikeGraph) -> list[int]:
-    """The rows of g's complement (a tournament's complement is its reversal)."""
-    full = (1 << g.n) - 1
-    return [full ^ r ^ (1 << i) for i, r in enumerate(g.rows)]
+    b0, b1 = ctx.solve_artin_schreier(a.value ^ a_prime.value)
+    b = b1 if ctx.k % 2 and ctx.trace(b0) else b0
+    return ShiftIso(b, "complement-iso" if ctx.trace(b) else "iso")
 
 
 _SHIFT_BAND = 1 << 14  # bytes a band of the shift kernel is cut to: about 16 KiB measured best
@@ -96,10 +85,11 @@ class ShiftTarget:
         self._packed: dict[bool, list[int] | None] = {}
 
     def bands(self, flipped: bool) -> list[int] | None:
-        """The rows, or the complement's when flipped, packed as _bands packs them;
-        None when a row has a bit at or above n."""
+        """The rows, or the complement's when flipped (a tournament's is its reversal),
+        packed as _bands packs them; None when a row has a bit at or above n."""
         if flipped not in self._packed:
-            rows = _complement_rows(self.graph) if flipped else self.graph.rows
+            g, full = self.graph, (1 << self.graph.n) - 1
+            rows = [full ^ r ^ 1 << i for i, r in enumerate(g.rows)] if flipped else g.rows
             wide = wide_row(rows) is not None
             self._packed[flipped] = None if wide else list(_bands(rows, self.w, self.per))
         return self._packed[flipped]
@@ -155,27 +145,46 @@ def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: Shi
     return _shift_carries(src.rows, iso.b, target, iso.kind == "complement-iso")
 
 
-def verify_self_complementary(g: PaleyLikeGraph, lab: CirculantLabeling) -> RowVerdict:
-    """Certify that v_i -> v_2i maps every edge to a non-edge and back; the
-    verdict names the first dense vertex whose image row is not its complement row."""
-    lab.check_graph(g)
-    n = g.n
-    idx = lab.index
-    perm = [0] * n
-    for i in range(n):
-        perm[idx[i]] = idx[2 * i % n]
-    return verify_vertex_map(g.rows, perm, g.rows, True)
+class MapVerdict(NamedTuple):
+    """A vertex map's verdict read off a certified circulant, true when it holds: else
+    the failing map ("doubling", "alpha" or "z+1") and where, the orbit position of
+    the first v_i alpha misplaces or the least d whose pair (v_0, v_d) goes wrong."""
+
+    map: str | None
+    at: int | None
+
+    def __bool__(self) -> bool:
+        return self.map is None
 
 
-def verify_automorphisms(g: PaleyLikeGraph) -> bool:
-    """Check that z -> a/(z+1), a = g.a, preserves the edge set, and that z -> z+1
-    preserves it when tr(1) = 0 and reverses every arc when tr(1) = 1."""
-    ctx = g.ctx
-    al = alpha_of(ctx, g.a.value)
-    perm_alpha = [vertex_index(ctx, apply(ctx, al, p))
-                  for p in [INF, *range(ctx.q)]]
-    return (bool(verify_vertex_map(g.rows, perm_alpha, g.rows, False))
-            and _shift_carries(g.rows, 1, ShiftTarget(g), ctx.trace(1) == 1))
+def _read_map(name: str, conn, n: int, m: int, flipped: bool) -> MapVerdict:
+    """The verdict of the map `name`, v_i -> v_(m i + c): it fails at the least d in 1 .. n-1
+    for which d in conn <=> m d mod n in conn fails, or, when flipped, d in conn <=> m d
+    mod n not in conn."""
+    d = next((d for d in range(1, n) if (d in conn) != (m * d % n in conn) ^ flipped), None)
+    return MapVerdict(None if d is None else name, d)
+
+
+def verify_self_complementary(lab: CirculantLabeling) -> MapVerdict:
+    """Whether v_i -> v_2i maps the circulant of lab.conn onto its complement."""
+    return _read_map("doubling", lab.conn, lab.n, 2, True)
+
+
+def verify_automorphisms(ctx: FieldCtx, lab: CirculantLabeling) -> MapVerdict:
+    """Whether z -> a/(z+1), a = lab.a, is an automorphism of the circulant of lab.conn,
+    and z -> z+1 one too when tr(1) = 0 or a reversal of every arc when tr(1) = 1.
+
+    alpha's matrix is sigma's minus b I, so alpha commutes with sigma and
+    alpha(v_i) = sigma^i(alpha(INF)) = v_(i+c) for v_c = 0, checked at all n points.
+    """
+    if lab.n != ctx.q + 1:
+        raise ValueError("labeling and field have different orders")
+    verts, n = lab.vertices, lab.n
+    al, c = alpha_of(ctx, lab.a.value), verts.index(0)
+    i = next((i for i, v in enumerate(verts) if apply(ctx, al, v) != verts[(i + c) % n]), None)
+    if i is not None:
+        return MapVerdict("alpha", i)
+    return _read_map("z+1", lab.conn, n, n - 1, ctx.trace(1) == 1)
 
 
 class CertificateFailed(AssertionError):
@@ -232,11 +241,12 @@ class ChapmanGraph(NamedTuple):
     """Graph on the q+1 cosets of the base multiplicative group in GF(q^2)*.
 
     reps[i] is g^i for the fixed primitive root g, so the rows are in
-    circulant order and conn is read from row 0.  table[e] is the
+    circulant order, conn is read from row 0 and circulant is the column
+    pass's verdict on the rows against conn's circulant.  table[e] is the
     predicate at w = g^e, and the pair (i, j) reads its own entry
     e = qi + j (w = conj(g^i) g^j).  Pairs where the denominator T(w)
     vanishes are never guessed at: they are collected in undefined_pairs
-    (expected empty off the diagonal).
+    (expected empty off the diagonal), and leave the graph uncertified.
     """
 
     ext: QuadExtCtx
@@ -246,7 +256,7 @@ class ChapmanGraph(NamedTuple):
     rows: tuple[int, ...]
     conn: frozenset[int]
     undefined_pairs: tuple
-    circulant_certified: bool
+    circulant: RowVerdict
 
     @property
     def n(self) -> int:
@@ -301,10 +311,9 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
             elif bit == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    # rows in circulant order are circulant exactly when i -> i + 1 is an automorphism
-    certified = not undefined and bool(verify_vertex_map(rows, [*range(1, n), 0], rows, False))
-    return ChapmanGraph(ext, lam, tuple(reps), table, tuple(rows),
-                        frozenset(iter_bits(rows[0])), tuple(undefined), certified)
+    conn = frozenset(iter_bits(rows[0]))
+    verdict = first_failing_row(rows, circulant_columns(conn, n, range(n)))
+    return ChapmanGraph(ext, lam, tuple(reps), table, tuple(rows), conn, tuple(undefined), verdict)
 
 
 class Independence(NamedTuple):
@@ -345,32 +354,26 @@ class ChapmanComparison(NamedTuple):
 
 
 def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) -> ChapmanComparison:
-    """Search for an explicit isomorphism between the two constructions.
+    """Search for an isomorphism between the two constructions.
 
-    Both must be certified circulants of order n = q+1: h by
-    `circulant_certified` (ValueError otherwise), g against lab by
-    `verify_circulant` (CertificateFailed otherwise).  A unit m of Z_n with
-    m * conn(G) = conn(H) gives the map v_i -> w_(m i), which is then
-    verified edge by edge; isomorphic graphs have equal codegree spectra.
-    Only when no unit passes are the spectra read off the two connection
-    sets and compared, the invariant comparison that is then reported.
+    Both must be certified circulants of order n = q+1: h by its
+    `circulant` verdict with no undefined pair (ValueError otherwise), g
+    against lab by `verify_circulant` (CertificateFailed otherwise).  The
+    least unit m of Z_n with m * conn(G) = conn(H) is then the isomorphism
+    v_i -> w_(m i); isomorphic graphs have equal codegree spectra.  Only
+    when no unit passes are the spectra read off the two connection sets
+    and compared, the invariant comparison that is then reported.
     """
     if h.ext.base != g.ctx:
         raise ValueError("the two graphs live over different base fields")
-    if not h.circulant_certified:
+    if h.undefined_pairs or not h.circulant:
         raise ValueError("the coset graph is not a certified circulant")
     verdict = verify_circulant(g, lab)
     if not verdict:
         raise CertificateFailed("circulant", verdict.position)
     n = g.n
     for m in range(1, n):
-        if gcd(m, n) != 1 or {m * d % n for d in lab.conn} != h.conn:
-            continue
-        # explicit check of v_i -> w_(m i) on every pair: H with w_(m i) renamed v_i's dense row
-        h_perm = [0] * n
-        for i in range(n):
-            h_perm[m * i % n] = lab.index[i]
-        if verify_vertex_map(h.rows, h_perm, g.rows, False):
+        if gcd(m, n) == 1 and {m * d % n for d in lab.conn} == h.conn:
             return ChapmanComparison("isomorphic-certified", m, True)
     if circulant_spectrum(h.n, h.conn).counts != circulant_spectrum(n, lab.conn).counts:
         return ChapmanComparison("not-isomorphic", None, False)

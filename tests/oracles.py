@@ -28,7 +28,10 @@
   `verify_representative_independence`.
 - `circulant_witness` renames the rows into orbit order and takes the
   first that is too wide or not the connection set rotated by its
-  position, the oracle of the one-pass witness in `verify_circulant`.
+  position, and `circulant_row_witness` builds each orbit row's dense
+  row from the connection set and `lab.index`, with no transpose: the
+  oracles of the one-pass witness in `verify_circulant`, on which every
+  structural read rests.
 - `tile_transpose` transposes a bit matrix one 256 x 256 tile at a time
   with the eight delta swaps of the recursive block transpose, the
   oracle of the byte-column kernel `_transposed` at orders where a
@@ -37,10 +40,15 @@
   matrix by two transposes and compare it list against list, and
   `rotate` and `is_circulant` build each row of a circulant and compare
   it: the routes the package took before every whole-matrix comparison
-  became one column pass, and the oracles of `first_failing_row` and
-  `verify_vertex_map` (and, through `circulant_witness` and
-  `doubling_witness`, of the witnesses of `verify_circulant` and
-  `verify_self_complementary`).
+  became one column pass, and the oracles of `first_failing_row` (and,
+  through `circulant_witness`, of the witness of `verify_circulant`).
+- `verify_vertex_map` holds the rows after a vertex map to a target, or
+  to its complement, by one column pass over two transposes, and
+  `doubling_witness` takes the first row of the image of v_i -> v_2i,
+  by `relabel`, that is not the complement's: the dense checks the
+  package made before `verify_self_complementary` and
+  `verify_automorphisms` read their maps off the certified connection
+  set, and the oracles of those reads through k = 8.
 - `int_self_convolution` squares one binary int of w-byte slots, the
   oracle of the decimal square behind `kloosterman_sweep` and
   `circulant_spectrum`.
@@ -50,7 +58,7 @@
   parameter-free half of every row once per field.
 - `translate_rows` moves each row by x -> x + b, one row at a time, the
   oracle of the banded translate-and-compare kernel behind
-  `verify_shift_isomorphism` and `verify_automorphisms`.
+  `verify_shift_isomorphism`.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against; `all_points`, `IDENTITY`,
@@ -65,8 +73,8 @@ from fractions import Fraction
 from math import comb
 
 from char2paley import (
-    INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, apply,
-    ParamA, codegree_formula, is_full_orbit, iter_bits, vertex_index,
+    INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, RowVerdict, apply,
+    ParamA, codegree_formula, first_failing_row, is_full_orbit, iter_bits, vertex_index,
 )
 from char2paley.construct import (
     _field_words, _quotient_traces, _swap_masks, _transposed, check_cap, check_width,
@@ -215,6 +223,27 @@ def carries(image, target, flipped: bool) -> bool:
     return list(image) == (complement(target) if flipped else list(target))
 
 
+def verify_vertex_map(rows, perm, target, flipped: bool) -> RowVerdict:
+    """Whether i -> perm[i], a permutation of range(n), carries these n rows onto
+    `target`, or onto its complement when flipped (a tournament's complement is
+    its reversal): the first target vertex whose image row differs, or None.
+
+    Image row perm[i] is row i, and its columns are held to the target's,
+    renamed by the map: image column c (source column c) is target column
+    perm[c], complemented off the diagonal when flipped.  A target row with
+    bits at or above n is folded into its image row, so it fails there too.
+    """
+    n = len(rows)
+    if sorted(perm) != list(range(n)) or len(target) != n:
+        raise ValueError(f"perm is not a permutation of range({n}), or the target has not {n} rows")
+    image = [0] * n
+    for i, p in enumerate(perm):
+        image[p] = rows[i] | target[p] >> n << n
+    cols = list(_transposed(target))
+    full = (1 << n) - 1 if flipped else 0
+    return first_failing_row(image, (full ^ cols[p] ^ flipped << p for p in perm))
+
+
 def doubling_witness(rows, lab) -> int | None:
     """The first row of the image of v_i -> v_2i, by relabel, that is not the
     complement's row; None when there is none."""
@@ -250,6 +279,15 @@ def circulant_witness(g: PaleyLikeGraph, lab) -> int | None:
     renamed = relabel([r & (1 << n) - 1 for r in g.rows], perm)
     return next((i for i, (c, r) in enumerate(zip(lab.index, renamed))
                  if g.rows[c] >> n or r != rotate(conn, i, n)), None)
+
+
+def circulant_row_witness(g: PaleyLikeGraph, lab) -> int | None:
+    """The orbit position of the first v_i whose dense row is not the row built
+    from the connection set, bit lab.index[(i + d) mod n] for each d in it; None
+    when there is none.  Rows are compared whole, so a bit at or above n fails."""
+    n, idx = lab.n, lab.index
+    return next((i for i, c in enumerate(idx)
+                 if g.rows[c] != sum(1 << idx[(i + d) % n] for d in lab.conn)), None)
 
 
 def tile_transpose(rows) -> list[int]:

@@ -160,14 +160,18 @@ def test_criterion_08_jumbledness(std):
 
 def test_criterion_09_selfcomp_and_automorphisms(std, field):
     with criterion(9, "self-complementarity and automorphisms", 30):
+        # each map is read off the connection set, once the rows are its circulant
         for k in (2, 4, 6, 8):
             ctx, a, g, lab = std(k)
-            assert verify_self_complementary(g, lab)
-            assert verify_automorphisms(g)
+            assert verify_circulant(g, lab)
+            assert verify_self_complementary(lab)
+            assert verify_automorphisms(ctx, lab)
         for k in (3, 5, 7):  # tr(1) = 1: z -> z+1 reverses every arc
             ctx = field(k)
             a = param_a(ctx)
-            assert verify_automorphisms(build_tournament(ctx, a))
+            lab = circulant_labeling(ctx, a)
+            assert verify_circulant(build_tournament(ctx, a), lab)
+            assert verify_automorphisms(ctx, lab)
 
 
 def test_criterion_10_isomorphism_class_independence(std):

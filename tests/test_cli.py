@@ -15,8 +15,6 @@ from char2paley import (
 )
 from char2paley.cli import main
 from char2paley.formats import parse_edges, point_label, write_edges
-from char2paley.mobius import point_of_index
-from oracles import doubling_witness
 
 
 def run(capsys, *argv):
@@ -228,12 +226,13 @@ def _one_row_wider_than_n(monkeypatch, k, i):
 def test_certify_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
     # a row reaching past vertex n - 1 is a failed certificate (exit 1), not a
     # configuration error: regularity names it, circulant places it in orbit
-    # order, and every check that compares whole matrices fails on it
+    # order, symmetry's column pass fails on it, and the checks that rest on
+    # the circulant are skipped
     lab = _one_row_wider_than_n(monkeypatch, 6, 5)
     code, out = run(capsys, "certify", "--k", "6")
     assert code == 1
     doc = json.loads(out)
-    assert doc["pass"] is False and doc["complete"] is True
+    assert doc["pass"] is False and doc["complete"] is False
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["regularity"]["pass"] is False
     assert checks["regularity"]["witness"] == {"vertex": 5, "bit": 65, "n": 65}
@@ -241,10 +240,10 @@ def test_certify_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
     assert checks["circulant"]["pass"] is False
     assert checks["circulant"]["witness"] == {"vertex": "0x4", "orbit_position": i}
     assert checks["vertex-transitive"]["witness"] == checks["circulant"]["witness"]
-    for name in ("symmetry", "self-complementary", "automorphisms", "shift-isomorphism-class"):
-        assert checks[name]["pass"] is False and "skipped" not in checks[name]
+    assert checks["symmetry"]["pass"] is False and "skipped" not in checks["symmetry"]
     assert checks["symmetry"]["witness"] == {"pair": [5, 65]}
-    assert checks["self-complementary"]["witness"] == {"vertex": "0x4"}
+    for name in ("self-complementary", "automorphisms", "shift-isomorphism-class"):
+        assert checks[name]["skipped"] is True
     assert checks["no-loops"]["pass"] is True
 
 
@@ -495,15 +494,37 @@ def test_chapman_representative_independence_witness(capsys, field, tamper_coset
 
 def test_chapman_skips_isomorphic_when_coset_graph_not_circulant(capsys, field, tamper_coset):
     # the predicate flipped at w = g^(q+3), read by the pair (1, 3) alone: the
-    # rows are no circulant, and the comparison resting on that is skipped
+    # rows are no circulant, row 1 the first to fail, and the comparison
+    # resting on that is skipped
     tamper_coset(QuadExtCtx(field(4)), 16 + 3)
     code, out = run(capsys, "chapman", "--k", "4")
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False and doc["complete"] is False
     checks = {c["name"]: c for c in doc["checks"]}
-    assert checks["coset-graph-circulant"]["pass"] is False
+    assert checks["coset-graph-circulant"] == {
+        "name": "coset-graph-circulant", "pass": False, "evidence": "exhaustive",
+        "witness": {"row": 1}}
     assert checks["isomorphic"]["skipped"] is True
+
+
+def test_chapman_undefined_pair_skips_the_coset_checks(capsys, monkeypatch, field):
+    # the predicate made undefined at w = g^(q+3), the pair (1, 3): the coset
+    # graph's circulance and the comparison rest on no-undefined-pairs
+    import char2paley.structure as structure
+    ext = QuadExtCtx(field(4))
+    target = ext.pow(ext.primitive_root(), 16 + 3)
+    real = structure._coset_predicate
+    monkeypatch.setattr(structure, "_coset_predicate", lambda ext, lam, w: (
+        structure.UNDEFINED if w == target else real(ext, lam, w)))
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["no-undefined-pairs"]["pass"] is False
+    assert checks["no-undefined-pairs"]["undefined_pair_count"] == 1
+    reason = "the certificate rests on the no-undefined-pairs check, which failed"
+    for name in ("coset-graph-circulant", "isomorphic"):
+        assert checks[name]["skipped"] is True and checks[name]["reason"] == reason
 
 
 def test_chapman_fails_isomorphic_when_build_not_circulant(capsys, monkeypatch):
@@ -969,20 +990,99 @@ def test_certify_symmetry_witness(capsys, monkeypatch):
 
 
 def test_certify_self_complementary_witness(capsys, monkeypatch):
-    # the edge {1, 5} flipped: v_i -> v_2i fails, and the check names the first
-    # row of the image that is not the complement's, by the relabel oracle
-    _flip_edge_1_5(monkeypatch)
+    # rows that are exactly the circulant of C = +-{1 .. 4} at k = 4, on the real
+    # vertices: circulant passes, and v_i -> v_2i fails at the least distance d
+    # with d and 2d both in C, d = 1, named as the pair (v_0, v_1)
+    _, forged = _forge_circulant(monkeypatch, 4, lambda n: {1, 2, 3, 4, n - 4, n - 3, n - 2, n - 1})
     code, out = run(capsys, "certify", "--k", "4")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    ctx = FieldCtx(4)
-    lab = circulant_labeling(ctx, param_a(ctx))
-    rows = list(build_graph(ctx, param_a(ctx)).rows)
-    rows[1] ^= 1 << 5
-    rows[5] ^= 1 << 1
-    first = doubling_witness(rows, lab)
-    assert checks["self-complementary"]["pass"] is False
-    assert checks["self-complementary"]["witness"] == {"vertex": point_label(point_of_index(ctx, first))}
+    assert checks["circulant"]["pass"] is True and checks["automorphisms"]["pass"] is True
+    assert checks["self-complementary"] == {
+        "name": "self-complementary", "pass": False, "evidence": "exhaustive",
+        "witness": {"pair": ["inf", point_label(forged.vertices[1])]}}
+
+
+def test_certify_automorphisms_witness(capsys, monkeypatch):
+    # rows that are exactly the circulant of {1, 2, 16} at k = 4: alpha is still a
+    # rotation of the real vertices, and z -> z+1, v_i -> v_-i, fails at the
+    # distance 2, in C while -2 = 15 is not
+    _forge_circulant(monkeypatch, 4, lambda n: {1, 2, n - 1})
+    code, out = run(capsys, "certify", "--k", "4")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["circulant"]["pass"] is True
+    assert checks["automorphisms"] == {
+        "name": "automorphisms", "pass": False, "evidence": "exhaustive",
+        "witness": {"map": "z+1", "distance": 2}}
+
+
+# a degree-preserving tamper: the edges {1, v1} and {5, v2} traded for the
+# non-edges {1, v2} and {5, v1}
+EDGE_SWAPS = {4: (3, 2), 6: (4, 9), 8: (6, 2)}
+
+
+def _tamper_build(monkeypatch, k, how):
+    """Make the CLI's build at k the real graph tampered `how`: "wide" sets bit n of
+    row 5, "flip" flips the edge {1, 5} both ways, "one-way" in row 1 only, and
+    "swap" trades two edges as EDGE_SWAPS gives them."""
+    import char2paley.cli as cli
+    ctx = FieldCtx(k)
+    a = param_a(ctx)
+    rows = list(build_graph(ctx, a).rows)
+    n = len(rows)
+    if how == "wide":
+        rows[5] |= 1 << n
+    elif how == "one-way":
+        rows[1] ^= 1 << 5
+    else:
+        v1, v2 = EDGE_SWAPS[k]
+        pairs = [(1, 5)] if how == "flip" else [(1, v1), (5, v2), (1, v2), (5, v1)]
+        assert how != "swap" or [rows[1] >> v1 & 1, rows[5] >> v2 & 1,
+                                 rows[1] >> v2 & 1, rows[5] >> v1 & 1] == [1, 1, 0, 0]
+        for u, v in pairs:
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+    tampered = PaleyLikeGraph(ctx, a, n, tuple(rows))
+    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+
+
+TAMPERS = ("wide", "flip", "one-way", "swap")
+
+
+@pytest.mark.parametrize("how", TAMPERS)
+def test_certify_shift_class_rests_on_circulant(capsys, monkeypatch, how):
+    # G_a's own rows tampered at k = 6: every a' would fail alike, so the class
+    # is skipped on the failed circulant instead of blaming the first a' tried,
+    # and so are the two vertex maps read off the connection set
+    _tamper_build(monkeypatch, 6, how)
+    code, out = run(capsys, "certify", "--k", "6")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["circulant"]["pass"] is False
+    assert checks["shift-isomorphism-class"] == {
+        "name": "shift-isomorphism-class", "pass": True, "evidence": "skipped", "skipped": True,
+        "reason": "the class rests on the circulant check, which failed"}
+    for name in ("self-complementary", "automorphisms"):
+        assert checks[name]["reason"] == "the certificate rests on the circulant check, which failed"
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("how", TAMPERS)
+def test_every_failing_check_has_a_witness(capsys, monkeypatch, k, how):
+    # whatever the tamper, every entry that fails names a witness and every
+    # skipped one a reason, in certify, analyze and chapman alike
+    _tamper_build(monkeypatch, k, how)
+    for command in ("certify", "analyze", "chapman"):
+        code, out = run(capsys, command, "--k", str(k))
+        assert code == 1, command
+        checks = json.loads(out)["checks"]
+        for c in checks:
+            assert c["pass"] or "witness" in c, (command, c)
+            assert "reason" in c if c.get("skipped") else "reason" not in c, (command, c)
+        skipped = {c["name"] for c in checks if c.get("skipped")}
+        if command == "certify":
+            assert {"self-complementary", "automorphisms", "shift-isomorphism-class"} <= skipped
 
 
 def test_passing_chapman_loads_no_decimal(tmp_path):

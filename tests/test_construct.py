@@ -7,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, apply,
     FieldCtx, build_graph, build_tournament, circulant_labeling, first_failing_row,
-    is_full_orbit, iter_bits, param_a, verify_circulant, verify_vertex_map, vertex_index,
+    is_full_orbit, iter_bits, param_a, verify_circulant, vertex_index,
 )
 from char2paley import construct
 from char2paley.construct import CirculantLabeling, PaleyLikeGraph, _transposed
 from oracles import (
-    all_points, beta_of, carries, circulant_witness, complement, difference_rows,
-    is_circulant, orbit_labeling, per_row_build, relabel, rotate, spectrum_counts,
-    tile_transpose, trace_partition, translate_rows, transpose,
+    all_points, beta_of, carries, circulant_row_witness, circulant_witness, complement,
+    difference_rows, is_circulant, orbit_labeling, per_row_build, relabel, rotate,
+    spectrum_counts, tile_transpose, trace_partition, translate_rows, transpose,
+    verify_vertex_map,
 )
 
 # C5 oracle at k=2, derived by hand over GF(4) with poly z^2+z+1, a = omega:
@@ -749,8 +750,28 @@ def test_verify_circulant_names_the_oracles_witness(field, case):
         rows[i] ^= 1 << j
     tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
     verdict = verify_circulant(tampered, lab)
-    assert verdict.position == circulant_witness(tampered, lab)
+    assert verdict.position == circulant_witness(tampered, lab) == circulant_row_witness(tampered, lab)
     assert bool(verdict) is (verdict.position is None)
+
+
+@pytest.mark.parametrize("k", [*range(2, 9), 10])
+def test_verify_circulant_agrees_with_the_per_row_oracle(field, k):
+    # every structural read rests on `circulant`: its column pass over the
+    # transpose kernel says what building each orbit row from C and lab.index
+    # says, with no transpose, at every trace-1 a through k = 8 (the default a
+    # at k = 10), on the built rows and with one seeded bit flipped
+    ctx = field(k)
+    build = build_tournament if k % 2 else build_graph
+    rng = random.Random(k)
+    params = [x for x in range(ctx.q) if ctx.trace(x) == 1] if k <= 8 else [param_a(ctx).value]
+    for x in params:
+        a = param_a(ctx, x)
+        g, lab = build(ctx, a), circulant_labeling(ctx, a)
+        assert verify_circulant(g, lab) and circulant_row_witness(g, lab) is None, x
+        rows = list(g.rows)
+        rows[rng.randrange(g.n)] ^= 1 << rng.randrange(g.n + 1)
+        tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
+        assert verify_circulant(tampered, lab).position == circulant_row_witness(tampered, lab), x
 
 
 def test_verify_circulant_wide_row_is_one_more_failing_bit(field):

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    INF, FieldCtx, OutOfScopeError, QuadExtCtx, ShiftIso, build_graph, build_tournament,
-    chapman_build, chapman_compare, circulant_labeling, factorize, hamiltonian_decompose,
-    circulant_spectrum, lambda_of, param_a, shift_isomorphism, verify_automorphisms,
-    verify_representative_independence, verify_self_complementary,
-    verify_shift_isomorphism, verify_vertex_map,
+    INF, FieldCtx, OutOfScopeError, QuadExtCtx, ShiftIso, alpha_of, apply, build_graph,
+    build_tournament, chapman_build, chapman_compare, circulant_labeling, factorize,
+    hamiltonian_decompose, circulant_spectrum, lambda_of, param_a, shift_isomorphism,
+    unpaired_distance, verify_automorphisms, verify_representative_independence,
+    verify_self_complementary, verify_shift_isomorphism,
 )
 from char2paley.construct import (
-    CirculantLabeling, PaleyLikeGraph, RowVerdict, iter_bits, verify_circulant,
+    CirculantLabeling, PaleyLikeGraph, RowVerdict, circulant_columns, first_failing_row, iter_bits,
+    verify_circulant,
 )
 from char2paley import structure
-from char2paley.structure import ChapmanGraph, ShiftTarget, _shift_carries
+from char2paley.structure import ChapmanGraph, MapVerdict, ShiftTarget, _shift_carries
 from oracles import (
     carries, chapman_rows_per_pair, coset_bit, doubling_witness, is_circulant, relabel,
-    representative_probes, rotate, spectrum_counts, translate_rows,
+    representative_probes, rotate, spectrum_counts, translate_rows, verify_vertex_map,
 )
 
 
@@ -221,21 +222,34 @@ def test_shift_kernel_wide_rows_fail_without_raising(field, k):
     assert not _shift_carries(g.rows[:-1], 1, target, flipped)  # q rows, not q + 1
 
 
-def _alpha_half_passes(monkeypatch):
-    """Make every vertex map verify_automorphisms checks by column pass (the alpha
-    half) pass, so that the shift half is left alone."""
-    monkeypatch.setattr(structure, "verify_vertex_map", lambda *args: RowVerdict(None))
+def _forged(lab, conn=None, vertices=None):
+    """lab with its connection set or its vertices replaced, as a labeling that passes
+    the constructor's checks but need not come from any parameter's orbit."""
+    return CirculantLabeling(lab.a, lab.b, vertices or lab.vertices,
+                             lab.conn if conn is None else frozenset(conn))
 
 
-def test_automorphisms_shift_half_rejects_flipped_edge(std, monkeypatch):
-    # with the alpha half forced to pass, z -> z+1 alone must catch the flip
-    ctx, a, g, _ = std(4)
-    _alpha_half_passes(monkeypatch)
-    assert verify_automorphisms(g)
-    rows = list(g.rows)
-    rows[0] ^= 0b10  # the pair {INF, 0}; z -> z+1 sends it to {INF, 1}
-    rows[1] ^= 0b1
-    assert not verify_automorphisms(PaleyLikeGraph(ctx, a, g.n, tuple(rows)))
+def _circulant_rows(lab) -> list[int]:
+    """The dense rows of the circulant of lab.conn on lab's vertices."""
+    n = lab.n
+    rows = [0] * n
+    for i in range(n):
+        for d in lab.conn:
+            rows[lab.index[i]] |= 1 << lab.index[(i + d) % n]
+    return rows
+
+
+def test_automorphisms_shift_half_rejects_flipped_edge(std):
+    # the distance -3 = 14 alone dropped from C at k = 4: alpha, a rotation of the
+    # same vertices, still passes, and z -> z+1 alone fails, at the unpaired
+    # distance 3; the dense map fails on the forged circulant's rows too
+    ctx, _, _, lab = std(4)
+    assert {3, 14} <= lab.conn
+    bad = _forged(lab, conn=lab.conn - {14})
+    assert verify_automorphisms(ctx, bad) == MapVerdict("z+1", 3)
+    assert unpaired_distance(bad.conn, bad.n) == 3
+    rows = _circulant_rows(bad)
+    assert not carries(translate_rows(rows, 1, ctx), rows, False)
 
 
 def test_shift_iso_rejects_bad_trace(field):
@@ -246,56 +260,99 @@ def test_shift_iso_rejects_bad_trace(field):
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_self_complementary(std, k):
-    _, _, g, lab = std(k)
-    assert verify_self_complementary(g, lab)
+    _, _, _, lab = std(k)
+    assert verify_self_complementary(lab)
 
 
-@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def _doubling(lab) -> list[int]:
+    """v_i -> v_2i as a permutation of the dense rows."""
+    perm = [0] * lab.n
+    for i, c in enumerate(lab.index):
+        perm[c] = lab.index[2 * i % lab.n]
+    return perm
+
+
+def _dense_map_verdicts(ctx, g, lab) -> tuple[bool, bool, bool]:
+    """The dense oracles' verdicts on g's rows: v_i -> v_2i onto the complement,
+    z -> a/(z+1) onto g, and z -> z+1 onto g, or onto its reversal when tr(1) = 1."""
+    al = alpha_of(ctx, g.a.value)
+    alpha = [0 if p is INF else 1 + p for p in (apply(ctx, al, p) for p in [INF, *range(ctx.q)])]
+    return (bool(verify_vertex_map(g.rows, _doubling(lab), g.rows, True)),
+            bool(verify_vertex_map(g.rows, alpha, g.rows, False)),
+            carries(translate_rows(g.rows, 1, ctx), g.rows, ctx.trace(1) == 1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
 def test_self_complementary_every_parameter(field, k):
-    # v_i -> v_2i along the labeling at every trace-1 a, short alpha-orbits included
+    # each read off the certified connection set says what the dense oracle says
+    # on the rows, at every trace-1 a of both parities, short alpha-orbits included:
+    # v_i -> v_2i, alpha and z -> z+1 (a reversal at odd k)
     ctx = field(k)
+    build = build_tournament if k % 2 else build_graph
     for a_val in range(ctx.q):
         if ctx.trace(a_val) == 1:
             a = param_a(ctx, a_val)
-            assert verify_self_complementary(build_graph(ctx, a), circulant_labeling(ctx, a))
+            g, lab = build(ctx, a), circulant_labeling(ctx, a)
+            assert verify_circulant(g, lab)
+            aut = verify_automorphisms(ctx, lab)
+            doubling, alpha, shift = _dense_map_verdicts(ctx, g, lab)
+            assert bool(verify_self_complementary(lab)) is doubling
+            assert aut.map != "alpha" and alpha
+            assert aut and shift
 
 
 def test_self_complementary_negative_control(std):
-    # the identity permutation cannot exchange a graph with its complement
-    _, _, g, _ = std(4)
+    # the identity permutation cannot exchange a graph with its complement; and
+    # with 2 added to C = -C at k = 4, 1 and 2 are both in it: the read fails at
+    # d = 1, where the dense map fails too
+    _, _, g, lab = std(4)
     identity = list(range(g.n))
     image = relabel(g.rows, identity)
     assert not carries(image, g.rows, True)
     assert carries(image, g.rows, False)
     assert verify_vertex_map(g.rows, identity, g.rows, False)
     assert verify_vertex_map(g.rows, identity, g.rows, True).position == 0
+    assert 1 in lab.conn and 2 not in lab.conn
+    bad = _forged(lab, conn=lab.conn | {2})
+    assert verify_self_complementary(bad) == ("doubling", 1)
+    assert doubling_witness(_circulant_rows(bad), bad) is not None
 
 
 @pytest.mark.parametrize("k, u, v", [(4, 1, 5), (4, 0, 16), (8, 200, 3), (8, 256, 255)])
 def test_self_complementary_witness_is_first_differing_image_row(std, k, u, v):
-    # one flipped edge: the verdict names the first row of the oracle's image of
-    # v_i -> v_2i that is not the complement's
+    # one flipped edge: the dense oracle of the read names the first row of the
+    # relabel oracle's image of v_i -> v_2i that is not the complement's
     ctx, a, g, lab = std(k)
     rows = list(g.rows)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    verdict = verify_self_complementary(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+    verdict = verify_vertex_map(rows, _doubling(lab), rows, True)
     assert not verdict
     assert verdict.position == doubling_witness(rows, lab) is not None
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_automorphisms(std, k):
-    _, _, g, _ = std(k)
-    assert verify_automorphisms(g)
+    ctx, _, _, lab = std(k)
+    assert verify_automorphisms(ctx, lab) == (None, None)
 
 
 def test_automorphism_negative_control(std):
-    _, _, g, _ = std(4)
+    # a transposition of two vertices is no automorphism, on the rows; and with
+    # the labeling's v_3 and v_5 traded, alpha is no rotation of the positions:
+    # the read names the first v_i that alpha does not send to v_(i+c)
+    ctx, a, g, lab = std(4)
     perm = list(range(g.n))
     perm[1], perm[2] = perm[2], perm[1]  # a random transposition
     assert not carries(relabel(g.rows, perm), g.rows, False)
     assert not verify_vertex_map(g.rows, perm, g.rows, False)
+    v = list(lab.vertices)
+    v[3], v[5] = v[5], v[3]
+    bad = _forged(lab, vertices=tuple(v))
+    verdict = verify_automorphisms(ctx, bad)
+    al, c = alpha_of(ctx, a.value), v.index(0)
+    wrong = [i for i in range(bad.n) if apply(ctx, al, v[i]) != v[(i + c) % bad.n]]
+    assert verdict == ("alpha", wrong[0])
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -324,29 +381,28 @@ def test_tournament_reversal(field, k):
     # tr(1) = 1 at odd k, so the automorphism certificate asks z -> z+1 to reverse every arc
     ctx = field(k)
     a = param_a(ctx)
-    assert verify_automorphisms(build_tournament(ctx, a))
+    lab = circulant_labeling(ctx, a)
+    assert verify_circulant(build_tournament(ctx, a), lab)
+    assert verify_automorphisms(ctx, lab)
     # the same reversal seen as a complement-iso of the tournament onto itself
     assert verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "complement-iso"))
     assert not verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "iso"))
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
-def test_tournament_reversal_negative_control(field, k, monkeypatch):
-    # one arc out of INF turned round, or present both ways, fails the certificate;
-    # with the alpha half forced to pass, z -> z+1 alone must catch either
+def test_tournament_reversal_negative_control(field, k):
+    # one distance d of the connection set joined by -d (arcs both ways), or
+    # dropped (arcs neither way): z -> z+1 reverses no longer every arc, and the
+    # read names the least distance it sends wrong; alpha still passes
     ctx = field(k)
-    a = param_a(ctx)
-    t = build_tournament(ctx, a)
-    j = next(iter_bits(t.rows[0]))
-    turned, doubled = list(t.rows), list(t.rows)
-    turned[0] ^= 1 << j
-    turned[j] ^= 1
-    doubled[j] ^= 1
-    bad = [PaleyLikeGraph(ctx, a, t.n, tuple(rows)) for rows in (turned, doubled)]
-    assert not any(verify_automorphisms(g) for g in bad)
-    _alpha_half_passes(monkeypatch)
-    assert verify_automorphisms(t)
-    assert not any(verify_automorphisms(g) for g in bad)
+    lab = circulant_labeling(ctx, param_a(ctx))
+    n = lab.n
+    d = min(lab.conn)
+    for conn in (lab.conn | {n - d}, lab.conn - {d}):
+        bad = _forged(lab, conn=conn)
+        assert verify_automorphisms(ctx, bad) == ("z+1", min(d, n - d))
+        rows = _circulant_rows(bad)
+        assert not carries(translate_rows(rows, 1, ctx), rows, True)
 
 
 # -- Hamiltonian decomposition ----------------------------------------------
@@ -428,9 +484,11 @@ def test_labeling_from_another_field_rejected(field):
     g = build_graph(field(6), param_a(field(6), 0x21))
     lab = circulant_labeling(field(8), param_a(field(8), 0x21))
     assert g.a == lab.a
-    for certificate in (verify_circulant, verify_self_complementary, hamiltonian_decompose):
+    for certificate in (verify_circulant, hamiltonian_decompose):
         with pytest.raises(ValueError, match="different parameters"):
             certificate(g, lab)
+    with pytest.raises(ValueError, match="different orders"):
+        verify_automorphisms(field(6), lab)
 
 
 def test_decompose_rejects_flipped_edge(std):
@@ -469,7 +527,7 @@ def test_chapman_k2_shape(field):
     assert h.n == 5
     assert all(r.bit_count() == 2 for r in h.rows)
     assert not h.undefined_pairs
-    assert h.circulant_certified
+    assert h.circulant
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -491,21 +549,20 @@ def test_chapman_tampered_row_not_certified(field, tamper_coset):
     ext = QuadExtCtx(ctx)
     lam = lambda_of(ext, param_a(ctx).value)
     h = chapman_build(ext, lam)
-    shift = [*range(1, h.n), 0]
-    assert h.circulant_certified and is_circulant(h.rows, h.rows[0], h.n)
-    assert verify_vertex_map(h.rows, shift, h.rows, False)
-    # one row of the built graph with one bit flipped
+    assert h.circulant and is_circulant(h.rows, h.rows[0], h.n)
+    # one row of the built graph with one bit flipped: the column pass against the
+    # circulant of row 0 names that row
     rows = list(h.rows)
     rows[3] ^= 1 << 7
     assert not is_circulant(rows, rows[0], h.n)
-    assert not verify_vertex_map(rows, shift, rows, False)
+    assert first_failing_row(rows, circulant_columns(h.conn, h.n, range(h.n))).position == 3
     # the build itself, with the predicate flipped at w = g^(q+3), which
-    # only the pair (reps[1], reps[3]) reads
+    # only the pair (reps[1], reps[3]) reads: row 1 is the first that fails
     tamper_coset(ext, ctx.q + 3)
     bad = chapman_build(ext, lam)
     assert bad.rows[0] == h.rows[0] and bad.rows != h.rows
     assert not bad.undefined_pairs
-    assert not bad.circulant_certified
+    assert bad.circulant == RowVerdict(1)
 
 
 def test_chapman_rejects_degenerate_lambda(field):
@@ -540,7 +597,7 @@ def test_representative_independence_witness(field, tamper_coset):
     h = chapman_build(ext, lam)
     tamper_coset(ext, 3 * ctx.q + 1)
     bad = chapman_build(ext, lam)
-    assert bad.rows == h.rows and bad.circulant_certified
+    assert bad.rows == h.rows and bad.circulant
     rep = verify_representative_independence(bad)
     assert not rep and rep.witness == (15, 49)
     assert bad.table[15] != bad.table[49] and (15 - 49) % 17 == 0
@@ -601,8 +658,8 @@ def test_chapman_isomorphic(std, k):
 
 
 def test_chapman_verified_isomorphism_reads_no_spectrum(std, monkeypatch):
-    # isomorphic graphs have equal codegree spectra: a verified map reports that
-    # without reading either spectrum
+    # isomorphic graphs have equal codegree spectra: a multiplier that maps one
+    # certified connection set onto the other reports that without reading either
     ctx, a, g, lab = std(6)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
@@ -624,7 +681,7 @@ def test_chapman_compare_negative_control(std):
     mask = sum(1 << d for d in conn)
     rows = tuple(rotate(mask, i, n) for i in range(n))
     fake = h._replace(rows=rows, conn=conn)
-    assert is_circulant(rows, mask, n) and fake.circulant_certified
+    assert is_circulant(rows, mask, n) and fake.circulant
     cmp_result = chapman_compare(fake, g, lab)
     assert not cmp_result
     assert cmp_result.verdict == "not-isomorphic"
@@ -632,13 +689,14 @@ def test_chapman_compare_negative_control(std):
 
 
 def test_chapman_compare_needs_two_certified_circulants(std):
-    # an uncertified coset graph is a bad argument; rows that are not the
-    # labeling's circulant are a failed certificate
+    # an uncertified coset graph, or one with an undefined pair, is a bad argument;
+    # rows that are not the labeling's circulant are a failed certificate
     ctx, a, g, lab = std(4)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
-    with pytest.raises(ValueError, match="certified"):
-        chapman_compare(h._replace(circulant_certified=False), g, lab)
+    for bad in (h._replace(circulant=RowVerdict(3)), h._replace(undefined_pairs=((0, 1),))):
+        with pytest.raises(ValueError, match="certified"):
+            chapman_compare(bad, g, lab)
     rows = list(g.rows)
     rows[1] ^= 1 << 5
     rows[5] ^= 1 << 1
