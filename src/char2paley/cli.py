@@ -29,14 +29,14 @@ from .analyze import (
 )
 from .construct import (
     MATRIX_CAP, OutOfScopeError, build_graph, build_tournament, check_cap, circulant_labeling,
-    first_failing_row, param_a, unpaired_distance, verify_circulant, wide_row,
+    param_a, unpaired_distance, verify_circulant,
 )
 from .formats import (
     Export, point_label, write_decomposition, write_dimacs, write_edges,
     write_json_graph, write_matrix,
 )
 from .gf2k import K_MAX, FieldCtx
-from .mobius import INF, QuadExtCtx, lambda_of
+from .mobius import INF, QuadExtCtx, lambda_of, point_of_index
 from .structure import (
     CertificateFailed, ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose,
     shift_isomorphism, verify_automorphisms, verify_representative_independence,
@@ -297,35 +297,6 @@ def cmd_build(args) -> int:
 # certify
 
 
-def _check_regularity(g):
-    wide = wide_row(g.rows)
-    if wide is not None:  # the row reaches past the last vertex: name it and its highest bit
-        return False, {"witness": {"vertex": wide, "bit": g.rows[wide].bit_length() - 1, "n": g.n}}
-    want = g.ctx.q // 2
-    for i in range(g.n):
-        if g.degree(i) != want:
-            return False, {"witness": {"vertex": i, "degree": g.degree(i), "expected": want}}
-    return True, {"degree": want}
-
-
-def _check_symmetry(g):
-    """The rows are their own columns: the first failing row i is paired with the
-    highest bit where row i and column i differ."""
-    verdict = first_failing_row(g.rows, g.rows)
-    if verdict:
-        return True, None
-    i = verdict.position
-    col = sum((r >> i & 1) << c for c, r in enumerate(g.rows))
-    return False, {"witness": {"pair": [i, (col ^ g.rows[i]).bit_length() - 1]}}
-
-
-def _check_no_loops(g):
-    for i in range(g.n):
-        if g.rows[i] >> i & 1:
-            return False, {"witness": {"vertex": i}}
-    return True, None
-
-
 def _check_labeling_identities(ctx, a, lab):
     # v_2 = b^2 + a, v_q = 1 + b and v_(q-1) = 1 + b^2 + a follow from these
     n = ctx.q + 1
@@ -368,23 +339,44 @@ def _rests_on(verdict, claim: str, basis: str) -> str | None:
     return f"the {claim} rests on {basis}, which failed"
 
 
+def _connection_set_reads(ctx, lab) -> dict:
+    """regularity, symmetry and no-loops, read off the certified connection set C: the
+    rows are C's circulant, so every degree is |C|, each entry (v_0, v_d) has its mirror
+    exactly when C = -C, and no v_i is its own neighbour exactly when 0 is not in C."""
+    conn, want, inf = lab.conn, ctx.q // 2, point_label(INF)
+
+    def regularity():
+        if len(conn) != want:
+            return False, {"witness": {"vertex": inf, "degree": len(conn), "expected": want}}
+        return True, {"degree": want}
+
+    def symmetry():
+        d = unpaired_distance(conn, lab.n)
+        return d is None, None if d is None else {"witness": {"pair": [
+            inf, point_label(lab.vertices[d])]}}
+
+    def no_loops():  # CirculantLabeling holds C within 1 .. n-1
+        return 0 not in conn, {"witness": {"vertex": inf}} if 0 in conn else None
+
+    return {"regularity": regularity, "symmetry": symmetry, "no-loops": no_loops}
+
+
 def cmd_certify(args) -> int:
     _graph_k(args.k, "certify")
     check_cap(args.k)
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
-    checks = _Checks()
-    checks.run("regularity", "exhaustive", lambda: _check_regularity(g))
-    checks.run("symmetry", "exhaustive", lambda: _check_symmetry(g))
-    checks.run("no-loops", "exhaustive", lambda: _check_no_loops(g))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-    # the verdict, which vertex-transitive restates
+    checks = _Checks()
+    # the one dense comparison: every entry, no symmetry assumed and no bit at or above n
     circ = checks.run("circulant", "exhaustive", lambda: _check_circulant(g, lab))
+    on_circulant = _rests_on(circ, "certificate", "the circulant check")
+    for name, read in _connection_set_reads(ctx, lab).items():
+        checks.run(name, "exhaustive", read, on_circulant)
     ident = checks.run("labeling-identities", "exhaustive",
                        lambda: _check_labeling_identities(ctx, a, lab))
     # the maps are read off C, on the identities v_2i = v_i^2 + a and v_-i = 1 + v_i
-    on_labeling = (_rests_on(circ, "certificate", "the circulant check")
-                   or _rests_on(ident, "certificate", "the labeling-identities check"))
+    on_labeling = on_circulant or _rests_on(ident, "certificate", "the labeling-identities check")
 
     def self_complementary():
         v = verify_self_complementary(lab)
@@ -414,8 +406,10 @@ def cmd_certify(args) -> int:
         for ap_val in t1:
             ap = param_a(ctx, ap_val)
             iso = shift_isomorphism(ctx, a, ap)
-            if not verify_shift_isomorphism(ctx, a, ap, iso, target=target):
-                return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}"}}
+            carried = verify_shift_isomorphism(ctx, a, ap, iso, target=target)
+            if not carried:  # named by the image vertex y whose row differs
+                y = point_label(point_of_index(ctx, carried.position))
+                return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}", "vertex": y}}
         return True, {"mode": mode, "count": len(t1)}
 
     # each a' is held to G_a's rows: only certified ones, so no fault of theirs falls on an a'

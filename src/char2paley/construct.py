@@ -224,8 +224,8 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 # ---------------------------------------------------------------------------
 # Bit primitives.  Every whole-matrix comparison is one column pass
 # (first_failing_row) over one transpose kernel (_transposed), against a
-# circulant's columns (circulant_columns) or the rows' own; translations
-# x -> x + b are masked swaps (_swap_masks) of a row, or of a band of rows
+# circulant's columns (circulant_columns); translations x -> x + b are
+# masked swaps (_swap_masks) of a row, or of a band of rows
 # (structure._shift_carries).  Other vertex maps are read off a certified C.
 
 # bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m

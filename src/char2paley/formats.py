@@ -204,7 +204,6 @@ def write_json_graph(g: PaleyLikeGraph) -> Export:
 
 def write_decomposition(dec: HamiltonianDecomposition) -> str:
     """Header `p=<int> cycles=<int>`, then one space-separated cycle per line."""
-    lines = [f"p={dec.p} cycles={len(dec.cycles)}"]
-    for cyc in dec.cycles:
-        lines.append(" ".join(point_label(v) for v in cyc))
-    return "\n".join(lines) + "\n"
+    labels = {v: point_label(v) for v in (INF, *range(dec.p - 1))}  # made once, as _point_labels
+    cycles = (" ".join(map(labels.__getitem__, cyc)) for cyc in dec.cycles)
+    return "\n".join([f"p={dec.p} cycles={len(dec.cycles)}", *cycles]) + "\n"

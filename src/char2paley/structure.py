@@ -95,9 +95,9 @@ class ShiftTarget:
         return self._packed[flipped]
 
 
-def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> bool:
+def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> RowVerdict:
     """Whether `rows`, after the vertex map x -> x + b (INF fixed), are the rows of
-    target, or of its complement when flipped; False when a row has a bit at or above n.
+    target, or of its complement when flipped: the first image row y that is not, or None.
 
     Source row y + b is image row y, by list indexing, and the image is
     packed in the target's layout, one int a band.  Each band is
@@ -105,34 +105,40 @@ def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> bool:
     column masks (Warren, Hacker's Delight, section 7-3): across bit h
     of b, bit 1 + u of every row slot trades places with bit 1 + u + 2^h,
     for u with bit h clear, and INF's bit 0 stays.  Every band is then
-    compared with the target's.
+    compared with the target's: the swaps keep every bit in its row slot,
+    so the lowest differing bit of the first band that differs is row y's.
+    A row with a bit at or above n fails at its own row, as does the
+    first missing or extra row.
     """
     ctx, n = target.graph.ctx, target.graph.n
     ctx.check_elem(b)
     if len(rows) != n:
-        return False
+        return RowVerdict(min(len(rows), n))
     want = target.bands(flipped)
     if want is None:
-        return False
+        return RowVerdict(wide_row(target.graph.rows))
     finite = rows[1:]
     image = [rows[0], *map(finite.__getitem__, map(b.__xor__, range(ctx.q)))]
     swaps = [(s, m) for s, m in target.swaps if b & s]
+    w, per = target.w, target.per
     try:
-        for x, band in zip(_bands(image, target.w, target.per), want):
+        for j, (x, band) in enumerate(zip(_bands(image, w, per), want)):
             for s, m in swaps:
                 t = (x >> s ^ x) & m
                 x ^= t ^ t << s
             if x != band:  # the swaps keep the padding bits at or above n, and band's are clear
-                return False
+                diff = x ^ band
+                return RowVerdict(j * per + ((diff & -diff).bit_length() - 1) // (8 * w))
     except OverflowError:  # a row too wide (or negative) for its w bytes
-        return False
-    return True
+        return RowVerdict(next(y for y, r in enumerate(image) if r >> 8 * w))
+    return RowVerdict(None)
 
 
 def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: ShiftIso,
-                             target: ShiftTarget | None = None) -> bool:
+                             target: ShiftTarget | None = None) -> RowVerdict:
     """Edge-by-edge check that x -> x+b maps build(a') onto build(a),
-    or onto its complement for a complement-iso.
+    or onto its complement for a complement-iso: the first vertex y of
+    the target whose image row differs, or None.
 
     Compares the source's rows after the shift with the target's,
     bit for bit, in packed bands (`_shift_carries`).  `target`, the

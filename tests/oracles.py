@@ -32,6 +32,11 @@
   row from the connection set and `lab.index`, with no transpose: the
   oracles of the one-pass witness in `verify_circulant`, on which every
   structural read rests.
+- `dense_regularity`, `dense_symmetry` and `dense_no_loops` read every
+  degree, the rows against their own columns (one column pass) and the
+  diagonal off the dense rows: the checks `certify` made before it read
+  regularity, symmetry and no-loops off the certified connection set,
+  and the oracles of those reads.
 - `tile_transpose` transposes a bit matrix one 256 x 256 tile at a time
   with the eight delta swaps of the recursive block transpose, the
   oracle of the byte-column kernel `_transposed` at orders where a
@@ -288,6 +293,38 @@ def circulant_row_witness(g: PaleyLikeGraph, lab) -> int | None:
     n, idx = lab.n, lab.index
     return next((i for i, c in enumerate(idx)
                  if g.rows[c] != sum(1 << idx[(i + d) % n] for d in lab.conn)), None)
+
+
+def dense_regularity(g: PaleyLikeGraph):
+    """(ok, detail): every row has q/2 bits, and none reaches past vertex n - 1; else
+    the first wide row and its highest bit, or the first vertex of another degree."""
+    wide = next((i for i, r in enumerate(g.rows) if r >> g.n), None)
+    if wide is not None:
+        return False, {"witness": {"vertex": wide, "bit": g.rows[wide].bit_length() - 1, "n": g.n}}
+    want = g.ctx.q // 2
+    for i in range(g.n):
+        if g.degree(i) != want:
+            return False, {"witness": {"vertex": i, "degree": g.degree(i), "expected": want}}
+    return True, {"degree": want}
+
+
+def dense_symmetry(g: PaleyLikeGraph):
+    """(ok, detail): the rows are their own columns; else the first failing row i,
+    paired with the highest bit where row i and column i differ."""
+    verdict = first_failing_row(g.rows, g.rows)
+    if verdict:
+        return True, None
+    i = verdict.position
+    col = sum((r >> i & 1) << c for c, r in enumerate(g.rows))
+    return False, {"witness": {"pair": [i, (col ^ g.rows[i]).bit_length() - 1]}}
+
+
+def dense_no_loops(g: PaleyLikeGraph):
+    """(ok, detail): no row has its own bit; else the first vertex that does."""
+    for i in range(g.n):
+        if g.rows[i] >> i & 1:
+            return False, {"witness": {"vertex": i}}
+    return True, None
 
 
 def tile_transpose(rows) -> list[int]:

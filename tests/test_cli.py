@@ -11,10 +11,11 @@ import char2paley
 
 from char2paley import (
     FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, build_tournament, circulant_labeling,
-    iter_bits, param_a, shift_isomorphism,
+    param_a, shift_isomorphism,
 )
 from char2paley.cli import main
 from char2paley.formats import parse_edges, point_label, write_edges
+from oracles import circulant_witness, dense_no_loops, dense_regularity, dense_symmetry
 
 
 def run(capsys, *argv):
@@ -184,7 +185,8 @@ def test_certify_flipped_bit_fails_circulance(capsys, monkeypatch):
 @pytest.mark.parametrize("k, flip", [(4, (3, 5)), (8, (0, 200)), (8, (256, 0))])
 def test_certify_shift_class_names_the_failing_parameter(capsys, monkeypatch, k, flip):
     # one bit flipped in the rows built at one a' (a finite row, INF's row,
-    # INF's column): the class fails and names that a' and its shift b
+    # INF's column): the class fails and names that a', its shift b and the
+    # vertex whose image row differs
     import char2paley.structure as structure
     ctx = FieldCtx(k)
     a = param_a(ctx)
@@ -204,9 +206,11 @@ def test_certify_shift_class_names_the_failing_parameter(capsys, monkeypatch, k,
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     b = shift_isomorphism(ctx, a, param_a(ctx, bad)).b
+    # source row r of a' is image row y: INF's stays, the finite point x goes to x + b
+    vertex = "inf" if flip[0] == 0 else f"{(flip[0] - 1) ^ b:#x}"
     assert checks["shift-isomorphism-class"] == {
         "name": "shift-isomorphism-class", "pass": False, "evidence": "exhaustive",
-        "witness": {"a_prime": f"{bad:#x}", "b": f"{b:#x}"}}
+        "witness": {"a_prime": f"{bad:#x}", "b": f"{b:#x}", "vertex": vertex}}
     assert all(c["pass"] for name, c in checks.items() if name != "shift-isomorphism-class")
 
 
@@ -225,26 +229,22 @@ def _one_row_wider_than_n(monkeypatch, k, i):
 
 def test_certify_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
     # a row reaching past vertex n - 1 is a failed certificate (exit 1), not a
-    # configuration error: regularity names it, circulant places it in orbit
-    # order, symmetry's column pass fails on it, and the checks that rest on
-    # the circulant are skipped
+    # configuration error: circulant places it in orbit order, and every check
+    # that rests on the circulant, regularity, symmetry and no-loops included,
+    # is skipped
     lab = _one_row_wider_than_n(monkeypatch, 6, 5)
     code, out = run(capsys, "certify", "--k", "6")
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False and doc["complete"] is False
     checks = {c["name"]: c for c in doc["checks"]}
-    assert checks["regularity"]["pass"] is False
-    assert checks["regularity"]["witness"] == {"vertex": 5, "bit": 65, "n": 65}
     i = lab.index.index(5)
     assert checks["circulant"]["pass"] is False
     assert checks["circulant"]["witness"] == {"vertex": "0x4", "orbit_position": i}
     assert checks["vertex-transitive"]["witness"] == checks["circulant"]["witness"]
-    assert checks["symmetry"]["pass"] is False and "skipped" not in checks["symmetry"]
-    assert checks["symmetry"]["witness"] == {"pair": [5, 65]}
-    for name in ("self-complementary", "automorphisms", "shift-isomorphism-class"):
+    for name in ("regularity", "symmetry", "no-loops", "self-complementary", "automorphisms",
+                 "shift-isomorphism-class"):
         assert checks[name]["skipped"] is True
-    assert checks["no-loops"]["pass"] is True
 
 
 def test_analyze_row_wider_than_n_fails_with_witness(capsys, monkeypatch):
@@ -972,21 +972,19 @@ def test_k_out_of_range(capsys):
 
 
 def test_certify_symmetry_witness(capsys, monkeypatch):
-    # one edge kept in one row only: the symmetry check names that pair
-    import char2paley.cli as cli
-    ctx = FieldCtx(4)
-    a = param_a(ctx)
-    g = build_graph(ctx, a)
-    rows = list(g.rows)
-    j = next(iter_bits(rows[0]))  # lowest neighbour of vertex 0
-    rows[0] ^= 1 << j
-    tampered = PaleyLikeGraph(ctx, a, g.n, tuple(rows))
-    monkeypatch.setattr(cli, "build_graph", lambda ctx, a: tampered)
+    # rows that are exactly the circulant of C = {1 .. 8} at k = 4, on the real
+    # vertices: circulant, regularity (|C| = q/2) and no-loops pass, and symmetry
+    # fails at the least d in C with -d not in C, d = 1, named as the pair
+    # (v_0, v_1), an entry whose mirror is missing
+    rows, forged = _forge_circulant(monkeypatch, 4, lambda n: set(range(1, 9)))
     code, out = run(capsys, "certify", "--k", "4")
     assert code == 1
-    sym = next(c for c in json.loads(out)["checks"] if c["name"] == "symmetry")
-    assert sym["pass"] is False
-    assert sym["witness"] == {"pair": [0, j]}
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert all(checks[name]["pass"] for name in ("circulant", "regularity", "no-loops"))
+    assert checks["symmetry"] == {
+        "name": "symmetry", "pass": False, "evidence": "exhaustive",
+        "witness": {"pair": ["inf", point_label(forged.vertices[1])]}}
+    assert rows[0] >> forged.index[1] & 1 and not rows[forged.index[1]] & 1
 
 
 def test_certify_self_complementary_witness(capsys, monkeypatch):
@@ -1071,8 +1069,14 @@ def test_certify_shift_class_rests_on_circulant(capsys, monkeypatch, how):
 @pytest.mark.parametrize("how", TAMPERS)
 def test_every_failing_check_has_a_witness(capsys, monkeypatch, k, how):
     # whatever the tamper, every entry that fails names a witness and every
-    # skipped one a reason, in certify, analyze and chapman alike
+    # skipped one a reason, in certify, analyze and chapman alike; certify's
+    # circulant names the oracle's orbit row, and every check resting on it,
+    # the three read off the connection set included, is skipped
+    import char2paley.cli as cli
     _tamper_build(monkeypatch, k, how)
+    ctx = FieldCtx(k)
+    lab = circulant_labeling(ctx, param_a(ctx))
+    i = circulant_witness(cli.build_graph(ctx, lab.a), lab)
     for command in ("certify", "analyze", "chapman"):
         code, out = run(capsys, command, "--k", str(k))
         assert code == 1, command
@@ -1082,7 +1086,64 @@ def test_every_failing_check_has_a_witness(capsys, monkeypatch, k, how):
             assert "reason" in c if c.get("skipped") else "reason" not in c, (command, c)
         skipped = {c["name"] for c in checks if c.get("skipped")}
         if command == "certify":
-            assert {"self-complementary", "automorphisms", "shift-isomorphism-class"} <= skipped
+            assert skipped == {"regularity", "symmetry", "no-loops", "self-complementary",
+                               "automorphisms", "shift-isomorphism-class"}
+            circulant = next(c for c in checks if c["name"] == "circulant")
+            assert circulant["witness"] == {"vertex": point_label(lab.vertices[i]),
+                                            "orbit_position": i}
+
+
+def test_certify_makes_one_column_pass(capsys, monkeypatch):
+    # the circulant check is the only whole-matrix comparison certify makes
+    import char2paley.construct as construct
+    calls = []
+    real = construct.first_failing_row
+
+    def counting(rows, columns):
+        calls.append(len(rows))
+        return real(rows, columns)
+
+    monkeypatch.setattr(construct, "first_failing_row", counting)
+    code, _ = run(capsys, "certify", "--k", "6")
+    assert code == 0
+    assert calls == [65]
+
+
+@pytest.mark.parametrize("k, every_a", [(4, True), (6, True), (8, False), (10, False)])
+def test_connection_set_reads_agree_with_the_dense_oracles(field, k, every_a):
+    # at every trace-1 a through k = 6 and the default a at k = 8 and 10, each
+    # read off C gives the dense check's verdict and detail on a passing graph
+    from char2paley.cli import _connection_set_reads
+    ctx = field(k)
+    values = [x for x in range(ctx.q) if ctx.trace(x) == 1] if every_a else [None]
+    for value in values:
+        a = param_a(ctx, value)
+        g, lab = build_graph(ctx, a), circulant_labeling(ctx, a)
+        reads = {name: read() for name, read in _connection_set_reads(ctx, lab).items()}
+        oracles = {"regularity": dense_regularity(g), "symmetry": dense_symmetry(g),
+                   "no-loops": dense_no_loops(g)}
+        assert reads == oracles, value
+        assert all(ok for ok, _ in reads.values())
+
+
+@pytest.mark.parametrize("conn_of, fails", [
+    (lambda n: set(range(1, 9)), {"symmetry"}),        # |C| = q/2, C != -C
+    (lambda n: {1, 2, n - 1}, {"regularity", "symmetry"}),
+    (lambda n: {1, 2, n - 2, n - 1}, {"regularity"}),  # C = -C, |C| != q/2
+    (lambda n: {1, 2, 3, 4, n - 4, n - 3, n - 2, n - 1}, set()),
+], ids=["asymmetric", "both", "irregular", "passing"])
+def test_connection_set_reads_on_forged_circulants(monkeypatch, conn_of, fails):
+    # negative controls: on the circulant of a forged C at k = 4, which passes the
+    # circulant check, each read fails exactly where its dense oracle does
+    from char2paley.cli import _connection_set_reads
+    rows, forged = _forge_circulant(monkeypatch, 4, conn_of)
+    ctx = FieldCtx(4)
+    g = PaleyLikeGraph(ctx, forged.a, forged.n, tuple(rows))
+    assert circulant_witness(g, forged) is None
+    reads = {name: read()[0] for name, read in _connection_set_reads(ctx, forged).items()}
+    assert reads == {"regularity": dense_regularity(g)[0], "symmetry": dense_symmetry(g)[0],
+                     "no-loops": dense_no_loops(g)[0]}
+    assert {name for name, ok in reads.items() if not ok} == fails
 
 
 def test_passing_chapman_loads_no_decimal(tmp_path):

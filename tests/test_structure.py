@@ -134,15 +134,21 @@ def shift_cases(draw):
 @given(shift_cases())
 def test_shift_kernel_agrees_with_the_per_row_oracle(field, case):
     # graphs' and tournaments' orders, in one band or in bands of a few rows:
-    # the packed translate-and-compare says what translating each row says
+    # the packed translate-and-compare says what translating each row says,
+    # and names the first image row that differs
     k, rows, b, flipped, band, target = case
     ctx = field(k)
     n = ctx.q + 1
     g = PaleyLikeGraph(ctx, param_a(ctx), n, tuple(target))
-    want = carries(translate_rows(rows, b, ctx), target, flipped)
+    image = translate_rows(rows, b, ctx)
+    want = carries(image, target, flipped)
+    rows_of = [(1 << n) - 1 ^ r ^ 1 << i for i, r in enumerate(target)] if flipped else target
+    first = next((y for y, (r, t) in enumerate(zip(image, rows_of)) if r != t), None)
     size = structure._SHIFT_BAND if band is None else band * _row_bytes(k)
     with mock.patch.object(structure, "_SHIFT_BAND", size):
-        assert _shift_carries(tuple(rows), b, ShiftTarget(g), flipped) is want
+        verdict = _shift_carries(tuple(rows), b, ShiftTarget(g), flipped)
+    assert bool(verdict) is want
+    assert verdict.position == first
 
 
 def _tamper(rows, i, j):
@@ -154,7 +160,7 @@ def _tamper(rows, i, j):
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_shift_class_across_several_bands(field, monkeypatch, k):
     # three rows a band: k = 4-6 spans 6-22 bands; every trace-1 a' still
-    # carries, and one flipped bit in the first or last row of a band fails.
+    # carries, and one flipped bit in the first or last row of a band fails there.
     # A target takes its band size when it is built
     ctx = field(k)
     a = param_a(ctx)
@@ -175,9 +181,9 @@ def test_shift_class_across_several_bands(field, monkeypatch, k):
     for slot in (2, 3, 5, 6, n - 1):  # both sides of the first two band borders, and the last row
         for j in (0, 1, n - 1):
             tampered = ShiftTarget(PaleyLikeGraph(ctx, a, n, _tamper(g.rows, slot, j)))
-            assert not _shift_carries(src, iso.b, tampered, flipped), (slot, j)
+            assert _shift_carries(src, iso.b, tampered, flipped).position == slot, j
             source = _tamper(src, 1 + ((slot - 1) ^ iso.b), j)  # the source row of image slot
-            assert not _shift_carries(source, iso.b, target, flipped), (slot, j)
+            assert _shift_carries(source, iso.b, target, flipped).position == slot, j
 
 
 @pytest.mark.parametrize("k", [4, 5, 8])
@@ -198,15 +204,16 @@ def test_shift_kernel_negative_controls(field, k):
     for slot, j in ((0, 5), (0, n - 1), (7, 0), (n - 1, 0),
                     (1, 3), (1, n - 1), (n - 1, 1), (n - 1, n - 1)):
         tampered = ShiftTarget(PaleyLikeGraph(ctx, a, n, _tamper(g.rows, slot, j)))
-        assert not _shift_carries(src, iso.b, tampered, flipped), (slot, j)
+        assert _shift_carries(src, iso.b, tampered, flipped).position == slot, j
         row = 0 if slot == 0 else 1 + ((slot - 1) ^ iso.b)
-        assert not _shift_carries(_tamper(src, row, j), iso.b, target, flipped), (slot, j)
+        assert _shift_carries(_tamper(src, row, j), iso.b, target, flipped).position == slot, j
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 8])
 def test_shift_kernel_wide_rows_fail_without_raising(field, k):
     # a row with a bit at or above n, in the padding of its bytes or beyond
-    # them, or a negative row, fails the check in the source or the target
+    # them, or a negative row, fails the check at its own row, in the source
+    # (at its image row) or the target
     ctx = field(k)
     a = param_a(ctx)
     g = (build_tournament if k % 2 else build_graph)(ctx, a)
@@ -214,12 +221,13 @@ def test_shift_kernel_wide_rows_fail_without_raising(field, k):
     target = ShiftTarget(g)
     assert _shift_carries(g.rows, 1, target, flipped)
     for i in (0, 1, n - 1):
+        y = 0 if i == 0 else 1 + ((i - 1) ^ 1)  # image row of source row i
         for bad in (g.rows[i] | 1 << n, g.rows[i] | 1 << 8 * _row_bytes(k), -1 - g.rows[i]):
             rows = g.rows[:i] + (bad,) + g.rows[i + 1:]
-            assert not _shift_carries(rows, 1, target, flipped), (i, bad)
+            assert _shift_carries(rows, 1, target, flipped).position == y, (i, bad)
             wide = ShiftTarget(PaleyLikeGraph(ctx, a, n, rows))
-            assert not _shift_carries(g.rows, 1, wide, flipped), (i, bad)
-    assert not _shift_carries(g.rows[:-1], 1, target, flipped)  # q rows, not q + 1
+            assert _shift_carries(g.rows, 1, wide, flipped).position == i, bad
+    assert _shift_carries(g.rows[:-1], 1, target, flipped).position == n - 1  # q rows, not q + 1
 
 
 def _forged(lab, conn=None, vertices=None):
