@@ -20,7 +20,7 @@ from .analyze import (
 from .construct import (
     MATRIX_CAP, CirculantLabeling, OutOfScopeError, PaleyLikeGraph, ParamA, RowVerdict,
     adjacency, build_graph, build_tournament, circulant_labeling, first_failing_row,
-    iter_bits, param_a, unpaired_distance, verify_circulant,
+    param_a, unpaired_distance, verify_circulant,
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (
@@ -28,10 +28,10 @@ from .mobius import (
     lambda_of, lambda_ratio_order, point_of_index, vertex_index,
 )
 from .structure import (
-    CertificateFailed, ChapmanComparison, ChapmanGraph, HamiltonianDecomposition, MapVerdict,
-    ShiftIso, ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose,
-    shift_isomorphism, verify_automorphisms, verify_representative_independence,
-    verify_self_complementary, verify_shift_isomorphism,
+    ChapmanComparison, ChapmanGraph, HamiltonianDecomposition, MapVerdict, ShiftIso,
+    ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose, shift_isomorphism,
+    verify_automorphisms, verify_representative_independence, verify_self_complementary,
+    verify_shift_isomorphism,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

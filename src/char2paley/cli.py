@@ -38,7 +38,7 @@ from .formats import (
 from .gf2k import K_MAX, FieldCtx
 from .mobius import INF, QuadExtCtx, lambda_of, point_of_index
 from .structure import (
-    CertificateFailed, ShiftTarget, chapman_build, chapman_compare, hamiltonian_decompose,
+    ShiftTarget, chapman_build, chapman_compare, check_prime_order, hamiltonian_decompose,
     shift_isomorphism, verify_automorphisms, verify_representative_independence,
     verify_self_complementary, verify_shift_isomorphism,
 )
@@ -516,17 +516,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     _graph_k(args.k, "decompose")
-    check_cap(args.k)
+    check_prime_order(check_cap(args.k))
     ctx, a = _make_ctx_and_a(args)
     g = _stage("build", lambda: build_graph(ctx, a))
     lab = _stage("labeling", lambda: circulant_labeling(ctx, a))
-    try:
-        dec = _stage("decompose", lambda: hamiltonian_decompose(g, lab))
-    except CertificateFailed as exc:  # the witness certify or analyze would give
-        witness = (_orbit_witness(lab, exc.witness) if exc.check == "circulant" else
-                   {"distance": exc.witness})
-        print(f"certificate failed: {exc.check}: {json.dumps(witness)}", file=sys.stderr)
+    # the cycles are read off C: only once the rows are certified to be its
+    # circulant, and only when C = -C, so that the classes {d, p-d} are edges
+    circ, detail = _stage("circulant", lambda: _check_circulant(g, lab))
+    d = unpaired_distance(lab.conn, lab.n)
+    if not circ or d is not None:
+        check, witness = ("circulant", detail["witness"]) if not circ else (
+            "unpaired_distance", {"distance": d})
+        print(f"certificate failed: {check}: {json.dumps(witness)}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    dec = _stage("decompose", lambda: hamiltonian_decompose(lab))
     _emit(args, write_decomposition(dec))
     print(f"[decompose] {len(dec.cycles)} Hamiltonian cycles of length {dec.p}",
           file=sys.stderr)
@@ -568,22 +571,29 @@ def cmd_chapman(args) -> int:
                                  "bits": [h.table[e] for e in rep.witness]}
         return rep, detail
 
-    checks.run("representative-independence", "exhaustive", independent)
+    indep = checks.run("representative-independence", "exhaustive", independent)
+
+    def coset_circulant():
+        # the pair (i, j) reads class j - i: the graph is C_H's circulant exactly when C_H = -C_H
+        d = unpaired_distance(h.conn, h.n)
+        return d is None, None if d is None else {"witness": {"distance": d}}
 
     def isomorphic():
-        try:
-            cmp_result = chapman_compare(h, g, lab)
-        except CertificateFailed as exc:  # no connection set of g to compare
-            return False, {"witness": _orbit_witness(lab, exc.witness)}
+        circ, detail = _check_circulant(g, lab)
+        d = unpaired_distance(lab.conn, lab.n)
+        if not circ or d is not None:  # no graph's connection set to compare
+            return False, {"witness": detail.get("witness", {"distance": d})}
+        cmp_result = chapman_compare(h, lab)
         return cmp_result, {"verdict": cmp_result.verdict,
                             "multiplier": cmp_result.multiplier,
                             "spectra_match": cmp_result.spectra_match}
 
-    on_defined = _rests_on(defined, "certificate", "the no-undefined-pairs check")
-    row = None if h.circulant else {"witness": {"row": h.circulant.position}}
-    coset = checks.run("coset-graph-circulant", "exhaustive", lambda: (h.circulant, row), on_defined)
+    # a predicate that depends on the representatives defines no coset graph
+    on_classes = (_rests_on(defined, "certificate", "the no-undefined-pairs check")
+                  or _rests_on(indep, "certificate", "the representative-independence check"))
+    coset = checks.run("coset-graph-circulant", "exhaustive", coset_circulant, on_classes)
     checks.run("isomorphic", "exhaustive", isomorphic,
-               on_defined or _rests_on(coset, "comparison", "the coset-graph-circulant check"))
+               on_classes or _rests_on(coset, "comparison", "the coset-graph-circulant check"))
     _emit(args, _report(args, ctx, a, "chapman", checks))
     return EXIT_OK if checks.all_pass() else EXIT_CHECK_FAILED
 

@@ -222,20 +222,11 @@ def build_tournament(ctx: FieldCtx, a: ParamA) -> PaleyLikeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Bit primitives.  Every whole-matrix comparison is one column pass
-# (first_failing_row) over one transpose kernel (_transposed), against a
-# circulant's columns (circulant_columns); translations x -> x + b are
+# Bit primitives.  The one whole-matrix comparison, the circulant
+# certificate (verify_circulant), is one column pass (first_failing_row)
+# over one transpose kernel (_transposed); translations x -> x + b are
 # masked swaps (_swap_masks) of a row, or of a band of rows
 # (structure._shift_carries).  Other vertex maps are read off a certified C.
-
-# bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
-# of x is set: the selectors for itertools.compress
-BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def iter_bits(x: int):
-    """Positions of the set bits of x >= 0, ascending."""
-    return compress(count(), bin(x)[:1:-1].encode().translate(BIT_FLAGS))
 
 
 def wide_row(rows) -> int | None:
@@ -318,14 +309,6 @@ def first_failing_row(rows, columns) -> RowVerdict:
         diff = col ^ want
         failing |= diff & -diff
     return RowVerdict((failing & -failing).bit_length() - 1 if failing else None)
-
-
-def circulant_columns(conn, n: int, positions):
-    """The columns at orbit positions j of the circulant of conn, rows in circulant order:
-    bit i, the entry (i, j), is set when j - i is in conn, so each is -conn rotated by j."""
-    neg_mask = sum(1 << -d % n for d in conn)
-    doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - j & full: neg_mask rotated by j
-    return (doubled >> n - j & full for j in positions)
 
 
 @lru_cache(maxsize=None)
@@ -447,4 +430,7 @@ def verify_circulant(g: PaleyLikeGraph, lab: CirculantLabeling) -> RowVerdict:
     where = [0] * n  # where[c]: the orbit position of dense vertex c
     for i, c in enumerate(lab.index):
         where[c] = i
-    return first_failing_row([g.rows[c] for c in lab.index], circulant_columns(lab.conn, n, where))
+    neg_mask = sum(1 << -d % n for d in lab.conn)
+    doubled, full = neg_mask << n | neg_mask, (1 << n) - 1  # doubled >> n - j & full: neg_mask rotated by j
+    columns = (doubled >> n - j & full for j in where)
+    return first_failing_row([g.rows[c] for c in lab.index], columns)

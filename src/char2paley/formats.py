@@ -22,7 +22,7 @@ import json
 from bisect import bisect_right
 from itertools import accumulate, chain, compress
 
-from .construct import BIT_FLAGS, PaleyLikeGraph, check_width
+from .construct import PaleyLikeGraph, check_width
 from .gf2k import FieldCtx
 from .mobius import INF, point_of_index, vertex_index
 from .structure import HamiltonianDecomposition
@@ -45,6 +45,11 @@ def _header(g: PaleyLikeGraph) -> str:
 def _point_labels(g: PaleyLikeGraph) -> list[str]:
     """Label of each vertex index, looked up once per write."""
     return [point_label(point_of_index(g.ctx, i)) for i in range(g.n)]
+
+
+# bin(x)[:1:-1].encode().translate(BIT_FLAGS) holds byte 1 at position m iff bit m
+# of x is set: the selectors for itertools.compress
+BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _picks(table: list[str], row: int):

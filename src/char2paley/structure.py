@@ -3,7 +3,8 @@
 The shift map x -> x+b carries the graph built at parameter a' onto the
 one built at a (or onto its complement, when tr(b) = 1), where b solves
 b^2 + b = a + a'; the rows are compared by masked swaps of packed bands
-(`_shift_carries`).  Every other claim is read off a certified circulant
+(`_shift_carries`).  Every other claim is read off a connection set C,
+whose circulant the caller has certified the rows to be
 (`verify_circulant`): a map v_i -> v_(m i + c) sends the pair (v_0, v_d)
 to distance m d, so it is an automorphism exactly when d in C <=> m d in C
 for every d, and exchanges the graph with its complement (a tournament's
@@ -14,8 +15,8 @@ Hamiltonian cycles whenever the order q+1 is prime.
 
 The coset construction over GF(q^2) gives an independent build of the
 same isomorphism class, from one pass over the powers of a primitive
-root, its rows in circulant order and certified by the same column pass;
-a unit m of Z_(q+1) with m C = C_H is then the isomorphism v_i -> w_(m i).
+root: read off its predicate's classes, it is the circulant of C_H, and
+a unit m of Z_(q+1) with m C = C_H is the isomorphism v_i -> w_(m i).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import NamedTuple
 from .analyze import circulant_spectrum
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, RowVerdict, _swap_masks,
-    build_graph, build_tournament, circulant_columns, first_failing_row, iter_bits,
-    unpaired_distance, verify_circulant, wide_row,
+    build_graph, build_tournament, unpaired_distance, wide_row,
 )
 from .gf2k import FieldCtx, factorize
 from .mobius import QuadExtCtx, alpha_of, apply
@@ -143,8 +143,11 @@ def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: Shi
     Compares the source's rows after the shift with the target's,
     bit for bit, in packed bands (`_shift_carries`).  `target`, the
     ShiftTarget of the graph/tournament at parameter a, saves the
-    rebuild and keeps its packed bands for the next call.
+    rebuild and keeps its packed bands for the next call; a target built
+    over another field or at another parameter raises ValueError.
     """
+    if target is not None and (target.graph.ctx != ctx or target.graph.a != a):
+        raise ValueError("the shift target was built from different parameters")
     build = build_tournament if ctx.k % 2 else build_graph
     src = build(ctx, a_prime)
     target = target or ShiftTarget(build(ctx, a))
@@ -193,16 +196,6 @@ def verify_automorphisms(ctx: FieldCtx, lab: CirculantLabeling) -> MapVerdict:
     return _read_map("z+1", lab.conn, n, n - 1, ctx.trace(1) == 1)
 
 
-class CertificateFailed(AssertionError):
-    """A failed certificate: check "circulant" with the first failing orbit position as
-    witness, or "unpaired_distance" with the least d in conn whose n - d is not."""
-
-    def __init__(self, check: str, witness: int):
-        super().__init__({"circulant": "the rows are not the circulant of the connection set",
-                          "unpaired_distance": "connection set is not closed under negation"}[check])
-        self.check, self.witness = check, witness
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian decomposition for prime order
 
@@ -213,27 +206,27 @@ class HamiltonianDecomposition(NamedTuple):
     cycles: tuple[tuple, ...]               # q/4 vertex sequences, length p each
 
 
-def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> HamiltonianDecomposition:
-    """Split the edges into Hamiltonian cycles by circulant distance class.
-
-    Only for prime order p = q+1.  The rows are certified to be the
-    circulant of the connection set (`verify_circulant`), and the set to
-    be closed under negation, so the classes {d, p-d} partition the
-    edges; stepping i -> i+d walks all of Z_p, so each class is one
-    spanning cycle.  Either failure raises CertificateFailed.
-    """
-    lab.check_graph(g)
-    p = g.n
+def check_prime_order(p: int) -> int:
+    """The order p, or OutOfScopeError when it is composite, as check_cap is for the dense cap."""
     if factorize(p) != {p: 1}:
         raise OutOfScopeError(
             f"order {p} is composite: only prime-order circulants are decomposed "
             "by distance classes (the general case has no practical algorithm here)")
-    verdict = verify_circulant(g, lab)
-    if not verdict:
-        raise CertificateFailed("circulant", verdict.position)
-    d = unpaired_distance(lab.conn, p)
-    if d is not None:
-        raise CertificateFailed("unpaired_distance", d)
+    return p
+
+
+def hamiltonian_decompose(lab: CirculantLabeling) -> HamiltonianDecomposition:
+    """Split the edges of the circulant of lab.conn into Hamiltonian cycles by distance class.
+
+    Only for prime order p = q+1 (OutOfScopeError otherwise), and only
+    when conn is closed under negation (ValueError otherwise): the classes
+    {d, p-d} then partition the edges, and stepping i -> i+d walks all of
+    Z_p, so each class is one spanning cycle.  These are a graph's cycles
+    once its rows are certified to be this circulant (`verify_circulant`).
+    """
+    p = check_prime_order(lab.n)
+    if unpaired_distance(lab.conn, p) is not None:
+        raise ValueError("the connection set is not closed under negation")
     dists = sorted(d for d in lab.conn if d < p - d)
     cycles = tuple(tuple(lab.vertices[d * t % p] for t in range(p)) for d in dists)
     return HamiltonianDecomposition(p, tuple((d, p - d) for d in dists), cycles)
@@ -246,23 +239,22 @@ def hamiltonian_decompose(g: PaleyLikeGraph, lab: CirculantLabeling) -> Hamilton
 class ChapmanGraph(NamedTuple):
     """Graph on the q+1 cosets of the base multiplicative group in GF(q^2)*.
 
-    reps[i] is g^i for the fixed primitive root g, so the rows are in
-    circulant order, conn is read from row 0 and circulant is the column
-    pass's verdict on the rows against conn's circulant.  table[e] is the
-    predicate at w = g^e, and the pair (i, j) reads its own entry
-    e = qi + j (w = conj(g^i) g^j).  Pairs where the denominator T(w)
-    vanishes are never guessed at: they are collected in undefined_pairs
-    (expected empty off the diagonal), and leave the graph uncertified.
+    reps[i] is g^i for the fixed primitive root g.  table[e] is the
+    predicate at w = g^e, and the pair (i, j), i < j, reads the entry
+    e = qi + j (w = conj(g^i) g^j), in the class of j - i mod q+1.  conn
+    holds the classes r whose pair (0, r) reads 0: once the table is
+    constant on each class (`verify_representative_independence`), the
+    graph is the circulant of conn exactly when conn = -conn.  Pairs where
+    the denominator T(w) vanishes are never guessed at: they are collected
+    in undefined_pairs (expected empty), and leave the graph undefined.
     """
 
     ext: QuadExtCtx
     lam: tuple[int, int]
     reps: tuple
     table: bytes
-    rows: tuple[int, ...]
     conn: frozenset[int]
     undefined_pairs: tuple
-    circulant: RowVerdict
 
     @property
     def n(self) -> int:
@@ -307,19 +299,18 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
     # one pass over w = g^e, e = 0 ... q^2 - 2
     walk = accumulate(repeat(g, q * q - 2), ext.mul, initial=ext.ONE)
     table = bytes(_coset_predicate(ext, lam, w) for w in walk)
-    rows = [0] * n
+    # the pairs (i, i+1) .. (i, q) read the entries qi + i + 1 .. qi + q, the
+    # last of them, q^2 for i = q - 1, being entry 1
+    wrapped = table + table[:2]
     undefined = []
     for i in range(n):
-        for j in range(i + 1, n):
-            bit = table[(q * i + j) % len(table)]
-            if bit == UNDEFINED:
-                undefined.append((reps[i], reps[j]))
-            elif bit == 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    conn = frozenset(iter_bits(rows[0]))
-    verdict = first_failing_row(rows, circulant_columns(conn, n, range(n)))
-    return ChapmanGraph(ext, lam, tuple(reps), table, tuple(rows), conn, tuple(undefined), verdict)
+        row = wrapped[n * i + 1:q * i + n]
+        j = row.find(UNDEFINED)
+        while j >= 0:
+            undefined.append((reps[i], reps[i + 1 + j]))
+            j = row.find(UNDEFINED, j + 1)
+    conn = frozenset(r for r in range(1, n) if table[r] == 0)
+    return ChapmanGraph(ext, lam, tuple(reps), table, conn, tuple(undefined))
 
 
 class Independence(NamedTuple):
@@ -359,28 +350,27 @@ class ChapmanComparison(NamedTuple):
         return self.verdict == "isomorphic-certified"
 
 
-def chapman_compare(h: ChapmanGraph, g: PaleyLikeGraph, lab: CirculantLabeling) -> ChapmanComparison:
-    """Search for an isomorphism between the two constructions.
+def chapman_compare(h: ChapmanGraph, lab: CirculantLabeling) -> ChapmanComparison:
+    """Search for an isomorphism between the circulants of lab.conn and h.conn.
 
-    Both must be certified circulants of order n = q+1: h by its
-    `circulant` verdict with no undefined pair (ValueError otherwise), g
-    against lab by `verify_circulant` (CertificateFailed otherwise).  The
-    least unit m of Z_n with m * conn(G) = conn(H) is then the isomorphism
-    v_i -> w_(m i); isomorphic graphs have equal codegree spectra.  Only
-    when no unit passes are the spectra read off the two connection sets
-    and compared, the invariant comparison that is then reported.
+    Both must be graphs of order n = q+1: ValueError when the orders
+    differ, when h has an undefined pair, or when either set is not closed
+    under negation.  The least unit m of Z_n with m * conn(G) = conn(H) is
+    then the isomorphism v_i -> w_(m i); isomorphic graphs have equal
+    codegree spectra.  Only when no unit passes are the spectra read off
+    the two connection sets and compared, the invariant comparison that is
+    then reported.
     """
-    if h.ext.base != g.ctx:
-        raise ValueError("the two graphs live over different base fields")
-    if h.undefined_pairs or not h.circulant:
-        raise ValueError("the coset graph is not a certified circulant")
-    verdict = verify_circulant(g, lab)
-    if not verdict:
-        raise CertificateFailed("circulant", verdict.position)
-    n = g.n
+    n = lab.n
+    if h.n != n:
+        raise ValueError("the two graphs have different orders")
+    if h.undefined_pairs:
+        raise ValueError("the coset graph has an undefined pair")
+    if unpaired_distance(h.conn, n) is not None or unpaired_distance(lab.conn, n) is not None:
+        raise ValueError("a connection set is not closed under negation")
     for m in range(1, n):
         if gcd(m, n) == 1 and {m * d % n for d in lab.conn} == h.conn:
             return ChapmanComparison("isomorphic-certified", m, True)
-    if circulant_spectrum(h.n, h.conn).counts != circulant_spectrum(n, lab.conn).counts:
+    if circulant_spectrum(n, h.conn).counts != circulant_spectrum(n, lab.conn).counts:
         return ChapmanComparison("not-isomorphic", None, False)
     return ChapmanComparison("consistent-uncertified", None, True)

@@ -36,17 +36,18 @@ def std(field):
 
 @pytest.fixture
 def tamper_coset(monkeypatch):
-    """tamper_coset(ext, e) flips the coset predicate at w = g^e for the test
-    and returns the tampered predicate."""
+    """tamper_coset(ext, *exponents) flips the coset predicate at each w = g^e
+    for the test and returns the tampered predicate."""
     import char2paley.structure as structure
     real = structure._coset_predicate
 
-    def tamper(ext, e):
-        target = ext.pow(ext.primitive_root(), e)
+    def tamper(ext, *exponents):
+        g = ext.primitive_root()
+        targets = {ext.pow(g, e) for e in exponents}
 
         def tampered(ext, lam, w):
             bit = real(ext, lam, w)
-            return 1 - bit if w == target else bit
+            return 1 - bit if w in targets else bit
 
         monkeypatch.setattr(structure, "_coset_predicate", tampered)
         return tampered

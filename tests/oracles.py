@@ -24,8 +24,9 @@
 - `chapman_rows_per_pair` builds the coset graph with one GF(q^2)
   product w = conj(u) v per pair, and `representative_probes` re-reads
   the predicate on every pair against every pair of unit multipliers,
-  the oracles of the one-pass table in `chapman_build` and of
-  `verify_representative_independence`.
+  the oracles of the class read in `chapman_build` (its connection set,
+  and, through `is_circulant`, the verdict of `coset-graph-circulant`)
+  and of `verify_representative_independence`.
 - `circulant_witness` renames the rows into orbit order and takes the
   first that is too wide or not the connection set rotated by its
   position, and `circulant_row_witness` builds each orbit row's dense
@@ -68,24 +69,33 @@
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against; `all_points`, `IDENTITY`,
   `det` and `mobius_map` are the small Moebius helpers they and the
-  tests share.
+  tests share, and `iter_bits` the walk over a row's set bits that the
+  tests read rows with (the package's writers walk rows with
+  `formats._picks`).
 """
 
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import comb
 
 from char2paley import (
     INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, RowVerdict, apply,
-    ParamA, codegree_formula, first_failing_row, is_full_orbit, iter_bits, vertex_index,
+    ParamA, codegree_formula, first_failing_row, is_full_orbit, vertex_index,
 )
 from char2paley.construct import (
     _field_words, _quotient_traces, _swap_masks, _transposed, check_cap, check_width,
 )
+from char2paley.formats import BIT_FLAGS
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
+
+
+def iter_bits(x: int):
+    """Positions of the set bits of x >= 0, ascending."""
+    return compress(count(), bin(x)[:1:-1].encode().translate(BIT_FLAGS))
 
 
 @dataclass(frozen=True)

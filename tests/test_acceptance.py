@@ -16,7 +16,7 @@ from char2paley import (
     INF, QuadExtCtx, ShiftTarget, adjacency, build_graph, build_tournament,
     circulant_labeling, chapman_build, chapman_compare, hamiltonian_decompose,
     kloosterman_sweep, lambda_of, lambda_ratio_order, param_a, shift_isomorphism,
-    verify_automorphisms, verify_circulant,
+    unpaired_distance, verify_automorphisms, verify_circulant,
     verify_representative_independence, verify_self_complementary,
     verify_shift_isomorphism,
 )
@@ -193,7 +193,8 @@ def test_criterion_11_hamiltonian_decomposition(std):
     with criterion(11, "Hamiltonian decompositions at k=4 and k=8", 30):
         for k, cycles in ((4, 4), (8, 64)):
             ctx, _, g, lab = std(k)
-            dec = hamiltonian_decompose(g, lab)  # certifies internally
+            assert verify_circulant(g, lab)  # the cycles are read off the certified C
+            dec = hamiltonian_decompose(lab)
             assert dec.p == ctx.q + 1
             assert len(dec.cycles) == cycles
             assert len(dec.cycles) * dec.p == g.edge_count()
@@ -235,7 +236,9 @@ def test_criterion_13_chapman_oracle(std):
             assert h.undefined_pairs == ()  # division-by-zero never suppressed
             rep = verify_representative_independence(h)
             assert rep and rep.count == ctx.q * (ctx.q - 1)  # every probe, k = 2 and 4
-            result = chapman_compare(h, g, lab)
+            assert unpaired_distance(h.conn, h.n) is None  # so the coset graph is C_H's circulant
+            assert verify_circulant(g, lab)
+            result = chapman_compare(h, lab)
             assert bool(result), result.verdict
             assert result.verdict == "isomorphic-certified"
 

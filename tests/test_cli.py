@@ -10,8 +10,8 @@ import pytest
 import char2paley
 
 from char2paley import (
-    FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, build_tournament, circulant_labeling,
-    param_a, shift_isomorphism,
+    FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, build_tournament, chapman_build,
+    circulant_labeling, lambda_of, param_a, shift_isomorphism,
 )
 from char2paley.cli import main
 from char2paley.formats import parse_edges, point_label, write_edges
@@ -401,18 +401,16 @@ def test_decompose_unpaired_distance_exits_1_with_the_witness(capsys, monkeypatc
 
 
 def _count_verifications(monkeypatch) -> list:
-    """Record the order n of every verify_circulant call the CLI makes, directly or
-    through the structure functions."""
+    """Record the order n of every verify_circulant call the CLI makes; the structure
+    functions read connection sets and make none."""
     import char2paley.cli as cli
-    import char2paley.structure as structure
     calls = []
-    real = structure.verify_circulant
+    real = cli.verify_circulant
 
     def counting(g, lab):
         calls.append(g.n)
         return real(g, lab)
 
-    monkeypatch.setattr(structure, "verify_circulant", counting)
     monkeypatch.setattr(cli, "verify_circulant", counting)
     return calls
 
@@ -433,7 +431,7 @@ def test_decompose_verifies_circulance_once(capsys, monkeypatch, tmp_path):
     calls = _count_verifications(monkeypatch)
     assert main(["decompose", "--k", "4", "-o", str(tmp_path / "dec.txt")]) == 0
     assert calls == [17]
-    # the failing path reports the witness hamiltonian_decompose found
+    # the failing path reports the witness of that one check
     calls.clear()
     _flip_edge_1_5(monkeypatch)
     assert main(["decompose", "--k", "4", "-o", str(tmp_path / "bad.txt")]) == 1
@@ -478,33 +476,49 @@ def test_chapman_representative_independence_exhaustive(capsys):
 
 
 def test_chapman_representative_independence_witness(capsys, field, tamper_coset):
-    # the predicate flipped at w = g^(3q+1), an entry no pair reads: the rows
-    # stay circulant and isomorphic, and only this check fails, with the class
+    # the predicate flipped at w = g^(3q+1), an entry no pair reads: only this
+    # check fails, with the class, and the coset graph, which rests on the classes
+    # being constant, is not read
     tamper_coset(QuadExtCtx(field(4)), 3 * 16 + 1)
-    code, out = run(capsys, "chapman", "--k", "4")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["pass"] is False
-    checks = {c["name"]: c for c in doc["checks"]}
-    assert [name for name, c in checks.items() if not c["pass"]] == ["representative-independence"]
-    witness = checks["representative-independence"]["witness"]
-    assert witness["exponents"] == [15, 49]
-    assert sorted(witness["bits"]) == [0, 1]
-
-
-def test_chapman_skips_isomorphic_when_coset_graph_not_circulant(capsys, field, tamper_coset):
-    # the predicate flipped at w = g^(q+3), read by the pair (1, 3) alone: the
-    # rows are no circulant, row 1 the first to fail, and the comparison
-    # resting on that is skipped
-    tamper_coset(QuadExtCtx(field(4)), 16 + 3)
     code, out = run(capsys, "chapman", "--k", "4")
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False and doc["complete"] is False
     checks = {c["name"]: c for c in doc["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["representative-independence"]
+    witness = checks["representative-independence"]["witness"]
+    assert witness["exponents"] == [15, 49]
+    assert sorted(witness["bits"]) == [0, 1]
+    reason = "the certificate rests on the representative-independence check, which failed"
+    for name in ("coset-graph-circulant", "isomorphic"):
+        assert checks[name]["skipped"] is True and checks[name]["reason"] == reason
+
+
+def _tamper_class(tamper_coset, k, r):
+    """Flip the coset predicate on every entry of class r at k; returns C_H's
+    unpaired distance after the flip."""
+    ctx = FieldCtx(k)
+    ext = QuadExtCtx(ctx)
+    n = ctx.q + 1
+    conn = chapman_build(ext, lambda_of(ext, param_a(ctx).value)).conn
+    tamper_coset(ext, *range(r, ctx.q * ctx.q - 1, n))
+    return n - r if r in conn else r
+
+
+def test_chapman_skips_isomorphic_when_coset_graph_not_circulant(capsys, tamper_coset):
+    # the predicate flipped on all of class 3: each class is still constant, and
+    # C_H gains or loses 3 alone, so it is not closed under negation and names
+    # the distance; the comparison resting on that is skipped
+    d = _tamper_class(tamper_coset, 4, 3)
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["pass"] is False and doc["complete"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["representative-independence"]["pass"] is True
     assert checks["coset-graph-circulant"] == {
         "name": "coset-graph-circulant", "pass": False, "evidence": "exhaustive",
-        "witness": {"row": 1}}
+        "witness": {"distance": d}}
     assert checks["isomorphic"]["skipped"] is True
 
 
@@ -553,6 +567,17 @@ def test_chapman_fails_isomorphic_when_build_not_circulant(capsys, monkeypatch):
     assert iso["witness"] == circ["witness"]
 
 
+def test_chapman_fails_isomorphic_when_build_is_no_graph(capsys, monkeypatch):
+    # build and labeling forged to the circulant of {1, 2, 16} at k = 4: it passes
+    # `circulant`, but 2 is in C and -2 = 15 is not, so there is no graph to compare
+    _forge_circulant(monkeypatch, 4, lambda n: {1, 2, n - 1})
+    code, out = run(capsys, "chapman", "--k", "4")
+    assert code == 1
+    iso = next(c for c in json.loads(out)["checks"] if c["name"] == "isomorphic")
+    assert iso == {"name": "isomorphic", "pass": False, "evidence": "exhaustive",
+                   "witness": {"distance": 2}}
+
+
 def test_chapman_short_orbit_parameter_certified(capsys):
     code, out = run(capsys, "chapman", "--k", "6", "--a", "0x20")
     assert code == 0
@@ -594,6 +619,19 @@ def test_dense_cap_checked_before_setup(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "param_a", no_setup)
     assert main(list(argv)) == 3
     assert "exceeds the dense adjacency cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [6, 10, 12])
+def test_decompose_composite_order_checked_before_setup(capsys, monkeypatch, k):
+    # a composite order q+1 is out of scope before any setup, build or column pass
+    import char2paley.cli as cli
+
+    def no_setup(*args):
+        raise AssertionError("setup ran before the order check")
+
+    monkeypatch.setattr(cli, "param_a", no_setup)
+    assert main(["decompose", "--k", str(k)]) == 3
+    assert f"out of scope: order {(1 << k) + 1} is composite" in capsys.readouterr().err
 
 
 def test_samples_only_on_sampling_commands(capsys):
@@ -1065,32 +1103,59 @@ def test_certify_shift_class_rests_on_circulant(capsys, monkeypatch, how):
         assert checks[name]["reason"] == "the certificate rests on the circulant check, which failed"
 
 
+def _assert_witnesses(command, checks):
+    """Every failing entry names a witness, and every skipped one, alone, a reason."""
+    for c in checks:
+        assert c["pass"] or "witness" in c, (command, c)
+        assert "reason" in c if c.get("skipped") else "reason" not in c, (command, c)
+
+
 @pytest.mark.parametrize("k", [4, 6, 8])
 @pytest.mark.parametrize("how", TAMPERS)
-def test_every_failing_check_has_a_witness(capsys, monkeypatch, k, how):
+def test_every_failing_check_has_a_witness(capsys, monkeypatch, tmp_path, k, how):
     # whatever the tamper, every entry that fails names a witness and every
     # skipped one a reason, in certify, analyze and chapman alike; certify's
     # circulant names the oracle's orbit row, and every check resting on it,
-    # the three read off the connection set included, is skipped
+    # the three read off the connection set included, is skipped.  decompose
+    # (prime orders only) writes no file and prints that same witness
     import char2paley.cli as cli
     _tamper_build(monkeypatch, k, how)
     ctx = FieldCtx(k)
     lab = circulant_labeling(ctx, param_a(ctx))
     i = circulant_witness(cli.build_graph(ctx, lab.a), lab)
+    witness = {"vertex": point_label(lab.vertices[i]), "orbit_position": i}
     for command in ("certify", "analyze", "chapman"):
         code, out = run(capsys, command, "--k", str(k))
         assert code == 1, command
         checks = json.loads(out)["checks"]
-        for c in checks:
-            assert c["pass"] or "witness" in c, (command, c)
-            assert "reason" in c if c.get("skipped") else "reason" not in c, (command, c)
+        _assert_witnesses(command, checks)
         skipped = {c["name"] for c in checks if c.get("skipped")}
         if command == "certify":
             assert skipped == {"regularity", "symmetry", "no-loops", "self-complementary",
                                "automorphisms", "shift-isomorphism-class"}
             circulant = next(c for c in checks if c["name"] == "circulant")
-            assert circulant["witness"] == {"vertex": point_label(lab.vertices[i]),
-                                            "orbit_position": i}
+            assert circulant["witness"] == witness
+    if k != 6:  # 65 = 5 * 13 is out of scope
+        out_file = tmp_path / "dec.txt"
+        assert main(["decompose", "--k", str(k), "-o", str(out_file)]) == 1
+        assert not out_file.exists()
+        err = capsys.readouterr().err
+        assert f"certificate failed: circulant: {json.dumps(witness)}\n" in err
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_every_failing_chapman_check_has_a_witness_on_a_class_tamper(capsys, tamper_coset, k):
+    # the predicate flipped on all of class 1: independence holds, coset-graph-circulant
+    # fails with the unpaired distance, and isomorphic is skipped with a reason
+    d = _tamper_class(tamper_coset, k, 1)
+    code, out = run(capsys, "chapman", "--k", str(k))
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    _assert_witnesses("chapman", checks.values())
+    assert [name for name, c in checks.items() if not c["pass"]] == ["coset-graph-circulant"]
+    assert checks["coset-graph-circulant"]["witness"] == {"distance": d}
+    assert checks["isomorphic"]["reason"] == (
+        "the comparison rests on the coset-graph-circulant check, which failed")
 
 
 def test_certify_makes_one_column_pass(capsys, monkeypatch):

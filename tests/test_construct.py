@@ -7,13 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from char2paley import (
     INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, apply,
     FieldCtx, build_graph, build_tournament, circulant_labeling, first_failing_row,
-    is_full_orbit, iter_bits, param_a, verify_circulant, vertex_index,
+    is_full_orbit, param_a, verify_circulant, vertex_index,
 )
 from char2paley import construct
 from char2paley.construct import CirculantLabeling, PaleyLikeGraph, _transposed
 from oracles import (
     all_points, beta_of, carries, circulant_row_witness, circulant_witness, complement,
-    difference_rows, is_circulant, orbit_labeling, per_row_build, relabel, rotate,
+    difference_rows, is_circulant, iter_bits, orbit_labeling, per_row_build, relabel, rotate,
     spectrum_counts, tile_transpose, trace_partition, translate_rows, transpose,
     verify_vertex_map,
 )

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    FieldCtx, PaleyLikeGraph, build_graph, build_tournament, iter_bits, param_a,
-    point_of_index,
+    FieldCtx, PaleyLikeGraph, build_graph, build_tournament, param_a, point_of_index,
 )
 from char2paley.formats import (
     parse_edges, point_label, write_dimacs, write_edges, write_json_graph, write_matrix,
 )
+from oracles import iter_bits
 
 
 def _trace1(ctx):

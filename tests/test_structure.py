@@ -12,14 +12,13 @@ from char2paley import (
     verify_self_complementary, verify_shift_isomorphism,
 )
 from char2paley.construct import (
-    CirculantLabeling, PaleyLikeGraph, RowVerdict, circulant_columns, first_failing_row, iter_bits,
-    verify_circulant,
+    CirculantLabeling, PaleyLikeGraph, ParamA, RowVerdict, verify_circulant,
 )
 from char2paley import structure
 from char2paley.structure import ChapmanGraph, MapVerdict, ShiftTarget, _shift_carries
 from oracles import (
-    carries, chapman_rows_per_pair, coset_bit, doubling_witness, is_circulant, relabel,
-    representative_probes, rotate, spectrum_counts, translate_rows, verify_vertex_map,
+    carries, chapman_rows_per_pair, coset_bit, doubling_witness, is_circulant, iter_bits,
+    relabel, representative_probes, spectrum_counts, translate_rows, verify_vertex_map,
 )
 
 
@@ -101,6 +100,24 @@ def test_shift_isomorphism_rejects_flipped_bit(field, k):
             tampered = ShiftTarget(PaleyLikeGraph(ctx, a, g.n, tuple(rows)))
             assert not verify_shift_isomorphism(ctx, a, ap, iso, target=tampered)
     assert kinds == ({"iso"} if k % 2 else {"iso", "complement-iso"})
+
+
+def test_shift_target_from_another_parameter_rejected(field):
+    # the iso solved for 0x9 carries G_0xa onto G_0x9's complement, not G_0x8's: a
+    # target built at 0x9 and passed for a = 0x8 would certify that false claim
+    ctx = field(4)
+    a, ap, other = (param_a(ctx, v) for v in (0x8, 0xa, 0x9))
+    iso = shift_isomorphism(ctx, other, ap)
+    assert iso == (0xc, "complement-iso")
+    assert verify_shift_isomorphism(ctx, a, ap, iso) == RowVerdict(1)
+    target = ShiftTarget(build_graph(ctx, other))
+    assert verify_shift_isomorphism(ctx, other, ap, iso, target=target)
+    with pytest.raises(ValueError, match="different parameters"):
+        verify_shift_isomorphism(ctx, a, ap, iso, target=target)
+    # the same parameter over another field
+    elsewhere = ShiftTarget(build_graph(FieldCtx(4, 0x19), ParamA(0x8)))
+    with pytest.raises(ValueError, match="different parameters"):
+        verify_shift_isomorphism(ctx, a, ap, iso, target=elsewhere)
 
 
 def _row_bytes(k):
@@ -424,8 +441,8 @@ def test_is_prime():
 
 
 def test_decompose_k2_single_cycle(std):
-    _, _, g, lab = std(2)
-    dec = hamiltonian_decompose(g, lab)
+    _, _, _, lab = std(2)
+    dec = hamiltonian_decompose(lab)
     assert dec.p == 5
     assert dec.classes == ((1, 4),)
     assert len(dec.cycles) == 1
@@ -434,7 +451,7 @@ def test_decompose_k2_single_cycle(std):
 
 def test_decompose_k4(std):
     _, _, g, lab = std(4)
-    dec = hamiltonian_decompose(g, lab)
+    dec = hamiltonian_decompose(lab)
     assert dec.p == 17
     assert len(dec.cycles) == 4
     assert g.edge_count() == 68
@@ -455,9 +472,9 @@ def test_decompose_k4(std):
 
 
 def test_decompose_composite_out_of_scope(std):
-    _, _, g, lab = std(6)
-    with pytest.raises(OutOfScopeError):
-        hamiltonian_decompose(g, lab)
+    _, _, _, lab = std(6)
+    with pytest.raises(OutOfScopeError, match="composite"):
+        hamiltonian_decompose(lab)
 
 
 @pytest.mark.parametrize("k", [4, 8])
@@ -466,7 +483,7 @@ def test_decompose_covers_every_edge_once(std, k):
     # no edge is walked twice, and every edge is walked
     ctx, _, g, lab = std(k)
     p = ctx.q + 1
-    dec = hamiltonian_decompose(g, lab)
+    dec = hamiltonian_decompose(lab)
     assert len(dec.cycles) == ctx.q // 4
 
     def row(v):
@@ -492,20 +509,13 @@ def test_labeling_from_another_field_rejected(field):
     g = build_graph(field(6), param_a(field(6), 0x21))
     lab = circulant_labeling(field(8), param_a(field(8), 0x21))
     assert g.a == lab.a
-    for certificate in (verify_circulant, hamiltonian_decompose):
-        with pytest.raises(ValueError, match="different parameters"):
-            certificate(g, lab)
+    with pytest.raises(ValueError, match="different parameters"):
+        verify_circulant(g, lab)
     with pytest.raises(ValueError, match="different orders"):
         verify_automorphisms(field(6), lab)
-
-
-def test_decompose_rejects_flipped_edge(std):
-    ctx, a, g, lab = std(4)
-    rows = list(g.rows)
-    rows[1] ^= 1 << 5
-    rows[5] ^= 1 << 1
-    with pytest.raises(AssertionError):
-        hamiltonian_decompose(PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+    ext = QuadExtCtx(field(6))
+    with pytest.raises(ValueError, match="different orders"):
+        chapman_compare(chapman_build(ext, lambda_of(ext, 0x21)), lab)
 
 
 def test_decompose_rejects_connection_set_not_closed_under_negation(std):
@@ -520,8 +530,8 @@ def test_decompose_rejects_connection_set_not_closed_under_negation(std):
     g = PaleyLikeGraph(ctx, a, n, tuple(rows))
     skew = CirculantLabeling(a, lab.b, lab.vertices, conn)
     assert verify_circulant(g, skew)
-    with pytest.raises(AssertionError, match="negation"):
-        hamiltonian_decompose(g, skew)
+    with pytest.raises(ValueError, match="negation"):
+        hamiltonian_decompose(skew)
 
 
 # -- the coset-quotient oracle ----------------------------------------------
@@ -533,9 +543,8 @@ def test_chapman_k2_shape(field):
     a = param_a(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
     assert h.n == 5
-    assert all(r.bit_count() == 2 for r in h.rows)
+    assert len(h.conn) == 2 and unpaired_distance(h.conn, h.n) is None
     assert not h.undefined_pairs
-    assert h.circulant
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -553,24 +562,39 @@ def test_chapman_reps_are_powers_in_distinct_cosets(field, k):
 
 
 def test_chapman_tampered_row_not_certified(field, tamper_coset):
+    # the predicate flipped at w = g^(q+3), which only the pair (1, 3) reads: the
+    # per-pair rows are no circulant, and the flip leaves class 2 with entries
+    # that differ, so no coset graph is read off the classes
     ctx = field(4)
     ext = QuadExtCtx(ctx)
     lam = lambda_of(ext, param_a(ctx).value)
-    h = chapman_build(ext, lam)
-    assert h.circulant and is_circulant(h.rows, h.rows[0], h.n)
-    # one row of the built graph with one bit flipped: the column pass against the
-    # circulant of row 0 names that row
-    rows = list(h.rows)
-    rows[3] ^= 1 << 7
-    assert not is_circulant(rows, rows[0], h.n)
-    assert first_failing_row(rows, circulant_columns(h.conn, h.n, range(h.n))).position == 3
-    # the build itself, with the predicate flipped at w = g^(q+3), which
-    # only the pair (reps[1], reps[3]) reads: row 1 is the first that fails
-    tamper_coset(ext, ctx.q + 3)
+    pred = tamper_coset(ext, ctx.q + 3)
     bad = chapman_build(ext, lam)
-    assert bad.rows[0] == h.rows[0] and bad.rows != h.rows
-    assert not bad.undefined_pairs
-    assert bad.circulant == RowVerdict(1)
+    rows, _ = chapman_rows_per_pair(ext, lam, bad.reps, pred)
+    assert not is_circulant(rows, rows[0], bad.n)
+    assert verify_representative_independence(bad).witness == (2, 19)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_chapman_whole_class_tamper_fails_the_class_read(field, tamper_coset, k):
+    # the predicate flipped on every entry of class 3: the table stays constant on
+    # each class, and the class read names the one distance d in C_H whose n - d
+    # is not, where the per-pair rows stop being a circulant
+    ctx = field(k)
+    ext = QuadExtCtx(ctx)
+    lam = lambda_of(ext, param_a(ctx).value)
+    n = ctx.q + 1
+    h = chapman_build(ext, lam)
+    pred = tamper_coset(ext, *range(3, ctx.q * ctx.q - 1, n))
+    bad = chapman_build(ext, lam)
+    assert verify_representative_independence(bad)
+    assert bad.conn == h.conn ^ {3}
+    assert unpaired_distance(bad.conn, n) == (n - 3 if 3 in h.conn else 3)
+    rows, undefined = chapman_rows_per_pair(ext, lam, bad.reps, pred)
+    assert frozenset(iter_bits(rows[0])) == bad.conn and undefined == []
+    assert not is_circulant(rows, rows[0], n)
+    with pytest.raises(ValueError, match="negation"):
+        chapman_compare(bad, circulant_labeling(ctx, param_a(ctx)))
 
 
 def test_chapman_rejects_degenerate_lambda(field):
@@ -598,14 +622,14 @@ def test_chapman_representative_independence_exhaustive_k4(field):
 def test_representative_independence_witness(field, tamper_coset):
     # w = g^(3q+1) lies in the class 3q+1 = 15 mod 17 beside g^15 and g^32,
     # which the pairs (0, 15) and (1, 16) read; no i < j <= q reads it, so
-    # the rows stay circulant and only this check sees the flip
+    # the connection set stays and only this check sees the flip
     ctx = field(4)
     ext = QuadExtCtx(ctx)
     lam = lambda_of(ext, param_a(ctx).value)
     h = chapman_build(ext, lam)
     tamper_coset(ext, 3 * ctx.q + 1)
     bad = chapman_build(ext, lam)
-    assert bad.rows == h.rows and bad.circulant
+    assert bad.conn == h.conn
     rep = verify_representative_independence(bad)
     assert not rep and rep.witness == (15, 49)
     assert bad.table[15] != bad.table[49] and (15 - 49) % 17 == 0
@@ -622,12 +646,45 @@ def test_representative_independence_witness_every_class(field, tamper_coset, r)
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_chapman_table_rows_match_per_pair_oracle(field, k):
+    # the class read against the pair-by-pair build, at every trace-1 a: the same
+    # connection set and undefined pairs, and C_H = -C_H exactly when the rows are
+    # the circulant of C_H
     ctx = field(k)
     ext = QuadExtCtx(ctx)
+    for a in (x for x in range(ctx.q) if ctx.trace(x) == 1):
+        lam = lambda_of(ext, a)
+        h = chapman_build(ext, lam)
+        rows, undefined = chapman_rows_per_pair(ext, lam, h.reps)
+        assert h.conn == frozenset(iter_bits(rows[0]))
+        assert list(h.undefined_pairs) == undefined == []
+        assert verify_representative_independence(h)
+        read = unpaired_distance(h.conn, h.n) is None
+        assert read == is_circulant(rows, rows[0], h.n) and read
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_chapman_undefined_pairs_match_the_per_pair_oracle(field, monkeypatch, k):
+    # the predicate made undefined at g^1, which the pairs (0, 1) and (q-1, q) both
+    # read (q^2 = 1 mod q^2 - 1), at g^(q+3), read by (1, 3), at g^(2q), read by
+    # (1, q), and at g^(3q+1), read by no pair: the scan finds the pairs the
+    # pair-by-pair build finds, in its order
+    ctx = field(k)
+    ext = QuadExtCtx(ctx)
+    q = ctx.q
     lam = lambda_of(ext, param_a(ctx).value)
+    gen = ext.primitive_root()
+    targets = {ext.pow(gen, e) for e in (1, q + 3, 2 * q, 3 * q + 1)}
+    real = structure._coset_predicate
+
+    def pred(ext, lam, w):
+        return structure.UNDEFINED if w in targets else real(ext, lam, w)
+
+    monkeypatch.setattr(structure, "_coset_predicate", pred)
     h = chapman_build(ext, lam)
-    rows, undefined = chapman_rows_per_pair(ext, lam, h.reps)
-    assert list(h.rows) == rows and list(h.undefined_pairs) == undefined == []
+    _, undefined = chapman_rows_per_pair(ext, lam, h.reps, pred)
+    assert list(h.undefined_pairs) == undefined
+    reps = h.reps
+    assert {(reps[0], reps[1]), (reps[q - 1], reps[q]), (reps[1], reps[q])} <= set(undefined)
 
 
 # tampered at k = 4: w = g^(3q+1), read by no pair, and g^(q+3), read by (1, 3)
@@ -648,18 +705,19 @@ def test_representative_independence_agrees_with_probes(field, tamper_coset, k, 
 def test_chapman_spectra_match(std, k):
     ctx, a, g, _ = std(k)
     ext = QuadExtCtx(ctx)
-    h = chapman_build(ext, lambda_of(ext, a.value))
-    pairwise = spectrum_counts(h.rows, h.n)
+    lam = lambda_of(ext, a.value)
+    h = chapman_build(ext, lam)
+    pairwise = spectrum_counts(chapman_rows_per_pair(ext, lam, h.reps)[0], h.n)
     assert pairwise == spectrum_counts(g.rows, g.n)
     assert circulant_spectrum(h.n, h.conn).counts == pairwise
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_chapman_isomorphic(std, k):
-    ctx, a, g, lab = std(k)
+    ctx, a, _, lab = std(k)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
-    cmp_result = chapman_compare(h, g, lab)
+    cmp_result = chapman_compare(h, lab)
     assert bool(cmp_result)
     assert cmp_result.verdict == "isomorphic-certified"
     assert cmp_result.multiplier is not None
@@ -668,7 +726,7 @@ def test_chapman_isomorphic(std, k):
 def test_chapman_verified_isomorphism_reads_no_spectrum(std, monkeypatch):
     # isomorphic graphs have equal codegree spectra: a multiplier that maps one
     # certified connection set onto the other reports that without reading either
-    ctx, a, g, lab = std(6)
+    ctx, a, _, lab = std(6)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
 
@@ -676,47 +734,42 @@ def test_chapman_verified_isomorphism_reads_no_spectrum(std, monkeypatch):
         raise AssertionError("a codegree spectrum was read")
 
     monkeypatch.setattr(structure, "circulant_spectrum", no_spectrum)
-    assert chapman_compare(h, g, lab) == ("isomorphic-certified", 22, True)
+    assert chapman_compare(h, lab) == ("isomorphic-certified", 22, True)
 
 
 def test_chapman_compare_negative_control(std):
-    # a certified circulant of the same degree on C = +-{1 .. q/4}: spectra cannot match
-    ctx, a, g, lab = std(4)
+    # a coset graph of the same degree on C = +-{1 .. q/4}: spectra cannot match
+    ctx, a, _, lab = std(4)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
     n, quarter = h.n, ctx.q // 4
-    conn = frozenset({*range(1, quarter + 1), *range(n - quarter, n)})
-    mask = sum(1 << d for d in conn)
-    rows = tuple(rotate(mask, i, n) for i in range(n))
-    fake = h._replace(rows=rows, conn=conn)
-    assert is_circulant(rows, mask, n) and fake.circulant
-    cmp_result = chapman_compare(fake, g, lab)
+    fake = h._replace(conn=frozenset({*range(1, quarter + 1), *range(n - quarter, n)}))
+    assert len(fake.conn) == len(lab.conn)
+    cmp_result = chapman_compare(fake, lab)
     assert not cmp_result
     assert cmp_result.verdict == "not-isomorphic"
     assert cmp_result.spectra_match is False
 
 
 def test_chapman_compare_needs_two_certified_circulants(std):
-    # an uncertified coset graph, or one with an undefined pair, is a bad argument;
-    # rows that are not the labeling's circulant are a failed certificate
-    ctx, a, g, lab = std(4)
+    # a coset graph with an undefined pair, or either connection set not closed
+    # under negation, defines no graph to compare: a bad argument
+    ctx, a, _, lab = std(4)
     ext = QuadExtCtx(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
-    for bad in (h._replace(circulant=RowVerdict(3)), h._replace(undefined_pairs=((0, 1),))):
-        with pytest.raises(ValueError, match="certified"):
-            chapman_compare(bad, g, lab)
-    rows = list(g.rows)
-    rows[1] ^= 1 << 5
-    rows[5] ^= 1 << 1
-    with pytest.raises(AssertionError, match="circulant"):
-        chapman_compare(h, PaleyLikeGraph(ctx, a, g.n, tuple(rows)), lab)
+    with pytest.raises(ValueError, match="undefined"):
+        chapman_compare(h._replace(undefined_pairs=((0, 1),)), lab)
+    with pytest.raises(ValueError, match="negation"):
+        chapman_compare(h._replace(conn=h.conn ^ {1}), lab)
+    with pytest.raises(ValueError, match="negation"):
+        chapman_compare(h, _forged(lab, conn={1, 2, lab.n - 1}))
 
 
 def test_chapman_arbitrary_lambda_still_isomorphic(std):
     # any lambda outside the base field defines an isomorphic copy
-    ctx, a, g, lab = std(2)
+    ctx, a, _, lab = std(2)
     ext = QuadExtCtx(ctx)
     for lam in [(0, 1), (1, 1), (2, 3)]:
         h = chapman_build(ext, lam)
         assert not h.undefined_pairs
-        assert bool(chapman_compare(h, g, lab))
+        assert bool(chapman_compare(h, lab))
