@@ -297,7 +297,7 @@ def cmd_build(args) -> int:
 # certify
 
 
-def _check_labeling_identities(ctx, a, lab):
+def _check_labeling_identities(ctx, lab):
     # v_2 = b^2 + a, v_q = 1 + b and v_(q-1) = 1 + b^2 + a follow from these
     n = ctx.q + 1
     v = lab.vertices
@@ -309,7 +309,7 @@ def _check_labeling_identities(ctx, a, lab):
             fails.append(f"v_(-{i}) != 1 + v_{i}")
             break
     for i in range(1, n):
-        if v[2 * i % n] != ctx.sqr(v[i]) ^ a.value:
+        if v[2 * i % n] != ctx.sqr(v[i]) ^ lab.a.value:
             fails.append(f"v_(2*{i}) != v_{i}^2 + a")
             break
     if fails:
@@ -374,7 +374,7 @@ def cmd_certify(args) -> int:
     for name, read in _connection_set_reads(ctx, lab).items():
         checks.run(name, "exhaustive", read, on_circulant)
     ident = checks.run("labeling-identities", "exhaustive",
-                       lambda: _check_labeling_identities(ctx, a, lab))
+                       lambda: _check_labeling_identities(ctx, lab))
     # the maps are read off C, on the identities v_2i = v_i^2 + a and v_-i = 1 + v_i
     on_labeling = on_circulant or _rests_on(ident, "certificate", "the labeling-identities check")
 
@@ -402,14 +402,14 @@ def cmd_certify(args) -> int:
         t1 = [x for x in range(ctx.q) if ctx.trace(x) == 1]
         if mode == "sampled":
             t1 = sorted(random.Random(args.seed).sample(t1, 128))
-        target = ShiftTarget(g)  # g's rows packed once for every a'
+        target = ShiftTarget(g)  # g's rows and its complement's packed once for every a'
         for ap_val in t1:
             ap = param_a(ctx, ap_val)
-            iso = shift_isomorphism(ctx, a, ap)
-            carried = verify_shift_isomorphism(ctx, a, ap, iso, target=target)
+            carried = verify_shift_isomorphism(target, ap)
             if not carried:  # named by the image vertex y whose row differs
+                b = shift_isomorphism(ctx, a, ap).b
                 y = point_label(point_of_index(ctx, carried.position))
-                return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{iso.b:#x}", "vertex": y}}
+                return False, {"witness": {"a_prime": f"{ap_val:#x}", "b": f"{b:#x}", "vertex": y}}
         return True, {"mode": mode, "count": len(t1)}
 
     # each a' is held to G_a's rows: only certified ones, so no fault of theirs falls on an a'
@@ -475,7 +475,8 @@ def cmd_analyze(args) -> int:
         detail = {"max_ell": spec.max_ell, "bound": spec.bound,
                   "max_conference_deviation": spec.max_conference_deviation}
         if not spec.within_bound:
-            detail["witness"] = {"pair": [lab.index[0], lab.index[spec.max_shift]]}
+            detail["witness"] = {"pair": [
+                point_label(INF), point_label(lab.vertices[spec.max_shift])]}
         return spec.within_bound, detail
 
     checks.run("codegree-cap", basis, codegree_cap, on_circulant)

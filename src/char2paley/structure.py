@@ -2,14 +2,16 @@
 
 The shift map x -> x+b carries the graph built at parameter a' onto the
 one built at a (or onto its complement, when tr(b) = 1), where b solves
-b^2 + b = a + a'; the rows are compared by masked swaps of packed bands
-(`_shift_carries`).  Every other claim is read off a connection set C,
-whose circulant the caller has certified the rows to be
-(`verify_circulant`): a map v_i -> v_(m i + c) sends the pair (v_0, v_d)
-to distance m d, so it is an automorphism exactly when d in C <=> m d in C
-for every d, and exchanges the graph with its complement (a tournament's
-with its reversal) exactly when d in C <=> m d not in C.  Index doubling
-is m = 2; z -> z+1 is v_i -> v_-i, by v_-i = 1 + v_i; z -> a/(z+1) is a
+b^2 + b = a + a'.  The graph at a is packed once, both polarities, into a
+ShiftTarget, and `verify_shift_isomorphism(target, a')` compares the
+build at a' with it by masked swaps of packed bands (`_shift_carries`).
+Every other claim is read off a connection set C, whose circulant the
+caller has certified the rows to be (`verify_circulant`): a map
+v_i -> v_(m i + c) sends the pair (v_0, v_d) to distance m d, so it is
+an automorphism exactly when d in C <=> m d in C for every d, and
+exchanges the graph with its complement (a tournament's with its
+reversal) exactly when d in C <=> m d not in C.  Index doubling is
+m = 2; z -> z+1 is v_i -> v_-i, by v_-i = 1 + v_i; z -> a/(z+1) is a
 rotation (m = 1).  The distance classes of C decompose the edge set into
 Hamiltonian cycles whenever the order q+1 is prime.
 
@@ -28,7 +30,7 @@ from typing import NamedTuple
 from .analyze import circulant_spectrum
 from .construct import (
     CirculantLabeling, OutOfScopeError, ParamA, PaleyLikeGraph, RowVerdict, _swap_masks,
-    build_graph, build_tournament, unpaired_distance, wide_row,
+    build_graph, build_tournament, check_width, unpaired_distance,
 )
 from .gf2k import FieldCtx, factorize
 from .mobius import QuadExtCtx, alpha_of, apply
@@ -71,32 +73,26 @@ def _bands(rows, w: int, per: int):
 class ShiftTarget:
     """A graph in the shift kernel's layout, fixed when the target is built:
     rows of w = ceil(n/8) bytes, `per` rows to a band of about _SHIFT_BAND
-    bytes, and _swap_masks(k) repeated over every row slot of a band.  Its
-    rows are packed into bands on first use: its own, and its complement's
-    only when a complement-iso asks for them.  One target serves every
-    shift checked against the same graph."""
+    bytes, and _swap_masks(k) repeated over every row slot of a band.
+    bands[flipped] holds the rows packed into bands, the complement's when
+    flipped (a tournament's is its reversal).  A row with a bit at or above
+    n raises ValueError, as the writers do.  One target serves every shift
+    checked against the same graph."""
 
     def __init__(self, g: PaleyLikeGraph):
+        check_width(g.rows)
         self.graph = g
         self.w = w = (g.n + 7) // 8
         self.per = per = max(1, _SHIFT_BAND // w)
         self.swaps = tuple((s, int.from_bytes(low.to_bytes(w, "little") * per, "little"))
                            for s, low in _swap_masks(g.ctx.k))
-        self._packed: dict[bool, list[int] | None] = {}
-
-    def bands(self, flipped: bool) -> list[int] | None:
-        """The rows, or the complement's when flipped (a tournament's is its reversal),
-        packed as _bands packs them; None when a row has a bit at or above n."""
-        if flipped not in self._packed:
-            g, full = self.graph, (1 << self.graph.n) - 1
-            rows = [full ^ r ^ 1 << i for i, r in enumerate(g.rows)] if flipped else g.rows
-            wide = wide_row(rows) is not None
-            self._packed[flipped] = None if wide else list(_bands(rows, self.w, self.per))
-        return self._packed[flipped]
+        full = (1 << g.n) - 1
+        complement = [full ^ r ^ 1 << i for i, r in enumerate(g.rows)]
+        self.bands = tuple(list(_bands(rows, w, per)) for rows in (g.rows, complement))
 
 
 def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> RowVerdict:
-    """Whether `rows`, after the vertex map x -> x + b (INF fixed), are the rows of
+    """Whether the n `rows`, after the vertex map x -> x + b (INF fixed), are the rows of
     target, or of its complement when flipped: the first image row y that is not, or None.
 
     Source row y + b is image row y, by list indexing, and the image is
@@ -107,22 +103,16 @@ def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> RowVerdi
     for u with bit h clear, and INF's bit 0 stays.  Every band is then
     compared with the target's: the swaps keep every bit in its row slot,
     so the lowest differing bit of the first band that differs is row y's.
-    A row with a bit at or above n fails at its own row, as does the
-    first missing or extra row.
+    A source row with a bit at or above n fails at its own image row.
     """
-    ctx, n = target.graph.ctx, target.graph.n
+    ctx = target.graph.ctx
     ctx.check_elem(b)
-    if len(rows) != n:
-        return RowVerdict(min(len(rows), n))
-    want = target.bands(flipped)
-    if want is None:
-        return RowVerdict(wide_row(target.graph.rows))
     finite = rows[1:]
     image = [rows[0], *map(finite.__getitem__, map(b.__xor__, range(ctx.q)))]
     swaps = [(s, m) for s, m in target.swaps if b & s]
     w, per = target.w, target.per
     try:
-        for j, (x, band) in enumerate(zip(_bands(image, w, per), want)):
+        for j, (x, band) in enumerate(zip(_bands(image, w, per), target.bands[flipped])):
             for s, m in swaps:
                 t = (x >> s ^ x) & m
                 x ^= t ^ t << s
@@ -134,23 +124,19 @@ def _shift_carries(rows, b: int, target: ShiftTarget, flipped: bool) -> RowVerdi
     return RowVerdict(None)
 
 
-def verify_shift_isomorphism(ctx: FieldCtx, a: ParamA, a_prime: ParamA, iso: ShiftIso,
-                             target: ShiftTarget | None = None) -> RowVerdict:
-    """Edge-by-edge check that x -> x+b maps build(a') onto build(a),
-    or onto its complement for a complement-iso: the first vertex y of
-    the target whose image row differs, or None.
+def verify_shift_isomorphism(target: ShiftTarget, a_prime: ParamA) -> RowVerdict:
+    """Edge-by-edge check that x -> x+b, b solving b^2 + b = a + a' for the target's
+    parameter a (`shift_isomorphism`), maps build(a') onto the target's graph, or onto
+    its complement for a complement-iso: the first vertex y of the target whose image
+    row differs, or None.
 
-    Compares the source's rows after the shift with the target's,
-    bit for bit, in packed bands (`_shift_carries`).  `target`, the
-    ShiftTarget of the graph/tournament at parameter a, saves the
-    rebuild and keeps its packed bands for the next call; a target built
-    over another field or at another parameter raises ValueError.
+    The graph (a tournament at odd k) at a' is built over the target's field and its
+    rows, after the shift, compared with the target's bit for bit, in packed bands
+    (`_shift_carries`).
     """
-    if target is not None and (target.graph.ctx != ctx or target.graph.a != a):
-        raise ValueError("the shift target was built from different parameters")
-    build = build_tournament if ctx.k % 2 else build_graph
-    src = build(ctx, a_prime)
-    target = target or ShiftTarget(build(ctx, a))
+    g = target.graph
+    iso = shift_isomorphism(g.ctx, g.a, a_prime)
+    src = (build_tournament if g.directed else build_graph)(g.ctx, a_prime)
     return _shift_carries(src.rows, iso.b, target, iso.kind == "complement-iso")
 
 
@@ -249,8 +235,6 @@ class ChapmanGraph(NamedTuple):
     in undefined_pairs (expected empty), and leave the graph undefined.
     """
 
-    ext: QuadExtCtx
-    lam: tuple[int, int]
     reps: tuple
     table: bytes
     conn: frozenset[int]
@@ -310,7 +294,7 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
             undefined.append((reps[i], reps[i + 1 + j]))
             j = row.find(UNDEFINED, j + 1)
     conn = frozenset(r for r in range(1, n) if table[r] == 0)
-    return ChapmanGraph(ext, lam, tuple(reps), table, conn, tuple(undefined))
+    return ChapmanGraph(tuple(reps), table, conn, tuple(undefined))
 
 
 class Independence(NamedTuple):

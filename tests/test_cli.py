@@ -884,6 +884,7 @@ def _forge_circulant(monkeypatch, k, conn_of):
 def test_analyze_codegree_cap_witness(capsys, monkeypatch):
     # build and labeling forged to the interval circulant +-{1 .. 16} at k = 6:
     # circulant passes, and the top pair's codegree exceeds the cap
+    # The pair is named by point labels, INF first, as every other pair witness is
     rows, _ = _forge_circulant(monkeypatch, 6, lambda n: {*range(1, 17), *range(n - 16, n)})
     code, out = run(capsys, "analyze", "--k", "6")
     assert code == 1
@@ -891,8 +892,10 @@ def test_analyze_codegree_cap_witness(capsys, monkeypatch):
     assert checks["circulant"]["pass"] is True
     cap = checks["codegree-cap"]
     assert cap["pass"] is False and cap["evidence"] == "exhaustive"
-    i, j = cap["witness"]["pair"]
-    assert i == 0 and (rows[i] & rows[j]).bit_count() == cap["max_ell"] > cap["bound"]
+    u, v = cap["witness"]["pair"]
+    assert u == "inf" and re.fullmatch(r"0x[0-9a-f]+", v)
+    j = 1 + int(v, 16)  # the dense row of the finite point v
+    assert (rows[0] & rows[j]).bit_count() == cap["max_ell"] > cap["bound"]
 
 
 def test_analyze_unpaired_distance_fails_codegree_cap_below_the_cap(capsys, monkeypatch):
@@ -1002,6 +1005,36 @@ def test_build_poly_override(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["poly"] == "0x19" and doc["n"] == 17
+
+
+@pytest.mark.parametrize("k, count", [(4, 3), (6, 9)])
+def test_every_command_under_every_irreducible_poly(capsys, monkeypatch, k, count):
+    # certify, analyze and chapman pass completely and echo the polynomial, and
+    # decompose (prime order 17 only) exits 0, under each field.  The cached
+    # field tables are cleared before each polynomial, so one field is held at
+    # a time and every build of it shares one entry; the shift target is built
+    # over the polynomial's own field
+    import char2paley.cli as cli
+    from char2paley.construct import _field_words
+    from char2paley.gf2k import is_irreducible
+    targets, real = [], cli.ShiftTarget
+    monkeypatch.setattr(cli, "ShiftTarget", lambda g: targets.append(g.ctx) or real(g))
+    polys = [p for p in range(1 << k, 2 << k) if is_irreducible(p)]
+    assert len(polys) == count
+    for poly in polys:
+        _field_words.cache_clear()
+        targets.clear()
+        for command in ("certify", "analyze", "chapman"):
+            code, out = run(capsys, command, "--k", str(k), "--poly", hex(poly))
+            doc = json.loads(out)
+            assert code == 0 and doc["pass"] is True and doc["complete"] is True, (poly, command)
+            assert doc["config"]["poly"] == f"{poly:#x}", (poly, command)
+        assert targets == [FieldCtx(k, poly)], poly
+        assert _field_words.cache_info().currsize == 1, poly
+        if k == 4:
+            code, out = run(capsys, "decompose", "--k", "4", "--poly", hex(poly))
+            assert code == 0 and out.startswith("p=17 cycles=4\n"), poly
+    _field_words.cache_clear()
 
 
 def test_k_out_of_range(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    INF, FieldCtx, OutOfScopeError, QuadExtCtx, ShiftIso, alpha_of, apply, build_graph,
+    INF, FieldCtx, OutOfScopeError, QuadExtCtx, alpha_of, apply, build_graph,
     build_tournament, chapman_build, chapman_compare, circulant_labeling, factorize,
     hamiltonian_decompose, circulant_spectrum, lambda_of, param_a, shift_isomorphism,
     unpaired_distance, verify_automorphisms, verify_representative_independence,
@@ -52,24 +52,26 @@ def test_shift_iso_same_parameter(field):
     assert iso.b in (0, 1)
     assert iso.b == 0  # smallest solution; the identity map
     assert iso.kind == "iso"
-    assert verify_shift_isomorphism(ctx, a, a, iso)
+    assert verify_shift_isomorphism(ShiftTarget(build_graph(ctx, a)), a)
 
 
 def test_shift_iso_odd_k_picks_trace0(field):
     ctx = field(5)
     t1 = [x for x in range(ctx.q) if ctx.trace(x) == 1]
     a = param_a(ctx, t1[0])
+    target = ShiftTarget(build_tournament(ctx, a))
     for ap_val in t1:
         iso = shift_isomorphism(ctx, a, param_a(ctx, ap_val))
         assert ctx.trace(iso.b) == 0
         assert iso.kind == "iso"
-        assert verify_shift_isomorphism(ctx, a, param_a(ctx, ap_val), iso)
+        assert verify_shift_isomorphism(target, param_a(ctx, ap_val))
 
 
 @pytest.mark.parametrize("k", [4, 6])
 def test_shift_iso_class_even_k(field, k):
     ctx = field(k)
     a = param_a(ctx)
+    target = ShiftTarget(build_graph(ctx, a))
     kinds = set()
     for ap_val in range(ctx.q):
         if ctx.trace(ap_val) != 1:
@@ -77,7 +79,7 @@ def test_shift_iso_class_even_k(field, k):
         ap = param_a(ctx, ap_val)
         iso = shift_isomorphism(ctx, a, ap)
         assert ctx.sqr(iso.b) ^ iso.b == a.value ^ ap_val
-        assert verify_shift_isomorphism(ctx, a, ap, iso)
+        assert verify_shift_isomorphism(target, ap)
         kinds.add(iso.kind)
     assert kinds == {"iso", "complement-iso"} if k == 4 else kinds
 
@@ -93,31 +95,13 @@ def test_shift_isomorphism_rejects_flipped_bit(field, k):
         ap = param_a(ctx, ap_val)
         iso = shift_isomorphism(ctx, a, ap)
         kinds.add(iso.kind)
-        assert verify_shift_isomorphism(ctx, a, ap, iso, target=target)
+        assert verify_shift_isomorphism(target, ap)
         for i, j in ((0, 1), (3, g.n - 1), (g.n - 1, 2)):
             rows = list(g.rows)
             rows[i] ^= 1 << j
             tampered = ShiftTarget(PaleyLikeGraph(ctx, a, g.n, tuple(rows)))
-            assert not verify_shift_isomorphism(ctx, a, ap, iso, target=tampered)
+            assert verify_shift_isomorphism(tampered, ap) == RowVerdict(i)
     assert kinds == ({"iso"} if k % 2 else {"iso", "complement-iso"})
-
-
-def test_shift_target_from_another_parameter_rejected(field):
-    # the iso solved for 0x9 carries G_0xa onto G_0x9's complement, not G_0x8's: a
-    # target built at 0x9 and passed for a = 0x8 would certify that false claim
-    ctx = field(4)
-    a, ap, other = (param_a(ctx, v) for v in (0x8, 0xa, 0x9))
-    iso = shift_isomorphism(ctx, other, ap)
-    assert iso == (0xc, "complement-iso")
-    assert verify_shift_isomorphism(ctx, a, ap, iso) == RowVerdict(1)
-    target = ShiftTarget(build_graph(ctx, other))
-    assert verify_shift_isomorphism(ctx, other, ap, iso, target=target)
-    with pytest.raises(ValueError, match="different parameters"):
-        verify_shift_isomorphism(ctx, a, ap, iso, target=target)
-    # the same parameter over another field
-    elsewhere = ShiftTarget(build_graph(FieldCtx(4, 0x19), ParamA(0x8)))
-    with pytest.raises(ValueError, match="different parameters"):
-        verify_shift_isomorphism(ctx, a, ap, iso, target=elsewhere)
 
 
 def _row_bytes(k):
@@ -189,7 +173,7 @@ def test_shift_class_across_several_bands(field, monkeypatch, k):
     assert _shift_carries(g.rows, 1, target, ctx.trace(1) == 1)
     for ap_val in (x for x in range(ctx.q) if ctx.trace(x) == 1):
         ap = param_a(ctx, ap_val)
-        assert verify_shift_isomorphism(ctx, a, ap, shift_isomorphism(ctx, a, ap), target=target)
+        assert verify_shift_isomorphism(target, ap)
     ap = param_a(ctx, next(x for x in range(ctx.q) if ctx.trace(x) == 1 and x != a.value))
     iso = shift_isomorphism(ctx, a, ap)
     src = (build_tournament if k % 2 else build_graph)(ctx, ap).rows
@@ -228,9 +212,10 @@ def test_shift_kernel_negative_controls(field, k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 8])
 def test_shift_kernel_wide_rows_fail_without_raising(field, k):
-    # a row with a bit at or above n, in the padding of its bytes or beyond
-    # them, or a negative row, fails the check at its own row, in the source
-    # (at its image row) or the target
+    # a source row with a bit at or above n, in the padding of its bytes or
+    # beyond them, or a negative one, fails the check at its image row; the
+    # same row in the target is rejected when the target is built, as the
+    # writers reject it
     ctx = field(k)
     a = param_a(ctx)
     g = (build_tournament if k % 2 else build_graph)(ctx, a)
@@ -242,9 +227,8 @@ def test_shift_kernel_wide_rows_fail_without_raising(field, k):
         for bad in (g.rows[i] | 1 << n, g.rows[i] | 1 << 8 * _row_bytes(k), -1 - g.rows[i]):
             rows = g.rows[:i] + (bad,) + g.rows[i + 1:]
             assert _shift_carries(rows, 1, target, flipped).position == y, (i, bad)
-            wide = ShiftTarget(PaleyLikeGraph(ctx, a, n, rows))
-            assert _shift_carries(g.rows, 1, wide, flipped).position == i, bad
-    assert _shift_carries(g.rows[:-1], 1, target, flipped).position == n - 1  # q rows, not q + 1
+            with pytest.raises(ValueError, match=f"row {i} has bits at or above n"):
+                ShiftTarget(PaleyLikeGraph(ctx, a, n, rows))
 
 
 def _forged(lab, conn=None, vertices=None):
@@ -409,9 +393,11 @@ def test_tournament_reversal(field, k):
     lab = circulant_labeling(ctx, a)
     assert verify_circulant(build_tournament(ctx, a), lab)
     assert verify_automorphisms(ctx, lab)
-    # the same reversal seen as a complement-iso of the tournament onto itself
-    assert verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "complement-iso"))
-    assert not verify_shift_isomorphism(ctx, a, a, ShiftIso(1, "iso"))
+    # the same reversal seen as the shift by 1 of the tournament onto its reversal
+    g = build_tournament(ctx, a)
+    target = ShiftTarget(g)
+    assert _shift_carries(g.rows, 1, target, True)
+    assert not _shift_carries(g.rows, 1, target, False)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -542,6 +528,7 @@ def test_chapman_k2_shape(field):
     ext = QuadExtCtx(ctx)
     a = param_a(ctx)
     h = chapman_build(ext, lambda_of(ext, a.value))
+    assert ChapmanGraph._fields == ("reps", "table", "conn", "undefined_pairs")
     assert h.n == 5
     assert len(h.conn) == 2 and unpaired_distance(h.conn, h.n) is None
     assert not h.undefined_pairs
