@@ -107,10 +107,6 @@ class PaleyLikeGraph(NamedTuple):
         j = vertex_index(self.ctx, v)
         return bool(self.rows[i] >> j & 1)
 
-    def degree(self, i: int) -> int:
-        """Degree of vertex i, its out-degree when directed."""
-        return self.rows[i].bit_count()
-
     def edge_count(self) -> int:
         """Number of edges, or of arcs when directed."""
         total = sum(r.bit_count() for r in self.rows)
@@ -300,11 +296,11 @@ def first_failing_row(rows, columns) -> RowVerdict:
     The rows are transposed once.  Bit i of a column's difference fails
     row i, so the first failing row is the lowest bit of the OR of each
     column's lowest differing bit.  A row with bits at or above n (which
-    the transpose ignores) fails too: its position is one more bit of the
-    same OR.
+    the transpose ignores) fails too: the first such row, wide_row's, is
+    one more bit of the same OR.
     """
-    n = len(rows)
-    failing = sum(1 << i for i, r in enumerate(rows) if r >> n)
+    wide = wide_row(rows)
+    failing = 0 if wide is None else 1 << wide
     for col, want in zip(_transposed(rows), columns):
         diff = col ^ want
         failing |= diff & -diff

@@ -3,7 +3,7 @@
 Vertex labels are `inf` for the point at infinity and 0x-prefixed
 lowercase hex for field elements.  The edge-list format starts with a
 `# k=.. a=.. poly=.. n=..` header and has one `u v` line per edge
-(`u > v` per arc for tournaments); it round-trips through parse_edges.
+(`u > v` per arc for tournaments).
 
 The graph writers return an iterator of text chunks, one per adjacency
 row (after a header chunk where the format has one), so a caller can
@@ -23,19 +23,12 @@ from bisect import bisect_right
 from itertools import accumulate, chain, compress
 
 from .construct import PaleyLikeGraph, check_width
-from .gf2k import FieldCtx
-from .mobius import INF, point_of_index, vertex_index
+from .mobius import INF, point_of_index
 from .structure import HamiltonianDecomposition
 
 
 def point_label(p) -> str:
     return "inf" if p is INF else f"{p:#x}"
-
-
-def parse_point_label(s: str):
-    if s == "inf":
-        return INF
-    return int(s, 16)
 
 
 def _header(g: PaleyLikeGraph) -> str:
@@ -118,48 +111,6 @@ def write_edges(g: PaleyLikeGraph) -> Export:
     check_width(g.rows)
     sep = " > " if g.directed else " "
     return _pair_export(g, _header(g) + "\n", _point_labels(g), "", sep)
-
-
-def parse_edges(text: str):
-    """Inverse of write_edges: (meta dict, directed flag, index-pair list).
-
-    Raises ValueError unless the text is a header for a valid field
-    with n = 2^k + 1, followed by lines that name distinct pairs of
-    distinct vertices and are either all `u v` (a graph) or all `u > v`
-    (a tournament).
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError("missing edge-list header")
-    meta = {}
-    for part in lines[0][2:].split():
-        key, sep, val = part.partition("=")
-        if not sep:
-            raise ValueError(f"malformed header field {part!r}")
-        meta[key] = int(val, 0)
-    if not {"k", "a", "poly", "n"} <= meta.keys():
-        raise ValueError("header needs k, a, poly and n")
-    ctx = FieldCtx(meta["k"], meta["poly"])
-    if meta["n"] != ctx.q + 1:
-        raise ValueError(f"header n={meta['n']} but k={ctx.k} gives n={ctx.q + 1}")
-    directed = len(lines) > 1 and ">" in lines[1]
-    pairs = []
-    seen = set()
-    for ln in lines[1:]:
-        if (">" in ln) != directed:
-            raise ValueError(f"line {ln!r} mixes edges and arcs")
-        toks = ln.replace(">", " ", 1).split() if directed else ln.split()
-        if len(toks) != 2:
-            raise ValueError(f"line {ln!r} is not a vertex pair")
-        i, j = (vertex_index(ctx, parse_point_label(t)) for t in toks)
-        if i == j:
-            raise ValueError(f"line {ln!r} is a loop")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            raise ValueError(f"line {ln!r} repeats a pair")
-        seen.add(key)
-        pairs.append((i, j))
-    return meta, directed, pairs
 
 
 def write_dimacs(g: PaleyLikeGraph) -> Export:

@@ -159,19 +159,12 @@ class FieldCtx:
     def __hash__(self) -> int:
         return hash((self.k, self.poly))
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def check_elem(self, x: int) -> int:
         if not 0 <= x < self.q:
             raise ValueError(f"{x:#x} is not an element of GF(2^{self.k})")
         return x
 
     # -- arithmetic --------------------------------------------------
-
-    @staticmethod
-    def add(x: int, y: int) -> int:
-        return x ^ y
 
     def _mul_raw(self, x: int, y: int) -> int:
         """Carry-less multiply with interleaved reduction; no tables."""

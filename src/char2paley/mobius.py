@@ -89,8 +89,8 @@ class QuadExtCtx:
 
     def __init__(self, base: FieldCtx):
         self.base = base
-        a0 = next(x for x in range(base.q) if base.trace(x) == 1)
-        self.a0 = a0
+        # tr is the parity of x & tmask, so every x below tmask's lowest bit has trace 0
+        self.a0 = base.tmask & -base.tmask
         self.order = base.q * base.q
         self._primitive: tuple[int, int] | None = None
         self._order_primes = list(factorize(self.order - 1))
@@ -213,7 +213,7 @@ def is_full_orbit(ext: QuadExtCtx, a: int) -> bool:
 def find_generator_a(ctx: FieldCtx) -> int:
     """Smallest trace-1 element whose alpha-orbit of INF has full length q+1."""
     ext = QuadExtCtx(ctx)
-    for a in range(ctx.q):
+    for a in range(ext.a0, ctx.q):
         if ctx.trace(a) == 1 and is_full_orbit(ext, a):
             return a
     raise AssertionError(f"no full-orbit parameter found in GF(2^{ctx.k})")

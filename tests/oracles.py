@@ -65,6 +65,9 @@
 - `translate_rows` moves each row by x -> x + b, one row at a time, the
   oracle of the banded translate-and-compare kernel behind
   `verify_shift_isomorphism`.
+- `predicate_rows` fills the dense rows pair by pair from `adjacency`,
+  the paper's rule, the oracle of the dense build through k = 9 and,
+  written out pair by pair, of the bytes `build` exports.
 - `beta_of`, `compose`, `inverse`, `construct_a_for_order` and
   `trace_partition` state the paper's maps and sets by definition, for
   the tests to check the package against; `all_points`, `IDENTITY`,
@@ -82,8 +85,8 @@ from itertools import compress, count
 from math import comb
 
 from char2paley import (
-    INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, RowVerdict, apply,
-    ParamA, codegree_formula, first_failing_row, is_full_orbit, vertex_index,
+    INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, RowVerdict, adjacency,
+    apply, ParamA, codegree_formula, first_failing_row, is_full_orbit, vertex_index,
 )
 from char2paley.construct import (
     _field_words, _quotient_traces, _swap_masks, _transposed, check_cap, check_width,
@@ -312,9 +315,9 @@ def dense_regularity(g: PaleyLikeGraph):
     if wide is not None:
         return False, {"witness": {"vertex": wide, "bit": g.rows[wide].bit_length() - 1, "n": g.n}}
     want = g.ctx.q // 2
-    for i in range(g.n):
-        if g.degree(i) != want:
-            return False, {"witness": {"vertex": i, "degree": g.degree(i), "expected": want}}
+    for i, r in enumerate(g.rows):
+        if r.bit_count() != want:
+            return False, {"witness": {"vertex": i, "degree": r.bit_count(), "expected": want}}
     return True, {"degree": want}
 
 
@@ -440,6 +443,13 @@ def translate_rows(rows, b: int, ctx: FieldCtx) -> list[int]:
 def all_points(ctx: FieldCtx) -> list:
     """The q+1 points in the fixed enumeration: INF first, then by encoding."""
     return [INF, *range(ctx.q)]
+
+
+def predicate_rows(ctx: FieldCtx, a: ParamA) -> tuple[int, ...]:
+    """Dense rows filled pair by pair from the adjacency predicate alone."""
+    pts = all_points(ctx)
+    return tuple(sum(1 << j for j, y in enumerate(pts) if j != i and adjacency(ctx, a, x, y) == 0)
+                 for i, x in enumerate(pts))
 
 
 IDENTITY = MobiusMap(1, 0, 0, 1)

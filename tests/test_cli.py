@@ -10,12 +10,14 @@ import pytest
 import char2paley
 
 from char2paley import (
-    FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, build_tournament, chapman_build,
-    circulant_labeling, lambda_of, param_a, shift_isomorphism,
+    FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, chapman_build, circulant_labeling,
+    lambda_of, param_a, shift_isomorphism,
 )
 from char2paley.cli import main
-from char2paley.formats import parse_edges, point_label, write_edges
-from oracles import circulant_witness, dense_no_loops, dense_regularity, dense_symmetry
+from char2paley.formats import point_label
+from oracles import (
+    circulant_witness, dense_no_loops, dense_regularity, dense_symmetry, predicate_rows,
+)
 
 
 def run(capsys, *argv):
@@ -57,28 +59,38 @@ def test_build_dimacs_rejects_tournaments(capsys):
     assert code == 2
 
 
-def test_edges_round_trip(capsys):
-    code, out = run(capsys, "build", "--k", "4")
-    meta, directed, pairs = parse_edges(out)
-    assert not directed
-    ctx = FieldCtx(meta["k"], meta["poly"])
-    g = build_graph(ctx, param_a(ctx, meta["a"]))
-    rows = [0] * g.n
-    for i, j in pairs:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    assert tuple(rows) == g.rows
+def _rule_text(k: int, fmt: str) -> str:
+    """The export `build --k k` writes in `fmt`, line by line from the rule's rows:
+    `u v` per edge with u before v, or `u > v` per arc, in index order."""
+    ctx = FieldCtx(k)
+    a = param_a(ctx)
+    rows = predicate_rows(ctx, a)
+    n = ctx.q + 1
+    directed = k % 2 == 1
+    if fmt == "edges":
+        labels = ["inf", *(f"{x:#x}" for x in range(ctx.q))]
+        prefix, sep = "", " > " if directed else " "
+    else:
+        labels = [str(i) for i in range(1, n + 1)]
+        prefix, sep = "e ", " "
+    lines = [f"{prefix}{labels[i]}{sep}{labels[j]}\n" for i in range(n)
+             for j in range(0 if directed else i + 1, n) if rows[i] >> j & 1]
+    if fmt == "edges":
+        head = f"# k={k} a={a.value:#x} poly={ctx.poly:#x} n={n}\n"
+    else:
+        head = f"p edge {n} {len(lines)}\n"
+    return head + "".join(lines)
 
 
-def test_arcs_round_trip():
-    ctx = FieldCtx(3)
-    t = build_tournament(ctx, param_a(ctx))
-    meta, directed, pairs = parse_edges("".join(write_edges(t)))
-    assert directed
-    rows = [0] * t.n
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    assert tuple(rows) == t.rows
+@pytest.mark.parametrize("k, fmt", [
+    (2, "edges"), (4, "edges"), (6, "edges"), (2, "dimacs"), (4, "dimacs"), (6, "dimacs"),
+    (3, "edges"), (5, "edges"),
+])
+def test_build_bytes_match_rule_text(capsys, k, fmt):
+    tournament = ["--tournament"] if k % 2 else []
+    code, out = run(capsys, "build", "--k", str(k), "--format", fmt, *tournament)
+    assert code == 0
+    assert out == _rule_text(k, fmt)
 
 
 def test_build_matrix_format(capsys):

@@ -13,8 +13,8 @@ from char2paley import construct
 from char2paley.construct import CirculantLabeling, PaleyLikeGraph, _transposed
 from oracles import (
     all_points, beta_of, carries, circulant_row_witness, circulant_witness, complement,
-    difference_rows, is_circulant, iter_bits, orbit_labeling, per_row_build, relabel, rotate,
-    spectrum_counts, tile_transpose, trace_partition, translate_rows, transpose,
+    difference_rows, is_circulant, iter_bits, orbit_labeling, per_row_build, predicate_rows,
+    relabel, rotate, spectrum_counts, tile_transpose, trace_partition, translate_rows, transpose,
     verify_vertex_map,
 )
 
@@ -94,7 +94,7 @@ def test_build_graph_k4_order_and_regularity(field):
     ctx = field(4)
     g = build_graph(ctx, param_a(ctx))
     assert g.n == 17
-    assert all(g.degree(i) == 8 for i in range(g.n))
+    assert all(r.bit_count() == 8 for r in g.rows)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
@@ -102,7 +102,7 @@ def test_regularity(field, k):
     ctx = field(k)
     g = build_graph(ctx, param_a(ctx))
     assert g.n == ctx.q + 1
-    assert {g.degree(i) for i in range(g.n)} == {ctx.q // 2}
+    assert {r.bit_count() for r in g.rows} == {ctx.q // 2}
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -110,7 +110,7 @@ def test_tournament_out_degrees(field, k):
     ctx = field(k)
     t = build_tournament(ctx, param_a(ctx))
     assert t.n == ctx.q + 1
-    assert {t.degree(i) for i in range(t.n)} == {ctx.q // 2}
+    assert {r.bit_count() for r in t.rows} == {ctx.q // 2}
     # exactly one arc per unordered pair, no self-arcs
     for i in range(t.n):
         assert t.rows[i] >> i & 1 == 0
@@ -147,13 +147,6 @@ def test_neighborhood_of_zero(field, k):
     assert g.has_edge(0, INF)  # tr(0) = 0
 
 
-def _predicate_rows(ctx, a):
-    """Dense rows filled pair by pair from the adjacency predicate alone."""
-    pts = [INF, *range(ctx.q)]
-    return tuple(sum(1 << j for j, y in enumerate(pts) if j != i and adjacency(ctx, a, x, y) == 0)
-                 for i, x in enumerate(pts))
-
-
 def _dense(ctx, a):
     return (build_tournament if ctx.k % 2 else build_graph)(ctx, a)
 
@@ -164,14 +157,14 @@ def test_build_matches_predicate_every_parameter(field, k):
     for a_val in range(ctx.q):
         if ctx.trace(a_val) == 1:
             a = param_a(ctx, a_val)
-            assert _dense(ctx, a).rows == _predicate_rows(ctx, a), f"a = {a_val:#x}"
+            assert _dense(ctx, a).rows == predicate_rows(ctx, a), f"a = {a_val:#x}"
 
 
 @pytest.mark.parametrize("k", [7, 8, 9])
 def test_build_matches_predicate_default_parameter(field, k):
     ctx = field(k)
     a = param_a(ctx)
-    assert _dense(ctx, a).rows == _predicate_rows(ctx, a)
+    assert _dense(ctx, a).rows == predicate_rows(ctx, a)
 
 
 @pytest.mark.parametrize("k, poly", [(4, 0x19), (6, 0x49)])
@@ -180,7 +173,7 @@ def test_build_matches_predicate_other_poly(k, poly):
     for a_val in range(ctx.q):
         if ctx.trace(a_val) == 1:
             a = param_a(ctx, a_val)
-            assert build_graph(ctx, a).rows == _predicate_rows(ctx, a), f"a = {a_val:#x}"
+            assert build_graph(ctx, a).rows == predicate_rows(ctx, a), f"a = {a_val:#x}"
 
 
 def test_build_on_fresh_equal_context(field):
@@ -798,6 +791,19 @@ def test_primitives_reject_bits_beyond_n():
         transpose(rows)
     assert first_failing_row(rows, rows).position == 1
     assert not verify_vertex_map(rows, [1, 0], rows, False)
+
+
+@pytest.mark.parametrize("wide, differs, want", [
+    ((1, 3), 2, 1), ((2, 3), 1, 1), ((0, 2), 1, 0), ((1, 2), 0, 0)])
+def test_first_failing_row_takes_the_first_of_wide_rows_and_differences(wide, differs, want):
+    n = 4
+    rows = [0b0110, 0b1001, 0b1001, 0b0110]  # the 4-cycle 0-1-3-2, its own columns
+    assert first_failing_row(rows, rows).position is None
+    columns = list(rows)
+    columns[3] ^= 1 << differs  # entry (differs, 3) differs from the rows
+    for i in wide:
+        rows[i] |= 1 << n
+    assert first_failing_row(rows, columns).position == want
 
 
 @pytest.mark.parametrize("perm", [[0, 0], [1, 1], [1], [0, 1, 2], [0, 2], [-1, 0]])

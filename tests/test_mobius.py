@@ -192,6 +192,19 @@ def test_ext_basics(field):
     assert ext.add(ext.add(ext.mul(z, z), z), (ext.a0, 0)) == (0, 0)
 
 
+@pytest.mark.parametrize("k", range(2, 21))
+def test_ext_a0_is_tmask_lowest_bit(field, k):
+    ctx = field(k)
+    ext = QuadExtCtx(ctx)
+    # tr(x) is the parity of x & tmask: a0 has trace 1, and no x below it meets tmask
+    assert ctx.trace(ext.a0) == 1
+    assert ctx.tmask & (ext.a0 - 1) == 0
+    if k <= 12:
+        trace1 = trace1_elements(ctx)
+        assert ext.a0 == trace1[0]
+        assert find_generator_a(ctx) == next(a for a in trace1 if is_full_orbit(ext, a))
+
+
 def test_ext_field_axioms_k2(field):
     ext = QuadExtCtx(field(2))
     elems = list(ext.elements())
