@@ -57,7 +57,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from math import comb, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 from .construct import _DIGITS, ParamA, unpaired_distance
@@ -190,7 +190,6 @@ class CodegreeSpectrum(NamedTuple):
     bound: int                   # q/4 + sqrt(q)/2, an exact int for even k
     within_bound: bool
     max_conference_deviation: int  # max |ell - (q/4 - eps)|
-    pairs: int
 
 
 def circulant_spectrum(n: int, conn: frozenset[int]) -> CodegreeSpectrum:
@@ -221,7 +220,6 @@ def circulant_spectrum(n: int, conn: frozenset[int]) -> CodegreeSpectrum:
         bound=bound,
         within_bound=max_ell <= bound,
         max_conference_deviation=max(abs(ell - (q // 4 - eps)) for eps, ell in counts),
-        pairs=comb(n, 2),
     )
 
 

@@ -34,7 +34,7 @@ from operator import xor
 from typing import NamedTuple
 
 from .gf2k import FieldCtx
-from .mobius import INF, QuadExtCtx, find_generator_a, is_full_orbit, vertex_index
+from .mobius import INF, MobiusMap, find_generator_a, is_full_orbit, vertex_index
 
 MATRIX_CAP = 4097  # largest q+1 for which dense adjacency rows are built
 
@@ -382,10 +382,11 @@ class CirculantLabeling:
 def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     """The orbit of INF under sigma(z) = (b z + a)/(z + b + 1), an automorphism.
 
-    sigma is alpha at a' = a + b^2 + b conjugated by x -> x + b, which
-    carries the graph at a' onto the one at a or its complement.  b is the
-    smallest even element giving a' a full alpha-orbit: b^2 + b runs over
-    every trace-0 element, so one exists, and b = 0 when a's orbit is full.
+    sigma is alpha + b I, and alpha at a' = a + b^2 + b conjugated by
+    x -> x + b, which carries the graph at a' onto the one at a or its
+    complement.  b is the smallest even element whose sigma has a full
+    orbit (`is_full_orbit`): b^2 + b runs over every trace-0 element, so
+    one exists, and b = 0 when a's orbit is full.
 
     The orbit is walked as sigma(z) = a'/(z + b + 1) + b, in log
     coordinates (exp[log a' - log(z + b + 1)] + b, a' != 0 as tr(a') = 1),
@@ -393,9 +394,8 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
     b + 1, whose image is INF, before q + 1 points, and the walk stops
     there.
     """
-    ext = QuadExtCtx(ctx)
     q = ctx.q
-    b = next(b for b in range(0, q, 2) if is_full_orbit(ext, a.value ^ ctx.sqr(b) ^ b))
+    b = next(b for b in range(0, q, 2) if is_full_orbit(ctx, MobiusMap(b, a.value, 1, b ^ 1)))
     exp, log, c = ctx.exp_table(), ctx.log_table(), b ^ 1
     la2 = log[a.value ^ ctx.sqr(b) ^ b]
     verts = [INF, b]
@@ -407,7 +407,7 @@ def circulant_labeling(ctx: FieldCtx, a: ParamA) -> CirculantLabeling:
         v = exp[la2 - log[v ^ c]] ^ b
         append(v)
     if len(verts) != q + 1:
-        raise AssertionError("the orbit length disagrees with the lambda-ratio order")
+        raise AssertionError("the walked orbit length disagrees with is_full_orbit")
     near = ctx.traces(map((1).__xor__, islice(verts, 1, None))).translate(_FLIP)
     return CirculantLabeling(a, b, tuple(verts), frozenset(compress(count(1), near)))
 

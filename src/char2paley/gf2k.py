@@ -200,11 +200,6 @@ class FieldCtx:
         self._ensure_tables()
         return self._exp2[self._log[x] - self._log[y]]  # a negative index reads from the end
 
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            x, e = self.inv(x), -e
-        return power(self.mul, 1, x, e)
-
     # -- trace and the additive quadratic ----------------------------
 
     def trace(self, x: int) -> int:

@@ -3,14 +3,16 @@
 Points of PG(1,q) are either the singleton INF or a field element (an
 int).  Moebius maps are stored as their 2x2 matrices over the field and
 act projectively, so evaluation is total: a vanishing denominator gives
-INF and INF itself maps through the leading coefficients.
+INF and INF itself maps through the leading coefficients.  Whether a
+map's orbit of INF is full is read off powers of its own matrix over
+GF(q) (`is_full_orbit`).
 
-The module also owns GF(q^2), represented as pairs (x0, x1) over the
-base field modulo z^2 + z + a0 with a0 the smallest trace-1 element.
+The module also owns GF(q^2), which only the coset construction
+(`structure.chapman_build`) builds, represented as pairs (x0, x1) over
+the base field modulo z^2 + z + a0 with a0 the smallest trace-1 element.
 This basis makes the Frobenius x -> x^q the one-liner
 (x0, x1) -> (x0 + x1, x1) and the relative trace T(x) = x + x^q simply
-the second coordinate, which is all the order-classification machinery
-needs.
+the second coordinate.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class QuadExtCtx:
     def __repr__(self) -> str:
         return f"QuadExtCtx(base={self.base!r}, a0={self.a0:#x})"
 
-    ZERO = (0, 0)
     ONE = (1, 0)
 
     def elements(self) -> Iterable[tuple[int, int]]:
@@ -130,37 +131,8 @@ class QuadExtCtx:
         """T(x) = x + x^q, the relative trace onto the base field."""
         return u[1]
 
-    def norm(self, u) -> int:
-        """N(x) = x * x^q = x0^2 + x0 x1 + a0 x1^2, in the base field."""
-        m = self.base.mul
-        x0, x1 = u
-        return m(x0, x0) ^ m(x0, x1) ^ m(m(x1, x1), self.a0)
-
-    def inv(self, u):
-        if u == (0, 0):
-            raise ZeroDivisionError("0 has no inverse")
-        ninv = self.base.inv(self.norm(u))
-        c0, c1 = self.conj(u)
-        m = self.base.mul
-        return m(c0, ninv), m(c1, ninv)
-
-    def div(self, u, v):
-        return self.mul(u, self.inv(v))
-
     def pow(self, u, e: int):
-        if e < 0:
-            u, e = self.inv(u), -e
         return power(self.mul, (1, 0), u, e)
-
-    def mult_order(self, u) -> int:
-        """Multiplicative order of a nonzero element."""
-        if u == (0, 0):
-            raise ValueError("0 has no multiplicative order")
-        e = self.order - 1
-        for p in self._order_primes:
-            while e % p == 0 and self.pow(u, e // p) == (1, 0):
-                e //= p
-        return e
 
     def primitive_root(self) -> tuple[int, int]:
         """The primitive root with smallest encoding; cached, deterministic."""
@@ -191,29 +163,32 @@ def lambda_of(ext: QuadExtCtx, a: int) -> tuple[int, int]:
     return (x0, 1)
 
 
-def lambda_ratio_order(ext: QuadExtCtx, a: int) -> int:
-    """Multiplicative order of lambda^q / lambda; divides q+1 and exceeds 2."""
-    lam = lambda_of(ext, a)
-    ratio = ext.mul(ext.conj(lam), ext.inv(lam))
-    return ext.mult_order(ratio)
+def is_full_orbit(ctx: FieldCtx, m: MobiusMap) -> bool:
+    """Whether the m-orbit of INF has full length q+1, for m = alpha_a or
+    sigma_b = alpha_a + b I with tr(a) = 1.
 
-
-def is_full_orbit(ext: QuadExtCtx, a: int) -> bool:
-    """Whether the alpha_a-orbit of INF has full length q+1, for tr(a) = 1.
-
-    alpha's matrix ((0, a), (1, 1)) has the roots lambda, lambda^q of
-    z^2 + z + a as eigenvalues.  alpha^m is the identity map exactly
-    when (lambda^q / lambda)^m = 1; otherwise its eigenvalues are
-    distinct conjugates outside GF(q) and it fixes no point.  So the
-    orbit length of INF is the order of that ratio.
+    The characteristic polynomial of such an m is irreducible over GF(q),
+    so m lies in a cyclic torus of PGL(2, q) of order q+1, and no
+    non-identity element of that torus fixes a point of PG(1, q): the
+    orbit length of INF is the order of m.  It is q+1 exactly when, for
+    every prime p | q+1, m^((q+1)/p) moves INF, that is, the lower-left
+    entry of its matrix is nonzero.
     """
-    return lambda_ratio_order(ext, a) == ext.base.q + 1
+    mul = ctx.mul
+
+    def product(u: MobiusMap, v: MobiusMap) -> MobiusMap:
+        return MobiusMap(
+            mul(u.m00, v.m00) ^ mul(u.m01, v.m10), mul(u.m00, v.m01) ^ mul(u.m01, v.m11),
+            mul(u.m10, v.m00) ^ mul(u.m11, v.m10), mul(u.m10, v.m01) ^ mul(u.m11, v.m11))
+
+    n = ctx.q + 1
+    return all(power(product, MobiusMap(1, 0, 0, 1), m, n // p).m10 for p in factorize(n))
 
 
 def find_generator_a(ctx: FieldCtx) -> int:
     """Smallest trace-1 element whose alpha-orbit of INF has full length q+1."""
-    ext = QuadExtCtx(ctx)
-    for a in range(ext.a0, ctx.q):
-        if ctx.trace(a) == 1 and is_full_orbit(ext, a):
+    # every a below tmask's lowest bit has trace 0
+    for a in range(ctx.tmask & -ctx.tmask, ctx.q):
+        if ctx.trace(a) == 1 and is_full_orbit(ctx, MobiusMap(0, a, 1, 1)):
             return a
     raise AssertionError(f"no full-orbit parameter found in GF(2^{ctx.k})")

@@ -15,10 +15,11 @@ m = 2; z -> z+1 is v_i -> v_-i, by v_-i = 1 + v_i; z -> a/(z+1) is a
 rotation (m = 1).  The distance classes of C decompose the edge set into
 Hamiltonian cycles whenever the order q+1 is prime.
 
-The coset construction over GF(q^2) gives an independent build of the
-same isomorphism class, from one pass over the powers of a primitive
-root: read off its predicate's classes, it is the circulant of C_H, and
-a unit m of Z_(q+1) with m C = C_H is the isomorphism v_i -> w_(m i).
+The coset construction over GF(q^2), the one place the package builds
+that field, gives an independent build of the same isomorphism class,
+from one pass over the powers of a primitive root: read off its
+predicate's classes, it is the circulant of C_H, and a unit m of
+Z_(q+1) with m C = C_H is the isomorphism v_i -> w_(m i).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .construct import (
     build_graph, build_tournament, check_width, unpaired_distance,
 )
 from .gf2k import FieldCtx, factorize
-from .mobius import QuadExtCtx, alpha_of, apply
+from .mobius import QuadExtCtx, alpha_of, apply, lambda_of
 
 
 class ShiftIso(NamedTuple):
@@ -232,7 +233,8 @@ class ChapmanGraph(NamedTuple):
     constant on each class (`verify_representative_independence`), the
     graph is the circulant of conn exactly when conn = -conn.  Pairs where
     the denominator T(w) vanishes are never guessed at: they are collected
-    in undefined_pairs (expected empty), and leave the graph undefined.
+    in undefined_pairs (expected empty), each rep encoded as the int
+    x0 | x1 << k, and leave the graph undefined.
     """
 
     reps: tuple
@@ -249,26 +251,23 @@ UNDEFINED = 2   # the predicate's value where its denominator T(w) vanishes
 
 
 def _coset_predicate(ext: QuadExtCtx, lam, w):
-    """Trace bit joining [u] and [v] with w = u^q v, or UNDEFINED if T(w) = 0."""
-    base = ext.base
-    t_num = ext.trace_to_base(ext.mul(lam, w))
+    """Trace bit tr(T(lam w) / T(w)) joining [u] and [v] with w = u^q v, T(lam) = 1,
+    or UNDEFINED if T(w) = 0."""
     t_den = ext.trace_to_base(w)
-    t_lam = ext.trace_to_base(lam)
-    if t_den == 0 or t_lam == 0:
+    if t_den == 0:
         return UNDEFINED
-    return base.trace(base.div(t_num, base.mul(t_lam, t_den)))
-
-
-def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
     base = ext.base
-    if base.k % 2:
+    return base.trace(base.div(ext.trace_to_base(ext.mul(lam, w)), t_den))
+
+
+def chapman_build(ctx: FieldCtx, a: ParamA) -> ChapmanGraph:
+    """The coset graph at a, over GF(q^2) built here with lambda the root of
+    z^2 + z + a (`lambda_of`), so T(lambda) = 1; k must be even."""
+    if ctx.k % 2:
         raise ValueError("the coset construction is compared against graphs: k must be even")
-    if lam == (0, 0):
-        raise ValueError("lambda must be nonzero")
-    if ext.trace_to_base(lam) == 0:
-        raise ValueError("lambda lies in the base field: T(lambda) = 0 degenerates "
-                         "the predicate everywhere")
-    q = base.q
+    ext = QuadExtCtx(ctx)
+    lam = lambda_of(ext, a.value)
+    q = ctx.q
     n = q + 1
     # rep i = g^i.  GF(q)* = <g^(q+1)>, and the cosets [g^i], 0 <= i <= q,
     # are distinct (so all q+1 of them) exactly when no g^i with
@@ -291,7 +290,7 @@ def chapman_build(ext: QuadExtCtx, lam: tuple[int, int]) -> ChapmanGraph:
         row = wrapped[n * i + 1:q * i + n]
         j = row.find(UNDEFINED)
         while j >= 0:
-            undefined.append((reps[i], reps[i + 1 + j]))
+            undefined.append((ext.encode(reps[i]), ext.encode(reps[i + 1 + j])))
             j = row.find(UNDEFINED, j + 1)
     conn = frozenset(r for r in range(1, n) if table[r] == 0)
     return ChapmanGraph(tuple(reps), table, conn, tuple(undefined))

@@ -86,7 +86,7 @@ from math import comb
 
 from char2paley import (
     INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, RowVerdict, adjacency,
-    apply, ParamA, codegree_formula, first_failing_row, is_full_orbit, vertex_index,
+    apply, ParamA, codegree_formula, first_failing_row, vertex_index,
 )
 from char2paley.construct import (
     _field_words, _quotient_traces, _swap_masks, _transposed, check_cap, check_width,
@@ -512,13 +512,14 @@ def orbit(ctx: FieldCtx, m: MobiusMap, start) -> list:
 def orbit_labeling(ctx: FieldCtx, a: int):
     """(b, vertices, conn, index) of the circulant labeling at a, by definition.
 
-    b is the smallest even element with a full alpha-orbit at
-    a + b^2 + b, vertices the orbit of INF under z -> (b z + a)/(z + b + 1)
-    walked through `apply`, conn the distances d with tr(v_d + 1) = 0.
+    b is the smallest even element whose sigma_b: z -> (b z + a)/(z + b + 1)
+    has an orbit of INF of q + 1 points, walked through `apply`, vertices
+    that orbit, conn the distances d with tr(v_d + 1) = 0.
     """
-    ext = QuadExtCtx(ctx)
-    b = next(b for b in range(0, ctx.q, 2) if is_full_orbit(ext, a ^ ctx.sqr(b) ^ b))
-    verts = tuple(orbit(ctx, MobiusMap(b, a, 1, b ^ 1), INF))
+    for b in range(0, ctx.q, 2):
+        verts = tuple(orbit(ctx, MobiusMap(b, a, 1, b ^ 1), INF))
+        if len(verts) == ctx.q + 1:
+            break
     conn = frozenset(d for d in range(1, len(verts)) if ctx.trace(verts[d] ^ 1) == 0)
     index = tuple(0 if p is INF else 1 + p for p in verts)
     return b, verts, conn, index
@@ -581,7 +582,8 @@ def coset_bit(ext: QuadExtCtx, lam, w):
 
 
 def chapman_rows_per_pair(ext: QuadExtCtx, lam, reps, pred=coset_bit):
-    """(rows, undefined pairs) of the coset graph on reps, one w = conj(u) v per pair."""
+    """(rows, undefined pairs) of the coset graph on reps, one w = conj(u) v per pair;
+    each undefined pair's reps encoded as ints, as `chapman_build` holds them."""
     n = len(reps)
     rows = [0] * n
     undefined = []
@@ -589,7 +591,7 @@ def chapman_rows_per_pair(ext: QuadExtCtx, lam, reps, pred=coset_bit):
         for j in range(i + 1, n):
             bit = pred(ext, lam, ext.mul(ext.conj(reps[i]), reps[j]))
             if bit not in (0, 1):
-                undefined.append((reps[i], reps[j]))
+                undefined.append((ext.encode(reps[i]), ext.encode(reps[j])))
             elif bit == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
@@ -618,7 +620,9 @@ def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:
     """A trace-1 element a whose lambda-ratio has prescribed order m.
 
     Requires m | q+1 and m > 2.  Takes a power nu of the primitive root
-    so that nu^(q-1) has order m, then a = N(nu / T(nu)).
+    so that nu^(q-1) has order m, then a = N(nu / T(nu)), the norm
+    N(x) = x x^q.  That order is the lambda-ratio order, the length of the
+    alpha_a-orbit of INF.
     """
     q = ext.base.q
     if m <= 2:
@@ -630,7 +634,7 @@ def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:
     b = ext.trace_to_base(nu)  # nonzero: nu is outside the base field
     binv = ext.base.inv(b)
     lam = (ext.base.mul(nu[0], binv), ext.base.mul(nu[1], binv))
-    a = ext.norm(lam)
+    a, _ = ext.mul(lam, ext.conj(lam))
     if ext.base.trace(a) != 1:
         raise AssertionError("constructed parameter has trace 0")
     return a

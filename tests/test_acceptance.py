@@ -13,16 +13,17 @@ from contextlib import contextmanager
 from math import comb, isqrt
 
 from char2paley import (
-    INF, QuadExtCtx, ShiftTarget, adjacency, build_graph, build_tournament,
+    INF, QuadExtCtx, ShiftTarget, adjacency, alpha_of, build_graph, build_tournament,
     circulant_labeling, chapman_build, chapman_compare, hamiltonian_decompose,
-    kloosterman_sweep, lambda_of, lambda_ratio_order, param_a, shift_isomorphism,
+    kloosterman_sweep, param_a, shift_isomorphism,
     unpaired_distance, verify_automorphisms, verify_circulant,
     verify_representative_independence, verify_self_complementary,
     verify_shift_isomorphism,
 )
 from char2paley.cli import main
 from oracles import (
-    all_points, codegree_direct, construct_a_for_order, jumbledness_audit, pair_codegree_formula,
+    all_points, codegree_direct, construct_a_for_order, jumbledness_audit, orbit,
+    pair_codegree_formula,
 )
 
 
@@ -204,34 +205,36 @@ def test_criterion_11_hamiltonian_decomposition(std):
 
 def test_criterion_12_order_theory(field):
     with criterion(12, "lambda-ratio orders (k=6 and Fermat cases)", 60):
+        # the lambda-ratio order is the length of the alpha_a-orbit of INF, walked here
+        def ratio_order(ctx, a):
+            return len(orbit(ctx, alpha_of(ctx, a), INF))
+
         ctx6 = field(6)
         ext6 = QuadExtCtx(ctx6)
         seen = set()
         for a in range(ctx6.q):
             if ctx6.trace(a) != 1:
                 continue
-            m = lambda_ratio_order(ext6, a)
+            m = ratio_order(ctx6, a)
             assert m in (5, 13, 65)
             seen.add(m)
         assert seen == {5, 13, 65}
         for m in (5, 13, 65):
             a = construct_a_for_order(ext6, m)
             assert ctx6.trace(a) == 1
-            assert lambda_ratio_order(ext6, a) == m
+            assert ratio_order(ctx6, a) == m
         for k in (2, 4, 8):
             ctx = field(k)
-            ext = QuadExtCtx(ctx)
             for a in range(ctx.q):
                 if ctx.trace(a) == 1:
-                    assert lambda_ratio_order(ext, a) == ctx.q + 1
+                    assert ratio_order(ctx, a) == ctx.q + 1
 
 
 def test_criterion_13_chapman_oracle(std):
     with criterion(13, "coset-quotient build: well defined and isomorphic", 60):
         for k in (2, 4):
             ctx, a, g, lab = std(k)
-            ext = QuadExtCtx(ctx)
-            h = chapman_build(ext, lambda_of(ext, a.value))
+            h = chapman_build(ctx, a)
             assert h.undefined_pairs == ()  # division-by-zero never suppressed
             rep = verify_representative_independence(h)
             assert rep and rep.count == ctx.q * (ctx.q - 1)  # every probe, k = 2 and 4

@@ -11,7 +11,7 @@ import char2paley
 
 from char2paley import (
     FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, chapman_build, circulant_labeling,
-    lambda_of, param_a, shift_isomorphism,
+    param_a, shift_isomorphism,
 )
 from char2paley.cli import main
 from char2paley.formats import point_label
@@ -466,6 +466,29 @@ def test_chapman_verifies_circulance_once(capsys, monkeypatch):
     assert iso["pass"] is False and iso["witness"] == circ["witness"]
 
 
+def test_only_chapman_builds_the_quadratic_extension(monkeypatch, tmp_path):
+    # with GF(q^2) made unbuildable, every other command writes the bytes it
+    # writes unpatched; the coset construction is the one that needs it
+    runs = [["build", "--k", "8"], ["certify", "--k", "8"], ["analyze", "--k", "12"],
+            ["decompose", "--k", "8"]]
+
+    def outputs(tag):
+        for argv in runs:
+            out = tmp_path / f"{argv[0]}.{tag}"
+            assert main([*argv, "-o", str(out)]) == 0, argv
+            yield out.read_bytes()
+
+    plain = list(outputs("plain"))
+
+    def unbuildable(self, base):
+        raise AssertionError("GF(q^2) was built")
+
+    monkeypatch.setattr(QuadExtCtx, "__init__", unbuildable)
+    assert list(outputs("patched")) == plain
+    with pytest.raises(AssertionError, match="GF"):
+        main(["chapman", "--k", "4", "-o", str(tmp_path / "chapman.json")])
+
+
 def test_chapman_k2(capsys):
     code, out = run(capsys, "chapman", "--k", "2")
     assert code == 0
@@ -510,10 +533,9 @@ def _tamper_class(tamper_coset, k, r):
     """Flip the coset predicate on every entry of class r at k; returns C_H's
     unpaired distance after the flip."""
     ctx = FieldCtx(k)
-    ext = QuadExtCtx(ctx)
     n = ctx.q + 1
-    conn = chapman_build(ext, lambda_of(ext, param_a(ctx).value)).conn
-    tamper_coset(ext, *range(r, ctx.q * ctx.q - 1, n))
+    conn = chapman_build(ctx, param_a(ctx)).conn
+    tamper_coset(QuadExtCtx(ctx), *range(r, ctx.q * ctx.q - 1, n))
     return n - r if r in conn else r
 
 
@@ -548,6 +570,9 @@ def test_chapman_undefined_pair_skips_the_coset_checks(capsys, monkeypatch, fiel
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["no-undefined-pairs"]["pass"] is False
     assert checks["no-undefined-pairs"]["undefined_pair_count"] == 1
+    # the witness names the pair's representatives g^1 and g^3 by their encodings
+    reps = [ext.encode(ext.pow(ext.primitive_root(), i)) for i in (1, 3)]
+    assert checks["no-undefined-pairs"]["witness"] == {"pairs": [[f"{e:#x}" for e in reps]]}
     reason = "the certificate rests on the no-undefined-pairs check, which failed"
     for name in ("coset-graph-circulant", "isomorphic"):
         assert checks[name]["skipped"] is True and checks[name]["reason"] == reason

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from char2paley import (
-    INF, MATRIX_CAP, OutOfScopeError, QuadExtCtx, adjacency, apply,
+    INF, MATRIX_CAP, OutOfScopeError, adjacency, alpha_of, apply,
     FieldCtx, build_graph, build_tournament, circulant_labeling, first_failing_row,
     is_full_orbit, param_a, verify_circulant, vertex_index,
 )
@@ -294,7 +294,6 @@ def test_circulant_labeling_every_parameter(field, k):
     # sigma = alpha at a + b^2 + b, conjugated by x -> x + b, is an automorphism
     # at every trace-1 a; b = 0 exactly when alpha's own orbit is full
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
     short = 0
     for a_val in range(ctx.q):
         if ctx.trace(a_val) != 1:
@@ -302,9 +301,9 @@ def test_circulant_labeling_every_parameter(field, k):
         a = param_a(ctx, a_val)
         lab = circulant_labeling(ctx, a)
         b = lab.b
-        assert (b == 0) == is_full_orbit(ext, a_val), f"a = {a_val:#x}"
+        assert (b == 0) == is_full_orbit(ctx, alpha_of(ctx, a_val)), f"a = {a_val:#x}"
         assert [c for c in range(0, b + 1, 2)
-                if is_full_orbit(ext, a_val ^ ctx.sqr(c) ^ c)] == [b]
+                if is_full_orbit(ctx, alpha_of(ctx, a_val ^ ctx.sqr(c) ^ c))] == [b]
         v, n = lab.vertices, lab.n
         assert v[1] == b
         assert all(v[2 * i % n] == ctx.sqr(v[i]) ^ a_val for i in range(1, n))
@@ -353,7 +352,7 @@ def test_labeling_walk_matches_orbit_short_orbit(field, k, a_val):
 def test_labeling_short_orbit_raises(field, monkeypatch, k, a_val):
     # forced to b = 0, the walk meets b + 1 -> INF early and the length check fires
     ctx = field(k)
-    monkeypatch.setattr(construct, "is_full_orbit", lambda ext, a: True)
+    monkeypatch.setattr(construct, "is_full_orbit", lambda ctx, m: True)
     with pytest.raises(AssertionError, match="orbit length"):
         circulant_labeling(ctx, param_a(ctx, a_val))
 

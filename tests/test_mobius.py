@@ -3,8 +3,8 @@ import random
 import pytest
 
 from char2paley import (
-    INF, QuadExtCtx, alpha_of, apply, factorize, find_generator_a, is_full_orbit,
-    lambda_of, lambda_ratio_order, point_of_index, vertex_index,
+    DEFAULT_POLYS, INF, FieldCtx, MobiusMap, QuadExtCtx, alpha_of, apply, factorize,
+    find_generator_a, is_full_orbit, is_irreducible, lambda_of, point_of_index, vertex_index,
 )
 from oracles import (
     IDENTITY, all_points, beta_of, compose, construct_a_for_order, det, inverse,
@@ -14,6 +14,11 @@ from oracles import (
 
 def trace1_elements(ctx):
     return [x for x in range(ctx.q) if ctx.trace(x) == 1]
+
+
+def orbit_length(ctx, a):
+    """The length of the walked alpha_a-orbit of INF: the lambda-ratio order."""
+    return len(orbit(ctx, alpha_of(ctx, a), INF))
 
 
 def test_vertex_indexing(field):
@@ -99,12 +104,39 @@ def test_orbit_identity(field):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
 def test_orbit_length_equals_ratio_order(field, k):
+    # the walked alpha_a-orbit of INF is as long as the order of lambda^q / lambda = lambda^(q-1)
     ctx = field(k)
     ext = QuadExtCtx(ctx)
     for a in trace1_elements(ctx):
-        length = len(orbit(ctx, alpha_of(ctx, a), INF))
-        assert length == lambda_ratio_order(ext, a)
-        assert is_full_orbit(ext, a) == (length == ctx.q + 1)
+        length = orbit_length(ctx, a)
+        ratio = ext.pow(lambda_of(ext, a), ctx.q - 1)
+        assert ext.pow(ratio, length) == ext.ONE
+        assert all(ext.pow(ratio, length // p) != ext.ONE for p in factorize(length))
+        assert is_full_orbit(ctx, alpha_of(ctx, a)) == (length == ctx.q + 1)
+
+
+# every field at k = 2..8, and every other reduction polynomial of degree 4 and 6
+ORBIT_FIELDS = [(k, None) for k in range(2, 9)] + [
+    (d, p) for d in (4, 6) for p in range(1 << d, 1 << d + 1)
+    if is_irreducible(p) and p != DEFAULT_POLYS[d]]
+
+
+@pytest.mark.parametrize("k, poly", ORBIT_FIELDS)
+def test_is_full_orbit_matches_walked_orbit(k, poly):
+    # sigma_b = alpha_a + b I for every trace-1 a and each even b up to the first whose
+    # walked orbit of INF is full, the labeling's: short orbits included (k = 6, a = 0x20)
+    ctx = FieldCtx(k, poly)
+    short = 0
+    for a in trace1_elements(ctx):
+        for b in range(0, ctx.q, 2):
+            sigma = MobiusMap(b, a, 1, b ^ 1)
+            full = len(orbit(ctx, sigma, INF)) == ctx.q + 1
+            assert is_full_orbit(ctx, sigma) == full, (hex(a), b)
+            short += not full
+            if full:
+                break
+    # q+1 prime (k = 2, 4, 8) leaves no short orbit; the other orders have some
+    assert (short == 0) == (factorize(ctx.q + 1) == {ctx.q + 1: 1})
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 10])
@@ -202,7 +234,7 @@ def test_ext_a0_is_tmask_lowest_bit(field, k):
     if k <= 12:
         trace1 = trace1_elements(ctx)
         assert ext.a0 == trace1[0]
-        assert find_generator_a(ctx) == next(a for a in trace1 if is_full_orbit(ext, a))
+        assert find_generator_a(ctx) == next(a for a in trace1 if orbit_length(ctx, a) == ctx.q + 1)
 
 
 def test_ext_field_axioms_k2(field):
@@ -230,31 +262,23 @@ def test_conj_is_frobenius(field, k):
 
 
 @pytest.mark.parametrize("k", [2, 4])
-def test_ext_inverses(field, k):
-    ext = QuadExtCtx(field(k))
-    for u in ext.elements():
-        if u == (0, 0):
-            with pytest.raises(ZeroDivisionError):
-                ext.inv(u)
-            continue
-        assert ext.mul(u, ext.inv(u)) == (1, 0)
-
-
-@pytest.mark.parametrize("k", [2, 4])
 def test_ext_norm_and_trace_land_in_base(field, k):
     ext = QuadExtCtx(field(k))
     for u in ext.elements():
-        nu = ext.norm(u)
-        tu = ext.trace_to_base(u)
-        assert ext.mul(u, ext.conj(u)) == (nu, 0)
-        assert ext.add(u, ext.conj(u)) == (tu, 0)
+        assert ext.mul(u, ext.conj(u))[1] == 0  # the norm u u^q
+        assert ext.add(u, ext.conj(u)) == (ext.trace_to_base(u), 0)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_primitive_root(field, k):
+    # the powers of g walk all q^2 - 1 nonzero elements before returning to 1
     ext = QuadExtCtx(field(k))
     g = ext.primitive_root()
-    assert ext.mult_order(g) == ext.order - 1
+    u, seen = g, {ext.ONE}
+    while u != ext.ONE:
+        seen.add(u)
+        u = ext.mul(u, g)
+    assert len(seen) == ext.order - 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
@@ -278,30 +302,27 @@ def test_lambda_relations(field, k):
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
 def test_ratio_order_divides_q_plus_1(field, k):
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
-    for a in range(ctx.q):
-        if ctx.trace(a) != 1:
-            continue
-        m = lambda_ratio_order(ext, a)
+    for a in trace1_elements(ctx):
+        m = orbit_length(ctx, a)
         assert (ctx.q + 1) % m == 0
         assert m > 2
 
 
 def test_ratio_order_k2(field):
-    assert lambda_ratio_order(QuadExtCtx(field(2)), 2) == 5
+    assert orbit_length(field(2), 2) == 5
 
 
 def test_construct_a_for_order(field):
     ext2 = QuadExtCtx(field(2))
     a = construct_a_for_order(ext2, 5)
     assert a in (2, 3)
-    assert lambda_ratio_order(ext2, a) == 5
+    assert orbit_length(field(2), a) == 5
 
     ext6 = QuadExtCtx(field(6))
     for m in (5, 13, 65):
         a = construct_a_for_order(ext6, m)
         assert field(6).trace(a) == 1
-        assert lambda_ratio_order(ext6, a) == m
+        assert orbit_length(field(6), a) == m
     with pytest.raises(ValueError):
         construct_a_for_order(ext6, 2)
     with pytest.raises(ValueError):

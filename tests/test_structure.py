@@ -499,9 +499,8 @@ def test_labeling_from_another_field_rejected(field):
         verify_circulant(g, lab)
     with pytest.raises(ValueError, match="different orders"):
         verify_automorphisms(field(6), lab)
-    ext = QuadExtCtx(field(6))
     with pytest.raises(ValueError, match="different orders"):
-        chapman_compare(chapman_build(ext, lambda_of(ext, 0x21)), lab)
+        chapman_compare(chapman_build(field(6), param_a(field(6), 0x21)), lab)
 
 
 def test_decompose_rejects_connection_set_not_closed_under_negation(std):
@@ -525,9 +524,7 @@ def test_decompose_rejects_connection_set_not_closed_under_negation(std):
 
 def test_chapman_k2_shape(field):
     ctx = field(2)
-    ext = QuadExtCtx(ctx)
-    a = param_a(ctx)
-    h = chapman_build(ext, lambda_of(ext, a.value))
+    h = chapman_build(ctx, param_a(ctx))
     assert ChapmanGraph._fields == ("reps", "table", "conn", "undefined_pairs")
     assert h.n == 5
     assert len(h.conn) == 2 and unpaired_distance(h.conn, h.n) is None
@@ -536,16 +533,13 @@ def test_chapman_k2_shape(field):
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_chapman_reps_are_powers_in_distinct_cosets(field, k):
-    # x0 + x1 zeta lies in GF(q) exactly when x1 = 0
+    # u / v lies in GF(q)* exactly when u^(q-1) = v^(q-1)
     ctx = field(k)
     ext = QuadExtCtx(ctx)
-    h = chapman_build(ext, lambda_of(ext, param_a(ctx).value))
+    h = chapman_build(ctx, param_a(ctx))
     g = ext.primitive_root()
     assert h.reps == tuple(ext.pow(g, i) for i in range(ctx.q + 1))
-    for i, u in enumerate(h.reps):
-        for j, v in enumerate(h.reps):
-            if i != j:
-                assert ext.div(u, v)[1] != 0, (i, j)
+    assert len({ext.pow(u, ctx.q - 1) for u in h.reps}) == ctx.q + 1
 
 
 def test_chapman_tampered_row_not_certified(field, tamper_coset):
@@ -554,9 +548,10 @@ def test_chapman_tampered_row_not_certified(field, tamper_coset):
     # that differ, so no coset graph is read off the classes
     ctx = field(4)
     ext = QuadExtCtx(ctx)
-    lam = lambda_of(ext, param_a(ctx).value)
+    a = param_a(ctx)
+    lam = lambda_of(ext, a.value)
     pred = tamper_coset(ext, ctx.q + 3)
-    bad = chapman_build(ext, lam)
+    bad = chapman_build(ctx, a)
     rows, _ = chapman_rows_per_pair(ext, lam, bad.reps, pred)
     assert not is_circulant(rows, rows[0], bad.n)
     assert verify_representative_independence(bad).witness == (2, 19)
@@ -569,11 +564,12 @@ def test_chapman_whole_class_tamper_fails_the_class_read(field, tamper_coset, k)
     # is not, where the per-pair rows stop being a circulant
     ctx = field(k)
     ext = QuadExtCtx(ctx)
-    lam = lambda_of(ext, param_a(ctx).value)
+    a = param_a(ctx)
+    lam = lambda_of(ext, a.value)
     n = ctx.q + 1
-    h = chapman_build(ext, lam)
+    h = chapman_build(ctx, a)
     pred = tamper_coset(ext, *range(3, ctx.q * ctx.q - 1, n))
-    bad = chapman_build(ext, lam)
+    bad = chapman_build(ctx, a)
     assert verify_representative_independence(bad)
     assert bad.conn == h.conn ^ {3}
     assert unpaired_distance(bad.conn, n) == (n - 3 if 3 in h.conn else 3)
@@ -584,24 +580,13 @@ def test_chapman_whole_class_tamper_fails_the_class_read(field, tamper_coset, k)
         chapman_compare(bad, circulant_labeling(ctx, param_a(ctx)))
 
 
-def test_chapman_rejects_degenerate_lambda(field):
-    ext = QuadExtCtx(field(2))
-    with pytest.raises(ValueError):
-        chapman_build(ext, (0, 0))
-    with pytest.raises(ValueError):
-        chapman_build(ext, (3, 0))  # in the base field: T(lambda) = 0
-
-
 def test_chapman_representative_independence_exhaustive_k2(field):
-    ext = QuadExtCtx(field(2))
-    h = chapman_build(ext, lambda_of(ext, 2))
+    h = chapman_build(field(2), param_a(field(2), 2))
     assert verify_representative_independence(h) == (4 * 3, None)
 
 
 def test_chapman_representative_independence_exhaustive_k4(field):
-    ext = QuadExtCtx(field(4))
-    a = param_a(field(4))
-    h = chapman_build(ext, lambda_of(ext, a.value))
+    h = chapman_build(field(4), param_a(field(4)))
     rep = verify_representative_independence(h)
     assert rep and rep == (16 * 15, None)
 
@@ -611,11 +596,10 @@ def test_representative_independence_witness(field, tamper_coset):
     # which the pairs (0, 15) and (1, 16) read; no i < j <= q reads it, so
     # the connection set stays and only this check sees the flip
     ctx = field(4)
-    ext = QuadExtCtx(ctx)
-    lam = lambda_of(ext, param_a(ctx).value)
-    h = chapman_build(ext, lam)
-    tamper_coset(ext, 3 * ctx.q + 1)
-    bad = chapman_build(ext, lam)
+    a = param_a(ctx)
+    h = chapman_build(ctx, a)
+    tamper_coset(QuadExtCtx(ctx), 3 * ctx.q + 1)
+    bad = chapman_build(ctx, a)
     assert bad.conn == h.conn
     rep = verify_representative_independence(bad)
     assert not rep and rep.witness == (15, 49)
@@ -625,9 +609,8 @@ def test_representative_independence_witness(field, tamper_coset):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_representative_independence_witness_every_class(field, tamper_coset, r):
     # k = 2: the last entry r + 5 * 2 of each class r != 0 mod 5, flipped alone
-    ext = QuadExtCtx(field(2))
-    tamper_coset(ext, r + 10)
-    h = chapman_build(ext, lambda_of(ext, 2))
+    tamper_coset(QuadExtCtx(field(2)), r + 10)
+    h = chapman_build(field(2), param_a(field(2), 2))
     assert verify_representative_independence(h).witness == (r, r + 10)
 
 
@@ -640,7 +623,7 @@ def test_chapman_table_rows_match_per_pair_oracle(field, k):
     ext = QuadExtCtx(ctx)
     for a in (x for x in range(ctx.q) if ctx.trace(x) == 1):
         lam = lambda_of(ext, a)
-        h = chapman_build(ext, lam)
+        h = chapman_build(ctx, param_a(ctx, a))
         rows, undefined = chapman_rows_per_pair(ext, lam, h.reps)
         assert h.conn == frozenset(iter_bits(rows[0]))
         assert list(h.undefined_pairs) == undefined == []
@@ -658,7 +641,8 @@ def test_chapman_undefined_pairs_match_the_per_pair_oracle(field, monkeypatch, k
     ctx = field(k)
     ext = QuadExtCtx(ctx)
     q = ctx.q
-    lam = lambda_of(ext, param_a(ctx).value)
+    a = param_a(ctx)
+    lam = lambda_of(ext, a.value)
     gen = ext.primitive_root()
     targets = {ext.pow(gen, e) for e in (1, q + 3, 2 * q, 3 * q + 1)}
     real = structure._coset_predicate
@@ -667,11 +651,11 @@ def test_chapman_undefined_pairs_match_the_per_pair_oracle(field, monkeypatch, k
         return structure.UNDEFINED if w in targets else real(ext, lam, w)
 
     monkeypatch.setattr(structure, "_coset_predicate", pred)
-    h = chapman_build(ext, lam)
+    h = chapman_build(ctx, a)
     _, undefined = chapman_rows_per_pair(ext, lam, h.reps, pred)
     assert list(h.undefined_pairs) == undefined
-    reps = h.reps
-    assert {(reps[0], reps[1]), (reps[q - 1], reps[q]), (reps[1], reps[q])} <= set(undefined)
+    e = [ext.encode(u) for u in h.reps]  # the pairs are held as encoded reps
+    assert {(e[0], e[1]), (e[q - 1], e[q]), (e[1], e[q])} <= set(undefined)
 
 
 # tampered at k = 4: w = g^(3q+1), read by no pair, and g^(q+3), read by (1, 3)
@@ -679,11 +663,12 @@ def test_chapman_undefined_pairs_match_the_per_pair_oracle(field, monkeypatch, k
 def test_representative_independence_agrees_with_probes(field, tamper_coset, k, tamper):
     ctx = field(k)
     ext = QuadExtCtx(ctx)
-    lam = lambda_of(ext, param_a(ctx).value)
+    a = param_a(ctx)
+    lam = lambda_of(ext, a.value)
     pred = coset_bit
     if tamper:
         pred = tamper_coset(ext, tamper)
-    h = chapman_build(ext, lam)
+    h = chapman_build(ctx, a)
     verdict = bool(verify_representative_independence(h))
     assert verdict == representative_probes(ext, lam, h.reps, pred) == (tamper is None)
 
@@ -693,29 +678,30 @@ def test_chapman_spectra_match(std, k):
     ctx, a, g, _ = std(k)
     ext = QuadExtCtx(ctx)
     lam = lambda_of(ext, a.value)
-    h = chapman_build(ext, lam)
+    h = chapman_build(ctx, a)
     pairwise = spectrum_counts(chapman_rows_per_pair(ext, lam, h.reps)[0], h.n)
     assert pairwise == spectrum_counts(g.rows, g.n)
     assert circulant_spectrum(h.n, h.conn).counts == pairwise
 
 
-@pytest.mark.parametrize("k", [2, 4])
-def test_chapman_isomorphic(std, k):
-    ctx, a, _, lab = std(k)
-    ext = QuadExtCtx(ctx)
-    h = chapman_build(ext, lambda_of(ext, a.value))
-    cmp_result = chapman_compare(h, lab)
-    assert bool(cmp_result)
-    assert cmp_result.verdict == "isomorphic-certified"
-    assert cmp_result.multiplier is not None
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_chapman_isomorphic(field, k):
+    # every trace-1 a, short alpha-orbits (8 of 32 at k = 6) included
+    ctx = field(k)
+    for a in (param_a(ctx, x) for x in range(ctx.q) if ctx.trace(x) == 1):
+        lab = circulant_labeling(ctx, a)
+        assert verify_circulant(build_graph(ctx, a), lab)
+        cmp_result = chapman_compare(chapman_build(ctx, a), lab)
+        assert bool(cmp_result), hex(a.value)
+        assert cmp_result.verdict == "isomorphic-certified"
+        assert cmp_result.multiplier is not None
 
 
 def test_chapman_verified_isomorphism_reads_no_spectrum(std, monkeypatch):
     # isomorphic graphs have equal codegree spectra: a multiplier that maps one
     # certified connection set onto the other reports that without reading either
     ctx, a, _, lab = std(6)
-    ext = QuadExtCtx(ctx)
-    h = chapman_build(ext, lambda_of(ext, a.value))
+    h = chapman_build(ctx, a)
 
     def no_spectrum(n, conn):
         raise AssertionError("a codegree spectrum was read")
@@ -727,8 +713,7 @@ def test_chapman_verified_isomorphism_reads_no_spectrum(std, monkeypatch):
 def test_chapman_compare_negative_control(std):
     # a coset graph of the same degree on C = +-{1 .. q/4}: spectra cannot match
     ctx, a, _, lab = std(4)
-    ext = QuadExtCtx(ctx)
-    h = chapman_build(ext, lambda_of(ext, a.value))
+    h = chapman_build(ctx, a)
     n, quarter = h.n, ctx.q // 4
     fake = h._replace(conn=frozenset({*range(1, quarter + 1), *range(n - quarter, n)}))
     assert len(fake.conn) == len(lab.conn)
@@ -742,21 +727,10 @@ def test_chapman_compare_needs_two_certified_circulants(std):
     # a coset graph with an undefined pair, or either connection set not closed
     # under negation, defines no graph to compare: a bad argument
     ctx, a, _, lab = std(4)
-    ext = QuadExtCtx(ctx)
-    h = chapman_build(ext, lambda_of(ext, a.value))
+    h = chapman_build(ctx, a)
     with pytest.raises(ValueError, match="undefined"):
         chapman_compare(h._replace(undefined_pairs=((0, 1),)), lab)
     with pytest.raises(ValueError, match="negation"):
         chapman_compare(h._replace(conn=h.conn ^ {1}), lab)
     with pytest.raises(ValueError, match="negation"):
         chapman_compare(h, _forged(lab, conn={1, 2, lab.n - 1}))
-
-
-def test_chapman_arbitrary_lambda_still_isomorphic(std):
-    # any lambda outside the base field defines an isomorphic copy
-    ctx, a, _, lab = std(2)
-    ext = QuadExtCtx(ctx)
-    for lam in [(0, 1), (1, 1), (2, 3)]:
-        h = chapman_build(ext, lam)
-        assert not h.undefined_pairs
-        assert bool(chapman_compare(h, lab))
