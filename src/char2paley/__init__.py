@@ -24,8 +24,8 @@ from .construct import (
 )
 from .gf2k import DEFAULT_POLYS, K_MAX, FieldCtx, factorize, is_irreducible
 from .mobius import (
-    INF, MobiusMap, QuadExtCtx, alpha_of, apply, find_generator_a, is_full_orbit,
-    lambda_of, point_of_index, vertex_index,
+    INF, MobiusMap, alpha_of, apply, find_generator_a, is_full_orbit, point_of_index,
+    vertex_index,
 )
 from .structure import (
     ChapmanComparison, ChapmanGraph, HamiltonianDecomposition, MapVerdict, ShiftIso,

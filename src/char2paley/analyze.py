@@ -196,11 +196,13 @@ def circulant_spectrum(n: int, conn: frozenset[int]) -> CodegreeSpectrum:
     """Exact histogram of (epsilon, ell) of the circulant of order n on conn.
 
     codeg(v_0, v_s) = (C * C)[s], resting on C = -C (see the module
-    notes; ValueError when `unpaired_distance` finds a d), and each shift s = 1 .. (n-1)/2 covers
-    n distinct pairs (n is odd), so no dense graph is needed.  The pair
-    of top codegree is (v_0, v_max_shift).
+    notes; ValueError when `unpaired_distance` finds a d), and each
+    shift s = 1 .. (n-1)/2 covers n distinct pairs (n is odd), so no
+    dense graph is needed.  The pair of top codegree is (v_0, v_max_shift).
     This is a graph's spectrum once the graph is certified to be that
-    circulant (`verify_circulant`, or a `ChapmanGraph` whose `circulant` verdict passes).
+    circulant: the rows by `verify_circulant`, or a `ChapmanGraph` by its
+    constant classes (`verify_representative_independence`) and its
+    `coset-graph-circulant` check, C_H = -C_H.
     """
     if unpaired_distance(conn, n) is not None:
         raise ValueError("the connection set is not closed under negation")

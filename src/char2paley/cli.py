@@ -49,7 +49,7 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 
-CHAPMAN_K_MAX = 8   # the coset build walks all q^2 - 1 powers in GF(q^2)
+CHAPMAN_K_MAX = K_MAX // 2   # GF(q^2) is the FieldCtx of degree 2k <= K_MAX
 # An export is cut into at most one row range per this many rows, so it is
 # written by this process alone below twice as many.  A forked worker costs
 # about 3 ms; two ranges break even near 513 rows for the edge, DIMACS and

@@ -16,16 +16,19 @@ rotation (m = 1).  The distance classes of C decompose the edge set into
 Hamiltonian cycles whenever the order q+1 is prime.
 
 The coset construction over GF(q^2), the one place the package builds
-that field, gives an independent build of the same isomorphism class,
-from one pass over the powers of a primitive root: read off its
-predicate's classes, it is the circulant of C_H, and a unit m of
-Z_(q+1) with m C = C_H is the isomorphism v_i -> w_(m i).
+that field (as the FieldCtx of degree 2k), gives an independent build of
+the same isomorphism class, from one pass over the exponents of its
+generator in log coordinates: read off its predicate's classes, it is
+the circulant of C_H, and a unit m of Z_(q+1) with m C = C_H is the
+isomorphism v_i -> w_(m i).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, repeat
 from math import gcd
+from operator import xor
 from typing import NamedTuple
 
 from .analyze import circulant_spectrum
@@ -34,7 +37,7 @@ from .construct import (
     build_graph, build_tournament, check_width, unpaired_distance,
 )
 from .gf2k import FieldCtx, factorize
-from .mobius import QuadExtCtx, alpha_of, apply, lambda_of
+from .mobius import alpha_of, apply
 
 
 class ShiftIso(NamedTuple):
@@ -226,15 +229,15 @@ def hamiltonian_decompose(lab: CirculantLabeling) -> HamiltonianDecomposition:
 class ChapmanGraph(NamedTuple):
     """Graph on the q+1 cosets of the base multiplicative group in GF(q^2)*.
 
-    reps[i] is g^i for the fixed primitive root g.  table[e] is the
-    predicate at w = g^e, and the pair (i, j), i < j, reads the entry
-    e = qi + j (w = conj(g^i) g^j), in the class of j - i mod q+1.  conn
-    holds the classes r whose pair (0, r) reads 0: once the table is
-    constant on each class (`verify_representative_independence`), the
-    graph is the circulant of conn exactly when conn = -conn.  Pairs where
-    the denominator T(w) vanishes are never guessed at: they are collected
-    in undefined_pairs (expected empty), each rep encoded as the int
-    x0 | x1 << k, and leave the graph undefined.
+    reps[i] is g^i for the generator g of GF(q^2), as an int of that
+    field.  table[e] is the predicate at w = g^e, and the pair (i, j),
+    i < j, reads the entry e = qi + j (w = (g^i)^q g^j), in the class of
+    j - i mod q+1.  conn holds the classes r whose pair (0, r) reads 0:
+    once the table is constant on each class
+    (`verify_representative_independence`), the graph is the circulant of
+    conn exactly when conn = -conn.  Pairs where the denominator T(w)
+    vanishes are never guessed at: they are collected in undefined_pairs
+    (expected empty), as pairs of reps, and leave the graph undefined.
     """
 
     reps: tuple
@@ -250,38 +253,58 @@ class ChapmanGraph(NamedTuple):
 UNDEFINED = 2   # the predicate's value where its denominator T(w) vanishes
 
 
-def _coset_predicate(ext: QuadExtCtx, lam, w):
-    """Trace bit tr(T(lam w) / T(w)) joining [u] and [v] with w = u^q v, T(lam) = 1,
-    or UNDEFINED if T(w) = 0."""
-    t_den = ext.trace_to_base(w)
-    if t_den == 0:
-        return UNDEFINED
-    base = ext.base
-    return base.trace(base.div(ext.trace_to_base(ext.mul(lam, w)), t_den))
+def _embedding(ctx: FieldCtx, big: FieldCtx):
+    """phi(x) = sum of x_i rho^i, GF(q) = ctx into big = GF(q^2), rho the least root of
+    ctx.poly among 0 and the powers g^((q+1)t) of big's generator, which are GF(q) in big.
+
+    A root of the modulus is an image of z, so phi is a field homomorphism.
+    """
+    def modulus_at(x):  # ctx.poly at x, by Horner
+        v = 0
+        for i in range(ctx.k, -1, -1):
+            v = big.mul(v, x) ^ ctx.poly >> i & 1
+        return v
+
+    rho = min(x for x in (0, *big.exp_table()[:big.q - 1:ctx.q + 1]) if not modulus_at(x))
+    basis = list(accumulate(repeat(rho, ctx.k - 1), big.mul, initial=1))
+    return lambda x: reduce(xor, (r for i, r in enumerate(basis) if x >> i & 1), 0)
+
+
+def _coset_table(big: FieldCtx, q: int, lam: int) -> bytes:
+    """The predicate at w = g^e for each exponent e < q^2 - 1 of big = GF(q^2):
+    tr(lam T(lam w) / T(w)), T(x) = x + x^q, or UNDEFINED where T(w) = 0.
+
+    With T(lam) = 1 this is the paper's bit tr_q(T(lam w) / T(w)): for z in
+    GF(q), tr(lam z) = tr_q(T(lam z)) = tr_q(z T(lam)) = tr_q(z).  Read in
+    log coordinates, (g^e)^q = g^(qe mod q^2-1) and lam w = g^(e + log lam).
+    """
+    n1 = q * q - 1
+    exp, log = big.exp_table(), big.log_table()
+    t = [exp[e] ^ exp[q * e % n1] for e in range(n1)]  # T(g^e)
+    s = log[lam]
+    tr = big.trace
+    return bytes(UNDEFINED if not x else tr(exp[s + log[y] - log[x]]) if y else 0
+                 for x, y in zip(t, t[s:] + t[:s]))
 
 
 def chapman_build(ctx: FieldCtx, a: ParamA) -> ChapmanGraph:
-    """The coset graph at a, over GF(q^2) built here with lambda the root of
-    z^2 + z + a (`lambda_of`), so T(lambda) = 1; k must be even."""
+    """The coset graph at a, over GF(q^2) built here as the FieldCtx of degree 2k, with
+    lambda the lesser root of z^2 + z + a, so T(lambda) = 1; k must be even."""
     if ctx.k % 2:
         raise ValueError("the coset construction is compared against graphs: k must be even")
-    ext = QuadExtCtx(ctx)
-    lam = lambda_of(ext, a.value)
+    big = FieldCtx(2 * ctx.k)
+    lam, _ = big.solve_artin_schreier(_embedding(ctx, big)(a.value))
     q = ctx.q
     n = q + 1
+    exp = big.exp_table()
     # rep i = g^i.  GF(q)* = <g^(q+1)>, and the cosets [g^i], 0 <= i <= q,
     # are distinct (so all q+1 of them) exactly when no g^i with
     # 0 < i <= q lies in GF(q), i.e. has relative trace 0
-    g = ext.primitive_root()
-    powers = [ext.ONE]
-    for _ in range(n):
-        powers.append(ext.mul(powers[-1], g))
-    if ext.trace_to_base(powers[n]) or not all(map(ext.trace_to_base, powers[1:n])):
+    t = [exp[i] ^ exp[q * i] for i in range(n + 1)]  # T(g^i), read off the doubled table
+    if t[n] or not all(t[1:n]):
         raise AssertionError("powers of the primitive root do not enumerate the cosets")
-    reps = powers[:n]
-    # one pass over w = g^e, e = 0 ... q^2 - 2
-    walk = accumulate(repeat(g, q * q - 2), ext.mul, initial=ext.ONE)
-    table = bytes(_coset_predicate(ext, lam, w) for w in walk)
+    reps = tuple(exp[:n])
+    table = _coset_table(big, q, lam)
     # the pairs (i, i+1) .. (i, q) read the entries qi + i + 1 .. qi + q, the
     # last of them, q^2 for i = q - 1, being entry 1
     wrapped = table + table[:2]
@@ -290,10 +313,10 @@ def chapman_build(ctx: FieldCtx, a: ParamA) -> ChapmanGraph:
         row = wrapped[n * i + 1:q * i + n]
         j = row.find(UNDEFINED)
         while j >= 0:
-            undefined.append((ext.encode(reps[i]), ext.encode(reps[i + 1 + j])))
+            undefined.append((reps[i], reps[i + 1 + j]))
             j = row.find(UNDEFINED, j + 1)
     conn = frozenset(r for r in range(1, n) if table[r] == 0)
-    return ChapmanGraph(tuple(reps), table, conn, tuple(undefined))
+    return ChapmanGraph(reps, table, conn, tuple(undefined))
 
 
 class Independence(NamedTuple):

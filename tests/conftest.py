@@ -36,20 +36,26 @@ def std(field):
 
 @pytest.fixture
 def tamper_coset(monkeypatch):
-    """tamper_coset(ext, *exponents) flips the coset predicate at each w = g^e
-    for the test and returns the tampered predicate."""
+    """tamper_coset(*exponents) flips the coset table's entry at each exponent e
+    (w = g^e) for the test and returns the oracle predicate flipped at those w."""
     import char2paley.structure as structure
-    real = structure._coset_predicate
+    from oracles import coset_bit
+    real = structure._coset_table
 
-    def tamper(ext, *exponents):
-        g = ext.primitive_root()
-        targets = {ext.pow(g, e) for e in exponents}
+    def tamper(*exponents):
+        flips = set(exponents)
 
-        def tampered(ext, lam, w):
-            bit = real(ext, lam, w)
-            return 1 - bit if w in targets else bit
+        def table(big, q, lam):
+            t = bytearray(real(big, q, lam))
+            for e in flips:
+                t[e] ^= 1
+            return bytes(t)
 
-        monkeypatch.setattr(structure, "_coset_predicate", tampered)
+        def tampered(big, lam, w):
+            bit = coset_bit(big, lam, w)
+            return 1 - bit if big.log_table()[w] in flips else bit
+
+        monkeypatch.setattr(structure, "_coset_table", table)
         return tampered
 
     return tamper

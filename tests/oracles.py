@@ -22,11 +22,14 @@
   the codegree formula and of the convolution spectrum
   `circulant_spectrum`.
 - `chapman_rows_per_pair` builds the coset graph with one GF(q^2)
-  product w = conj(u) v per pair, and `representative_probes` re-reads
+  product w = u^q v per pair, and `representative_probes` re-reads
   the predicate on every pair against every pair of unit multipliers,
   the oracles of the class read in `chapman_build` (its connection set,
   and, through `is_circulant`, the verdict of `coset-graph-circulant`)
-  and of `verify_representative_independence`.
+  and of `verify_representative_independence`.  Both work in FieldCtx(2k)
+  by definition: x^q by `power`, T(x) = x + x^q, tr_q as a Frobenius
+  sum, and the embedding of GF(q) (`quadratic_extension`) and lambda
+  (`search_lambda`) found by search, not by the package's helpers.
 - `circulant_witness` renames the rows into orbit order and takes the
   first that is too wide or not the connection set rotated by its
   position, and `circulant_row_witness` builds each orbit row's dense
@@ -81,17 +84,20 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import compress, count
 from math import comb
+from operator import xor
 
 from char2paley import (
-    INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, QuadExtCtx, RowVerdict, adjacency,
+    INF, FieldCtx, MobiusMap, OutOfScopeError, PaleyLikeGraph, RowVerdict, adjacency,
     apply, ParamA, codegree_formula, first_failing_row, vertex_index,
 )
 from char2paley.construct import (
     _field_words, _quotient_traces, _swap_masks, _transposed, check_cap, check_width,
 )
 from char2paley.formats import BIT_FLAGS
+from char2paley.gf2k import power
 
 EXHAUSTIVE_SUBSET_CAP = 17  # largest order for the 2^n induced-subgraph sweep
 
@@ -571,70 +577,117 @@ def spectrum_counts(rows, n: int) -> dict:
     return dict(sorted(counts.items()))
 
 
-def coset_bit(ext: QuadExtCtx, lam, w):
-    """tr(T(lam w) / (T(lam) T(w))), or None where T(w) = 0, by definition."""
-    base = ext.base
-    t_den = ext.trace_to_base(w)
+@lru_cache(maxsize=8)  # k = 8 holds GF(2^16) and its 65536 halves
+def quadratic_extension(ctx: FieldCtx):
+    """(big, phi, halves): GF(q^2) = FieldCtx(2k), the embedding phi(x) = sum x_i rho^i
+    of ctx into it with rho the least root of ctx.poly in big, found by search and
+    asserted to lie in GF(q), and halves[c], the least x of big with x^2 + x = c."""
+    big, q = FieldCtx(2 * ctx.k), ctx.q
+
+    def modulus_at(x):
+        return reduce(xor, (power(big.mul, 1, x, i) for i in range(ctx.k + 1) if ctx.poly >> i & 1))
+
+    rho = next(x for x in range(big.q) if not modulus_at(x))
+    assert power(big.mul, 1, rho, q) == rho
+    basis = [power(big.mul, 1, rho, i) for i in range(ctx.k)]
+
+    def phi(x):
+        return reduce(xor, (r for i, r in enumerate(basis) if x >> i & 1), 0)
+
+    halves = {}
+    for x in range(big.q - 1, -1, -1):
+        halves[big.mul(x, x) ^ x] = x
+    return big, phi, halves
+
+
+def search_lambda(ctx: FieldCtx, a: int) -> int:
+    """The least root lambda in GF(q^2) of z^2 + z + a, a embedded by phi."""
+    _, phi, halves = quadratic_extension(ctx)
+    return halves[phi(a)]
+
+
+def relative_trace(big: FieldCtx, x: int) -> int:
+    """T(x) = x + x^q in GF(q^2) = big."""
+    return x ^ power(big.mul, 1, x, 1 << big.k // 2)
+
+
+def trace_q(big: FieldCtx, z: int) -> int:
+    """tr_q(z) = z + z^2 + ... + z^(q/2) for z in GF(q) inside big, asserted 0 or 1."""
+    t = s = z
+    for _ in range(big.k // 2 - 1):
+        s = big.mul(s, s)
+        t ^= s
+    assert t in (0, 1), (z, t)
+    return t
+
+
+def coset_bit(big: FieldCtx, lam: int, w: int):
+    """tr_q(T(lam w) / (T(lam) T(w))), or None where T(w) = 0, by definition."""
+    t_den = relative_trace(big, w)
     if t_den == 0:
         return None
-    t_num = ext.trace_to_base(ext.mul(lam, w))
-    return base.trace(base.div(t_num, base.mul(ext.trace_to_base(lam), t_den)))
+    t_num = relative_trace(big, big.mul(lam, w))
+    return trace_q(big, big.div(t_num, big.mul(relative_trace(big, lam), t_den)))
 
 
-def chapman_rows_per_pair(ext: QuadExtCtx, lam, reps, pred=coset_bit):
-    """(rows, undefined pairs) of the coset graph on reps, one w = conj(u) v per pair;
-    each undefined pair's reps encoded as ints, as `chapman_build` holds them."""
+def chapman_rows_per_pair(ctx: FieldCtx, a: int, reps, pred=coset_bit):
+    """(rows, undefined pairs) of the coset graph at a on reps (ints of GF(q^2)), one
+    w = u^q v per pair, lambda found by search; pairs are held as reps, as
+    `chapman_build` holds them."""
+    big, _, _ = quadratic_extension(ctx)
+    lam = search_lambda(ctx, a)
     n = len(reps)
     rows = [0] * n
     undefined = []
     for i in range(n):
         for j in range(i + 1, n):
-            bit = pred(ext, lam, ext.mul(ext.conj(reps[i]), reps[j]))
+            bit = pred(big, lam, big.mul(power(big.mul, 1, reps[i], ctx.q), reps[j]))
             if bit not in (0, 1):
-                undefined.append((ext.encode(reps[i]), ext.encode(reps[j])))
+                undefined.append((reps[i], reps[j]))
             elif bit == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return rows, undefined
 
 
-def representative_probes(ext: QuadExtCtx, lam, reps, pred=coset_bit) -> bool:
+def representative_probes(ctx: FieldCtx, a: int, reps, pred=coset_bit) -> bool:
     """Whether the predicate on (c u, c' v) equals the one on (u, v) for every
-    pair of reps and every c, c' in GF(q)*, each w through `ext.mul`."""
-    q = ext.base.q
+    pair of reps and every c, c' in GF(q)*, embedded by phi, each w = u^q v."""
+    big, phi, _ = quadratic_extension(ctx)
+    lam = search_lambda(ctx, a)
+    units = [phi(c) for c in range(1, ctx.q)]
 
     def bit(u, v):
-        return pred(ext, lam, ext.mul(ext.conj(u), v))
+        return pred(big, lam, big.mul(power(big.mul, 1, u, ctx.q), v))
 
     for i, u in enumerate(reps):
         for v in reps[i + 1:]:
             want = bit(u, v)
-            for c in range(1, q):
-                cu = ext.mul(u, (c, 0))
-                if any(bit(cu, ext.mul(v, (cp, 0))) != want for cp in range(1, q)):
+            for c in units:
+                cu = big.mul(u, c)
+                if any(bit(cu, big.mul(v, cp)) != want for cp in units):
                     return False
     return True
 
 
-def construct_a_for_order(ext: QuadExtCtx, m: int) -> int:
+def construct_a_for_order(ctx: FieldCtx, m: int) -> int:
     """A trace-1 element a whose lambda-ratio has prescribed order m.
 
-    Requires m | q+1 and m > 2.  Takes a power nu of the primitive root
-    so that nu^(q-1) has order m, then a = N(nu / T(nu)), the norm
-    N(x) = x x^q.  That order is the lambda-ratio order, the length of the
-    alpha_a-orbit of INF.
+    Requires m | q+1 and m > 2.  Takes a power nu of the generator of
+    GF(q^2) so that nu^(q-1) has order m, then N(nu / T(nu)), the norm
+    N(x) = x x^q, and maps it back to a through phi by search.  That order
+    is the lambda-ratio order, the length of the alpha_a-orbit of INF.
     """
-    q = ext.base.q
+    q = ctx.q
     if m <= 2:
         raise ValueError(f"order must exceed 2, got {m}")
     if (q + 1) % m != 0:
         raise ValueError(f"{m} does not divide q+1 = {q + 1}")
-    g = ext.primitive_root()
-    nu = ext.pow(g, (q + 1) // m)
-    b = ext.trace_to_base(nu)  # nonzero: nu is outside the base field
-    binv = ext.base.inv(b)
-    lam = (ext.base.mul(nu[0], binv), ext.base.mul(nu[1], binv))
-    a, _ = ext.mul(lam, ext.conj(lam))
-    if ext.base.trace(a) != 1:
+    big, phi, _ = quadratic_extension(ctx)
+    nu = power(big.mul, 1, big.generator(), (q + 1) // m)
+    lam = big.div(nu, relative_trace(big, nu))  # T(nu) != 0: nu is outside GF(q)
+    norm = big.mul(lam, power(big.mul, 1, lam, q))
+    a = next(x for x in range(q) if phi(x) == norm)
+    if ctx.trace(a) != 1:
         raise AssertionError("constructed parameter has trace 0")
     return a

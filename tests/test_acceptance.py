@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from math import comb, isqrt
 
 from char2paley import (
-    INF, QuadExtCtx, ShiftTarget, adjacency, alpha_of, build_graph, build_tournament,
+    INF, ShiftTarget, adjacency, alpha_of, build_graph, build_tournament,
     circulant_labeling, chapman_build, chapman_compare, hamiltonian_decompose,
     kloosterman_sweep, param_a, shift_isomorphism,
     unpaired_distance, verify_automorphisms, verify_circulant,
@@ -210,7 +210,6 @@ def test_criterion_12_order_theory(field):
             return len(orbit(ctx, alpha_of(ctx, a), INF))
 
         ctx6 = field(6)
-        ext6 = QuadExtCtx(ctx6)
         seen = set()
         for a in range(ctx6.q):
             if ctx6.trace(a) != 1:
@@ -220,7 +219,7 @@ def test_criterion_12_order_theory(field):
             seen.add(m)
         assert seen == {5, 13, 65}
         for m in (5, 13, 65):
-            a = construct_a_for_order(ext6, m)
+            a = construct_a_for_order(ctx6, m)
             assert ctx6.trace(a) == 1
             assert ratio_order(ctx6, a) == m
         for k in (2, 4, 8):

@@ -10,8 +10,8 @@ import pytest
 import char2paley
 
 from char2paley import (
-    FieldCtx, PaleyLikeGraph, QuadExtCtx, build_graph, chapman_build, circulant_labeling,
-    param_a, shift_isomorphism,
+    FieldCtx, PaleyLikeGraph, build_graph, chapman_build, circulant_labeling, param_a,
+    shift_isomorphism,
 )
 from char2paley.cli import main
 from char2paley.formats import point_label
@@ -467,26 +467,22 @@ def test_chapman_verifies_circulance_once(capsys, monkeypatch):
 
 
 def test_only_chapman_builds_the_quadratic_extension(monkeypatch, tmp_path):
-    # with GF(q^2) made unbuildable, every other command writes the bytes it
-    # writes unpatched; the coset construction is the one that needs it
-    runs = [["build", "--k", "8"], ["certify", "--k", "8"], ["analyze", "--k", "12"],
-            ["decompose", "--k", "8"]]
+    # the degree of every FieldCtx built is recorded: every other command builds
+    # GF(2^k) alone, and the coset construction builds GF(q^2), of degree 2k, too
+    degrees = []
+    real = FieldCtx.__init__
 
-    def outputs(tag):
-        for argv in runs:
-            out = tmp_path / f"{argv[0]}.{tag}"
-            assert main([*argv, "-o", str(out)]) == 0, argv
-            yield out.read_bytes()
+    def recording(self, k, poly=None):
+        degrees.append(k)
+        real(self, k, poly)
 
-    plain = list(outputs("plain"))
-
-    def unbuildable(self, base):
-        raise AssertionError("GF(q^2) was built")
-
-    monkeypatch.setattr(QuadExtCtx, "__init__", unbuildable)
-    assert list(outputs("patched")) == plain
-    with pytest.raises(AssertionError, match="GF"):
-        main(["chapman", "--k", "4", "-o", str(tmp_path / "chapman.json")])
+    monkeypatch.setattr(FieldCtx, "__init__", recording)
+    for argv in (["build", "--k", "8"], ["certify", "--k", "8"], ["analyze", "--k", "12"],
+                 ["decompose", "--k", "8"], ["chapman", "--k", "4"]):
+        degrees.clear()
+        assert main([*argv, "-o", str(tmp_path / argv[0])]) == 0, argv
+        k = int(argv[2])
+        assert set(degrees) == ({k, 2 * k} if argv[0] == "chapman" else {k}), argv
 
 
 def test_chapman_k2(capsys):
@@ -510,11 +506,11 @@ def test_chapman_representative_independence_exhaustive(capsys):
                    "evidence": "exhaustive", "mode": "exhaustive", "count": 16 * 15}
 
 
-def test_chapman_representative_independence_witness(capsys, field, tamper_coset):
+def test_chapman_representative_independence_witness(capsys, tamper_coset):
     # the predicate flipped at w = g^(3q+1), an entry no pair reads: only this
     # check fails, with the class, and the coset graph, which rests on the classes
     # being constant, is not read
-    tamper_coset(QuadExtCtx(field(4)), 3 * 16 + 1)
+    tamper_coset(3 * 16 + 1)
     code, out = run(capsys, "chapman", "--k", "4")
     assert code == 1
     doc = json.loads(out)
@@ -535,7 +531,7 @@ def _tamper_class(tamper_coset, k, r):
     ctx = FieldCtx(k)
     n = ctx.q + 1
     conn = chapman_build(ctx, param_a(ctx)).conn
-    tamper_coset(QuadExtCtx(ctx), *range(r, ctx.q * ctx.q - 1, n))
+    tamper_coset(*range(r, ctx.q * ctx.q - 1, n))
     return n - r if r in conn else r
 
 
@@ -560,19 +556,22 @@ def test_chapman_undefined_pair_skips_the_coset_checks(capsys, monkeypatch, fiel
     # the predicate made undefined at w = g^(q+3), the pair (1, 3): the coset
     # graph's circulance and the comparison rest on no-undefined-pairs
     import char2paley.structure as structure
-    ext = QuadExtCtx(field(4))
-    target = ext.pow(ext.primitive_root(), 16 + 3)
-    real = structure._coset_predicate
-    monkeypatch.setattr(structure, "_coset_predicate", lambda ext, lam, w: (
-        structure.UNDEFINED if w == target else real(ext, lam, w)))
+    real = structure._coset_table
+
+    def table(big, q, lam):
+        t = bytearray(real(big, q, lam))
+        t[q + 3] = structure.UNDEFINED
+        return bytes(t)
+
+    monkeypatch.setattr(structure, "_coset_table", table)
     code, out = run(capsys, "chapman", "--k", "4")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["no-undefined-pairs"]["pass"] is False
     assert checks["no-undefined-pairs"]["undefined_pair_count"] == 1
-    # the witness names the pair's representatives g^1 and g^3 by their encodings
-    reps = [ext.encode(ext.pow(ext.primitive_root(), i)) for i in (1, 3)]
-    assert checks["no-undefined-pairs"]["witness"] == {"pairs": [[f"{e:#x}" for e in reps]]}
+    # the witness names the pair's representatives g^1 and g^3 as elements of GF(q^2)
+    exp = field(8).exp_table()
+    assert checks["no-undefined-pairs"]["witness"] == {"pairs": [[f"{exp[i]:#x}" for i in (1, 3)]]}
     reason = "the certificate rests on the no-undefined-pairs check, which failed"
     for name in ("coset-graph-circulant", "isomorphic"):
         assert checks[name]["skipped"] is True and checks[name]["reason"] == reason
@@ -622,12 +621,13 @@ def test_chapman_short_orbit_parameter_certified(capsys):
     assert iso["verdict"] == "isomorphic-certified"
 
 
-def test_chapman_k10_out_of_scope(capsys):
-    code, _ = run(capsys, "chapman", "--k", "10")
+def test_chapman_k12_out_of_scope(capsys):
+    # GF(q^2) is the FieldCtx of degree 2k, so k = 10 is the last k it serves
+    code, _ = run(capsys, "chapman", "--k", "12")
     assert code == 3
 
 
-@pytest.mark.parametrize("k, multiplier", [(6, 22), (8, 3)])
+@pytest.mark.parametrize("k, multiplier", [(6, 6), (8, 3)])
 def test_chapman_composite_order_certified(capsys, k, multiplier):
     # the multiplier search runs over all units of Z_(q+1), composite 65 = 5 * 13 too
     code, out = run(capsys, "chapman", "--k", str(k))

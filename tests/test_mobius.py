@@ -3,12 +3,14 @@ import random
 import pytest
 
 from char2paley import (
-    DEFAULT_POLYS, INF, FieldCtx, MobiusMap, QuadExtCtx, alpha_of, apply, factorize,
-    find_generator_a, is_full_orbit, is_irreducible, lambda_of, point_of_index, vertex_index,
+    DEFAULT_POLYS, INF, FieldCtx, MobiusMap, alpha_of, apply, factorize, find_generator_a,
+    is_full_orbit, is_irreducible, point_of_index, vertex_index,
 )
+from char2paley.gf2k import power
+from char2paley.structure import _embedding
 from oracles import (
     IDENTITY, all_points, beta_of, compose, construct_a_for_order, det, inverse,
-    mobius_map, orbit,
+    mobius_map, orbit, quadratic_extension, search_lambda,
 )
 
 
@@ -106,12 +108,12 @@ def test_orbit_identity(field):
 def test_orbit_length_equals_ratio_order(field, k):
     # the walked alpha_a-orbit of INF is as long as the order of lambda^q / lambda = lambda^(q-1)
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
+    big, _, _ = quadratic_extension(ctx)
     for a in trace1_elements(ctx):
         length = orbit_length(ctx, a)
-        ratio = ext.pow(lambda_of(ext, a), ctx.q - 1)
-        assert ext.pow(ratio, length) == ext.ONE
-        assert all(ext.pow(ratio, length // p) != ext.ONE for p in factorize(length))
+        ratio = power(big.mul, 1, search_lambda(ctx, a), ctx.q - 1)
+        assert power(big.mul, 1, ratio, length) == 1
+        assert all(power(big.mul, 1, ratio, length // p) != 1 for p in factorize(length))
         assert is_full_orbit(ctx, alpha_of(ctx, a)) == (length == ctx.q + 1)
 
 
@@ -212,91 +214,89 @@ def test_beta_is_alpha_power(field, k):
             assert apply(ctx, b, v[i]) == v[(i - j) % n]
 
 
-# -- quadratic extension ----------------------------------------------------
+# -- GF(q^2) as the FieldCtx of degree 2k ----------------------------------
 
 
 def test_ext_basics(field):
-    ext = QuadExtCtx(field(2))
-    assert ext.a0 == 2  # smallest trace-1 element of GF(4)
-    assert ext.conj(ext.conj((1, 3))) == (1, 3)
-    z = (0, 1)
-    # zeta^2 + zeta + a0 = 0
-    assert ext.add(ext.add(ext.mul(z, z), z), (ext.a0, 0)) == (0, 0)
+    # GF(4) inside GF(16) is 0, 1 and the roots g^5, g^10 of z^2 + z + 1; the
+    # embedding sends z to the lesser root, the one a search finds
+    ctx, big = field(2), field(4)
+    exp = big.exp_table()
+    phi = _embedding(ctx, big)
+    assert {phi(x) for x in range(4)} == {0, 1, exp[5], exp[10]}
+    rho = phi(2)
+    assert rho == min(exp[5], exp[10]) == quadratic_extension(ctx)[1](2)
+    assert big.mul(rho, rho) ^ rho ^ 1 == 0
 
 
 @pytest.mark.parametrize("k", range(2, 21))
 def test_ext_a0_is_tmask_lowest_bit(field, k):
+    # a0 = tmask's lowest bit is the least trace-1 element, where find_generator_a
+    # starts: tr(x) is the parity of x & tmask, and no x below a0 meets tmask
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
-    # tr(x) is the parity of x & tmask: a0 has trace 1, and no x below it meets tmask
-    assert ctx.trace(ext.a0) == 1
-    assert ctx.tmask & (ext.a0 - 1) == 0
+    a0 = ctx.tmask & -ctx.tmask
+    assert ctx.trace(a0) == 1
+    assert ctx.tmask & (a0 - 1) == 0
     if k <= 12:
         trace1 = trace1_elements(ctx)
-        assert ext.a0 == trace1[0]
+        assert a0 == trace1[0]
         assert find_generator_a(ctx) == next(a for a in trace1 if orbit_length(ctx, a) == ctx.q + 1)
-
-
-def test_ext_field_axioms_k2(field):
-    ext = QuadExtCtx(field(2))
-    elems = list(ext.elements())
-    assert len(elems) == 16
-    for u in elems:
-        for v in elems:
-            assert ext.mul(u, v) == ext.mul(v, u)
-            # conjugation is a homomorphism
-            assert ext.conj(ext.mul(u, v)) == ext.mul(ext.conj(u), ext.conj(v))
-    rng = random.Random(1)
-    for _ in range(2000):
-        u, v, w = (rng.choice(elems) for _ in range(3))
-        assert ext.mul(ext.mul(u, v), w) == ext.mul(u, ext.mul(v, w))
-        assert ext.mul(u, ext.add(v, w)) == ext.add(ext.mul(u, v), ext.mul(u, w))
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_conj_is_frobenius(field, k):
-    # u^q = conj(u) is why the pair (g^i, g^j) of the coset build reads w = g^(qi + j)
-    ext = QuadExtCtx(field(k))
-    for u in ext.elements():
-        assert ext.conj(u) == ext.pow(u, ext.base.q), u
+    # (g^e)^q = g^(qe mod q^2 - 1) is why the pair (g^i, g^j) of the coset build
+    # reads w = g^(qi + j), and how its table reads T(w) in log coordinates
+    big, q = field(2 * k), 1 << k
+    exp, n1 = big.exp_table(), big.q - 1
+    for e in range(n1):
+        assert power(big.mul, 1, exp[e], q) == exp[q * e % n1], e
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_ext_norm_and_trace_land_in_base(field, k):
-    ext = QuadExtCtx(field(k))
-    for u in ext.elements():
-        assert ext.mul(u, ext.conj(u))[1] == 0  # the norm u u^q
-        assert ext.add(u, ext.conj(u)) == (ext.trace_to_base(u), 0)
+    # the norm u u^q and T(u) = u + u^q lie in the embedded GF(q), where the
+    # coset predicate divides and takes tr_q
+    ctx, big = field(k), field(2 * k)
+    phi = _embedding(ctx, big)
+    base = {phi(x) for x in range(ctx.q)}
+    for u in range(big.q):
+        uq = power(big.mul, 1, u, ctx.q)
+        assert big.mul(u, uq) in base and u ^ uq in base, u
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_primitive_root(field, k):
-    # the powers of g walk all q^2 - 1 nonzero elements before returning to 1
-    ext = QuadExtCtx(field(k))
-    g = ext.primitive_root()
-    u, seen = g, {ext.ONE}
-    while u != ext.ONE:
+    # the powers of GF(q^2)'s generator walk all q^2 - 1 nonzero elements before
+    # returning to 1, and its powers g^((q+1)t) are the embedded GF(q)*
+    ctx, big = field(k), field(2 * k)
+    g = big.generator()
+    u, seen = g, {1}
+    while u != 1:
         seen.add(u)
-        u = ext.mul(u, g)
-    assert len(seen) == ext.order - 1
+        u = big.mul(u, g)
+    assert len(seen) == big.q - 1
+    phi = _embedding(ctx, big)
+    assert set(big.exp_table()[:big.q - 1:ctx.q + 1]) == {phi(x) for x in range(1, ctx.q)}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
 def test_lambda_relations(field, k):
-    ctx = field(k)
-    ext = QuadExtCtx(ctx)
+    # lambda, the lesser root of z^2 + z + a in GF(q^2) that chapman_build takes,
+    # is the root a search finds; for tr(a) = 1 it lies outside GF(q), with
+    # lambda + lambda^q = 1 and lambda lambda^q = a, and for tr(a) = 0 inside it
+    ctx, big = field(k), field(2 * k)
+    phi = _embedding(ctx, big)
     for a in range(ctx.q):
+        lam, _ = big.solve_artin_schreier(phi(a))
+        assert lam == search_lambda(ctx, a)
+        assert big.mul(lam, lam) ^ lam == phi(a)
+        lam_bar = power(big.mul, 1, lam, ctx.q)
         if ctx.trace(a) != 1:
-            with pytest.raises(ValueError):
-                lambda_of(ext, a)
+            assert lam_bar == lam
             continue
-        lam = lambda_of(ext, a)
-        lam_bar = ext.conj(lam)
-        assert ext.add(lam, lam_bar) == (1, 0)
-        assert ext.mul(lam, lam_bar) == (a, 0)
-        # lambda^2 + lambda + a = 0 in the extension
-        acc = ext.add(ext.add(ext.mul(lam, lam), lam), (a, 0))
-        assert acc == (0, 0)
+        assert lam ^ lam_bar == 1
+        assert big.mul(lam, lam_bar) == phi(a)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 8])
@@ -313,20 +313,18 @@ def test_ratio_order_k2(field):
 
 
 def test_construct_a_for_order(field):
-    ext2 = QuadExtCtx(field(2))
-    a = construct_a_for_order(ext2, 5)
+    a = construct_a_for_order(field(2), 5)
     assert a in (2, 3)
     assert orbit_length(field(2), a) == 5
 
-    ext6 = QuadExtCtx(field(6))
     for m in (5, 13, 65):
-        a = construct_a_for_order(ext6, m)
+        a = construct_a_for_order(field(6), m)
         assert field(6).trace(a) == 1
         assert orbit_length(field(6), a) == m
     with pytest.raises(ValueError):
-        construct_a_for_order(ext6, 2)
+        construct_a_for_order(field(6), 2)
     with pytest.raises(ValueError):
-        construct_a_for_order(ext6, 7)
+        construct_a_for_order(field(6), 7)
 
 
 def test_k6_divisors_from_factorization(field):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from char2paley import (
-    INF, FieldCtx, OutOfScopeError, QuadExtCtx, alpha_of, apply, build_graph,
+    INF, FieldCtx, OutOfScopeError, alpha_of, apply, build_graph,
     build_tournament, chapman_build, chapman_compare, circulant_labeling, factorize,
-    hamiltonian_decompose, circulant_spectrum, lambda_of, param_a, shift_isomorphism,
+    hamiltonian_decompose, circulant_spectrum, param_a, shift_isomorphism,
     unpaired_distance, verify_automorphisms, verify_representative_independence,
     verify_self_complementary, verify_shift_isomorphism,
 )
@@ -16,9 +16,11 @@ from char2paley.construct import (
 )
 from char2paley import structure
 from char2paley.structure import ChapmanGraph, MapVerdict, ShiftTarget, _shift_carries
+from char2paley.gf2k import is_irreducible, power
 from oracles import (
     carries, chapman_rows_per_pair, coset_bit, doubling_witness, is_circulant, iter_bits,
-    relabel, representative_probes, spectrum_counts, translate_rows, verify_vertex_map,
+    quadratic_extension, relabel, representative_probes, search_lambda, spectrum_counts,
+    translate_rows, verify_vertex_map,
 )
 
 
@@ -531,15 +533,49 @@ def test_chapman_k2_shape(field):
     assert not h.undefined_pairs
 
 
+@pytest.mark.parametrize("k, poly", [(2, None)] + [(4, p) for p in range(16, 32) if is_irreducible(p)])
+def test_embedding_is_a_homomorphism_into_the_base_field(field, k, poly):
+    # phi sends GF(q), under each modulus, onto the subfield {x : x^q = x} of GF(q^2)
+    # and keeps sums and products: the coset build embeds a through it
+    ctx = field(k, poly)
+    big = field(2 * k)
+    phi = structure._embedding(ctx, big)
+    images = [phi(x) for x in range(ctx.q)]
+    assert images[0] == 0 and images[1] == 1
+    for x, u in enumerate(images):
+        assert power(big.mul, 1, u, ctx.q) == u
+        for y, v in enumerate(images):
+            assert images[x ^ y] == u ^ v
+            assert images[ctx.mul(x, y)] == big.mul(u, v)
+
+
+@pytest.mark.parametrize("k, every_a", [(2, True), (4, True), (6, False)])
+def test_coset_table_matches_the_definition_at_every_exponent(field, k, every_a):
+    # table[e] against tr_q(T(lam w) / T(w)) at w = g^e, lambda and the embedding of
+    # a found by search: every trace-1 a at k = 2 and 4, the default a at k = 6
+    ctx = field(k)
+    big, _, _ = quadratic_extension(ctx)
+    g = big.generator()
+    params = [x for x in range(ctx.q) if ctx.trace(x) == 1] if every_a else [param_a(ctx).value]
+    for a in params:
+        lam = search_lambda(ctx, a)
+        want, w = [], 1
+        for _ in range(big.q - 1):
+            bit = coset_bit(big, lam, w)
+            want.append(structure.UNDEFINED if bit is None else bit)
+            w = big.mul(w, g)
+        assert chapman_build(ctx, param_a(ctx, a)).table == bytes(want), hex(a)
+
+
 @pytest.mark.parametrize("k", [2, 4])
 def test_chapman_reps_are_powers_in_distinct_cosets(field, k):
     # u / v lies in GF(q)* exactly when u^(q-1) = v^(q-1)
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
+    big, _, _ = quadratic_extension(ctx)
     h = chapman_build(ctx, param_a(ctx))
-    g = ext.primitive_root()
-    assert h.reps == tuple(ext.pow(g, i) for i in range(ctx.q + 1))
-    assert len({ext.pow(u, ctx.q - 1) for u in h.reps}) == ctx.q + 1
+    g = big.generator()
+    assert h.reps == tuple(power(big.mul, 1, g, i) for i in range(ctx.q + 1))
+    assert len({power(big.mul, 1, u, ctx.q - 1) for u in h.reps}) == ctx.q + 1
 
 
 def test_chapman_tampered_row_not_certified(field, tamper_coset):
@@ -547,12 +583,10 @@ def test_chapman_tampered_row_not_certified(field, tamper_coset):
     # per-pair rows are no circulant, and the flip leaves class 2 with entries
     # that differ, so no coset graph is read off the classes
     ctx = field(4)
-    ext = QuadExtCtx(ctx)
     a = param_a(ctx)
-    lam = lambda_of(ext, a.value)
-    pred = tamper_coset(ext, ctx.q + 3)
+    pred = tamper_coset(ctx.q + 3)
     bad = chapman_build(ctx, a)
-    rows, _ = chapman_rows_per_pair(ext, lam, bad.reps, pred)
+    rows, _ = chapman_rows_per_pair(ctx, a.value, bad.reps, pred)
     assert not is_circulant(rows, rows[0], bad.n)
     assert verify_representative_independence(bad).witness == (2, 19)
 
@@ -563,17 +597,15 @@ def test_chapman_whole_class_tamper_fails_the_class_read(field, tamper_coset, k)
     # each class, and the class read names the one distance d in C_H whose n - d
     # is not, where the per-pair rows stop being a circulant
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
     a = param_a(ctx)
-    lam = lambda_of(ext, a.value)
     n = ctx.q + 1
     h = chapman_build(ctx, a)
-    pred = tamper_coset(ext, *range(3, ctx.q * ctx.q - 1, n))
+    pred = tamper_coset(*range(3, ctx.q * ctx.q - 1, n))
     bad = chapman_build(ctx, a)
     assert verify_representative_independence(bad)
     assert bad.conn == h.conn ^ {3}
     assert unpaired_distance(bad.conn, n) == (n - 3 if 3 in h.conn else 3)
-    rows, undefined = chapman_rows_per_pair(ext, lam, bad.reps, pred)
+    rows, undefined = chapman_rows_per_pair(ctx, a.value, bad.reps, pred)
     assert frozenset(iter_bits(rows[0])) == bad.conn and undefined == []
     assert not is_circulant(rows, rows[0], n)
     with pytest.raises(ValueError, match="negation"):
@@ -598,7 +630,7 @@ def test_representative_independence_witness(field, tamper_coset):
     ctx = field(4)
     a = param_a(ctx)
     h = chapman_build(ctx, a)
-    tamper_coset(QuadExtCtx(ctx), 3 * ctx.q + 1)
+    tamper_coset(3 * ctx.q + 1)
     bad = chapman_build(ctx, a)
     assert bad.conn == h.conn
     rep = verify_representative_independence(bad)
@@ -609,7 +641,7 @@ def test_representative_independence_witness(field, tamper_coset):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_representative_independence_witness_every_class(field, tamper_coset, r):
     # k = 2: the last entry r + 5 * 2 of each class r != 0 mod 5, flipped alone
-    tamper_coset(QuadExtCtx(field(2)), r + 10)
+    tamper_coset(r + 10)
     h = chapman_build(field(2), param_a(field(2), 2))
     assert verify_representative_independence(h).witness == (r, r + 10)
 
@@ -620,11 +652,9 @@ def test_chapman_table_rows_match_per_pair_oracle(field, k):
     # connection set and undefined pairs, and C_H = -C_H exactly when the rows are
     # the circulant of C_H
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
     for a in (x for x in range(ctx.q) if ctx.trace(x) == 1):
-        lam = lambda_of(ext, a)
         h = chapman_build(ctx, param_a(ctx, a))
-        rows, undefined = chapman_rows_per_pair(ext, lam, h.reps)
+        rows, undefined = chapman_rows_per_pair(ctx, a, h.reps)
         assert h.conn == frozenset(iter_bits(rows[0]))
         assert list(h.undefined_pairs) == undefined == []
         assert verify_representative_independence(h)
@@ -639,47 +669,46 @@ def test_chapman_undefined_pairs_match_the_per_pair_oracle(field, monkeypatch, k
     # (1, q), and at g^(3q+1), read by no pair: the scan finds the pairs the
     # pair-by-pair build finds, in its order
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
     q = ctx.q
     a = param_a(ctx)
-    lam = lambda_of(ext, a.value)
-    gen = ext.primitive_root()
-    targets = {ext.pow(gen, e) for e in (1, q + 3, 2 * q, 3 * q + 1)}
-    real = structure._coset_predicate
+    exponents = {1, q + 3, 2 * q, 3 * q + 1}
+    real = structure._coset_table
 
-    def pred(ext, lam, w):
-        return structure.UNDEFINED if w in targets else real(ext, lam, w)
+    def table(big, q, lam):
+        t = bytearray(real(big, q, lam))
+        for e in exponents:
+            t[e] = structure.UNDEFINED
+        return bytes(t)
 
-    monkeypatch.setattr(structure, "_coset_predicate", pred)
+    def pred(big, lam, w):
+        return None if big.log_table()[w] in exponents else coset_bit(big, lam, w)
+
+    monkeypatch.setattr(structure, "_coset_table", table)
     h = chapman_build(ctx, a)
-    _, undefined = chapman_rows_per_pair(ext, lam, h.reps, pred)
+    _, undefined = chapman_rows_per_pair(ctx, a.value, h.reps, pred)
     assert list(h.undefined_pairs) == undefined
-    e = [ext.encode(u) for u in h.reps]  # the pairs are held as encoded reps
-    assert {(e[0], e[1]), (e[q - 1], e[q]), (e[1], e[q])} <= set(undefined)
+    r = h.reps  # the pairs are held as reps
+    assert {(r[0], r[1]), (r[q - 1], r[q]), (r[1], r[q])} <= set(undefined)
 
 
 # tampered at k = 4: w = g^(3q+1), read by no pair, and g^(q+3), read by (1, 3)
 @pytest.mark.parametrize("k, tamper", [(2, None), (4, None), (4, 3 * 16 + 1), (4, 16 + 3)])
 def test_representative_independence_agrees_with_probes(field, tamper_coset, k, tamper):
     ctx = field(k)
-    ext = QuadExtCtx(ctx)
     a = param_a(ctx)
-    lam = lambda_of(ext, a.value)
     pred = coset_bit
     if tamper:
-        pred = tamper_coset(ext, tamper)
+        pred = tamper_coset(tamper)
     h = chapman_build(ctx, a)
     verdict = bool(verify_representative_independence(h))
-    assert verdict == representative_probes(ext, lam, h.reps, pred) == (tamper is None)
+    assert verdict == representative_probes(ctx, a.value, h.reps, pred) == (tamper is None)
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_chapman_spectra_match(std, k):
     ctx, a, g, _ = std(k)
-    ext = QuadExtCtx(ctx)
-    lam = lambda_of(ext, a.value)
     h = chapman_build(ctx, a)
-    pairwise = spectrum_counts(chapman_rows_per_pair(ext, lam, h.reps)[0], h.n)
+    pairwise = spectrum_counts(chapman_rows_per_pair(ctx, a.value, h.reps)[0], h.n)
     assert pairwise == spectrum_counts(g.rows, g.n)
     assert circulant_spectrum(h.n, h.conn).counts == pairwise
 
@@ -707,7 +736,7 @@ def test_chapman_verified_isomorphism_reads_no_spectrum(std, monkeypatch):
         raise AssertionError("a codegree spectrum was read")
 
     monkeypatch.setattr(structure, "circulant_spectrum", no_spectrum)
-    assert chapman_compare(h, lab) == ("isomorphic-certified", 22, True)
+    assert chapman_compare(h, lab) == ("isomorphic-certified", 6, True)
 
 
 def test_chapman_compare_negative_control(std):
